@@ -57,17 +57,23 @@ Valuation = Union[Fraction, type(PLUS_INFINITY)]
 
 
 def _minimalize(exponents) -> tuple[IntVec, ...]:
-    """Unique minimal generating set: drop exponents divisible by another."""
+    """Unique minimal generating set: drop exponents divisible by another.
+
+    Bitset Pareto filter.  Each coordinate ANDs into below[j] the bits of
+    the points at or before pts[j] in that coordinate's order.  pts is
+    sorted and the sort is stable, so a divisor of pts[j] comes before it
+    in every order; bit k thus survives all coordinates exactly when
+    pts[k] divides pts[j], and the distinct point pts[j] is minimal iff
+    only its own bit is left.
+    """
     pts = sorted(set(exponents))
-    keep = []
-    for e in pts:
-        if not any(
-            all(f[i] <= e[i] for i in range(len(e))) for f in keep if f != e
-        ):
-            keep.append(e)
-    # a second sweep is unnecessary: pts are sorted, so any dominating
-    # generator of e sorts before it and is already kept
-    return tuple(keep)
+    below = [(1 << len(pts)) - 1] * len(pts)
+    for i in range(len(pts[0]) if pts else 0):
+        mask = 0
+        for k in sorted(range(len(pts)), key=lambda j: pts[j][i]):
+            mask |= 1 << k
+            below[k] &= mask
+    return tuple(p for k, p in enumerate(pts) if below[k] == 1 << k)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 The brute-force routines here are deliberately independent of the library
 paths they validate: vertices by enumerating constraint subsets, recession
 rays from the homogeneous system, Newton-polyhedron membership by direct
-inequality evaluation on integer points.
+inequality evaluation on integer points, minimal generators by pairwise
+divisibility.
 """
 
 from __future__ import annotations
@@ -73,6 +74,22 @@ def brute_recession_rays(P: HPolyhedron) -> set:
                     if rank(tight) == n - 1:
                         out.add(primitive_direction(cand))
     return out
+
+
+def minimalize_reference(exponents) -> tuple:
+    """Minimal generators by the quadratic divisibility scan, in sorted order.
+
+    Sorting first means any exponent dividing e sorts before e, so one pass
+    against the generators already kept suffices.
+    """
+    pts = sorted(set(exponents))
+    keep = []
+    for e in pts:
+        if not any(
+            all(f[i] <= e[i] for i in range(len(e))) for f in keep if f != e
+        ):
+            keep.append(e)
+    return tuple(keep)
 
 
 def random_h_polyhedron(rng: random.Random, dim: int, nonempty=True) -> HPolyhedron:

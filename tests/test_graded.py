@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import np_membership_set
+from helpers import minimalize_reference, np_membership_set
 
 from conefan.errors import InputError, NotInConeError, NotPointedError
 from conefan.fans import Fan, linearity_fan
@@ -58,6 +60,20 @@ def halfstep_system():
     )
 
 
+def bench_system():
+    # the 3x3 system the benchmark's verify workloads run on
+    return GradedSystem.create(
+        3,
+        3,
+        [(1, 3, 1), (3, 1, 1), (1, 3, 3)],
+        [
+            MI(3, [(2, 3, 2), (3, 1, 0)]),
+            MI(3, [(0, 1, 4)]),
+            MI(3, [(2, 1, 4), (3, 0, 3), (3, 2, 0)]),
+        ],
+    )
+
+
 def trivial_system():
     return GradedSystem.create(1, 1, [(1,)], [MI(1, [(1,)])])
 
@@ -80,6 +96,47 @@ def test_ideal_arithmetic():
     assert ideal_power(x, 0).is_unit
     assert ideal_sum(MI(2, [(2, 0)]), MI(2, [(3, 0)])).gens == ((2, 0),)
     assert ideal_product(x, MonomialIdeal.zero(2)).is_zero
+
+
+@st.composite
+def exponent_lists(draw):
+    n = draw(st.integers(1, 5))
+    # a narrow entry range forces ties in every coordinate and duplicates
+    top = draw(st.integers(0, 6))
+    point = st.tuples(*[st.integers(0, top)] * n)
+    return n, draw(st.lists(point, max_size=60))
+
+
+@given(exponent_lists())
+@example((3, []))
+@example((3, [(2, 0, 1)]))
+@example((1, [(4,), (2,), (2,), (7,)]))
+@example((2, [(1, 2), (1, 2), (0, 5), (0, 5), (3, 0)]))
+@example((3, [(1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 1, 1)]))
+@example((2, [(2, 2), (2, 3), (3, 2), (2, 2), (0, 4), (4, 0), (4, 4)]))
+def test_minimal_generators_match_reference(case):
+    n, exponents = case
+    assert MI(n, exponents).gens == minimalize_reference(exponents)
+
+
+@pytest.mark.parametrize("m", [(2, 6, 4), (8, 16, 8)])
+def test_ideal_product_matches_reference_at_bench_scale(m):
+    # m is a ray of the bench system's fan times its stabilizing exponent;
+    # the raw product sums carry heavy duplication and coordinate ties
+    I = expand_degree(bench_system(), m)
+    A, B = ideal_power(I, 2), ideal_power(I, 3)
+    sums = [tuple(a + b for a, b in zip(g, h)) for g in A.gens for h in B.gens]
+    assert len(set(sums)) < len(sums)
+    assert ideal_product(A, B).gens == minimalize_reference(sums)
+
+
+def test_from_exponents_order_is_canonical():
+    exponents = [(3, 0, 2), (1, 2, 2), (0, 4, 1), (1, 2, 3), (2, 1, 0), (0, 4, 1)]
+    shuffled = exponents * 2
+    random.Random(7).shuffle(shuffled)
+    ideal = MI(3, sorted(set(exponents)))
+    assert MI(3, shuffled) == ideal
+    assert list(ideal.gens) == sorted(ideal.gens)
 
 
 def test_newton_polyhedron():
