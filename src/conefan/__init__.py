@@ -2,12 +2,10 @@
 
 Everything is exact: scalars are arbitrary-precision rationals, equality
 tests are structural on canonical forms, and no tolerance appears anywhere.
-The heavy pivot loops run on a compiled kernel when the extension was
-built, with a pure-Python fallback selected at import time (see
-conefan._kernel).
+The heavy pivot loops run on fraction-free integer rows in plain Python
+(see conefan._kernel).
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -96,3 +94,6 @@ from .polyhedra import (
 from .rational import PLUS_INFINITY, PlusInfinity, frac, is_finite
 
 __version__ = "0.1.0"
+
+# The kernel implementation in use; there is one, in plain Python.
+KERNEL_BACKEND = "python"

@@ -4,8 +4,8 @@ Computes a minimal generator pair (lineality basis, extreme rays) of a cone
 given by homogeneous inequalities with integer normals.  Constraints are
 processed one at a time; while the lineality space is nontrivial the
 dimension-drop rule applies, afterwards each halfspace step combines
-adjacent positive/negative ray pairs (the hot loop, delegated to the
-kernel backend).
+adjacent positive/negative ray pairs (the hot loop, in
+conefan._kernel.dd_step).
 """
 
 from __future__ import annotations

@@ -75,7 +75,7 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> StandardR
         if basis[i] >= n:
             piv = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv is not None:
-                _pivot(tab, i, piv)
+                _kernel.pivot(tab, i, piv)
                 basis[i] = piv
 
     # phase 2 objective: reduced costs of c for the current basis; the rhs
@@ -111,17 +111,6 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> StandardR
     y = [signs[k] * y[k] for k in range(m)]
     value = _check_optimal(x, y, c, A, b)
     return StandardResult(status="optimal", x=tuple(x), y=tuple(y), value=value)
-
-
-def _pivot(tab, prow, pcol):
-    piv = tab[prow][pcol]
-    if piv != 1:
-        tab[prow] = [x / piv for x in tab[prow]]
-    pr = tab[prow]
-    for i in range(len(tab)):
-        if i != prow and tab[i][pcol] != 0:
-            f = tab[i][pcol]
-            tab[i] = [a - f * b for a, b in zip(tab[i], pr)]
 
 
 def _check_farkas(y, A, b):

@@ -47,20 +47,17 @@ def _sign_normalize(v: Sequence[Fraction]) -> Vec:
     return tuple(v)
 
 
-def kernel_basis(rows: Sequence[Sequence]) -> tuple[Vec, ...]:
-    """Basis of {x : A x = 0} derived from the reduced echelon form.
+def _kernel_from_rref(red, pivots, ncols: int) -> tuple[Vec, ...]:
+    """Kernel basis of the first ncols columns of a reduced echelon form.
 
-    Each basis vector is sign-normalized so its first nonzero entry is
-    positive, making the output canonical.
+    Only the pivots below ncols may be passed; the columns past ncols (an
+    augmented right-hand side) are ignored.
     """
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
@@ -69,8 +66,24 @@ def kernel_basis(rows: Sequence[Sequence]) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
+def kernel_basis(rows: Sequence[Sequence]) -> tuple[Vec, ...]:
+    """Basis of {x : A x = 0} derived from the reduced echelon form.
+
+    Each basis vector is sign-normalized so its first nonzero entry is
+    positive, making the output canonical.
+    """
+    if not rows:
+        return ()
+    red, pivots = rref(rows)
+    return _kernel_from_rref(red, pivots, len(rows[0]))
+
+
 def linear_solve(A: Mat, b: Vec) -> Optional[LinearSolution]:
-    """Solve A x = b exactly; None when the system is inconsistent."""
+    """Solve A x = b exactly; None when the system is inconsistent.
+
+    One reduction of [A | b] serves both outputs: when the system is
+    consistent its left block is the reduced echelon form of A.
+    """
     if len(A) != len(b):
         raise InputError("row count of A must match length of b")
     if not A:
@@ -83,7 +96,7 @@ def linear_solve(A: Mat, b: Vec) -> Optional[LinearSolution]:
     x = list(vzero(ncols))
     for i, p in enumerate(pivots):
         x[p] = red[i][ncols]
-    return LinearSolution(tuple(x), kernel_basis(A))
+    return LinearSolution(tuple(x), _kernel_from_rref(red, pivots, ncols))
 
 
 def _int_det(rows: list[list[int]]) -> int:

@@ -4,7 +4,8 @@ The brute-force routines here are deliberately independent of the library
 paths they validate: vertices by enumerating constraint subsets, recession
 rays from the homogeneous system, Newton-polyhedron membership by direct
 inequality evaluation on integer points, minimal generators by pairwise
-divisibility.
+divisibility, row reduction and simplex pivoting by plain Fraction
+arithmetic.
 """
 
 from __future__ import annotations
@@ -90,6 +91,70 @@ def minimalize_reference(exponents) -> tuple:
         ):
             keep.append(e)
     return tuple(keep)
+
+
+def rref_reference(rows):
+    """Gauss-Jordan elimination on Fractions; (rows, pivot columns)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        pr = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        if pr is None:
+            continue
+        m[row], m[pr] = m[pr], m[row]
+        pivot_reference(m, row, col)
+        pivots.append(col)
+        row += 1
+    return m, pivots
+
+
+def pivot_reference(tab, prow, pcol):
+    """One Gauss-Jordan pivot on a Fraction tableau, in place."""
+    piv = tab[prow][pcol]
+    if piv != 1:
+        tab[prow] = [x / piv for x in tab[prow]]
+    prow_vals = tab[prow]
+    for i in range(len(tab)):
+        if i != prow and tab[i][pcol] != 0:
+            f = tab[i][pcol]
+            tab[i] = [a - f * b for a, b in zip(tab[i], prow_vals)]
+
+
+def simplex_core_reference(tableau, basis, allowed_cols):
+    """Bland-rule simplex on a Fraction tableau, dividing out every ratio.
+
+    Same contract as conefan._kernel.simplex_core.
+    """
+    tab = [list(r) for r in tableau]
+    basis = list(basis)
+    m = len(tab) - 1
+    rhs_col = len(tab[0]) - 1
+    while True:
+        enter = next((j for j in range(allowed_cols) if tab[m][j] < 0), -1)
+        if enter < 0:
+            return "optimal", -1, tab, basis
+        leave = -1
+        best = None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][rhs_col] / a
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leave])
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            return "unbounded", enter, tab, basis
+        pivot_reference(tab, leave, enter)
+        basis[leave] = enter
 
 
 def random_h_polyhedron(rng: random.Random, dim: int, nonempty=True) -> HPolyhedron:

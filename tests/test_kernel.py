@@ -1,0 +1,272 @@
+"""The fraction-free kernels against plain Fraction references.
+
+rref_frac and simplex_core must return exactly what Gauss-Jordan
+elimination and Bland's rule on Fractions return (tests/helpers.py), on
+every shape the callers produce: empty, 1x1, zero rows and columns,
+rank-deficient matrices, and LPs that end optimal, infeasible or
+unbounded, including degenerate ratio ties.
+"""
+
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import pivot_reference, rref_reference, simplex_core_reference
+
+import conefan
+from conefan import _kernel, _simplex
+
+F = Fraction
+
+# Small entries, zero about one time in three, so that zero rows, zero
+# columns, dependent rows and equal ratios turn up often.
+_entries = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+)
+_int_entries = st.one_of(st.just(0), st.integers(-4, 4))
+
+
+@st.composite
+def matrices(draw):
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 7))
+    rows = [[draw(_entries) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and ncols and draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[col] = F(0)
+    if rows and draw(st.booleans()):
+        # a row dependent on two others makes the matrix rank-deficient
+        i = draw(st.integers(0, nrows - 1))
+        j = draw(st.integers(0, nrows - 1))
+        k = draw(_entries)
+        rows.append([a * k + b for a, b in zip(rows[i], rows[j])])
+    return rows
+
+
+def _copy(rows):
+    return [list(r) for r in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+@example([])
+@example([[]])
+@example([[F(0)]])
+@example([[F(-3, 4)]])
+@example([[F(0), F(0)], [F(0), F(0)]])
+@example([[F(1), F(2)], [F(0), F(0)], [F(3), F(6)]])
+@example([[F(0), F(1, 2), F(1)], [F(0), F(-1), F(3)]])
+@example([[F(2), F(4), F(6)], [F(1), F(2), F(3)], [F(-1, 3), F(-2, 3), F(-1)]])
+def test_rref_matches_reference(rows):
+    before = _copy(rows)
+    red, pivots = _kernel.rref_frac(rows)
+    assert rows == before
+    ref_red, ref_pivots = rref_reference(_copy(rows))
+    assert pivots == ref_pivots
+    assert red == ref_red
+    assert all(type(x) is Fraction for r in red for x in r)
+
+
+@st.composite
+def lps(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    A = [[F(draw(_int_entries)) for _ in range(n)] for _ in range(m)]
+    b = [F(draw(_int_entries)) for _ in range(m)]
+    c = [F(draw(_int_entries)) for _ in range(n)]
+    return c, A, b
+
+
+def _phase1_tableau(A, b):
+    """The tableau and basis that solve_standard hands to phase 1."""
+    m, n = len(A), len(A[0])
+    tab = []
+    for i in range(m):
+        sign = -1 if b[i] < 0 else 1
+        row = [sign * x for x in A[i]] + [F(0)] * m + [sign * b[i]]
+        row[n + i] = F(1)
+        tab.append(row)
+    obj = [-sum(tab[i][j] for i in range(m)) for j in range(n)]
+    obj += [F(0)] * m + [-sum(tab[i][-1] for i in range(m))]
+    tab.append(obj)
+    return tab, list(range(n, n + m))
+
+
+def _has_ratio_tie(tab, allowed):
+    """Whether the first Bland ratio test on tab has two minimal rows."""
+    m = len(tab) - 1
+    enter = next((j for j in range(allowed) if tab[m][j] < 0), None)
+    if enter is None:
+        return False
+    ratios = [tab[i][-1] / tab[i][enter] for i in range(m) if tab[i][enter] > 0]
+    return len(ratios) > 1 and ratios.count(min(ratios)) > 1
+
+
+# Degenerate: both rows have ratio 0 at the first pivot.
+_TIE = (
+    [F(-1), F(-1), F(0)],
+    [[F(1), F(1), F(1)], [F(1), F(0), F(2)]],
+    [F(0), F(0)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lps())
+@example(_TIE)
+@example(([F(1)], [[F(1)]], [F(1)]))
+@example(([F(1)], [[F(1)], [F(1)]], [F(1), F(2)]))
+@example(([F(-1), F(0)], [[F(1), F(-1)]], [F(0)]))
+def test_simplex_core_matches_reference(lp):
+    c, A, b = lp
+    tab, basis = _phase1_tableau(A, b)
+    before = (_copy(tab), list(basis))
+    got = _kernel.simplex_core(tab, basis, len(c))
+    assert (tab, basis) == before
+    assert got == simplex_core_reference(_copy(tab), list(basis), len(c))
+
+
+def _solve(lps_, simplex_core, pivot):
+    saved = (_kernel.simplex_core, _kernel.pivot)
+    _kernel.simplex_core, _kernel.pivot = simplex_core, pivot
+    try:
+        out = []
+        for c, A, b in lps_:
+            res = _simplex.solve_standard(c, A, b)
+            out.append((res.status, res.x, res.y, res.ray, res.value))
+        return out
+    finally:
+        _kernel.simplex_core, _kernel.pivot = saved
+
+
+@settings(max_examples=300, deadline=None)
+@given(lps())
+@example(_TIE)
+def test_solve_standard_matches_reference(lp):
+    fast = _solve([lp], _kernel.simplex_core, _kernel.pivot)
+    slow = _solve([lp], simplex_core_reference, pivot_reference)
+    assert fast == slow
+
+
+def test_solve_standard_battery_reaches_every_outcome():
+    # a fixed battery, so the three statuses and the ties are guaranteed
+    rng = random.Random(55)
+
+    def pick(count):
+        return [F(rng.choice((0, 0, 0, rng.randint(-4, 4)))) for _ in range(count)]
+
+    battery = []
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 6)
+        battery.append((pick(n), [pick(n) for _ in range(m)], pick(m)))
+    fast = _solve(battery, _kernel.simplex_core, _kernel.pivot)
+    assert fast == _solve(battery, simplex_core_reference, pivot_reference)
+    assert {out[0] for out in fast} == {"optimal", "infeasible", "unbounded"}
+    ties = sum(
+        _has_ratio_tie(_phase1_tableau(A, b)[0], len(c)) for c, A, b in battery
+    )
+    assert ties >= 10
+    assert _has_ratio_tie(_phase1_tableau(_TIE[1], _TIE[2])[0], 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(_entries, min_size=3, max_size=3), min_size=1, max_size=4),
+    st.integers(0, 3),
+    st.integers(0, 2),
+)
+def test_pivot_matches_reference(rows, prow, pcol):
+    prow %= len(rows)
+    if rows[prow][pcol] == 0:
+        rows[prow][pcol] = F(5, 3)
+    tab = _copy(rows)
+    _kernel.pivot(tab, prow, pcol)
+    ref = _copy(rows)
+    pivot_reference(ref, prow, pcol)
+    assert tab == ref
+
+
+def _dd_step_reference(rays, zsets, vals, bit):
+    """One DD step from its definition: positive rays, then zero rays, then
+    one primitive combination per combinatorially adjacent (+, -) pair."""
+    pos = [i for i, v in enumerate(vals) if v > 0]
+    zer = [i for i, v in enumerate(vals) if v == 0]
+    neg = [i for i, v in enumerate(vals) if v < 0]
+    out = [(rays[i], zsets[i]) for i in pos]
+    out += [(rays[i], zsets[i] | bit) for i in zer]
+    for i in pos:
+        for j in neg:
+            common = zsets[i] & zsets[j]
+            if any(
+                k not in (i, j) and zsets[k] & common == common
+                for k in range(len(rays))
+            ):
+                continue
+            w = [vals[i] * y - vals[j] * x for x, y in zip(rays[i], rays[j])]
+            g = gcd(*w) or 1
+            out.append((tuple(x // g for x in w), common | bit))
+    return [r for r, _ in out], [z for _, z in out]
+
+
+def test_dd_step_matches_reference():
+    rng = random.Random(77)
+    for _ in range(150):
+        dim = rng.randint(2, 5)
+        rays, zsets = [], []
+        for _ in range(rng.randint(1, 8)):
+            r = tuple(rng.randint(-4, 4) for _ in range(dim))
+            if all(x == 0 for x in r):
+                continue
+            rays.append(r)
+            zsets.append(rng.getrandbits(6))
+        normal = [rng.randint(-3, 3) for _ in range(dim)]
+        vals = [sum(x * y for x, y in zip(normal, r)) for r in rays]
+        got = _kernel.dd_step(list(rays), list(zsets), list(vals), 1 << 6)
+        ref = _dd_step_reference(rays, zsets, vals, 1 << 6)
+        assert [tuple(r) for r in got[0]] == ref[0]
+        assert got[1] == ref[1]
+        for r in got[0]:
+            assert sum(x * y for x, y in zip(normal, r)) >= 0
+
+
+def test_backend_name_reported():
+    assert conefan.KERNEL_BACKEND == "python"
+
+
+def test_full_pipeline_matches_reference_kernel():
+    # A fresh interpreter per kernel, so no memo cache carries results over.
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, {tests!r})\n"
+        "from conefan import _kernel\n"
+        "if sys.argv[1] == 'reference':\n"
+        "    import helpers\n"
+        "    _kernel.rref_frac = helpers.rref_reference\n"
+        "    _kernel.simplex_core = helpers.simplex_core_reference\n"
+        "    _kernel.pivot = helpers.pivot_reference\n"
+        "from conefan.graded import GradedSystem, MonomialIdeal, "
+        "verify_closure_identity\n"
+        "MI = MonomialIdeal.from_exponents\n"
+        "sys_w = GradedSystem.create(2, 2, [(1,0),(0,1),(1,1)],"
+        "[MI(2,[(1,0)]), MI(2,[(0,1)]), MI(2,[(1,1),(2,0)])])\n"
+        "rep = verify_closure_identity(sys_w, power_bound=3)\n"
+        "print(json.dumps(rep.to_dict(), sort_keys=True))\n"
+    ).format(tests=os.path.dirname(os.path.abspath(__file__)))
+    outs = {}
+    for kernel in ("fraction-free", "reference"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, kernel],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs[kernel] = proc.stdout
+    assert outs["fraction-free"] == outs["reference"]

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conefan.errors import InputError
 from conefan.linalg import (
@@ -56,6 +58,36 @@ def test_linear_solve_roundtrip_random():
         for k in sol.kernel_basis:
             assert all(dot(row, k) == 0 for row in A)
         assert len(sol.kernel_basis) == n - rank(A)
+
+
+@st.composite
+def consistent_systems(draw):
+    """A x = b with b in the column space of A; A often rank-deficient."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    A = [[Fraction(draw(entry), draw(st.integers(1, 4))) for _ in range(n)]]
+    for _ in range(m - 1):
+        if draw(st.booleans()):
+            k = Fraction(draw(st.integers(-3, 3)))
+            A.append([k * a for a in draw(st.sampled_from(A))])
+        else:
+            A.append([Fraction(draw(entry)) for _ in range(n)])
+    x = [Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 3))) for _ in range(n)]
+    return mat(A), vec([dot(row, x) for row in mat(A)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(consistent_systems())
+@example((mat([[0, 0]]), vec([0])))
+@example((mat([[1, 2], [2, 4]]), vec([3, 6])))
+@example((mat([[5]]), vec([10])))
+def test_linear_solve_kernel_matches_kernel_basis(system):
+    # linear_solve reads the kernel off its one reduction of [A | b]
+    A, b = system
+    sol = linear_solve(A, b)
+    assert sol.kernel_basis == kernel_basis(A)
+    assert all(dot(row, sol.particular) == bi for row, bi in zip(A, b))
 
 
 def test_hermite_examples():
