@@ -24,7 +24,7 @@ from .errors import ConefanError, InputError, NotInConeError
 from .fans import Fan, cone_from_generators, is_cost_linear_on, linearity_fan, normal_fan, smooth_refine
 from .graded import GradedSystem, MonomialIdeal, verify_closure_identity
 from .lp import duality_check, price_polyhedron, representation_cost
-from .rational import fmt, fmt_vec, frac, ivec, vec
+from .rational import fmt, fmt_vec, ivec, vec
 
 
 def _parse_json_arg(text: str, what: str):

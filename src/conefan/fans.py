@@ -37,7 +37,6 @@ from .rational import (
     IntVec,
     Vec,
     dot,
-    frac,
     idot,
     is_zero_vec,
     primitive_direction,
@@ -98,29 +97,29 @@ class Cone:
 
 
 @lru_cache(maxsize=None)
-def _hull_pair(
+def _hull(
     rays: tuple[IntVec, ...], dim: int
-) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
-    dual_lin, dual_rays = cone_generators(rays, dim)
-    normals = set(dual_rays)
-    for l in dual_lin:
-        normals.add(l)
-        normals.add(tuple(-x for x in l))
-    return cone_generators(tuple(sorted(normals)), dim)
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Canonical (normals, lineality, extreme rays) of cone(rays).
 
-
-@lru_cache(maxsize=None)
-def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
+    The normals are the dual cone's extreme rays plus both signs of its
+    lineality basis; double description of the normals gives back the
+    hull's lineality basis and extreme rays (sorted).
+    """
     dual_lin, dual_rays = cone_generators(rays, dim)
     normals = set(dual_rays)
     for l in dual_lin:
         normals.add(l)
         normals.add(tuple(-x for x in l))
     normals = tuple(sorted(normals))
-    lin, extreme = cone_generators(normals, dim)
+    return (normals,) + cone_generators(normals, dim)
+
+
+def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
+    normals, lin, extreme = _hull(rays, dim)
     if lin:
         raise NotPointedError(lin[0])
-    return Cone(tuple(sorted(extreme)), normals, dim)
+    return Cone(extreme, normals, dim)
 
 
 def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
@@ -217,7 +216,7 @@ class Fan:
     def support_pair(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         """Canonical (lineality, extreme rays) of the cone spanned by all
         rays; structural equality of pairs is equality of hulls."""
-        return _hull_pair(self.rays(), self.ambient_dim)
+        return _hull(self.rays(), self.ambient_dim)[1:]
 
     def dim(self) -> int:
         return max((c.dim for c in self.maximal_cones), default=0)
@@ -385,16 +384,10 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     cuts = set()
     for subset in combinations(range(len(coord_gens)), d - 1):
         rows = [coord_gens[i] for i in subset]
-        if rank(rows) != d - 1:
-            continue
-        kb = kernel_basis(rows) if rows else tuple()
-        if rows:
-            if len(kb) != 1:
-                continue
-            normal = primitive_direction(kb[0])
-        else:
-            continue
-        cuts.add(normal)
+        # d >= 2 here, so the rows are coordinates in Q^d and rank d - 1
+        # leaves a one-dimensional kernel: the cut hyperplane's normal
+        if rank(rows) == d - 1:
+            cuts.add(primitive_direction(kernel_basis(rows)[0]))
     chambers = [cone_from_generators(coord_gens)]
     for u in sorted(cuts):
         mu = tuple(-x for x in u)

@@ -35,7 +35,6 @@ from .lp import representation_cost
 from .polyhedra import (
     HPolyhedron,
     VRepresentation,
-    canonical_vrep,
     dual_description,
     scale_polyhedron,
     vrep_to_h,
@@ -43,13 +42,11 @@ from .polyhedra import (
 from .rational import (
     PLUS_INFINITY,
     IntVec,
-    Vec,
     idot,
     is_finite,
     ivec,
     primitive_int_vector,
     vec,
-    vzero,
 )
 
 EXPAND_NODE_BUDGET = 10**6
@@ -150,22 +147,44 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, _minimalize(I.gens + J.gens))
 
 
-@lru_cache(maxsize=None)
+def _minkowski_points(parts, n: int) -> set:
+    """Candidate vertices of the weighted Minkowski sum sum_k k * conv(V_k)
+    over (V_k, k) parts: every sum of one k-scaled point per part."""
+    points = {(0,) * n}
+    for verts, k in parts:
+        if k == 0:
+            continue
+        points = {
+            tuple(c[t] + k * v[t] for t in range(n)) for c in points for v in verts
+        }
+    return points
+
+
+def _orthant_hull(points, n: int) -> HPolyhedron:
+    """Canonical H-form of conv(points) + nonnegative orthant.
+
+    Points dominating another point lie in its orthant translate, so only
+    the minimal points are passed on to the hull.
+    """
+    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return vrep_to_h(
+        VRepresentation.make(
+            vertices=_minimalize(points), rays=unit_rays, ambient_dim=n
+        )
+    )
+
+
 def newton_polyhedron(I: MonomialIdeal) -> VRepresentation:
     """conv(generator exponents) + nonnegative orthant, canonicalized."""
-    if I.is_zero:
-        raise InputError("the zero ideal has no Newton polyhedron")
-    n = I.ambient
-    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    raw = VRepresentation.make(
-        vertices=[vec(g) for g in I.gens], rays=unit_rays, ambient_dim=n
-    )
-    return canonical_vrep(raw)
+    return dual_description(newton_hform(I))
 
 
 @lru_cache(maxsize=None)
 def newton_hform(I: MonomialIdeal) -> HPolyhedron:
-    return vrep_to_h(newton_polyhedron(I))
+    """Canonical H-form of the Newton polyhedron of a nonzero ideal."""
+    if I.is_zero:
+        raise InputError("the zero ideal has no Newton polyhedron")
+    return _orthant_hull(I.gens, I.ambient)
 
 
 def closure_equal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -267,41 +286,16 @@ def expand_degree(sys: GradedSystem, m: IntVec) -> MonomialIdeal:
     m = ivec(m)
     if len(m) != sys.grading_rank:
         raise InputError("degree length must match the grading rank")
-    theta = _positive_functional(sys)
-    degrees = sys.degrees
-    weights = [idot(theta, d) for d in degrees]
-    target_weight = idot(theta, m)
-    gens_found: list[IntVec] = []
-    nodes = 0
-
-    def dfs(idx: int, remaining: IntVec, remaining_weight: int, partial: MonomialIdeal):
-        nonlocal nodes
-        nodes += 1
-        if nodes > EXPAND_NODE_BUDGET:
-            raise BudgetExceededError(
-                f"expand_degree exceeded {EXPAND_NODE_BUDGET} enumeration nodes"
-            )
-        if idx == len(degrees):
-            if all(x == 0 for x in remaining):
-                gens_found.extend(partial.gens)
-            return
-        top = remaining_weight // weights[idx]
-        ideal = sys.ideals[idx]
-        for l in range(top + 1):
-            if l > 0 and ideal.is_zero:
-                break
-            dfs(
-                idx + 1,
-                tuple(r - l * d for r, d in zip(remaining, degrees[idx])),
-                remaining_weight - l * weights[idx],
-                ideal_product(partial, ideal_power(ideal, l)) if l else partial,
-            )
-
-    if target_weight >= 0:
-        dfs(0, m, target_weight, MonomialIdeal.unit(sys.ambient))
-    if not gens_found:
+    gens: list[IntVec] = []
+    for rep in _representations(sys, m):
+        product = MonomialIdeal.unit(sys.ambient)
+        for I, l in zip(sys.ideals, rep):
+            if l:
+                product = ideal_product(product, ideal_power(I, l))
+        gens.extend(product.gens)
+    if not gens:
         return MonomialIdeal.zero(sys.ambient)
-    return MonomialIdeal(sys.ambient, _minimalize(gens_found))
+    return MonomialIdeal(sys.ambient, _minimalize(gens))
 
 
 def _scaled_degree(m: Sequence[int], k: int) -> IntVec:
@@ -310,7 +304,12 @@ def _scaled_degree(m: Sequence[int], k: int) -> IntVec:
 
 @lru_cache(maxsize=None)
 def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
-    """All l in Z_{>=0}^r with sum l_i * degrees_i = m."""
+    """All l in Z_{>=0}^r with sum l_i * degrees_i = m and l_i = 0 wherever
+    ideals_i is zero (such terms contribute the zero ideal).
+
+    The one enumeration behind expand_degree, the degree Newton forms and
+    the degree valuations; EXPAND_NODE_BUDGET bounds its search nodes.
+    """
     theta = _positive_functional(sys)
     degrees = sys.degrees
     weights = [idot(theta, d) for d in degrees]
@@ -329,7 +328,8 @@ def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
             if all(x == 0 for x in remaining):
                 found.append(tuple(prefix))
             return
-        for l in range(remaining_weight // weights[idx] + 1):
+        top = 0 if sys.ideals[idx].is_zero else remaining_weight // weights[idx]
+        for l in range(top + 1):
             prefix.append(l)
             dfs(
                 idx + 1,
@@ -354,32 +354,13 @@ def _degree_newton_hform(sys: GradedSystem, m: IntVec) -> Optional[HPolyhedron]:
     (scale-invariant) vertex sets.  Agrees exactly with
     newton_hform(expand_degree(sys, m)); None encodes the zero ideal.
     """
-    m = ivec(m)
-    n = sys.ambient
-    points: set[IntVec] = set()
-    for rep in _representations(sys, m):
-        if any(l > 0 and sys.ideals[i].is_zero for i, l in enumerate(rep)):
-            continue
-        cands = {(0,) * n}
-        for i, l in enumerate(rep):
-            if l == 0:
-                continue
-            verts = newton_polyhedron(sys.ideals[i]).vertices
-            cands = {
-                tuple(int(c[k] + l * v[k]) for k in range(n))
-                for c in cands
-                for v in verts
-            }
-        points.update(cands)
-    if not points:
-        return None
-    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    raw = VRepresentation.make(
-        vertices=[vec(p) for p in _minimalize(points)],
-        rays=unit_rays,
-        ambient_dim=n,
-    )
-    return vrep_to_h(raw)
+    points: set = set()
+    for rep in _representations(sys, ivec(m)):
+        parts = [
+            (newton_polyhedron(I).vertices, l) for I, l in zip(sys.ideals, rep) if l
+        ]
+        points |= _minkowski_points(parts, sys.ambient)
+    return _orthant_hull(points, sys.ambient) if points else None
 
 
 @lru_cache(maxsize=None)
@@ -389,22 +370,14 @@ def _degree_valuation(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
     Equals weight_valuation(w, expand_degree(sys, m)): valuations turn
     ideal sums into minima and products into sums.
     """
-    w = ivec(w)
-    best: Valuation = PLUS_INFINITY
     gen_vals = [weight_valuation(w, I) for I in sys.ideals]
-    for rep in _representations(sys, ivec(m)):
-        total = Fraction(0)
-        dead = False
-        for i, l in enumerate(rep):
-            if l == 0:
-                continue
-            if not is_finite(gen_vals[i]):
-                dead = True
-                break
-            total += l * gen_vals[i]
-        if not dead and total < best:
-            best = total
-    return best
+    return min(
+        (
+            sum((l * v for l, v in zip(rep, gen_vals) if l), Fraction(0))
+            for rep in _representations(sys, ivec(m))
+        ),
+        default=PLUS_INFINITY,
+    )
 
 
 @lru_cache(maxsize=None)
@@ -483,13 +456,8 @@ def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
     m = ivec(m)
     n = sys.ambient
     degrees, ideals = sys.nonzero_part()
-    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     if all(x == 0 for x in m):
-        return vrep_to_h(
-            VRepresentation.make(
-                vertices=[(0,) * n], rays=unit_rays, ambient_dim=n
-            )
-        )
+        return _orthant_hull([(0,) * n], n)
     if not degrees:
         raise NotInConeError(f"degree {m} is reachable only through zero ideals")
     r = len(degrees)
@@ -513,22 +481,10 @@ def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
         "representation polytope unbounded despite a pointed degree cone"
     )
     vertex_lists = [newton_polyhedron(I).vertices for I in ideals]
-    candidates: set[Vec] = set()
+    points: set = set()
     for lam in rep_polytope.vertices:
-        pts = {vzero(n)}
-        for i, l in enumerate(lam):
-            if l == 0:
-                continue
-            pts = {
-                tuple(c[t] + l * v[t] for t in range(n))
-                for c in pts
-                for v in vertex_lists[i]
-            }
-        candidates.update(pts)
-    raw = VRepresentation.make(
-        vertices=candidates, rays=unit_rays, ambient_dim=n
-    )
-    return vrep_to_h(raw)
+        points |= _minkowski_points(zip(vertex_lists, lam), n)
+    return _orthant_hull(points, n)
 
 
 @dataclass(frozen=True)
@@ -841,25 +797,11 @@ def _weighted_minkowski_hform(
     """Newton polyhedron of a product of ideal powers, from the factors'
     polyhedra: the weighted Minkowski sum of their polytope parts plus the
     orthant.  None (the zero ideal) absorbs."""
-    cands = {(0,) * n}
-    for h, k in parts:
-        if k == 0:
-            continue
-        if h is None:
-            return None
-        verts = dual_description(h).vertices
-        cands = {
-            tuple(int(c[t] + k * v[t]) for t in range(n))
-            for c in cands
-            for v in verts
-        }
-    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    raw = VRepresentation.make(
-        vertices=[vec(p) for p in _minimalize(cands)],
-        rays=unit_rays,
-        ambient_dim=n,
-    )
-    return vrep_to_h(raw)
+    parts = [(h, k) for h, k in parts if k]
+    if any(h is None for h, _ in parts):
+        return None
+    verts = [(dual_description(h).vertices, k) for h, k in parts]
+    return _orthant_hull(_minkowski_points(verts, n), n)
 
 
 def _right_valuation(sys, w, rays, p, d) -> Valuation:

@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import _simplex
 from .errors import InputError, NotInConeError
 from .polyhedra import HPolyhedron, minimize_linear, UNBOUNDED
-from .rational import Mat, Vec, frac, mat, vec, vneg
+from .rational import Mat, Vec, mat, vec, vneg
 
 
 @dataclass(frozen=True)

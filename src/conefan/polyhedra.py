@@ -479,7 +479,6 @@ def project(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
     ineqs = [(vec(a), frac(b)) for a, b in P.inequalities]
     eqs = [(vec(a), frac(b)) for a, b in P.equalities]
     drop = [j for j in range(n) if j not in keep]
-    alive = set(range(n))
     while drop:
         # eliminate the variable with the fewest pairings first
         def fm_cost(j):
@@ -522,7 +521,6 @@ def project(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
                     combos.append((normal, coef_n * bp + coef_p * bn))
             ineqs = zero + combos
         drop.remove(j)
-        alive.discard(j)
         pruned = _prune_rows(ineqs, eqs, n, force_lp=False)
         if pruned is None:
             return HPolyhedron.make_empty(len(keep))

@@ -93,6 +93,20 @@ def minimalize_reference(exponents) -> tuple:
     return tuple(keep)
 
 
+def newton_polyhedron_reference(I):
+    """Newton polyhedron by the V-route: canonical_vrep of the raw
+    conv(generator exponents) + orthant, without any hull shortcut."""
+    from conefan.polyhedra import VRepresentation, canonical_vrep
+
+    n = I.ambient
+    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return canonical_vrep(
+        VRepresentation.make(
+            vertices=[vec(g) for g in I.gens], rays=unit_rays, ambient_dim=n
+        )
+    )
+
+
 def rref_reference(rows):
     """Gauss-Jordan elimination on Fractions; (rows, pivot columns)."""
     m = [list(r) for r in rows]

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import minimalize_reference, np_membership_set
+from helpers import (
+    minimalize_reference,
+    newton_polyhedron_reference,
+    np_membership_set,
+)
 
 from conefan.errors import InputError, NotInConeError, NotPointedError
 from conefan.fans import Fan, linearity_fan
@@ -152,6 +157,55 @@ def test_newton_polyhedron():
 def test_newton_polyhedron_drops_interior_generators():
     np1 = newton_polyhedron(MI(2, [(2, 0), (0, 2), (1, 1)]))
     assert set(np1.vertices) == {vec([2, 0]), vec([0, 2])}
+
+
+@st.composite
+def nonzero_ideals(draw):
+    n = draw(st.integers(1, 4))
+    point = st.tuples(*[st.integers(0, 5)] * n)
+    return MI(n, draw(st.lists(point, min_size=1, max_size=8)))
+
+
+@given(nonzero_ideals())
+@example(MonomialIdeal.unit(1))
+@example(MonomialIdeal.unit(3))
+@example(MI(2, [(2, 0), (0, 2), (1, 1)]))
+def test_newton_routes_match_reference(I):
+    # the direct orthant hull must give the canonical forms of the V-route
+    ref = newton_polyhedron_reference(I)
+    assert newton_polyhedron(I) == ref
+    assert newton_hform(I) == vrep_to_h(ref)
+
+
+@pytest.mark.parametrize("system", [worked_system(), bench_system()])
+def test_weighted_minkowski_hform_matches_ideal_product(system):
+    from conefan.graded import _weighted_minkowski_hform
+
+    for I, J in combinations_with_replacement(system.ideals, 2):
+        for a in range(3):
+            for b in range(3):
+                expect = newton_hform(
+                    ideal_product(ideal_power(I, a), ideal_power(J, b))
+                )
+                got = _weighted_minkowski_hform(
+                    [(newton_hform(I), a), (newton_hform(J), b)], system.ambient
+                )
+                assert got == expect
+
+
+def test_weighted_minkowski_hform_zero_factor():
+    from conefan.graded import _weighted_minkowski_hform
+
+    I = MI(2, [(1, 1), (2, 0)])
+    h = newton_hform(I)
+    # a zero factor with a positive exponent absorbs the product
+    assert _weighted_minkowski_hform([(h, 1), (None, 2)], 2) is None
+    # with exponent 0 it contributes the unit ideal and is ignored
+    got = _weighted_minkowski_hform([(None, 0), (h, 2)], 2)
+    assert got == newton_hform(ideal_power(I, 2))
+    assert _weighted_minkowski_hform([(None, 0)], 2) == newton_hform(
+        MonomialIdeal.unit(2)
+    )
 
 
 def test_closure_equal():
@@ -433,9 +487,36 @@ def test_expand_degree_budget(monkeypatch):
     from conefan.errors import BudgetExceededError
 
     graded.expand_degree.cache_clear()
+    graded._representations.cache_clear()
     with pytest.raises(BudgetExceededError):
         graded.expand_degree(worked_system(), (3, 3))
     graded.expand_degree.cache_clear()
+    graded._representations.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "m, nodes", [((1, 1), 16), ((2, 1), 25), ((3, 3), 64), ((4, 2), 64)]
+)
+def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m, nodes):
+    # nodes is the search-node count of expand_degree's own pruned DFS
+    # before the enumerations were merged; a search that also tried
+    # positive exponents on the zero ideal needs 17, 28, 86 and 86 nodes
+    import conefan.graded as graded
+    from conefan.errors import BudgetExceededError
+
+    def expand(budget):
+        monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", budget)
+        graded.expand_degree.cache_clear()
+        graded._representations.cache_clear()
+        return graded.expand_degree(zerogen_system(), m)
+
+    try:
+        assert not expand(nodes).is_zero
+        with pytest.raises(BudgetExceededError):
+            expand(nodes - 1)
+    finally:
+        graded.expand_degree.cache_clear()
+        graded._representations.cache_clear()
 
 
 def test_stabilizing_exponent_cap_reported():
