@@ -1,16 +1,18 @@
 """The exact kernels under linalg, _simplex and _dd.
 
-  rref_frac(rows)                 reduced row echelon form over Fraction
-  simplex_core(tab, basis, k)     Bland-rule pivoting on an exact tableau
-  pivot(tab, prow, pcol)          one Gauss-Jordan pivot on a Fraction tableau
-  dd_step(rays, zsets, vals, bit) one double-description halfspace step
+  rref_frac(rows)                     reduced row echelon form over Fraction
+  simplex_rows(nums, dens, basis, k)  Bland-rule pivoting on integer rows
+  dd_step(rays, zsets, vals, bit)     one double-description halfspace step
 
 Rational rows are worked on fraction-free (Bareiss, Math. Comp. 22, 1968):
 each row is a list of integers over one positive common denominator, an
 elimination cross-multiplies two integer rows, and the result is divided
 by its content once, instead of normalising a Fraction at every addition
-and product.  Fractions go in and come out; as Fractions are canonical,
-the results equal those of Gauss-Jordan elimination on Fractions exactly.
+and product.  rref_frac takes and returns Fractions; as Fractions are
+canonical, its results equal those of Gauss-Jordan elimination on
+Fractions exactly.  simplex_rows works on rows already in the
+(numerators, denominators) form of _to_int_rows, so a caller that builds
+its tableau that way never round-trips through Fraction.
 """
 
 from __future__ import annotations
@@ -73,13 +75,6 @@ def _pivot(nums, dens, prow, pcol):
         dens[i] = _reduce_row(irow, dens[i] * P)
 
 
-def pivot(tab, prow, pcol):
-    """Pivot a Fraction tableau in place on the nonzero entry (prow, pcol)."""
-    nums, dens = _to_int_rows(tab)
-    _pivot(nums, dens, prow, pcol)
-    tab[:] = _to_frac_rows(nums, dens)
-
-
 def rref_frac(rows):
     """Reduced row echelon form of a rational matrix.
 
@@ -104,18 +99,18 @@ def rref_frac(rows):
     return _to_frac_rows(nums, dens), pivots
 
 
-def simplex_core(tableau, basis, allowed_cols):
+def simplex_rows(nums, dens, basis, allowed_cols):
     """Run Bland-rule simplex pivoting to optimality or unboundedness.
 
-    tableau: (m+1) x (n+1) Fractions, last row = reduced costs, last column
-    = right-hand side; basis: length-m list of basic column indices.  Only
-    columns < allowed_cols may enter.  The inputs are not modified.
+    nums, dens: an (m+1)-row tableau in the form of _to_int_rows, row i
+    equal to nums[i] / dens[i]; the last row holds the reduced costs, the
+    last column the right-hand side.  basis: length-m list of basic column
+    indices.  Only columns < allowed_cols may enter.  nums, dens and basis
+    are updated in place.
 
-    Returns (status, entering_col, tableau, basis) with status "optimal"
-    (entering_col == -1) or "unbounded" (the improving column).
+    Returns (status, entering_col): ("optimal", -1), or ("unbounded", the
+    improving column).
     """
-    nums, dens = _to_int_rows(tableau)
-    basis = list(basis)
     m = len(nums) - 1
     rhs_col = len(nums[0]) - 1
     obj = nums[m]
@@ -123,7 +118,7 @@ def simplex_core(tableau, basis, allowed_cols):
         # denominators are positive, so signs can be read off numerators
         enter = next((j for j in range(allowed_cols) if obj[j] < 0), -1)
         if enter < 0:
-            return "optimal", -1, _to_frac_rows(nums, dens), basis
+            return "optimal", -1
         # Bland's ratio test.  Row i's ratio rhs_i / a_i is rn / a on its
         # integer numerators, because the row's common denominator cancels;
         # with a > 0 and bd > 0, rn / a < bn / bd iff rn * bd - bn * a < 0.
@@ -140,7 +135,7 @@ def simplex_core(tableau, basis, allowed_cols):
                     if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                         bn, bd, leave = rn, a, i
         if leave < 0:
-            return "unbounded", enter, _to_frac_rows(nums, dens), basis
+            return "unbounded", enter
         _pivot(nums, dens, leave, enter)
         basis[leave] = enter
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from ._dd import cone_generators
@@ -71,8 +72,16 @@ class Cone:
         return hermite_basis_det(self.rays)[1]
 
     def contains_point(self, v: Sequence) -> bool:
-        v = vec(v)
-        return all(dot(vec(u), v) >= 0 for u in self.normals)
+        if not all(type(x) is int for x in v):
+            # a rational point is in the cone iff its cleared numerators are
+            v = vec(v)
+            den = lcm(*[x.denominator for x in v])
+            v = [x.numerator * (den // x.denominator) for x in v]
+        if self.normals and len(v) != self.ambient_dim:
+            raise InputError(
+                f"dimension mismatch in dot: {self.ambient_dim} vs {len(v)}"
+            )
+        return all(idot(u, v) >= 0 for u in self.normals)
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains_point(r) for r in other.rays)

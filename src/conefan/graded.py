@@ -18,7 +18,7 @@ that force that equality.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -228,6 +228,9 @@ class GradedSystem:
     ambient: int
     degrees: tuple[IntVec, ...]
     ideals: tuple[MonomialIdeal, ...]
+    # cone(degrees), which the degrees determine, so it takes no part in
+    # equality or hashing
+    _cone: Cone = field(compare=False, repr=False)
 
     @staticmethod
     def create(
@@ -252,11 +255,11 @@ class GradedSystem:
         for I in ids:
             if I.ambient != ambient:
                 raise InputError("ideal ambient mismatch")
-        cone_from_generators(degs)  # raises NotPointedError if not pointed
-        return GradedSystem(grading_rank, ambient, degs, ids)
+        cone = cone_from_generators(degs)  # raises NotPointedError if not pointed
+        return GradedSystem(grading_rank, ambient, degs, ids, cone)
 
     def degree_cone(self) -> Cone:
-        return cone_from_generators(self.degrees)
+        return self._cone
 
     def nonzero_part(self) -> tuple[tuple[IntVec, ...], tuple[MonomialIdeal, ...]]:
         pairs = [
@@ -394,7 +397,7 @@ def asymptotic_valuation(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
     m = ivec(m)
     if all(x == 0 for x in m):
         return Fraction(0)
-    if not sys.degree_cone().contains_point(vec(m)):
+    if not sys.degree_cone().contains_point(m):
         raise NotInConeError(f"degree {m} lies outside the degree cone")
     degrees, ideals = sys.nonzero_part()
     if not degrees:
@@ -515,7 +518,7 @@ def stabilizing_exponent(
     per_ray = []
     ideal_level = []
     for ray in fan.rays():
-        if not cone.contains_point(vec(ray)):
+        if not cone.contains_point(ray):
             raise InputError(f"fan ray {ray} lies outside the degree cone")
         try:
             limit_h = asymptotic_newton(sys, ray)

@@ -94,7 +94,8 @@ def _representation_cost_cached(
         raise NotInConeError(
             "target admits no nonnegative representation in the generators"
         )
-    assert out.status == "optimal", "nonnegative costs cannot be unbounded"
+    if out.status != "optimal":
+        raise AssertionError("nonnegative costs cannot be unbounded")
     return CostOptimum(out.value, out.primal)
 
 

@@ -142,7 +142,10 @@ def pivot_reference(tab, prow, pcol):
 def simplex_core_reference(tableau, basis, allowed_cols):
     """Bland-rule simplex on a Fraction tableau, dividing out every ratio.
 
-    Same contract as conefan._kernel.simplex_core.
+    tableau: (m+1) x (n+1) Fractions, last row = reduced costs, last column
+    = right-hand side; only columns < allowed_cols may enter.  The inputs
+    are not modified.  Returns (status, entering_col, tableau, basis) as
+    conefan._kernel.simplex_rows would leave them, in Fractions.
     """
     tab = [list(r) for r in tableau]
     basis = list(basis)
@@ -169,6 +172,98 @@ def simplex_core_reference(tableau, basis, allowed_cols):
             return "unbounded", enter, tab, basis
         pivot_reference(tab, leave, enter)
         basis[leave] = enter
+
+
+def solve_standard_reference(c, A, b):
+    """Two-phase Bland simplex on Fraction tableaux, dividing out every ratio.
+
+    The Fraction route conefan._simplex.solve_standard replaced: same
+    tableau, same pivot rule, duals read as c_B times the artificial
+    columns.  Returns (status, x, y, ray, value) without certificate checks.
+    """
+    c = [Fraction(v) for v in c]
+    rows = [[Fraction(v) for v in row] for row in A]
+    rhs = [Fraction(v) for v in b]
+    m, n = len(rows), len(c)
+    signs = [-1 if v < 0 else 1 for v in rhs]
+    tab = []
+    for i in range(m):
+        row = [signs[i] * v for v in rows[i]] + [Fraction(0)] * m
+        row += [signs[i] * rhs[i]]
+        row[n + i] = Fraction(1)
+        tab.append(row)
+    obj = [-sum((tab[i][j] for i in range(m)), Fraction(0)) for j in range(n)]
+    obj += [Fraction(0)] * m + [-sum((tab[i][-1] for i in range(m)), Fraction(0))]
+    tab.append(obj)
+    status, _, tab, basis = simplex_core_reference(tab, list(range(n, n + m)), n)
+    assert status == "optimal"
+    if tab[m][-1] < 0:
+        y = tuple(signs[i] * (1 - tab[m][n + i]) for i in range(m))
+        return "infeasible", None, y, None, None
+    for i in range(m):
+        if basis[i] >= n:
+            piv = next((j for j in range(n) if tab[i][j] != 0), None)
+            if piv is not None:
+                pivot_reference(tab, i, piv)
+                basis[i] = piv
+    cb = [c[k] if k < n else Fraction(0) for k in basis]
+    obj = [c[j] if j < n else Fraction(0) for j in range(n + m + 1)]
+    for i in range(m):
+        obj = [o - cb[i] * v for o, v in zip(obj, tab[i])]
+    tab[m] = obj
+    status, enter, tab, basis = simplex_core_reference(tab, basis, n)
+    if status == "unbounded":
+        ray = [Fraction(0)] * n
+        ray[enter] = Fraction(1)
+        for i in range(m):
+            if basis[i] < n:
+                ray[basis[i]] = -tab[i][enter]
+        return "unbounded", None, None, tuple(ray), None
+    x = [Fraction(0)] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tab[i][-1]
+    cb = [c[k] if k < n else Fraction(0) for k in basis]
+    y = tuple(
+        signs[k] * sum((cb[i] * tab[i][n + k] for i in range(m)), Fraction(0))
+        for k in range(m)
+    )
+    return "optimal", tuple(x), y, None, dot(c, x)
+
+
+def certificate_check_reference(kind, cert, c, A, b):
+    """The Fraction certificate tests that solve_standard applies: the
+    message of the first test a certificate fails, or None when it holds.
+
+    kind "optimal" takes cert = (x, y), "infeasible" a Farkas y and
+    "unbounded" an improving ray.
+    """
+    m, n = len(A), len(c)
+    col = [[A[i][j] for i in range(m)] for j in range(n)]
+    if kind == "infeasible":
+        if any(dot(col[j], cert) > 0 for j in range(n)):
+            return "invalid Farkas certificate (A^T y > 0)"
+        if dot(b, cert) <= 0:
+            return "invalid Farkas certificate (b.y <= 0)"
+        return None
+    if kind == "unbounded":
+        if any(v < 0 for v in cert):
+            return "improving ray has a negative entry"
+        if any(dot(row, cert) != 0 for row in A):
+            return "improving ray violates A d = 0"
+        if dot(c, cert) >= 0:
+            return "ray does not improve the objective"
+        return None
+    x, y = cert
+    if any(v < 0 for v in x):
+        return "primal solution has a negative entry"
+    if any(dot(A[i], x) != b[i] for i in range(m)):
+        return "primal solution violates A x = b"
+    if any(dot(col[j], y) > c[j] for j in range(n)):
+        return "dual solution violates A^T y <= c"
+    if dot(c, x) != dot(b, y):
+        return "nonzero duality gap in verified optimum"
+    return None
 
 
 def random_h_polyhedron(rng: random.Random, dim: int, nonempty=True) -> HPolyhedron:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_generators
 
@@ -30,7 +32,7 @@ from conefan.fans import (
 )
 from conefan.lp import price_polyhedron, representation_cost
 from conefan.polyhedra import HPolyhedron
-from conefan.rational import vec
+from conefan.rational import dot, vec
 
 V3 = [(1, 0), (0, 1), (1, 1)]
 
@@ -47,6 +49,53 @@ def test_cone_from_generators():
     with pytest.raises(NotPointedError) as err:
         cone_from_generators([(1, 0), (-1, 0)])
     assert err.value.line in ((1, 0), (-1, 0))
+
+
+def _contains_point_reference(cone, v):
+    """Cone.contains_point by its definition, on Fraction vectors."""
+    v = vec(v)
+    return all(dot(vec(u), v) >= 0 for u in cone.normals)
+
+
+_coord = st.one_of(
+    st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+)
+
+
+@st.composite
+def _cones_and_points(draw):
+    n = draw(st.integers(1, 4))
+    gens = draw(
+        st.lists(st.tuples(*[st.integers(-2, 3)] * n), min_size=1, max_size=5)
+    )
+    points = draw(st.lists(st.tuples(*[_coord] * n), min_size=1, max_size=6))
+    # the generators and a sum of two lie in the cone, so both answers occur
+    points += gens + [tuple(a + b for a, b in zip(gens[0], gens[-1]))]
+    return gens, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cones_and_points())
+@example(([(1, 0), (1, 2)], [(1, 1), (Fraction(1, 2), Fraction(1, 2)), (0, -1)]))
+def test_contains_point_matches_definition(case):
+    gens, points = case
+    gens = [g for g in gens if any(g)]
+    assume(gens)
+    try:
+        cone = cone_from_generators(gens)
+    except NotPointedError:
+        assume(False)
+    for p in points:
+        assert cone.contains_point(p) == _contains_point_reference(cone, p)
+        assert cone.contains_point(list(p)) == _contains_point_reference(cone, p)
+    other = cone_from_generators(gens[:1])
+    assert cone.contains_cone(other) == all(
+        _contains_point_reference(cone, r) for r in other.rays
+    )
+    with pytest.raises(InputError):
+        cone.contains_point(points[0] + (0,))
+    with pytest.raises(InputError):
+        cone.contains_point((1.5,) * cone.ambient_dim)
 
 
 def test_cone_lower_dimensional():

@@ -1,10 +1,11 @@
 """The fraction-free kernels against plain Fraction references.
 
-rref_frac and simplex_core must return exactly what Gauss-Jordan
-elimination and Bland's rule on Fractions return (tests/helpers.py), on
-every shape the callers produce: empty, 1x1, zero rows and columns,
-rank-deficient matrices, and LPs that end optimal, infeasible or
-unbounded, including degenerate ratio ties.
+rref_frac, simplex_rows and solve_standard must return exactly what
+Gauss-Jordan elimination and Bland's rule on Fractions return
+(tests/helpers.py), on every shape the callers produce: empty, 1x1, zero
+rows and columns, rank-deficient matrices, mixed denominators, and LPs
+that end optimal, infeasible or unbounded, including degenerate ratio
+ties.
 """
 
 import os
@@ -17,7 +18,12 @@ from math import gcd
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import pivot_reference, rref_reference, simplex_core_reference
+from helpers import (
+    pivot_reference,
+    rref_reference,
+    simplex_core_reference,
+    solve_standard_reference,
+)
 
 import conefan
 from conefan import _kernel, _simplex
@@ -75,13 +81,21 @@ def test_rref_matches_reference(rows):
     assert all(type(x) is Fraction for r in red for x in r)
 
 
+# Non-integer entries with denominators 1..6, so that one LP mixes rows
+# over different denominators.
+_frac_entries = st.one_of(
+    st.just(F(0)),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 6)),
+)
+
+
 @st.composite
-def lps(draw):
+def lps(draw, entries=_int_entries):
     m = draw(st.integers(1, 4))
     n = draw(st.integers(1, 6))
-    A = [[F(draw(_int_entries)) for _ in range(n)] for _ in range(m)]
-    b = [F(draw(_int_entries)) for _ in range(m)]
-    c = [F(draw(_int_entries)) for _ in range(n)]
+    A = [[F(draw(entries)) for _ in range(n)] for _ in range(m)]
+    b = [F(draw(entries)) for _ in range(m)]
+    c = [F(draw(entries)) for _ in range(n)]
     return c, A, b
 
 
@@ -124,35 +138,30 @@ _TIE = (
 @example(([F(1)], [[F(1)]], [F(1)]))
 @example(([F(1)], [[F(1)], [F(1)]], [F(1), F(2)]))
 @example(([F(-1), F(0)], [[F(1), F(-1)]], [F(0)]))
-def test_simplex_core_matches_reference(lp):
+def test_simplex_rows_matches_reference(lp):
     c, A, b = lp
     tab, basis = _phase1_tableau(A, b)
-    before = (_copy(tab), list(basis))
-    got = _kernel.simplex_core(tab, basis, len(c))
-    assert (tab, basis) == before
-    assert got == simplex_core_reference(_copy(tab), list(basis), len(c))
+    nums, dens = _kernel._to_int_rows(tab)
+    got_basis = list(basis)
+    status, enter = _kernel.simplex_rows(nums, dens, got_basis, len(c))
+    got = (status, enter, _kernel._to_frac_rows(nums, dens), got_basis)
+    assert got == simplex_core_reference(tab, basis, len(c))
 
 
-def _solve(lps_, simplex_core, pivot):
-    saved = (_kernel.simplex_core, _kernel.pivot)
-    _kernel.simplex_core, _kernel.pivot = simplex_core, pivot
-    try:
-        out = []
-        for c, A, b in lps_:
-            res = _simplex.solve_standard(c, A, b)
-            out.append((res.status, res.x, res.y, res.ray, res.value))
-        return out
-    finally:
-        _kernel.simplex_core, _kernel.pivot = saved
+def _solve(lps_):
+    out = []
+    for c, A, b in lps_:
+        res = _simplex.solve_standard(c, A, b)
+        out.append((res.status, res.x, res.y, res.ray, res.value))
+    return out
 
 
-@settings(max_examples=300, deadline=None)
-@given(lps())
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(lps(), lps(_frac_entries)))
 @example(_TIE)
+@example(([F(1, 2), F(-1, 3)], [[F(1, 2), F(2, 3)], [F(1), F(-1, 5)]], [F(7, 6), F(2, 3)]))
 def test_solve_standard_matches_reference(lp):
-    fast = _solve([lp], _kernel.simplex_core, _kernel.pivot)
-    slow = _solve([lp], simplex_core_reference, pivot_reference)
-    assert fast == slow
+    assert _solve([lp]) == [solve_standard_reference(*lp)]
 
 
 def test_solve_standard_battery_reaches_every_outcome():
@@ -167,8 +176,8 @@ def test_solve_standard_battery_reaches_every_outcome():
         m = rng.randint(1, 4)
         n = rng.randint(1, 6)
         battery.append((pick(n), [pick(n) for _ in range(m)], pick(m)))
-    fast = _solve(battery, _kernel.simplex_core, _kernel.pivot)
-    assert fast == _solve(battery, simplex_core_reference, pivot_reference)
+    fast = _solve(battery)
+    assert fast == [solve_standard_reference(*lp) for lp in battery]
     assert {out[0] for out in fast} == {"optimal", "infeasible", "unbounded"}
     ties = sum(
         _has_ratio_tie(_phase1_tableau(A, b)[0], len(c)) for c, A, b in battery
@@ -187,11 +196,11 @@ def test_pivot_matches_reference(rows, prow, pcol):
     prow %= len(rows)
     if rows[prow][pcol] == 0:
         rows[prow][pcol] = F(5, 3)
-    tab = _copy(rows)
-    _kernel.pivot(tab, prow, pcol)
+    nums, dens = _kernel._to_int_rows(rows)
+    _kernel._pivot(nums, dens, prow, pcol)
     ref = _copy(rows)
     pivot_reference(ref, prow, pcol)
-    assert tab == ref
+    assert _kernel._to_frac_rows(nums, dens) == ref
 
 
 def _dd_step_reference(rays, zsets, vals, bit):
@@ -249,9 +258,10 @@ def test_full_pipeline_matches_reference_kernel():
         "from conefan import _kernel\n"
         "if sys.argv[1] == 'reference':\n"
         "    import helpers\n"
+        "    from conefan import _simplex\n"
         "    _kernel.rref_frac = helpers.rref_reference\n"
-        "    _kernel.simplex_core = helpers.simplex_core_reference\n"
-        "    _kernel.pivot = helpers.pivot_reference\n"
+        "    _simplex.solve_standard = lambda c, A, b: _simplex.StandardResult(\n"
+        "        *helpers.solve_standard_reference(c, A, b))\n"
         "from conefan.graded import GradedSystem, MonomialIdeal, "
         "verify_closure_identity\n"
         "MI = MonomialIdeal.from_exponents\n"

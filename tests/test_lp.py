@@ -1,10 +1,15 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_generators
+from helpers import certificate_check_reference, random_generators
 
+from conefan import _kernel, _simplex
 from conefan.errors import InputError, NotInConeError
 from conefan.lp import (
     LpInstance,
@@ -204,3 +209,149 @@ def test_price_polyhedron_no_generators_is_whole_space():
     assert not Q.inequalities and not Q.equalities and not Q.empty
     V = dual_description(Q)
     assert len(V.lineality) == 2
+
+
+F = Fraction
+
+
+def _ints(v):
+    (nums,), (den,) = _kernel._to_int_rows([list(v)])
+    return nums, den
+
+
+def _check(kind, cert, c, A, b):
+    """Run solve_standard's integer check of the given kind on a Fraction
+    certificate: the message of the AssertionError it raises, None when
+    it passes, or the value when an optimality check passes."""
+    lp = _simplex._int_lp(list(c), [list(r) for r in A], list(b))
+    try:
+        if kind == "optimal":
+            x, y = cert
+            return _simplex._check_optimal(*_ints(x), *_ints(y), lp)
+        if kind == "infeasible":
+            _simplex._check_farkas(_ints(cert)[0], lp)
+        else:
+            _simplex._check_ray(_ints(cert)[0], lp)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+# min c.x over A x = b, x >= 0, with non-unit denominators in c and in every row
+_C = [F(1, 2), F(1, 3), F(2, 5)]
+_A = [[F(1, 2), F(1), F(0)], [F(1, 3), F(0), F(2, 3)]]
+_B = [F(3, 4), F(5, 6)]
+
+
+def test_check_optimal_rejects_perturbed_certificates():
+    res = _simplex.solve_standard(_C, _A, _B)
+    assert res.status == "optimal"
+    x, y = res.x, res.y
+    assert any(v.denominator > 1 for v in x + y)
+    assert _check("optimal", (x, y), _C, _A, _B) == res.value
+    bumped = [x[0] + F(1, 7)] + list(x[1:])
+    assert _check("optimal", (bumped, y), _C, _A, _B) == (
+        "primal solution violates A x = b"
+    )
+    # column 1 of A^T y is y_0, and c_1 = 1/3
+    broken = [F(1, 3) + F(1, 7), y[1]]
+    assert _check("optimal", (x, broken), _C, _A, _B) == (
+        "dual solution violates A^T y <= c"
+    )
+    # y = 0 is dual feasible for c >= 0, with b.y = 0 < c.x
+    assert _check("optimal", (x, [F(0), F(0)]), _C, _A, _B) == (
+        "nonzero duality gap in verified optimum"
+    )
+
+
+def test_check_farkas_rejects_zero_gain():
+    # x/2 = 1/3 and x/3 = 1/2 have no common solution
+    c, A, b = [F(1, 4)], [[F(1, 2)], [F(1, 3)]], [F(1, 3), F(1, 2)]
+    res = _simplex.solve_standard(c, A, b)
+    assert res.status == "infeasible"
+    assert _check("infeasible", res.y, c, A, b) is None
+    # A^T y = -5/12 <= 0, but b.y = -1/2 + 1/2 = 0
+    flat = [F(-3, 2), F(1)]
+    assert _check("infeasible", flat, c, A, b) == (
+        "invalid Farkas certificate (b.y <= 0)"
+    )
+
+
+def test_check_ray_rejects_non_improving_ray():
+    c = [F(-1, 2), F(0), F(0)]
+    A = [[F(1, 3), F(-1, 5), F(1, 2)]]
+    b = [F(1, 7)]
+    res = _simplex.solve_standard(c, A, b)
+    assert res.status == "unbounded"
+    assert _check("unbounded", res.ray, c, A, b) is None
+    # A d = -1 + 1 = 0 and d >= 0, but c.d = 0
+    flat = [F(0), F(5, 3), F(2, 3)]
+    assert _check("unbounded", flat, c, A, b) == (
+        "ray does not improve the objective"
+    )
+
+
+_entry = st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+_nudge = st.one_of(st.just(F(0)), st.just(F(0)), st.builds(F, st.integers(-3, 3), st.integers(1, 7)))
+
+
+@st.composite
+def _perturbed_certificates(draw):
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 4))
+    A = [[draw(_entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(_entry) for _ in range(m)]
+    c = [draw(_entry) for _ in range(n)]
+    res = _simplex.solve_standard(c, A, b)
+
+    def nudge(v):
+        return [t + draw(_nudge) for t in v]
+
+    if res.status == "optimal":
+        cert = (nudge(res.x), nudge(res.y))
+    elif res.status == "infeasible":
+        cert = nudge(res.y)
+    else:
+        cert = nudge(res.ray)
+    return res.status, cert, c, A, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_perturbed_certificates())
+def test_integer_checks_reject_what_fraction_checks_reject(case):
+    kind, cert, c, A, b = case
+    got = _check(kind, cert, c, A, b)
+    if kind == "optimal" and not isinstance(got, str):
+        # a passing optimality check returns the value c.x
+        assert got == dot(c, cert[0])
+        got = None
+    assert got == certificate_check_reference(kind, cert, c, A, b)
+
+
+def test_lp_path_checks_survive_python_O():
+    # under -O bare asserts vanish; these two checks must still raise
+    script = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "from conefan import _kernel, _simplex, lp\n"
+        "_kernel.simplex_rows = lambda nums, dens, basis, k: ('unbounded', 0)\n"
+        "try:\n"
+        "    _simplex.solve_standard([1], [[1]], [1])\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "_simplex.solve_standard = lambda c, A, b: _simplex.StandardResult(\n"
+        "    'unbounded', ray=(1,))\n"
+        "try:\n"
+        "    lp.representation_cost([(1,)], [1], (1,))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "phase 1 cannot be unbounded",
+        "nonnegative costs cannot be unbounded",
+    ]
