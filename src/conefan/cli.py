@@ -7,9 +7,10 @@ Subcommands:
 
 Exit codes: 0 success/verified, 1 domain failure (target outside the cone,
 falsified identity, failed linearity check), 2 usage, validation, or
-budget errors.  All randomized batteries take --seed so runs are
-reproducible; JSON reports are byte-identical for identical inputs and
-seeds.
+budget errors.  fan --check samples its cost vectors from --seed.
+verify checks the valuation chain for every weight w >= 0 at once, so
+its --seed is recorded in the report but decides no verdict.  JSON
+reports are byte-identical for identical inputs and seeds.
 """
 
 from __future__ import annotations
@@ -266,7 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--p-bound", dest="p_bound", type=int, default=None)
     p_ver.add_argument("--d-cap", dest="d_cap", type=int, default=None)
     p_ver.add_argument("--L", dest="L", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
+    p_ver.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="recorded in the report; decides no verdict, since the "
+        "valuation chain is checked for every weight w >= 0 at once",
+    )
     p_ver.add_argument(
         "--no-smooth", action="store_true", help="skip the smooth refinement"
     )

@@ -17,7 +17,6 @@ that force that equality.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -35,6 +34,7 @@ from .lp import representation_cost
 from .polyhedra import (
     HPolyhedron,
     VRepresentation,
+    contains,
     dual_description,
     scale_polyhedron,
     vrep_to_h,
@@ -42,6 +42,7 @@ from .polyhedra import (
 from .rational import (
     PLUS_INFINITY,
     IntVec,
+    dot,
     idot,
     is_finite,
     ivec,
@@ -367,23 +368,6 @@ def _degree_newton_hform(sys: GradedSystem, m: IntVec) -> Optional[HPolyhedron]:
 
 
 @lru_cache(maxsize=None)
-def _degree_valuation(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
-    """Weight valuation of the degree-m ideal via representation minima.
-
-    Equals weight_valuation(w, expand_degree(sys, m)): valuations turn
-    ideal sums into minima and products into sums.
-    """
-    gen_vals = [weight_valuation(w, I) for I in sys.ideals]
-    return min(
-        (
-            sum((l * v for l, v in zip(rep, gen_vals) if l), Fraction(0))
-            for rep in _representations(sys, ivec(m))
-        ),
-        default=PLUS_INFINITY,
-    )
-
-
-@lru_cache(maxsize=None)
 def asymptotic_valuation(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
     """Asymptotic value of the weight valuation on the system at degree m.
 
@@ -480,9 +464,10 @@ def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
         raise NotInConeError(
             f"degree {m} admits no representation with nonzero ideals"
         )
-    assert not rep_polytope.rays and not rep_polytope.lineality, (
-        "representation polytope unbounded despite a pointed degree cone"
-    )
+    if rep_polytope.rays or rep_polytope.lineality:
+        raise AssertionError(
+            "representation polytope unbounded despite a pointed degree cone"
+        )
     vertex_lists = [newton_polyhedron(I).vertices for I in ideals]
     points: set = set()
     for lam in rep_polytope.vertices:
@@ -681,15 +666,45 @@ def _h_weights(h: Optional[HPolyhedron]) -> list[IntVec]:
     return out
 
 
-def _random_weights(n: int, count: int, seed: int) -> list[IntVec]:
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        w = tuple(rng.randint(0, 9) for _ in range(n))
-        if all(x == 0 for x in w):
-            continue
-        out.append(primitive_int_vector(w))
-    return out
+def _support(h: Optional[HPolyhedron], w: IntVec) -> Valuation:
+    """min <w, x> over a Newton polyhedron for w >= 0, attained at a vertex;
+    PlusInfinity for None (the zero ideal).  On NP(I) this is v_w(I)."""
+    if h is None:
+        return PLUS_INFINITY
+    return min(dot(w, v) for v in dual_description(h).vertices)
+
+
+def _separating_weight(
+    a: Optional[HPolyhedron], b: Optional[HPolyhedron], above: bool = False
+) -> IntVec:
+    """First facet weight of a or b at which their support values differ
+    (with above, at which a's exceeds b's).
+
+    Orthant-closed polyhedra are determined by their support values at
+    nonnegative weights, and a vertex of one outside the other violates a
+    facet of the other, so two different Newton polyhedra always differ at
+    one of these normals (a's exceeds b's at a facet of a when b is not
+    contained in a).
+    """
+    for w in sorted(set(_h_weights(a) + _h_weights(b))):
+        sa, sb = _support(a, w), _support(b, w)
+        if (sa > sb) if above else (sa != sb):
+            return w
+    raise AssertionError("differing Newton polyhedra without a separating facet")
+
+
+def _check_limit_polyhedra(sys: GradedSystem, rays) -> None:
+    """Anchor the limit polyhedra to the certified LP: at every facet
+    weight w of P(e) = asymptotic_newton(sys, e), the asymptotic valuation
+    at e must be P(e)'s support value.  A mismatch is an internal failure."""
+    for e in rays:
+        limit_h = asymptotic_newton(sys, e)
+        for w in _h_weights(limit_h):
+            if asymptotic_valuation(sys, w, e) != _support(limit_h, w):
+                raise AssertionError(
+                    f"limit polyhedron of ray {e} disagrees with the "
+                    f"asymptotic valuation at weight {w}"
+                )
 
 
 def verify_closure_identity(
@@ -710,10 +725,11 @@ def verify_closure_identity(
     into d; (d) for every maximal cone with rays e_i and every exponent
     tuple p with sum(p) <= power_bound, closure equality of the degree
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
-    the p_i; (e) for a battery of weight valuations, the inclusion
-    inequality, additivity of the asymptotic valuation on the cone, and the
-    collapse of the sandwich to equality.  A falsified identity is reported
-    as a value, never an exception.
+    the p_i; (e) the valuation chain for every weight w >= 0 at once, as
+    comparisons of Newton polyhedra (see _valuation_chain).  The seed is
+    recorded in the report but decides no verdict.  A falsified identity is
+    reported as a value, never an exception; a witness weight is a facet
+    normal at which the two closures' valuations differ.
     """
     config = VerificationConfig(
         power_bound, exponent_cap, power_checks, smooth, refine, seed
@@ -733,12 +749,13 @@ def verify_closure_identity(
     d = cert.value
     for ray, doc in cert.ideal_level:
         notes.append(f"ray {ray}: {doc}")
-    random_battery = _random_weights(sys.ambient, 20, seed)
+    _check_limit_polyhedra(sys, fan.rays())
     cone_checks = []
     for cone in fan.maximal_cones:
         rays = cone.rays
         checks = []
         ray_h = {e: _degree_newton_hform(sys, _scaled_degree(e, d)) for e in rays}
+        limit_h = {e: scale_polyhedron(asymptotic_newton(sys, e), d) for e in rays}
         for p in _power_tuples(len(rays), power_bound):
             m = tuple(
                 sum(pi * e[j] for pi, e in zip(p, rays))
@@ -749,25 +766,13 @@ def verify_closure_identity(
             right_h = _weighted_minkowski_hform(
                 [(ray_h[e], pi) for pi, e in zip(p, rays)], sys.ambient
             )
-            if left_h is None or right_h is None:
-                ok = left_h is None and right_h is None
-            else:
-                ok = left_h == right_h
-            battery = list(random_battery)
-            for h in [left_h, right_h, *ray_h.values()]:
-                battery.extend(_h_weights(h))
-            battery = sorted(set(battery))
-            witness = None
-            lval = rval = None
+            ok = left_h == right_h
+            witness = lval = rval = None
             if not ok:
-                for w in battery:
-                    lv = _degree_valuation(sys, w, dm)
-                    rv = _right_valuation(sys, w, rays, p, d)
-                    if lv != rv:
-                        witness, lval, rval = w, lv, rv
-                        break
+                witness = _separating_weight(left_h, right_h)
+                lval, rval = _support(left_h, witness), _support(right_h, witness)
             chain_ok, chain_note = _valuation_chain(
-                sys, d, rays, p, dm, left_h, ray_h, battery
+                sys, d, rays, p, m, left_h, right_h, ray_h, limit_h
             )
             checks.append(
                 TupleCheck(
@@ -807,60 +812,45 @@ def _weighted_minkowski_hform(
     return _orthant_hull(_minkowski_points(verts, n), n)
 
 
-def _right_valuation(sys, w, rays, p, d) -> Valuation:
-    total = Fraction(0)
-    for pi, e in zip(p, rays):
-        if pi == 0:
-            continue
-        val = _degree_valuation(sys, w, _scaled_degree(e, d))
-        if not is_finite(val):
-            return PLUS_INFINITY
-        total += pi * val
-    return total
+def _valuation_chain(sys, d, rays, p, m, left_h, right_h, ray_h, limit_h):
+    """Check the valuation sandwich for one exponent tuple, for every
+    weight w >= 0 at once.
 
-
-def _valuation_chain(sys, d, rays, p, dm, left_h, ray_h, battery):
-    """Check the valuation sandwich for one exponent tuple.
-
-    For each weight w: v_w(a_{dm}) <= sum p_i v_w(a_{d e_i}) (the product
-    is contained in the degree-dm ideal); each v_w(a_{d e_i}) equals
-    d * asymptotic(e_i) (the per-ray certificate); additivity on the cone
-    makes the sum equal asymptotic(dm), which bounds v_w(a_{dm}) from
-    below; hence everything collapses to equality.
+    v_w(a_{dm}) <= sum p_i v_w(a_{d e_i}) (the product is contained in the
+    degree-dm ideal); each v_w(a_{d e_i}) equals d * asymptotic(e_i) (the
+    per-ray certificate); additivity on the cone makes the sum equal
+    asymptotic(dm), which bounds v_w(a_{dm}) from below; hence everything
+    collapses to equality.  Each link is the support function, over all
+    w >= 0, of a Newton polyhedron, and support functions turn Minkowski
+    sums into sums, so the links are containments and equalities of
+    polyhedra: left_h = NP(a_{dm}), right_h = sum p_i NP(a_{d e_i}) and
+    limit_h[e] = d * asymptotic_newton(e).  A failing link is named at the
+    first facet weight separating the two polyhedra it compares.
     """
     if left_h is None:
-        zero_rhs = any(pi > 0 and ray_h[e] is None for pi, e in zip(p, rays))
-        if zero_rhs:
+        if right_h is None:
             return True, "degree ideal and product are both zero"
         return False, "degree ideal is zero but the product is not"
-    if all(x == 0 for x in dm):
+    if all(x == 0 for x in m):
         return True, None
-    for w in battery:
-        lhs = _degree_valuation(sys, w, dm)
-        mid = _right_valuation(sys, w, rays, p, d)
-        if not is_finite(mid):
-            return False, f"ray ideal vanished under weight {w}"
-        if lhs > mid:
+    if right_h is None:
+        w = _separating_weight(left_h, right_h)
+        return False, f"ray ideal vanished under weight {w}"
+    if left_h != right_h:
+        vertices = dual_description(right_h).vertices
+        if not all(contains(left_h, v) for v in vertices):
+            w = _separating_weight(left_h, right_h, above=True)
             return False, f"inclusion inequality failed at weight {w}"
-        for pi, e in zip(p, rays):
-            if pi == 0:
-                continue
-            de = _scaled_degree(e, d)
-            if asymptotic_valuation(sys, w, de) != _degree_valuation(sys, w, de):
-                return False, f"ray ideal not asymptotically stable at weight {w}"
-        asym = asymptotic_valuation(sys, w, dm)
-        if not is_finite(asym):
-            return False, f"asymptotic valuation infinite at weight {w}"
-        additive = sum(
-            (
-                pi * asymptotic_valuation(sys, w, _scaled_degree(e, d))
-                for pi, e in zip(p, rays)
-                if pi > 0
-            ),
-            Fraction(0),
-        )
-        if asym != additive:
-            return False, f"additivity failed on the cone at weight {w}"
-        if not (additive <= lhs <= mid) or additive != mid:
-            return False, f"sandwich did not collapse at weight {w}"
+    for pi, e in zip(p, rays):
+        if pi > 0 and ray_h[e] != limit_h[e]:
+            w = _separating_weight(ray_h[e], limit_h[e])
+            return False, f"ray ideal not asymptotically stable at weight {w}"
+    # with the rays stable, right_h is already sum p_i * limit_h[e_i]
+    asym_h = scale_polyhedron(asymptotic_newton(sys, m), d)
+    if asym_h != right_h:
+        w = _separating_weight(asym_h, right_h)
+        return False, f"additivity failed on the cone at weight {w}"
+    if left_h != right_h:
+        w = _separating_weight(left_h, right_h)
+        return False, f"sandwich did not collapse at weight {w}"
     return True, None

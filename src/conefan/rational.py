@@ -68,20 +68,8 @@ def idot(u: Sequence[int], v: Sequence[int]) -> int:
     return s
 
 
-def vadd(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Sequence, v: Sequence) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vneg(u: Sequence) -> tuple:
     return tuple(-a for a in u)
-
-
-def vscale(t, u: Sequence) -> Vec:
-    return tuple(t * a for a in u)
 
 
 def is_zero_vec(u: Sequence) -> bool:
@@ -92,7 +80,10 @@ def ivec(entries: Iterable) -> IntVec:
     """Coerce to an integer vector, rejecting non-integral entries."""
     out = []
     for x in entries:
-        f = frac(x) if not isinstance(x, int) else Fraction(x)
+        if isinstance(x, int):
+            out.append(int(x))  # int() turns a bool into a plain int
+            continue
+        f = frac(x)
         if f.denominator != 1:
             raise InputError(f"entry {x!r} is not an integer")
         out.append(f.numerator)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -184,7 +185,8 @@ def test_verify_adversarial(worked_file, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FALSIFIED" in out
-    assert "weight" in out
+    witness = re.search(r"weight \(.*\) gives (\S+) vs (\S+)", out)
+    assert witness and witness.group(1) != witness.group(2)
 
 
 def test_verify_halfstep(tmp_path, capsys):

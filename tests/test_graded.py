@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -439,6 +440,11 @@ def test_verify_trivial_system():
     assert len(rep.per_ray) == 1
 
 
+def _valuation_at(system, w, m, d):
+    """v_w of the system's ideal in degree d * m."""
+    return weight_valuation(w, expand_degree(system, tuple(d * x for x in m)))
+
+
 def test_verify_adversarial_single_cone():
     rep = verify_closure_identity(worked_system(), power_bound=4, refine=False)
     assert not rep.verified
@@ -452,8 +458,121 @@ def test_verify_adversarial_single_cone():
     witnessed = [t for t in failing if t.witness_weight is not None]
     assert witnessed
     t = witnessed[0]
-    left = expand_degree(worked_system(), tuple(rep.exponent * x for x in t.degree))
-    assert weight_valuation(t.witness_weight, left) == t.left_value
+    w = t.witness_weight
+    assert _valuation_at(worked_system(), w, t.degree, rep.exponent) == t.left_value
+    # the right value is the valuation of the product of the ray ideals
+    right = sum(
+        pi * _valuation_at(worked_system(), w, e, rep.exponent)
+        for pi, e in zip(t.powers, rep.cones[0].rays)
+    )
+    assert right == t.right_value
+    assert t.left_value != t.right_value
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_verify_report_does_not_depend_on_seed(refine):
+    def report(seed):
+        out = verify_closure_identity(
+            worked_system(), power_bound=3, refine=refine, seed=seed
+        ).to_dict()
+        assert out["config"].pop("seed") == seed
+        return out
+
+    first = report(0)
+    # refine=True verifies, the single-cone debug run falsifies
+    assert first["verified"] is refine
+    assert report(1) == first
+    assert report(7) == first
+
+
+def _note_weight(note, prefix):
+    """The weight a chain note names, given the note's expected prefix."""
+    match = re.fullmatch(re.escape(prefix) + r" at weight \((.*)\)", note)
+    assert match, note
+    return tuple(int(x) for x in match.group(1).split(","))
+
+
+@pytest.mark.parametrize(
+    "name, note, closure_ok",
+    [
+        # a wrong limit polyhedron breaks additivity; the closures agree
+        ("asymptotic_newton", "additivity failed on the cone", True),
+        # a degree ideal that misses the product of the ray ideals, whose
+        # value is below the product's at the first facet weight (1, 0) and
+        # above it only at (1, 1)
+        ("_degree_newton_hform", "inclusion inequality failed", False),
+    ],
+)
+def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok):
+    import conefan.graded as graded
+    from conefan.polyhedra import scale_polyhedron
+
+    real = getattr(graded, name)
+    broken_degree = (2, 1)  # inside the fan cone spanned by (1, 0), (1, 1)
+
+    def broken(system, m):
+        h = real(system, m)
+        if tuple(m) != broken_degree:
+            return h
+        if closure_ok:
+            return scale_polyhedron(h, 2)
+        return newton_hform(MI(2, [(1, 5), (6, 0)]))
+
+    monkeypatch.setattr(graded, name, broken)
+    rep = verify_closure_identity(worked_system(), power_bound=3)
+    assert not rep.verified and rep.exponent == 1
+    failing = [t for c in rep.cones for t in c.checks if not t.chain_ok]
+    assert [t.degree for t in failing] == [broken_degree]
+    t = failing[0]
+    assert t.closure_ok is closure_ok
+    w = _note_weight(t.chain_note, note)
+    # the named weight separates the broken polyhedron from the product's
+    broken_value = minimize_linear(broken(worked_system(), broken_degree), vec(w))
+    cone = next(c for c in rep.cones if t in c.checks)
+    product = sum(
+        pi * _valuation_at(worked_system(), w, e, 1)
+        for pi, e in zip(t.powers, cone.rays)
+    )
+    assert broken_value.value != product
+    if not closure_ok:
+        # the inclusion fails where the degree ideal's value exceeds the
+        # product's; the closure witness is the first weight that differs
+        assert (w, broken_value.value, product) == ((1, 1), 6, 3)
+        assert t.witness_weight == (1, 0)
+        assert (t.left_value, t.right_value) == (1, 2)
+
+
+def test_valuation_chain_catches_unstable_ray(monkeypatch):
+    # the half-step system needs d = 2; forced to d = 1, the degree-1 ideal
+    # is not the limit polyhedron of its ray
+    import conefan.graded as graded
+    from conefan.graded import ExponentCertificate
+
+    monkeypatch.setattr(
+        graded,
+        "stabilizing_exponent",
+        lambda system, fan, cap, checks: ExponentCertificate(1, (((1,), 1),)),
+    )
+    rep = verify_closure_identity(halfstep_system(), power_bound=2)
+    assert not rep.verified
+    t = rep.cones[0].checks[1]
+    assert t.powers == (1,) and t.closure_ok and not t.chain_ok
+    w = _note_weight(t.chain_note, "ray ideal not asymptotically stable")
+    limit = minimize_linear(asymptotic_newton(halfstep_system(), (1,)), vec(w))
+    assert limit.value != _valuation_at(halfstep_system(), w, (1,), 1)
+
+
+def test_limit_polyhedra_anchored_to_lp(monkeypatch):
+    # the LP cross-check on every ray turns a disagreement between the
+    # limit polyhedron and the asymptotic valuation into an internal error
+    import conefan.graded as graded
+
+    real = graded.asymptotic_valuation
+    monkeypatch.setattr(
+        graded, "asymptotic_valuation", lambda system, w, m: real(system, w, m) + 1
+    )
+    with pytest.raises(AssertionError, match="disagrees with the asymptotic"):
+        verify_closure_identity(worked_system(), power_bound=1)
 
 
 def test_verify_halfstep_system():
@@ -531,17 +650,11 @@ def test_stabilizing_exponent_cap_reported():
 
 
 def test_degree_newton_routes_agree():
-    # the representation-based Newton polyhedron and valuation of a degree
-    # must match the literal route through the expanded ideal
-    import random as _random
+    # the representation-based Newton polyhedron of a degree must match the
+    # literal route through the expanded ideal
+    from conefan.graded import _degree_newton_hform
 
-    from conefan.graded import (
-        _degree_newton_hform,
-        _degree_valuation,
-        newton_hform,
-    )
-
-    rng = _random.Random(88)
+    rng = random.Random(88)
     systems = [worked_system(), halfstep_system(), trivial_system(), zerogen_system()]
     for system in systems:
         for _ in range(12):
@@ -556,11 +669,6 @@ def test_degree_newton_routes_agree():
                 assert via_reps is None
             else:
                 assert via_reps == newton_hform(ideal)
-            for _ in range(4):
-                w = tuple(rng.randint(0, 5) for _ in range(system.ambient))
-                if all(x == 0 for x in w):
-                    continue
-                assert _degree_valuation(system, w, m) == weight_valuation(w, ideal)
 
 
 def test_verify_lower_dimensional_degree_cone():
@@ -582,6 +690,9 @@ def test_verify_lower_dimensional_degree_cone():
     ]
     rep2 = verify_closure_identity(system, power_bound=3, refine=False)
     assert not rep2.verified
+    witnessed = [t for c in rep2.cones for t in c.checks if t.witness_weight]
+    assert witnessed
+    assert all(t.left_value != t.right_value for t in witnessed)
 
 
 def test_asymptotic_newton_matches_lift_projection():

@@ -329,7 +329,9 @@ def test_integer_checks_reject_what_fraction_checks_reject(case):
 
 
 def test_lp_path_checks_survive_python_O():
-    # under -O bare asserts vanish; these two checks must still raise
+    # under -O bare asserts vanish; these checks must still raise, the
+    # last one where asymptotic_newton meets an unbounded representation
+    # polytope
     script = (
         "import sys\n"
         "if __debug__:\n"
@@ -346,6 +348,15 @@ def test_lp_path_checks_survive_python_O():
         "    lp.representation_cost([(1,)], [1], (1,))\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
+        "from conefan import graded, polyhedra\n"
+        "system = graded.GradedSystem.create(\n"
+        "    1, 1, [(1,)], [graded.MonomialIdeal.from_exponents(1, [(1,)])])\n"
+        "graded.dual_description = lambda h: polyhedra.VRepresentation.make(\n"
+        "    vertices=[(1,)], rays=[(1,)], ambient_dim=1)\n"
+        "try:\n"
+        "    graded.asymptotic_newton(system, (1,))\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True
@@ -354,4 +365,5 @@ def test_lp_path_checks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "phase 1 cannot be unbounded",
         "nonnegative costs cannot be unbounded",
+        "representation polytope unbounded despite a pointed degree cone",
     ]
