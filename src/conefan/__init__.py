@@ -24,6 +24,7 @@ from .fans import (
     common_refinement,
     cone_from_generators,
     cone_from_normals,
+    every_cost_linear_on,
     independent_subsets,
     intersect,
     is_cost_linear_on,

@@ -14,7 +14,6 @@ smooth refinement by stellar subdivision.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -28,6 +27,7 @@ from .errors import (
     CapExceededError,
     EmptyPolyhedronError,
     InputError,
+    NotInConeError,
     NotPointedError,
     NotPointedSupportError,
 )
@@ -313,7 +313,8 @@ def caratheodory_reduce(
                 r = lam[i] / b[i]
                 if ratio is None or r < ratio:
                     ratio, j = r, i
-        assert j is not None, "oriented relation lost its positive entry"
+        if j is None:
+            raise AssertionError("oriented relation lost its positive entry")
         t = lam[j] / b[j]
         for i in support:
             lam[i] = lam[i] - t * b[i]
@@ -551,15 +552,15 @@ def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
             tuple(Fraction(r[i]) for r in c.rays) for i in range(c.ambient_dim)
         )
         sol = linear_solve(matrix, vec(x))
-        assert sol is not None, "contained point failed to decompose"
+        if sol is None:
+            raise AssertionError("contained point failed to decompose")
         lam = sol.particular
-        replaced = False
+        if not any(lam):
+            raise AssertionError("contained point replaced no ray")
         for i, t in enumerate(lam):
             if t != 0:
                 rest = tuple(r for k, r in enumerate(c.rays) if k != i)
                 out.append(cone_from_generators(rest + (x,)))
-                replaced = True
-        assert replaced
     return Fan.make(out, fan.ambient_dim)
 
 
@@ -602,7 +603,8 @@ def smooth_refine(
             )
             if best is None or (worst, x) < (best[0], best[1]):
                 best = (worst, x, trial)
-        assert best is not None, "non-smooth cone without subdivision points"
+        if best is None:
+            raise AssertionError("non-smooth cone without subdivision points")
         fan = best[2]
     worst = max(c.multiplicity() for c in fan.maximal_cones if not is_smooth(c))
     raise BudgetExceededError(
@@ -612,41 +614,45 @@ def smooth_refine(
 
 
 def is_cost_linear_on(
-    generators: Sequence[Sequence],
-    costs: Sequence,
-    cone: Cone,
-    sample_count: int = 8,
-    seed: int = 0,
+    generators: Sequence[Sequence], costs: Sequence, cone: Cone
 ) -> bool:
-    """Whether the minimum representation cost is linear on the cone.
+    """Whether the minimum representation cost phi is linear on the cone.
 
-    Evaluates the cost at every ray generator and at deterministic
-    pseudo-random nonnegative rational combinations; linearity must hold
-    bit-exactly.  NotInConeError from an evaluation signals that the cone
-    is not contained in the span of the generators.
+    phi is sublinear, so phi(sum r_i) <= sum phi(r_i) over the rays, with
+    equality iff phi is linear on the cone: then the dual optimum y at the
+    sum is tight at every ray, phi >= <., y> everywhere and phi <= <., y>
+    on the cone.  NotInConeError from an evaluation signals that the cone
+    is not contained in cone(generators).
     """
     if not cone.rays:
         return True
-    ray_values = [
-        representation_cost(generators, costs, vec(r)).value for r in cone.rays
-    ]
-    rng = random.Random(seed)
-    combos = [tuple(Fraction(1) for _ in cone.rays)]
-    for _ in range(sample_count):
-        combos.append(
-            tuple(
-                Fraction(rng.randint(0, 8), rng.randint(1, 4))
-                for _ in cone.rays
-            )
+    ray_sum = tuple(sum(col) for col in zip(*cone.rays))
+    total = sum(representation_cost(generators, costs, r).value for r in cone.rays)
+    return representation_cost(generators, costs, ray_sum).value == total
+
+
+def every_cost_linear_on(generators: Sequence[Sequence], cone: Cone) -> bool:
+    """Whether every nonnegative cost is linear on the cone.
+
+    The cost at v is the least c_B B^-1 v over the bases B of
+    span(generators) with v in cone(B).  If every cone(B) contains the
+    cone or meets it in lower dimension (a chamber), the same bases hold
+    a dense subset of it, where the cost is concave as well as convex.
+    For a cone of full support dimension the converse holds as well.
+    """
+    gens = [vec(g) for g in generators]
+    if len(gens) > INDEPENDENT_SUBSET_CAP:
+        raise CapExceededError(
+            f"chamber check capped at {INDEPENDENT_SUBSET_CAP} generators"
         )
-    for ts in combos:
-        point = [Fraction(0)] * cone.ambient_dim
-        for t, r in zip(ts, cone.rays):
-            point = [a + t * b for a, b in zip(point, r)]
-        expected = sum(
-            (t * v for t, v in zip(ts, ray_values)), Fraction(0)
-        )
-        actual = representation_cost(generators, costs, tuple(point)).value
-        if actual != expected:
-            return False
+    if not cone_from_generators(gens).contains_cone(cone):
+        raise NotInConeError("cone is not contained in cone(generators)")
+    d = rank(gens)
+    for basis in combinations(gens, d):
+        if rank(basis) == d:
+            basic = cone_from_generators(basis)
+            if not basic.contains_cone(cone) and (
+                intersect(cone, basic).dim == cone.dim
+            ):
+                return False
     return True

@@ -229,9 +229,10 @@ class GradedSystem:
     ambient: int
     degrees: tuple[IntVec, ...]
     ideals: tuple[MonomialIdeal, ...]
-    # cone(degrees), which the degrees determine, so it takes no part in
-    # equality or hashing
+    # cone(degrees) and a functional positive on every degree, which the
+    # degrees determine, so they take no part in equality or hashing
     _cone: Cone = field(compare=False, repr=False)
+    _theta: IntVec = field(compare=False, repr=False)
 
     @staticmethod
     def create(
@@ -257,7 +258,8 @@ class GradedSystem:
             if I.ambient != ambient:
                 raise InputError("ideal ambient mismatch")
         cone = cone_from_generators(degs)  # raises NotPointedError if not pointed
-        return GradedSystem(grading_rank, ambient, degs, ids, cone)
+        theta = _positive_functional(cone, degs)
+        return GradedSystem(grading_rank, ambient, degs, ids, cone, theta)
 
     def degree_cone(self) -> Cone:
         return self._cone
@@ -269,17 +271,11 @@ class GradedSystem:
         return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
 
 
-@lru_cache(maxsize=None)
-def _positive_functional(sys: GradedSystem) -> IntVec:
+def _positive_functional(cone: Cone, degrees: tuple[IntVec, ...]) -> IntVec:
     """Integer functional strictly positive on every generator degree."""
-    cone = sys.degree_cone()
-    theta = [0] * sys.grading_rank
-    for u in cone.normals:
-        theta = [a + b for a, b in zip(theta, u)]
-    theta = tuple(theta)
-    assert all(idot(theta, d) > 0 for d in sys.degrees), (
-        "dual normals failed to give a positive functional"
-    )
+    theta = tuple(sum(col) for col in zip(*cone.normals))
+    if not all(idot(theta, d) > 0 for d in degrees):
+        raise AssertionError("dual normals failed to give a positive functional")
     return theta
 
 
@@ -314,7 +310,7 @@ def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
     The one enumeration behind expand_degree, the degree Newton forms and
     the degree valuations; EXPAND_NODE_BUDGET bounds its search nodes.
     """
-    theta = _positive_functional(sys)
+    theta = sys._theta
     degrees = sys.degrees
     weights = [idot(theta, d) for d in degrees]
     target_weight = idot(theta, m)

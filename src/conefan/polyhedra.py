@@ -189,7 +189,8 @@ def _dd_cached(P: HPolyhedron, dim_cap: int) -> VRepresentation:
     if P.empty:
         return VRepresentation.make_empty(n)
     lin, rays = cone_generators(_homogeneous_rows(P), n + 1)
-    assert all(l[n] == 0 for l in lin), "lineality escaped the t >= 0 halfspace"
+    if any(l[n] != 0 for l in lin) or any(r[n] < 0 for r in rays):
+        raise AssertionError("generators escaped the t >= 0 halfspace")
     vertices = []
     rec_rays = []
     for r in rays:
@@ -197,7 +198,6 @@ def _dd_cached(P: HPolyhedron, dim_cap: int) -> VRepresentation:
         if t > 0:
             vertices.append(tuple(Fraction(x, t) for x in r[:n]))
         else:
-            assert t == 0
             rec_rays.append(r[:n])
     if not vertices:
         return VRepresentation.make_empty(n)
@@ -227,7 +227,8 @@ def _reduce_mod_equalities(
         normal2 = tuple(aug[:-1])
         offset2 = aug[-1]
         if is_zero_vec(normal2):
-            assert offset2 >= 0, "facet reduced to an absurd row"
+            if offset2 < 0:
+                raise AssertionError("facet reduced to an absurd row")
             continue
         out.append((normal2, offset2))
     return out
@@ -253,12 +254,14 @@ def vrep_to_h(V: VRepresentation) -> HPolyhedron:
     for r in rays:
         a, c = r[:n], r[n]
         if all(x == 0 for x in a):
-            assert c >= 0
+            if c < 0:
+                raise AssertionError("homogenized hull gave an absurd row")
             continue
         ineqs.append((tuple(Fraction(-x) for x in a), Fraction(c)))
     for l in lin:
         a, c = l[:n], l[n]
-        assert not all(x == 0 for x in a)
+        if all(x == 0 for x in a):
+            raise AssertionError("affine hull gave an absurd equality")
         eqs.append((vec(a), Fraction(-c)))
     # canonicalize equalities to a reduced echelon basis, then reduce the
     # inequality normals modulo the equality space
@@ -266,7 +269,8 @@ def vrep_to_h(V: VRepresentation) -> HPolyhedron:
         from .linalg import rref
 
         red, pivots = rref([list(a) + [c] for a, c in eqs])
-        assert not (pivots and pivots[-1] == n), "inconsistent affine hull"
+        if pivots and pivots[-1] == n:
+            raise AssertionError("inconsistent affine hull")
         eq_red = red[: len(pivots)]
         eqs = [
             (tuple(r[:-1]), r[-1])
@@ -539,9 +543,8 @@ def project(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
         for a, b in eqs
         if all(a[j] == 0 for j in range(n) if j not in keep)
     ]
-    assert len(proj_ineqs) == len(ineqs) and len(proj_eqs) == len(eqs), (
-        "eliminated variable left a nonzero coefficient"
-    )
+    if len(proj_ineqs) != len(ineqs) or len(proj_eqs) != len(eqs):
+        raise AssertionError("eliminated variable left a nonzero coefficient")
     out = HPolyhedron.from_rows(proj_ineqs, proj_eqs, ambient_dim=len(keep))
     if len(keep) <= DEFAULT_DIM_CAP:
         return canonical_h(out)

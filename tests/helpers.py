@@ -373,3 +373,38 @@ def asymptotic_newton_via_lift(system, m):
         ineqs.append((tuple(row), Fraction(0)))
     lifted = HPolyhedron.from_rows(ineqs, eqs, ambient_dim=total)
     return project(lifted, range(k + mu_count, total))
+
+
+def is_cost_linear_on_sampled(generators, costs, cone, sample_count=8, seed=0):
+    """Sampled linearity test of the minimum representation cost.
+
+    Evaluates the cost at every ray and at the ray sum plus sample_count
+    pseudo-random nonnegative rational combinations of the rays; False as
+    soon as one value differs from the linear interpolation of the ray
+    values.  It can only miss a bend, never invent one.
+    """
+    from conefan.lp import representation_cost
+
+    if not cone.rays:
+        return True
+    ray_values = [
+        representation_cost(generators, costs, vec(r)).value for r in cone.rays
+    ]
+    rng = random.Random(seed)
+    combos = [tuple(Fraction(1) for _ in cone.rays)]
+    for _ in range(sample_count):
+        combos.append(
+            tuple(
+                Fraction(rng.randint(0, 8), rng.randint(1, 4))
+                for _ in cone.rays
+            )
+        )
+    for ts in combos:
+        point = [Fraction(0)] * cone.ambient_dim
+        for t, r in zip(ts, cone.rays):
+            point = [a + t * b for a, b in zip(point, r)]
+        expected = sum((t * v for t, v in zip(ts, ray_values)), Fraction(0))
+        actual = representation_cost(generators, costs, tuple(point)).value
+        if actual != expected:
+            return False
+    return True

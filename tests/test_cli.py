@@ -154,8 +154,6 @@ def test_fan_check(capsys):
             "[[1,0],[0,1],[1,1]]",
             "--linearity",
             "--check",
-            "--check-alphas",
-            "5",
         ]
     )
     out = capsys.readouterr().out
@@ -284,10 +282,37 @@ def test_fan_check_fails_on_unrefined_cone(capsys):
             "--generators",
             "[[1,0],[0,1],[1,1]]",
             "--check",
-            "--check-alphas",
-            "8",
         ]
     )
     out = capsys.readouterr().out
     assert code == 1
     assert "linearity check: FAIL" in out
+
+
+def test_fan_check_exit_codes_survive_python_O():
+    # the chamber test decides PASS/FAIL without assert statements
+    for flags, code in ((["--linearity"], 0), ([], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "conefan.cli", "fan", "--generators",
+             "[[1,0],[0,1],[1,1]]", "--check", *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        verdict = "PASS (2 cones)" if code == 0 else "FAIL (1/1 cones)"
+        assert f"linearity check: {verdict}" in proc.stdout
+
+
+def test_fan_check_seed_decides_nothing(capsys):
+    outs = []
+    for seed in ("0", "5"):
+        args = ["fan", "--generators", "[[1,0],[0,1],[1,1],[1,2]]", "--check"]
+        assert main(args + ["--seed", seed]) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_fan_check_caps_generator_count(capsys):
+    gens = json.dumps([[1, k] for k in range(13)])
+    assert main(["fan", "--generators", gens, "--check"]) == 2
+    assert "capped at 12 generators" in capsys.readouterr().err

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_generators
+from helpers import is_cost_linear_on_sampled, random_generators
 
 from conefan.errors import (
     CapExceededError,
     EmptyPolyhedronError,
     InputError,
+    NotInConeError,
     NotPointedError,
     NotPointedSupportError,
 )
@@ -19,6 +20,7 @@ from conefan.fans import (
     caratheodory_reduce,
     common_refinement,
     cone_from_generators,
+    every_cost_linear_on,
     independent_subsets,
     intersect,
     is_cost_linear_on,
@@ -30,6 +32,7 @@ from conefan.fans import (
     refines,
     smooth_refine,
 )
+from conefan.linalg import linear_solve, rank
 from conefan.lp import price_polyhedron, representation_cost
 from conefan.polyhedra import HPolyhedron
 from conefan.rational import dot, vec
@@ -331,14 +334,12 @@ def test_linearity_holds_on_every_chamber():
     ]
     for gens in gen_sets:
         fan = linearity_fan(gens)
-        for trial in range(12):
+        for _ in range(12):
             costs = tuple(
                 Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in gens
             )
             for cone in fan.maximal_cones:
-                assert is_cost_linear_on(
-                    gens, costs, cone, sample_count=4, seed=trial
-                )
+                assert is_cost_linear_on(gens, costs, cone)
 
 
 def test_cross_construction_refinement():
@@ -405,8 +406,12 @@ def test_linearity_fan_lower_dimensional_support():
     f.check_valid()
     for cone in f.maximal_cones:
         assert is_cost_linear_on(gens, (1, 1, 1), cone)
+        assert every_cost_linear_on(gens, cone)
     whole = cone_from_generators(gens)
     assert not is_cost_linear_on(gens, (1, 3, 2), whole)
+    assert not every_cost_linear_on(gens, whole)
+    # a ray inside the support is a lower-dimensional chamber
+    assert every_cost_linear_on(gens, cone_from_generators([(1, 1, 2)]))
 
 
 def test_common_refinement_three_fans_preserves_support():
@@ -424,3 +429,162 @@ def test_common_refinement_three_fans_preserves_support():
     assert len(cr.maximal_cones) == 4
     cr.check_valid()
     cr.check_covers_hull()
+
+
+@st.composite
+def _costs_and_cones(draw):
+    n = draw(st.integers(2, 3))
+    gens = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * n).filter(any),
+            min_size=2,
+            max_size=5,
+        )
+    )
+    r = len(gens)
+    costs = draw(
+        st.lists(
+            st.builds(Fraction, st.integers(0, 9), st.integers(1, 3)),
+            min_size=r,
+            max_size=r,
+        )
+    )
+    # rays are nonnegative combinations of the generators, so the cone
+    # lies in cone(generators)
+    combos = draw(
+        st.lists(
+            st.lists(st.integers(0, 2), min_size=r, max_size=r).filter(any),
+            min_size=1,
+            max_size=n + 1,
+        )
+    )
+    rays = [
+        tuple(sum(l * g[k] for l, g in zip(c, gens)) for k in range(n))
+        for c in combos
+    ]
+    return gens, costs, rays, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_costs_and_cones())
+@example((V3, [1, 1, 1], [(1, 0), (0, 1)], 0))
+@example((V3, [1, 1, 1], [(1, 0), (1, 1)], 0))
+def test_is_cost_linear_on_matches_sampled_oracle(case):
+    gens, costs, rays, seed = case
+    cone = cone_from_generators(rays)
+    exact = is_cost_linear_on(gens, costs, cone)
+    # the oracle tests the ray sum first, so it sees a bend exactly when
+    # the exact check does; its random combinations never add one
+    assert exact == is_cost_linear_on_sampled(gens, costs, cone, seed=seed)
+    if every_cost_linear_on(gens, cone):
+        assert exact
+
+
+STRADDLE_GENS = [(0, 0, 1), (4, 0, 1), (2, 3, 1), (-3, 3, 1), (2, -4, 1)]
+
+
+def test_straddling_chamber_passes():
+    sigma = cone_from_generators([(0, 0, 1), (-3, 3, 1), (2, -4, 1)])
+    assert every_cost_linear_on(STRADDLE_GENS, sigma)
+    # cone(B) for B = the first three generators meets sigma only in the
+    # ray (0, 0, 1), yet every facet normal of cone(B) is positive on a
+    # ray of sigma: no facet normal separates them, so the "some facet
+    # normal is <= 0 on sigma" shortcut would wrongly fail this chamber
+    basic = cone_from_generators(STRADDLE_GENS[:3])
+    assert intersect(sigma, basic).dim == 1
+    assert all(
+        any(dot(u, r) > 0 for r in sigma.rays) for u in basic.facet_normals()
+    )
+    rng = random.Random(9)
+    for seed in range(20):
+        costs = tuple(
+            Fraction(rng.randint(0, 9), rng.randint(1, 3)) for _ in STRADDLE_GENS
+        )
+        assert is_cost_linear_on(STRADDLE_GENS, costs, sigma)
+        assert is_cost_linear_on_sampled(STRADDLE_GENS, costs, sigma, seed=seed)
+
+
+def _witness_cost(gens, basis):
+    """1 on the basis and M = 1 + max(0, l_B(g) for g off the basis)
+    elsewhere, where l_B is the linear function that is 1 on the basis;
+    then the minimum cost equals l_B on cone(B) and exceeds it off
+    cone(B), so it bends on every cone that cone(B) straddles."""
+    n = len(gens[0])
+    cols = tuple(tuple(Fraction(gens[i][k]) for i in basis) for k in range(n))
+    lifts = [sum(linear_solve(cols, vec(g)).particular) for g in gens]
+    top = 1 + max([0] + [lifts[j] for j in range(len(gens)) if j not in basis])
+    return tuple(Fraction(1) if j in basis else top for j in range(len(gens)))
+
+
+def _straddling_bases(gens, cell):
+    """Bases B of span(gens), by index, with cone(B) neither containing
+    the cell nor meeting it in lower dimension."""
+    d = rank(gens)
+    for subset in independent_subsets(gens):
+        if len(subset) == d:
+            basic = cone_from_generators([gens[i] for i in subset])
+            if not basic.contains_cone(cell):
+                if intersect(cell, basic).dim == cell.dim:
+                    yield subset
+
+
+def test_chamber_check_failures_have_bending_witnesses():
+    # plain cones and normal-fan cells of full support dimension: a FAIL
+    # must be exact, so every straddling basis gives a cost that bends
+    rng = random.Random(21)
+    failures = 0
+    for _ in range(12):
+        while True:
+            n = rng.randint(2, 3)
+            gens = random_generators(rng, rng.randint(n + 1, 5), n)
+            if rank(gens) == n:
+                break
+        cells = [cone_from_generators(gens)] + [
+            cone_from_generators([gens[i] for i in subset])
+            for subset in independent_subsets(gens)
+            if len(subset) == n
+        ]
+        for _ in range(3):
+            costs = tuple(
+                Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in gens
+            )
+            cells += normal_fan(price_polyhedron(gens, costs)).maximal_cones
+        for cell in cells:
+            if cell.dim != n:
+                continue
+            bases = list(_straddling_bases(gens, cell))
+            assert every_cost_linear_on(gens, cell) == (not bases)
+            if not bases:
+                assert is_cost_linear_on(gens, costs, cell)
+            for basis in bases:
+                failures += 1
+                witness = _witness_cost(gens, basis)
+                assert not is_cost_linear_on(gens, witness, cell)
+    assert failures >= 100
+
+
+def test_linearity_and_smooth_fan_cones_pass_chamber_check():
+    gen_sets = [
+        V3,
+        [(1, 0), (0, 1), (1, 2), (2, 1)],
+        [(1, 0), (1, 3), (2, 1)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(1, 0, 1), (0, 1, 1), (1, 1, 2)],
+    ]
+    for gens in gen_sets:
+        fan = linearity_fan(gens)
+        for f in (fan, smooth_refine(fan)):
+            for cone in f.maximal_cones:
+                assert every_cost_linear_on(gens, cone), (gens, cone.rays)
+    # the 15-chamber fan of STRADDLE_GENS, without its slow refinement
+    for cone in linearity_fan(STRADDLE_GENS).maximal_cones:
+        assert every_cost_linear_on(STRADDLE_GENS, cone)
+
+
+def test_every_cost_linear_on_edge_cases():
+    assert every_cost_linear_on(V3, origin_cone(2))
+    with pytest.raises(NotInConeError):
+        every_cost_linear_on(V3, cone_from_generators([(1, -1)]))
+    with pytest.raises(CapExceededError):
+        every_cost_linear_on([(1, k) for k in range(13)], quadrant())
+    assert not every_cost_linear_on(V3, quadrant())
