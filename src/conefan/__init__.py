@@ -12,6 +12,7 @@ from .errors import (
     ConefanError,
     EmptyPolyhedronError,
     InputError,
+    InternalError,
     NotInConeError,
     NotPointedError,
     NotPointedSupportError,

@@ -21,7 +21,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from . import _kernel
-from .errors import InputError
+from .errors import InputError, InternalError
 from .rational import Vec, frac, idot
 
 
@@ -80,7 +80,7 @@ def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> StandardR
     dens.append(_kernel._reduce_row(obj, den))
     status, _ = _kernel.simplex_rows(tab, dens, basis, n)
     if status != "optimal":
-        raise AssertionError("phase 1 cannot be unbounded")
+        raise InternalError("phase 1 cannot be unbounded")
     obj = tab.pop()
     den = dens.pop()
     if obj[n + m] < 0:
@@ -151,20 +151,20 @@ def _check_farkas(y, lp):
     n = len(lp[2])  # the width of c
     comb, _ = _combine(y, lp)
     if any(v > 0 for v in comb[:n]):
-        raise AssertionError("invalid Farkas certificate (A^T y > 0)")
+        raise InternalError("invalid Farkas certificate (A^T y > 0)")
     if comb[n] <= 0:
-        raise AssertionError("invalid Farkas certificate (b.y <= 0)")
+        raise InternalError("invalid Farkas certificate (b.y <= 0)")
 
 
 def _check_ray(ray, lp):
     rows, _, cost, _ = lp
     if any(x < 0 for x in ray):
-        raise AssertionError("improving ray has a negative entry")
+        raise InternalError("improving ray has a negative entry")
     for row in rows:
         if idot(row, ray) != 0:  # idot stops at len(ray), before the rhs
-            raise AssertionError("improving ray violates A d = 0")
+            raise InternalError("improving ray violates A d = 0")
     if idot(cost, ray) >= 0:
-        raise AssertionError("ray does not improve the objective")
+        raise InternalError("ray does not improve the objective")
 
 
 def _check_optimal(x, xden, y, yden, lp):
@@ -174,17 +174,17 @@ def _check_optimal(x, xden, y, yden, lp):
     rows, _, cost, cden = lp
     n = len(cost)
     if any(v < 0 for v in x):
-        raise AssertionError("primal solution has a negative entry")
+        raise InternalError("primal solution has a negative entry")
     for row in rows:
         if idot(row, x) != row[n] * xden:
-            raise AssertionError("primal solution violates A x = b")
+            raise InternalError("primal solution violates A x = b")
     comb, den = _combine(y, lp)
     scale = den * yden
     if any(cden * v > cj * scale for v, cj in zip(comb, cost)):
-        raise AssertionError("dual solution violates A^T y <= c")
+        raise InternalError("dual solution violates A^T y <= c")
     primal = idot(cost, x)
     if primal * scale != comb[n] * cden * xden:
-        raise AssertionError("nonzero duality gap in verified optimum")
+        raise InternalError("nonzero duality gap in verified optimum")
     return Fraction(primal, cden * xden)
 
 

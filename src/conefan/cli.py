@@ -7,7 +7,8 @@ Subcommands:
 
 Exit codes: 0 success/verified, 1 domain failure (target outside the cone,
 falsified identity, failed linearity check), 2 usage, validation, or
-budget errors.  fan --check is exact, so fan --seed decides nothing.
+budget errors, 3 internal error (a failed consistency check, never a
+verdict).  fan --check is exact, so fan --seed decides nothing.
 verify checks the valuation chain for every weight w >= 0 at once, so
 its --seed is recorded in the report but decides no verdict.  JSON
 reports are byte-identical for identical inputs and seeds.
@@ -20,7 +21,7 @@ import hashlib
 import json
 import sys
 
-from .errors import ConefanError, InputError, NotInConeError
+from .errors import ConefanError, InputError, InternalError, NotInConeError
 from .fans import Fan, cone_from_generators, every_cost_linear_on, linearity_fan, normal_fan, smooth_refine
 from .graded import GradedSystem, MonomialIdeal, verify_closure_identity
 from .lp import duality_check, price_polyhedron, representation_cost
@@ -289,6 +290,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         raise InputError(f"unknown command {args.command}")
+    except InternalError as exc:
+        # a failed consistency check is a bug, never a verdict on the input
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except NotInConeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -2,7 +2,9 @@
 
 Domain failures (a query outside the cone, a falsified identity) are kept
 apart from usage/budget errors because the CLI maps them to different exit
-codes: 1 for domain failures, 2 for bad input or exhausted budgets.
+codes: 1 for domain failures, 2 for bad input or exhausted budgets, and 3
+for an InternalError, a failed internal consistency check that says the
+program is wrong rather than anything about the input.
 """
 
 from __future__ import annotations
@@ -53,3 +55,11 @@ class StabilizationError(ConefanError):
         super().__init__(
             f"no stabilizing exponent <= {cap} found for ray {self.ray}"
         )
+
+
+class InternalError(ConefanError, AssertionError):
+    """An internal consistency check failed: a bug, not a verdict.
+
+    It is raised explicitly, so it survives python -O, and it is an
+    AssertionError so that callers expecting a failed check still see one.
+    """

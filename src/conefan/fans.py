@@ -27,11 +27,12 @@ from .errors import (
     CapExceededError,
     EmptyPolyhedronError,
     InputError,
+    InternalError,
     NotInConeError,
     NotPointedError,
     NotPointedSupportError,
 )
-from .linalg import hermite_basis_det, kernel_basis, linear_solve, rank, rref
+from .linalg import hermite_basis_det, int_adjugate, kernel_basis, rank, rref
 from .lp import representation_cost
 from .polyhedra import HPolyhedron, dual_description
 from .rational import (
@@ -41,6 +42,7 @@ from .rational import (
     idot,
     is_zero_vec,
     primitive_direction,
+    primitive_int_vector,
     vec,
 )
 
@@ -61,6 +63,11 @@ class Cone:
     def dim(self) -> int:
         return rank(self.rays) if self.rays else 0
 
+    @cached_property
+    def lattice_det(self) -> int:
+        """Index of the rays' integer span in its saturated lattice."""
+        return hermite_basis_det(self.rays)[1]
+
     @property
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.dim
@@ -69,7 +76,7 @@ class Cone:
         """Lattice determinant of the rays of a simplicial cone."""
         if not self.is_simplicial:
             raise InputError("multiplicity requires a simplicial cone")
-        return hermite_basis_det(self.rays)[1]
+        return self.lattice_det
 
     def contains_point(self, v: Sequence) -> bool:
         if not all(type(x) is int for x in v):
@@ -314,7 +321,7 @@ def caratheodory_reduce(
                 if ratio is None or r < ratio:
                     ratio, j = r, i
         if j is None:
-            raise AssertionError("oriented relation lost its positive entry")
+            raise InternalError("oriented relation lost its positive entry")
         t = lam[j] / b[j]
         for i in support:
             lam[i] = lam[i] - t * b[i]
@@ -483,7 +490,7 @@ def common_refinement(fans: Sequence[Fan]) -> Fan:
 
 def is_smooth(c: Cone) -> bool:
     """Simplicial with primitive rays extending to a lattice basis."""
-    return c.is_simplicial and hermite_basis_det(c.rays)[1] == 1
+    return c.is_simplicial and c.lattice_det == 1
 
 
 def refines(fine: Fan, coarse: Fan) -> bool:
@@ -512,32 +519,63 @@ def _pull_triangulate(c: Cone) -> list[Cone]:
     return pieces
 
 
+def _ray_frame(
+    rays: tuple[IntVec, ...],
+) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """Coordinates S of independent rays, adj(R_S) and det(R_S).
+
+    S is the first coordinate set, in lexicographic order, whose square
+    submatrix R_S (the rays' S-coordinates as columns) is invertible; a
+    point x of the rays' span has ray-coordinates adj(R_S) x_S / det(R_S).
+    """
+    for coords in combinations(range(len(rays[0])), len(rays)):
+        adj, det = int_adjugate([[r[i] for r in rays] for i in coords])
+        if det:
+            return coords, adj, det
+    raise InternalError("simplicial cone with dependent rays")
+
+
 def _parallelepiped_points(c: Cone) -> list[IntVec]:
-    """Nonzero primitive lattice points with all ray-coordinates in [0, 1)."""
+    """Nonzero primitive lattice points with all ray-coordinates in [0, 1).
+
+    Enumerates cosets instead of scanning a bounding box (Cox, Little,
+    Schenck, Toric Varieties, 11.1).  Take R_S, A = adj(R_S) and
+    D = |det R_S| from _ray_frame.  The columns of A mod D generate the
+    group Z^k / R_S Z^k inside (Z/D)^k, and a breadth-first closure from 0
+    lists its D elements mu.  Each mu / D is the ray-coordinate vector of
+    a point p = R mu / D of the half-open parallelepiped, and these are all
+    its points with integral S-coordinates.  The lattice points are the p
+    integral in every coordinate, which is all of them when the cone is
+    full-dimensional: multiplicity - 1 besides the origin.  No linear
+    system is solved, and the cost grows with D, not with the box.
+    """
     rays = c.rays
-    n = c.ambient_dim
-    lows = [sum(min(0, r[i]) for r in rays) for i in range(n)]
-    highs = [sum(max(0, r[i]) for r in rays) for i in range(n)]
-    matrix = tuple(tuple(Fraction(r[i]) for r in rays) for i in range(n))
+    _, adj, det = _ray_frame(rays)
+    d = abs(det)
+    k = len(rays)
+    steps = {tuple(row[j] % d for row in adj) for j in range(k)}
+    zero = (0,) * k
+    group = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            for step in steps:
+                nu = tuple((a + b) % d for a, b in zip(mu, step))
+                if nu not in group:
+                    group.add(nu)
+                    nxt.append(nu)
+        frontier = nxt
     found = set()
-
-    def scan(idx: int, point: list[int]):
-        if idx == n:
-            if all(x == 0 for x in point):
-                return
-            sol = linear_solve(matrix, vec(point))
-            if sol is None:
-                return
-            lam = sol.particular
-            if all(0 <= t < 1 for t in lam):
-                found.add(primitive_direction(vec(point)))
-            return
-        for x in range(lows[idx], highs[idx] + 1):
-            point.append(x)
-            scan(idx + 1, point)
-            point.pop()
-
-    scan(0, [])
+    for mu in group:
+        if mu == zero:
+            continue
+        p = [
+            sum(m * r[i] for m, r in zip(mu, rays))
+            for i in range(c.ambient_dim)
+        ]
+        if all(x % d == 0 for x in p):
+            found.add(primitive_int_vector([x // d for x in p]))
     return sorted(found)
 
 
@@ -548,15 +586,16 @@ def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
         if not c.contains_point(x):
             out.append(c)
             continue
-        matrix = tuple(
-            tuple(Fraction(r[i]) for r in c.rays) for i in range(c.ambient_dim)
-        )
-        sol = linear_solve(matrix, vec(x))
-        if sol is None:
-            raise AssertionError("contained point failed to decompose")
-        lam = sol.particular
+        coords, adj, det = _ray_frame(c.rays)
+        # det times the ray-coordinates of x
+        lam = [sum(a * x[i] for a, i in zip(row, coords)) for row in adj]
+        if any(
+            sum(t * r[i] for t, r in zip(lam, c.rays)) != det * x[i]
+            for i in range(c.ambient_dim)
+        ):
+            raise InternalError("contained point failed to decompose")
         if not any(lam):
-            raise AssertionError("contained point replaced no ray")
+            raise InternalError("contained point replaced no ray")
         for i, t in enumerate(lam):
             if t != 0:
                 rest = tuple(r for k, r in enumerate(c.rays) if k != i)
@@ -590,6 +629,7 @@ def smooth_refine(
         if not rough:
             return fan
         target = max(rough, key=lambda c: (c.multiplicity(), c.rays))
+        current = set(fan.maximal_cones)
         best = None
         for x in _parallelepiped_points(target):
             trial = _stellar_subdivide(fan, x)
@@ -597,14 +637,14 @@ def smooth_refine(
                 (
                     c.multiplicity()
                     for c in trial.maximal_cones
-                    if c not in fan.maximal_cones
+                    if c not in current
                 ),
                 default=1,
             )
             if best is None or (worst, x) < (best[0], best[1]):
                 best = (worst, x, trial)
         if best is None:
-            raise AssertionError("non-smooth cone without subdivision points")
+            raise InternalError("non-smooth cone without subdivision points")
         fan = best[2]
     worst = max(c.multiplicity() for c in fan.maximal_cones if not is_smooth(c))
     raise BudgetExceededError(

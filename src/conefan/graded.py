@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 from .errors import (
     BudgetExceededError,
     InputError,
+    InternalError,
     NotInConeError,
     StabilizationError,
 )
@@ -275,7 +276,7 @@ def _positive_functional(cone: Cone, degrees: tuple[IntVec, ...]) -> IntVec:
     """Integer functional strictly positive on every generator degree."""
     theta = tuple(sum(col) for col in zip(*cone.normals))
     if not all(idot(theta, d) > 0 for d in degrees):
-        raise AssertionError("dual normals failed to give a positive functional")
+        raise InternalError("dual normals failed to give a positive functional")
     return theta
 
 
@@ -461,7 +462,7 @@ def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
             f"degree {m} admits no representation with nonzero ideals"
         )
     if rep_polytope.rays or rep_polytope.lineality:
-        raise AssertionError(
+        raise InternalError(
             "representation polytope unbounded despite a pointed degree cone"
         )
     vertex_lists = [newton_polyhedron(I).vertices for I in ideals]
@@ -686,7 +687,7 @@ def _separating_weight(
         sa, sb = _support(a, w), _support(b, w)
         if (sa > sb) if above else (sa != sb):
             return w
-    raise AssertionError("differing Newton polyhedra without a separating facet")
+    raise InternalError("differing Newton polyhedra without a separating facet")
 
 
 def _check_limit_polyhedra(sys: GradedSystem, rays) -> None:
@@ -697,7 +698,7 @@ def _check_limit_polyhedra(sys: GradedSystem, rays) -> None:
         limit_h = asymptotic_newton(sys, e)
         for w in _h_weights(limit_h):
             if asymptotic_valuation(sys, w, e) != _support(limit_h, w):
-                raise AssertionError(
+                raise InternalError(
                     f"limit polyhedron of ray {e} disagrees with the "
                     f"asymptotic valuation at weight {w}"
                 )

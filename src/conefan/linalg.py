@@ -122,6 +122,26 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant of a square integer matrix.
+
+    adj(M) M = M adj(M) = det(M) I, so for invertible M the solution of
+    M x = b is adj(M) b / det(M) with no division until the end.
+    """
+    n = len(rows)
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [
+                [x for c, x in enumerate(r) if c != j]
+                for k, r in enumerate(rows)
+                if k != i
+            ]
+            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
+    det = sum(rows[0][j] * adj[j][0] for j in range(n)) if n else 1
+    return adj, det
+
+
 def hermite_basis_det(vectors: Sequence[Sequence]) -> tuple[int, int]:
     """Rank and lattice determinant of a family of integer vectors.
 

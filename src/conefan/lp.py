@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import _simplex
-from .errors import InputError, NotInConeError
+from .errors import InputError, InternalError, NotInConeError
 from .polyhedra import HPolyhedron, minimize_linear, UNBOUNDED
 from .rational import Mat, Vec, mat, vec, vneg
 
@@ -95,7 +95,7 @@ def _representation_cost_cached(
             "target admits no nonnegative representation in the generators"
         )
     if out.status != "optimal":
-        raise AssertionError("nonnegative costs cannot be unbounded")
+        raise InternalError("nonnegative costs cannot be unbounded")
     return CostOptimum(out.value, out.primal)
 
 
@@ -165,7 +165,7 @@ def duality_check(
     Q = price_polyhedron(generators, costs, ambient_dim=len(target))
     res = minimize_linear(Q, vneg(target))
     if res is UNBOUNDED:
-        raise AssertionError(
+        raise InternalError(
             "dual unbounded although the primal is feasible"
         )
     dual_value = -res.value

@@ -27,6 +27,7 @@ from .errors import (
     CapExceededError,
     EmptyPolyhedronError,
     InputError,
+    InternalError,
 )
 from .rational import (
     IntVec,
@@ -190,7 +191,7 @@ def _dd_cached(P: HPolyhedron, dim_cap: int) -> VRepresentation:
         return VRepresentation.make_empty(n)
     lin, rays = cone_generators(_homogeneous_rows(P), n + 1)
     if any(l[n] != 0 for l in lin) or any(r[n] < 0 for r in rays):
-        raise AssertionError("generators escaped the t >= 0 halfspace")
+        raise InternalError("generators escaped the t >= 0 halfspace")
     vertices = []
     rec_rays = []
     for r in rays:
@@ -228,7 +229,7 @@ def _reduce_mod_equalities(
         offset2 = aug[-1]
         if is_zero_vec(normal2):
             if offset2 < 0:
-                raise AssertionError("facet reduced to an absurd row")
+                raise InternalError("facet reduced to an absurd row")
             continue
         out.append((normal2, offset2))
     return out
@@ -255,13 +256,13 @@ def vrep_to_h(V: VRepresentation) -> HPolyhedron:
         a, c = r[:n], r[n]
         if all(x == 0 for x in a):
             if c < 0:
-                raise AssertionError("homogenized hull gave an absurd row")
+                raise InternalError("homogenized hull gave an absurd row")
             continue
         ineqs.append((tuple(Fraction(-x) for x in a), Fraction(c)))
     for l in lin:
         a, c = l[:n], l[n]
         if all(x == 0 for x in a):
-            raise AssertionError("affine hull gave an absurd equality")
+            raise InternalError("affine hull gave an absurd equality")
         eqs.append((vec(a), Fraction(-c)))
     # canonicalize equalities to a reduced echelon basis, then reduce the
     # inequality normals modulo the equality space
@@ -270,7 +271,7 @@ def vrep_to_h(V: VRepresentation) -> HPolyhedron:
 
         red, pivots = rref([list(a) + [c] for a, c in eqs])
         if pivots and pivots[-1] == n:
-            raise AssertionError("inconsistent affine hull")
+            raise InternalError("inconsistent affine hull")
         eq_red = red[: len(pivots)]
         eqs = [
             (tuple(r[:-1]), r[-1])
@@ -544,7 +545,7 @@ def project(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
         if all(a[j] == 0 for j in range(n) if j not in keep)
     ]
     if len(proj_ineqs) != len(ineqs) or len(proj_eqs) != len(eqs):
-        raise AssertionError("eliminated variable left a nonzero coefficient")
+        raise InternalError("eliminated variable left a nonzero coefficient")
     out = HPolyhedron.from_rows(proj_ineqs, proj_eqs, ambient_dim=len(keep))
     if len(keep) <= DEFAULT_DIM_CAP:
         return canonical_h(out)

@@ -5,7 +5,7 @@ paths they validate: vertices by enumerating constraint subsets, recession
 rays from the homogeneous system, Newton-polyhedron membership by direct
 inequality evaluation on integer points, minimal generators by pairwise
 divisibility, row reduction and simplex pivoting by plain Fraction
-arithmetic.
+arithmetic, parallelepiped points by a bounding-box scan.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from itertools import combinations
 
 from conefan.linalg import linear_solve, rank
 from conefan.polyhedra import HPolyhedron, contains
-from conefan.rational import dot, vec
+from conefan.rational import dot, primitive_direction, vec
 
 
 def brute_vertices(P: HPolyhedron) -> set:
@@ -408,3 +408,42 @@ def is_cost_linear_on_sampled(generators, costs, cone, sample_count=8, seed=0):
         if actual != expected:
             return False
     return True
+
+
+def parallelepiped_lattice_points_reference(c) -> list:
+    """Nonzero lattice points with all ray-coordinates in [0, 1).
+
+    Bounding-box scan of a simplicial cone: one linear solve per integer
+    point of the box spanned by the rays' coordinate-wise sign parts.
+    """
+    rays = c.rays
+    n = c.ambient_dim
+    lows = [sum(min(0, r[i]) for r in rays) for i in range(n)]
+    highs = [sum(max(0, r[i]) for r in rays) for i in range(n)]
+    matrix = tuple(tuple(Fraction(r[i]) for r in rays) for i in range(n))
+    found = []
+
+    def scan(idx: int, point: list[int]):
+        if idx == n:
+            if all(x == 0 for x in point):
+                return
+            sol = linear_solve(matrix, vec(point))
+            if sol is None:
+                return
+            lam = sol.particular
+            if all(0 <= t < 1 for t in lam):
+                found.append(tuple(point))
+            return
+        for x in range(lows[idx], highs[idx] + 1):
+            point.append(x)
+            scan(idx + 1, point)
+            point.pop()
+
+    scan(0, [])
+    return found
+
+
+def parallelepiped_points_reference(c) -> list:
+    """Sorted primitive directions of the box scan's lattice points."""
+    points = parallelepiped_lattice_points_reference(c)
+    return sorted({primitive_direction(vec(p)) for p in points})

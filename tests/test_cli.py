@@ -316,3 +316,41 @@ def test_fan_check_caps_generator_count(capsys):
     gens = json.dumps([[1, k] for k in range(13)])
     assert main(["fan", "--generators", gens, "--check"]) == 2
     assert "capped at 12 generators" in capsys.readouterr().err
+
+
+def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
+    # a failed consistency check is a bug: exit 3 with one line on stderr,
+    # never a FALSIFIED report, and it must not depend on assert statements
+    report = tmp_path / "report.json"
+    prelude = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "from conefan import _kernel, cli, graded\n"
+    )
+    cases = [
+        (
+            "_kernel.simplex_rows = lambda nums, dens, basis, k: ('unbounded', 0)\n"
+            "sys.exit(cli.main(['phi', '--generators', '[[1,0],[0,1],[1,1]]',\n"
+            "    '--alpha', '[1,1,1]', '--v', '[1,1]']))\n",
+            "phase 1 cannot be unbounded",
+        ),
+        (
+            "real = graded.asymptotic_valuation\n"
+            "graded.asymptotic_valuation = lambda s, w, m: real(s, w, m) + 1\n"
+            f"sys.exit(cli.main(['verify', {worked_file!r}, '--json', {str(report)!r}]))\n",
+            "disagrees with the asymptotic",
+        ),
+    ]
+    for body, message in cases:
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", prelude + body],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("internal error: ")
+        assert message in lines[0]
+    assert not report.exists()

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import is_cost_linear_on_sampled, random_generators
+from helpers import (
+    is_cost_linear_on_sampled,
+    parallelepiped_lattice_points_reference,
+    parallelepiped_points_reference,
+    random_generators,
+)
 
+from conefan import fans
 from conefan.errors import (
     CapExceededError,
     EmptyPolyhedronError,
@@ -289,8 +295,11 @@ def test_smooth_refine_properties_2d():
 
 
 def test_smooth_refine_3d():
-    for k in (2, 3, 4, 5):
-        base = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, k)])
+    cones = [[(1, 0, 0), (0, 1, 0), (1, 1, k)] for k in (2, 3, 4, 5)]
+    # multiplicity 65: 59 primitive subdivision candidates in the first round
+    cones.append([(1, 0, 0), (0, 1, 0), (3, 5, 65)])
+    for gens in cones:
+        base = cone_from_generators(gens)
         f = Fan.make([base], 3)
         sf = smooth_refine(f)
         assert all(is_smooth(c) for c in sf.maximal_cones)
@@ -394,6 +403,97 @@ def test_smooth_refine_shared_face_subdivided_consistently():
     assert len(sf.maximal_cones) == 4
     assert refines(sf, f)
     sf.check_valid()
+
+
+# simplicial cones that are not full-dimensional, of multiplicity 2; on
+# their first independent coordinates the rays have determinant 4, so half
+# of those cosets are not lattice points of Z^4
+LOW_DIM_CONES = [
+    [(1, 0, 0, 0), (1, 4, 6, 0)],
+    [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 4, 6)],
+]
+
+
+@st.composite
+def simplicial_cones(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, n))
+    rays = draw(
+        st.lists(
+            st.tuples(*[st.integers(-4, 4)] * n), min_size=k, max_size=k
+        )
+    )
+    assume(rank(rays) == k)
+    # keep the reference scan's bounding box small enough to be quick
+    box = 1
+    for i in range(n):
+        box *= sum(abs(r[i]) for r in rays) + 1
+    assume(box <= 3000)
+    return cone_from_generators(rays)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplicial_cones())
+@example(cone_from_generators([(1, 0), (1, 2)]))
+@example(cone_from_generators([(3, -4)]))
+@example(cone_from_generators([(2, -1, 3), (-1, 4, 2)]))
+@example(cone_from_generators(LOW_DIM_CONES[0]))
+@example(cone_from_generators(LOW_DIM_CONES[1]))
+@example(cone_from_generators([(1, 0, 0), (0, 1, 0), (3, 5, 17)]))
+def test_parallelepiped_points_match_box_scan(cone):
+    assert cone.is_simplicial
+    assert fans._parallelepiped_points(cone) == parallelepiped_points_reference(
+        cone
+    )
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        [(1, 0), (1, 7)],
+        [(2, -1), (-1, 4)],
+        [(1, 0, 0), (0, 1, 0), (3, 5, 17)],
+        [(1, 0, 0), (0, 1, 0), (-1, 2, 5)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 9)],
+        [(2, 1, 0)],
+    ]
+    + LOW_DIM_CONES,
+)
+def test_parallelepiped_lattice_points_count_multiplicity(gens):
+    # the half-open parallelepiped holds one point per coset of the rays'
+    # lattice in the saturated one, the origin included
+    cone = cone_from_generators(gens)
+    points = parallelepiped_lattice_points_reference(cone)
+    assert len(points) == cone.multiplicity() - 1
+
+
+SMOOTH_PARITY_CONES = (
+    [[(1, 0), (a, b)] for a in range(1, 8) for b in range(1, 8)]
+    + [
+        [(1, 0, 0), (0, 1, 0), (1, 1, 2)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 3)],
+        [(1, 0, 0), (0, 1, 0), (1, 2, 4)],
+        [(1, 0, 0), (0, 1, 0), (1, 1, 5)],
+        [(1, 0, 0), (0, 1, 0), (0, 1, 1), (1, 0, 1)],
+        [(1, 0, 0), (0, 1, 0), (3, 5, 17)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 9)],
+        [(1, 0, 0), (0, 1, 0), (3, 5, 65)],
+    ]
+    + LOW_DIM_CONES
+)
+
+
+def test_smooth_refine_matches_box_scan_refinement(monkeypatch):
+    fans_in = []
+    for gens in SMOOTH_PARITY_CONES:
+        base = cone_from_generators(gens)
+        fans_in.append(Fan.make([base], base.ambient_dim))
+    refined = [smooth_refine(f) for f in fans_in]
+    monkeypatch.setattr(
+        fans, "_parallelepiped_points", parallelepiped_points_reference
+    )
+    for f, got in zip(fans_in, refined):
+        assert smooth_refine(f) == got, f.maximal_cones[0].rays
 
 
 def test_linearity_fan_lower_dimensional_support():
@@ -571,14 +671,11 @@ def test_linearity_and_smooth_fan_cones_pass_chamber_check():
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
         [(1, 0, 1), (0, 1, 1), (1, 1, 2)],
     ]
-    for gens in gen_sets:
+    for gens in gen_sets + [STRADDLE_GENS]:
         fan = linearity_fan(gens)
         for f in (fan, smooth_refine(fan)):
             for cone in f.maximal_cones:
                 assert every_cost_linear_on(gens, cone), (gens, cone.rays)
-    # the 15-chamber fan of STRADDLE_GENS, without its slow refinement
-    for cone in linearity_fan(STRADDLE_GENS).maximal_cones:
-        assert every_cost_linear_on(STRADDLE_GENS, cone)
 
 
 def test_every_cost_linear_on_edge_cases():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conefan.errors import InputError
 from conefan.linalg import (
     hermite_basis_det,
+    int_adjugate,
     kernel_basis,
     linear_solve,
     primitive,
@@ -119,6 +120,32 @@ def test_hermite_unimodular_invariance():
                 j = rng.randrange(m)
                 work[i], work[j] = work[j], work[i]
         assert hermite_basis_det(work) == base
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            min_size=n,
+            max_size=n,
+        )
+    )
+)
+@example([[2, 1], [4, 2]])
+def test_int_adjugate_identity(m):
+    adj, det = int_adjugate(m)
+    n = len(m)
+    scalar = [[det if i == j else 0 for j in range(n)] for i in range(n)]
+    assert [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == scalar
+    assert [[sum(adj[i][k] * m[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)] == scalar
+    # the determinant agrees with the rank test on Fraction rows
+    assert (det != 0) == (rank(m) == n)
+    if det:
+        x = linear_solve(mat(m), vec([1] * n)).particular
+        assert x == tuple(Fraction(sum(row), det) for row in adj)
 
 
 def test_primitive():
