@@ -60,13 +60,18 @@ class Cone:
     ambient_dim: int
 
     @cached_property
-    def dim(self) -> int:
-        return rank(self.rays) if self.rays else 0
+    def _echelon(self) -> tuple[int, int]:
+        """(rank, lattice determinant) of the rays, from one integer echelon."""
+        return hermite_basis_det(self.rays)
 
-    @cached_property
+    @property
+    def dim(self) -> int:
+        return self._echelon[0]
+
+    @property
     def lattice_det(self) -> int:
         """Index of the rays' integer span in its saturated lattice."""
-        return hermite_basis_det(self.rays)[1]
+        return self._echelon[1]
 
     @property
     def is_simplicial(self) -> bool:
@@ -140,19 +145,19 @@ def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
 
 def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
     """Canonical cone spanned by rational generators (must be pointed)."""
-    gens = list(generators)
-    if gens:
-        n = len(vec(gens[0]))
-    else:
+    gens = [tuple(g) for g in generators]
+    if not gens:
         raise InputError("cone needs generators or an ambient dimension")
+    n = len(gens[0])
     prim = set()
     for g in gens:
-        gv = vec(g)
-        if len(gv) != n:
+        if len(g) != n:
             raise InputError("generator dimension mismatch")
+        ints = all(type(x) is int for x in g)
+        gv = g if ints else vec(g)  # vec rejects bools and floats
         if is_zero_vec(gv):
             raise InputError("zero vector is not a valid cone generator")
-        prim.add(primitive_direction(gv))
+        prim.add(primitive_int_vector(gv) if ints else primitive_direction(gv))
     return _cone_from_primitive_rays(tuple(sorted(prim)), n)
 
 

@@ -30,7 +30,14 @@ from .errors import (
     NotInConeError,
     StabilizationError,
 )
-from .fans import Cone, Fan, cone_from_generators, linearity_fan, smooth_refine
+from .fans import (
+    Cone,
+    Fan,
+    cone_from_generators,
+    linearity_fan,
+    origin_cone,
+    smooth_refine,
+)
 from .lp import representation_cost
 from .polyhedra import (
     HPolyhedron,
@@ -230,10 +237,15 @@ class GradedSystem:
     ambient: int
     degrees: tuple[IntVec, ...]
     ideals: tuple[MonomialIdeal, ...]
-    # cone(degrees) and a functional positive on every degree, which the
-    # degrees determine, so they take no part in equality or hashing
+    # cone(degrees), a functional positive on every degree, and for each
+    # suffix i (0 <= i <= r) the normals of the cone spanned by degrees[i:]
+    # with nonzero ideal; the fields determine them, so they take no part
+    # in equality or hashing
     _cone: Cone = field(compare=False, repr=False)
     _theta: IntVec = field(compare=False, repr=False)
+    _suffix_normals: tuple[tuple[IntVec, ...], ...] = field(
+        compare=False, repr=False
+    )
 
     @staticmethod
     def create(
@@ -260,7 +272,13 @@ class GradedSystem:
                 raise InputError("ideal ambient mismatch")
         cone = cone_from_generators(degs)  # raises NotPointedError if not pointed
         theta = _positive_functional(cone, degs)
-        return GradedSystem(grading_rank, ambient, degs, ids, cone, theta)
+        suffix_normals = tuple(
+            _live_cone(degs[i:], ids[i:], grading_rank).normals
+            for i in range(len(degs) + 1)
+        )
+        return GradedSystem(
+            grading_rank, ambient, degs, ids, cone, theta, suffix_normals
+        )
 
     def degree_cone(self) -> Cone:
         return self._cone
@@ -270,6 +288,12 @@ class GradedSystem:
             (d, I) for d, I in zip(self.degrees, self.ideals) if not I.is_zero
         ]
         return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+
+
+def _live_cone(degrees, ideals, grading_rank: int) -> Cone:
+    """Cone of the degrees whose ideal is nonzero; the origin if none."""
+    live = [d for d, I in zip(degrees, ideals) if not I.is_zero]
+    return cone_from_generators(live) if live else origin_cone(grading_rank)
 
 
 def _positive_functional(cone: Cone, degrees: tuple[IntVec, ...]) -> IntVec:
@@ -306,15 +330,25 @@ def _scaled_degree(m: Sequence[int], k: int) -> IntVec:
 @lru_cache(maxsize=None)
 def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
     """All l in Z_{>=0}^r with sum l_i * degrees_i = m and l_i = 0 wherever
-    ideals_i is zero (such terms contribute the zero ideal).
+    ideals_i is zero (such terms contribute the zero ideal), in
+    lexicographic order.
 
     The one enumeration behind expand_degree, the degree Newton forms and
-    the degree valuations; EXPAND_NODE_BUDGET bounds its search nodes.
+    the degree valuations.  A branch survives only while the remainder
+    lies in the cone of the remaining live degrees (sys._suffix_normals):
+    at each level the exponents keeping it there form an interval, read
+    off the suffix normals and capped by the remaining theta-weight, and
+    the last exponent is solved for directly.  EXPAND_NODE_BUDGET bounds
+    the search nodes; every node's remainder is a nonnegative rational
+    combination of the degrees still to come.
     """
     theta = sys._theta
     degrees = sys.degrees
+    suffix = sys._suffix_normals
+    last = len(degrees) - 1
     weights = [idot(theta, d) for d in degrees]
-    target_weight = idot(theta, m)
+    # <u, degrees[i]> for every normal u of the cone after level i
+    slopes = [[idot(u, d) for u in suffix[i + 1]] for i, d in enumerate(degrees)]
     found: list[IntVec] = []
     nodes = 0
 
@@ -325,23 +359,39 @@ def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
             raise BudgetExceededError(
                 f"representation enumeration exceeded {EXPAND_NODE_BUDGET} nodes"
             )
-        if idx == len(degrees):
-            if all(x == 0 for x in remaining):
-                found.append(tuple(prefix))
+        d = degrees[idx]
+        if idx == last:
+            l = 0
+            if not sys.ideals[idx].is_zero:
+                j = next(j for j, x in enumerate(d) if x)
+                l = remaining[j] // d[j]
+            if l >= 0 and all(r == l * x for r, x in zip(remaining, d)):
+                found.append(tuple(prefix) + (l,))
             return
-        top = 0 if sys.ideals[idx].is_zero else remaining_weight // weights[idx]
-        for l in range(top + 1):
+        lo = 0
+        hi = 0 if sys.ideals[idx].is_zero else remaining_weight // weights[idx]
+        # remaining - l * d stays in the next suffix cone iff
+        # l * <u, d> <= <u, remaining> for every normal u
+        for u, slope in zip(suffix[idx + 1], slopes[idx]):
+            at = idot(u, remaining)
+            if slope > 0:
+                hi = min(hi, at // slope)
+            elif slope < 0:
+                lo = max(lo, -(-at // slope))
+            elif at < 0:
+                return
+        for l in range(lo, hi + 1):
             prefix.append(l)
             dfs(
                 idx + 1,
-                tuple(r - l * d for r, d in zip(remaining, degrees[idx])),
+                tuple(r - l * x for r, x in zip(remaining, d)),
                 remaining_weight - l * weights[idx],
                 prefix,
             )
             prefix.pop()
 
-    if target_weight >= 0:
-        dfs(0, m, target_weight, [])
+    if all(idot(u, m) >= 0 for u in suffix[0]):
+        dfs(0, m, idot(theta, m), [])
     return tuple(found)
 
 

@@ -5,7 +5,8 @@ paths they validate: vertices by enumerating constraint subsets, recession
 rays from the homogeneous system, Newton-polyhedron membership by direct
 inequality evaluation on integer points, minimal generators by pairwise
 divisibility, row reduction and simplex pivoting by plain Fraction
-arithmetic, parallelepiped points by a bounding-box scan.
+arithmetic, parallelepiped points by a bounding-box scan, representations
+of a degree by a search bounded only by the theta-weight.
 """
 
 from __future__ import annotations
@@ -317,6 +318,42 @@ def np_membership_set(I, bound: int) -> frozenset:
 
     scan([], bound)
     return frozenset(member)
+
+
+def representations_reference(sys, m) -> tuple:
+    """Representations of degree m by the unpruned theta-weight search.
+
+    The search graded._representations ran before it pruned by
+    suffix-cone membership: every level tries each exponent up to the
+    remaining theta-weight and only the leaves check the remainder.
+    """
+    from conefan.rational import idot
+
+    theta = sys._theta
+    degrees = sys.degrees
+    weights = [idot(theta, d) for d in degrees]
+    target_weight = idot(theta, m)
+    found = []
+
+    def dfs(idx, remaining, remaining_weight, prefix):
+        if idx == len(degrees):
+            if all(x == 0 for x in remaining):
+                found.append(tuple(prefix))
+            return
+        top = 0 if sys.ideals[idx].is_zero else remaining_weight // weights[idx]
+        for l in range(top + 1):
+            prefix.append(l)
+            dfs(
+                idx + 1,
+                tuple(r - l * d for r, d in zip(remaining, degrees[idx])),
+                remaining_weight - l * weights[idx],
+                prefix,
+            )
+            prefix.pop()
+
+    if target_weight >= 0:
+        dfs(0, tuple(m), target_weight, [])
+    return tuple(found)
 
 
 def asymptotic_newton_via_lift(system, m):

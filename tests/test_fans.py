@@ -60,6 +60,20 @@ def test_cone_from_generators():
     assert err.value.line in ((1, 0), (-1, 0))
 
 
+def test_cone_from_generators_scalar_routes():
+    # integer generators skip the Fraction route; rational, string and
+    # mixed generators give the same cone, bools and floats are rejected
+    ints = cone_from_generators([(2, 4, 0), (3, 0, 0)])
+    assert ints.rays == ((1, 0, 0), (1, 2, 0))
+    assert ints == cone_from_generators(
+        [(Fraction(1, 3), Fraction(2, 3), 0), ["1/2", 0, 0]]
+    )
+    assert ints == cone_from_generators([[1, 2, 0], (1, 0, Fraction(0))])
+    for bad in ([(True, 0)], [(1.0, 0)], [(0, 0)], [(Fraction(0), 0)], [(1, 0), (1,)]):
+        with pytest.raises(InputError):
+            cone_from_generators(bad)
+
+
 def _contains_point_reference(cone, v):
     """Cone.contains_point by its definition, on Fraction vectors."""
     v = vec(v)
@@ -94,6 +108,7 @@ def test_contains_point_matches_definition(case):
         cone = cone_from_generators(gens)
     except NotPointedError:
         assume(False)
+    assert cone.dim == (rank(cone.rays) if cone.rays else 0)
     for p in points:
         assert cone.contains_point(p) == _contains_point_reference(cone, p)
         assert cone.contains_point(list(p)) == _contains_point_reference(cone, p)

@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     minimalize_reference,
     newton_polyhedron_reference,
     np_membership_set,
+    representations_reference,
 )
 
 from conefan.errors import InputError, NotInConeError, NotPointedError
@@ -613,13 +614,10 @@ def test_expand_degree_budget(monkeypatch):
     graded._representations.cache_clear()
 
 
-@pytest.mark.parametrize(
-    "m, nodes", [((1, 1), 16), ((2, 1), 25), ((3, 3), 64), ((4, 2), 64)]
-)
-def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m, nodes):
-    # nodes is the search-node count of expand_degree's own pruned DFS
-    # before the enumerations were merged; a search that also tried
-    # positive exponents on the zero ideal needs 17, 28, 86 and 86 nodes
+@pytest.mark.parametrize("m", [(1, 1), (2, 1), (3, 3), (4, 2)])
+def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m):
+    # three nodes, one per level: the suffix cones leave one exponent open
+    # at each of the first two levels and the third is solved for
     import conefan.graded as graded
     from conefan.errors import BudgetExceededError
 
@@ -630,12 +628,101 @@ def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m, nodes):
         return graded.expand_degree(zerogen_system(), m)
 
     try:
-        assert not expand(nodes).is_zero
+        assert not expand(3).is_zero
         with pytest.raises(BudgetExceededError):
-            expand(nodes - 1)
+            expand(2)
     finally:
         graded.expand_degree.cache_clear()
         graded._representations.cache_clear()
+
+
+def _representation_nodes(monkeypatch, system, m) -> int:
+    """Search nodes _representations needs on (system, m): the least
+    EXPAND_NODE_BUDGET under which it does not raise."""
+    import conefan.graded as graded
+    from conefan.errors import BudgetExceededError
+
+    def fits(budget):
+        monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", budget)
+        graded._representations.cache_clear()
+        try:
+            graded._representations(system, m)
+        except BudgetExceededError:
+            return False
+        return True
+
+    lo, hi = 0, 1
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
+    # the degrees a verify of the bench system at p-bound 3, L 1 enumerates
+    # (the benchmark's verify-chain input) need 316 nodes; a search bounded
+    # only by the theta-weight visits 233,585
+    import conefan.graded as graded
+
+    system = bench_system()
+    seen = set()
+    search = graded._representations
+
+    def record(sys_, m):
+        if sys_ == system:
+            seen.add(m)
+        return search(sys_, m)
+
+    # cached callers would hide degrees an earlier test already expanded
+    graded.expand_degree.cache_clear()
+    graded._degree_newton_hform.cache_clear()
+    monkeypatch.setattr(graded, "_representations", record)
+    verify_closure_identity(system, power_bound=3, power_checks=1)
+    monkeypatch.setattr(graded, "_representations", search)
+    assert len(seen) == 116
+    try:
+        total = sum(_representation_nodes(monkeypatch, system, m) for m in seen)
+        assert total <= 10_000
+        reps = [graded._representations(system, m) for m in sorted(seen)]
+        assert sum(map(len, reps)) == 90
+    finally:
+        graded._representations.cache_clear()
+
+
+@st.composite
+def graded_queries(draw):
+    """Systems of unit and zero ideals over random degrees, often more
+    degrees than the grading rank, and targets in or out of the cone."""
+    rank = draw(st.integers(1, 3))
+    entry = st.integers(-1, 3)
+    degree = st.tuples(*[entry] * rank).filter(any)
+    degrees = draw(st.lists(degree, min_size=1, max_size=5))
+    zero = draw(st.lists(st.booleans(), min_size=len(degrees), max_size=len(degrees)))
+    m = draw(st.tuples(*[st.integers(-2, 9)] * rank))
+    return degrees, zero, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(graded_queries())
+@example(([(1, 0), (0, 1), (1, 1)], [False, False, True], (3, 3)))
+@example(([(1, 0), (0, 1), (1, 1)], [False, False, False], (4, 2)))
+@example(([(1, 1), (1, 0)], [False, True], (2, 2)))
+@example(([(2,), (3,)], [False, False], (7,)))
+@example(([(1, 0), (0, 1)], [True, True], (0, 0)))
+@example(([(1, 0), (0, 1)], [False, False], (-1, 2)))
+@example(([(1, 2, 0), (0, 1, 1), (1, 3, 1), (2, 1, 3)], [False] * 4, (3, 6, 4)))
+def test_representations_match_unpruned_search(case):
+    from conefan.graded import _representations
+
+    degrees, zero, m = case
+    ideals = [MonomialIdeal.zero(1) if z else MonomialIdeal.unit(1) for z in zero]
+    try:
+        system = GradedSystem.create(len(m), 1, degrees, ideals)
+    except NotPointedError:
+        assume(False)
+    assert _representations(system, m) == representations_reference(system, m)
 
 
 def test_stabilizing_exponent_cap_reported():

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import certificate_check_reference, random_generators
@@ -156,6 +156,46 @@ def test_value_homogeneity_and_subadditivity():
         ).value
         assert both <= f1 + f2
         checked += 1
+
+
+@st.composite
+def _cost_queries(draw):
+    """Generators in the nonnegative orthant (a pointed cone, often of
+    lower dimension), rational costs >= 0, two targets in the cone as
+    integer combinations (possibly empty) and a rational scale t >= 0."""
+    n = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 5))
+    gen = st.tuples(*[st.integers(0, 5)] * n).filter(any)
+    gens = draw(st.lists(gen, min_size=r, max_size=r))
+    cost = st.builds(Fraction, st.integers(0, 8), st.integers(1, 3))
+    costs = draw(st.lists(cost, min_size=r, max_size=r))
+    lams = st.lists(st.integers(0, 3), min_size=r, max_size=r)
+    lam1, lam2 = draw(lams), draw(lams)
+    t = draw(st.builds(Fraction, st.integers(0, 9), st.integers(1, 4)))
+    return gens, costs, lam1, lam2, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cost_queries())
+@example(([(1, 2)], [Fraction(3)], [0], [0], Fraction(0)))
+@example(([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [1, 1, 1], [1, 0, 2], [0, 3, 1], Fraction(5, 2)))
+@example(([(1, 1, 1), (2, 2, 2)], [Fraction(1), Fraction(3)], [2, 1], [0, 0], Fraction(1, 3)))
+@example(([(1, 0), (0, 1), (1, 1)], [0, 0, 0], [1, 1, 1], [3, 0, 2], Fraction(7)))
+def test_value_sublinear_property(case):
+    # phi(v) = representation_cost(gens, costs, v).value is positively
+    # homogeneous and subadditive on the cone of the generators
+    gens, costs, lam1, lam2, t = case
+    n = len(gens[0])
+    v1 = tuple(sum(l * g[i] for l, g in zip(lam1, gens)) for i in range(n))
+    v2 = tuple(sum(l * g[i] for l, g in zip(lam2, gens)) for i in range(n))
+
+    def phi(v):
+        return representation_cost(gens, costs, v).value
+
+    f1, f2 = phi(v1), phi(v2)
+    assert phi(tuple(t * x for x in v1)) == t * f1
+    assert phi(tuple(a + b for a, b in zip(v1, v2))) <= f1 + f2
+    assert f1 <= sum(c * l for c, l in zip(costs, lam1))
 
 
 def test_value_monotone_in_costs():

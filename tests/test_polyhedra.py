@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import brute_recession_rays, brute_vertices, random_h_polyhedron
 
@@ -104,6 +106,71 @@ def test_roundtrip_identity_random():
         # mutual implication: P satisfies H's constraints and vice versa
         assert _implies(P, H)
         assert _implies(H, P)
+
+
+_SEGMENT = HPolyhedron.from_rows(
+    [((1, 0), 1), ((-1, 0), 0)], [((1, 1), 1)]
+)
+_SQUEEZED = HPolyhedron.from_rows(
+    [((1, 2, 0), 2), ((-1, -2, 0), -2), ((0, 0, 1), 0), ((0, -1, 0), 0)]
+)
+
+
+@st.composite
+def h_polyhedra(draw):
+    """(P, point): P nonempty by construction through the rational point,
+    its rows often tight there (so lower-dimensional P and P with
+    equalities occur), or (P, None) with free offsets, often empty."""
+    dim = draw(st.integers(1, 3))
+    rational = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    point = vec(draw(st.tuples(*[rational] * dim)))
+    anchored = draw(st.booleans())
+    normal = st.tuples(*[st.integers(-9, 9)] * dim).filter(any)
+
+    def rows(count):
+        out = []
+        for a in draw(st.lists(normal, min_size=count, max_size=count)):
+            slack = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3)]))
+            if anchored:
+                out.append((a, dot(vec(a), point) + slack))
+            else:
+                out.append((a, draw(rational) * 2))
+        return out
+
+    ineqs = rows(draw(st.integers(dim, 2 * dim + 2)))
+    eqs = []
+    if anchored and draw(st.booleans()):
+        a = draw(normal)
+        eqs.append((a, dot(vec(a), point)))
+    P = HPolyhedron.from_rows(ineqs, eqs, dim)
+    return P, (point if anchored else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h_polyhedra())
+@example((HPolyhedron.from_rows([((1,), 0), ((-1,), -1)]), None))
+@example((HPolyhedron.from_rows([((1, 1), 1), ((-1, -1), -2)]), None))
+@example((HPolyhedron.from_rows([((1, 0), 0)], [((0, 1), 1), ((0, 2), 1)]), None))
+@example((_SEGMENT, vec([0, 1])))
+@example((_SQUEEZED, vec([2, 0, 0])))
+@example((HPolyhedron.from_rows([], [((1, 0), 3), ((0, 1), -1)], 2), vec([3, -1])))
+@example((HPolyhedron.from_rows([((1, -1), 0)]), vec([0, 0])))
+def test_roundtrip_identity_property(case):
+    # dual_description then vrep_to_h gives back P's point set, and the two
+    # descriptions imply each other; empty P comes back empty
+    P, point = case
+    V = dual_description(P)
+    H = vrep_to_h(V)
+    if V.empty:
+        assert point is None
+        assert H.empty and dual_description(H).empty
+        return
+    if point is not None:
+        assert contains(H, point)
+    assert same_point_set(P, H)
+    assert canonical_vrep(V) == dual_description(H)
+    assert _implies(P, H)
+    assert _implies(H, P)
 
 
 def test_decompose_weyl():
