@@ -23,6 +23,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Optional, Sequence, Union
 
+from ._dd import cone_generators
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -42,10 +43,11 @@ from .lp import representation_cost
 from .polyhedra import (
     HPolyhedron,
     VRepresentation,
+    _hform_from_dd,
+    _lift_point,
     contains,
     dual_description,
     scale_polyhedron,
-    vrep_to_h,
 )
 from .rational import (
     PLUS_INFINITY,
@@ -158,7 +160,9 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def _minkowski_points(parts, n: int) -> set:
     """Candidate vertices of the weighted Minkowski sum sum_k k * conv(V_k)
-    over (V_k, k) parts: every sum of one k-scaled point per part."""
+    over (V_k, k) parts: every sum of one k-scaled point per part.  Integer
+    points and weights give integer tuples; a rational weight (a vertex of
+    the representation polytope) gives rational ones."""
     points = {(0,) * n}
     for verts, k in parts:
         if k == 0:
@@ -169,18 +173,39 @@ def _minkowski_points(parts, n: int) -> set:
     return points
 
 
+def _lattice_vertices(h: HPolyhedron) -> tuple[IntVec, ...]:
+    """Vertices of a monomial ideal's Newton polyhedron as integer tuples.
+
+    They are minimal generator exponents, hence lattice points; a vertex
+    with a denominator is an internal failure.
+    """
+    out = []
+    for v in dual_description(h).vertices:
+        if any(x.denominator != 1 for x in v):
+            raise InternalError(f"Newton polyhedron vertex {v} is not a lattice point")
+        out.append(tuple(x.numerator for x in v))
+    return tuple(out)
+
+
 def _orthant_hull(points, n: int) -> HPolyhedron:
-    """Canonical H-form of conv(points) + nonnegative orthant.
+    """Canonical H-form of conv(points) + nonnegative orthant, for a
+    nonempty point set.
 
     Points dominating another point lie in its orthant translate, so only
-    the minimal points are passed on to the hull.
+    the minimal points enter the hull.  The homogenized generators are
+    built as integer rows: (v | 1) for an integer point, (v | 1) with its
+    denominators cleared for a rational one, and (e_i | 0) for the orthant
+    rays.  Their sorted tuple goes to the double description, whose rays
+    are the primitive facet rows; Fractions are made only for the returned
+    HPolyhedron.  The hull contains a translate of the orthant, so a
+    lineality space in its dual cone is an internal failure.
     """
-    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return vrep_to_h(
-        VRepresentation.make(
-            vertices=_minimalize(points), rays=unit_rays, ambient_dim=n
-        )
-    )
+    rows = {_lift_point(v) for v in _minimalize(points)}
+    rows.update(tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n))
+    lin, rays = cone_generators(tuple(sorted(rows)), n + 1)
+    if lin:
+        raise InternalError("orthant hull is not full-dimensional")
+    return _hform_from_dd(lin, rays, n)
 
 
 def newton_polyhedron(I: MonomialIdeal) -> VRepresentation:
@@ -408,7 +433,9 @@ def _degree_newton_hform(sys: GradedSystem, m: IntVec) -> Optional[HPolyhedron]:
     points: set = set()
     for rep in _representations(sys, ivec(m)):
         parts = [
-            (newton_polyhedron(I).vertices, l) for I, l in zip(sys.ideals, rep) if l
+            (_lattice_vertices(newton_hform(I)), l)
+            for I, l in zip(sys.ideals, rep)
+            if l
         ]
         points |= _minkowski_points(parts, sys.ambient)
     return _orthant_hull(points, sys.ambient) if points else None
@@ -515,7 +542,7 @@ def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
         raise InternalError(
             "representation polytope unbounded despite a pointed degree cone"
         )
-    vertex_lists = [newton_polyhedron(I).vertices for I in ideals]
+    vertex_lists = [_lattice_vertices(newton_hform(I)) for I in ideals]
     points: set = set()
     for lam in rep_polytope.vertices:
         points |= _minkowski_points(zip(vertex_lists, lam), n)
@@ -855,7 +882,7 @@ def _weighted_minkowski_hform(
     parts = [(h, k) for h, k in parts if k]
     if any(h is None for h, _ in parts):
         return None
-    verts = [(dual_description(h).vertices, k) for h, k in parts]
+    verts = [(_lattice_vertices(h), k) for h, k in parts]
     return _orthant_hull(_minkowski_points(verts, n), n)
 
 

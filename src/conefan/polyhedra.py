@@ -21,7 +21,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from . import _simplex
-from ._dd import cone_generators, _canonical_basis
+from ._dd import cone_generators, _canonical_basis, _reduce
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -235,56 +235,78 @@ def _reduce_mod_equalities(
     return out
 
 
+def _lift_point(v: Sequence) -> IntVec:
+    """Primitive integer row on the ray of the homogenized point (v | 1):
+    (v | 1) itself for an integer point, with denominators cleared for a
+    rational one."""
+    if all(type(x) is int for x in v):
+        return tuple(v) + (1,)
+    return _primitive_row(v, Fraction(1))
+
+
+def _h_from_int_rows(
+    ineq_rows: Sequence[IntVec], eq_rows: Sequence[IntVec], n: int
+) -> HPolyhedron:
+    """HPolyhedron of sorted primitive integer rows (normal | offset); the
+    only place a hull's Fractions are made."""
+    return HPolyhedron(
+        tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in ineq_rows),
+        tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in eq_rows),
+        n,
+    )
+
+
+def _hform_from_dd(
+    lin: Sequence[IntVec], rays: Sequence[IntVec], n: int
+) -> HPolyhedron:
+    """Canonical H-form from the double description (lin, rays) of the cone
+    {(a | c) : <a, x> + c*t >= 0 for every homogenized generator (x | t)}.
+
+    A ray (a | c) is the inequality <-a, x> <= c, a lineality vector the
+    equality <a, x> = -c.  Without lineality the rays are distinct primitive
+    integer rows, which are the canonical inequalities as they stand.
+    Otherwise the equalities are brought to a reduced echelon basis and the
+    inequality normals reduced modulo the equality space.
+    """
+    ineqs = []
+    for r in rays:
+        if not any(r[:n]):
+            if r[n] < 0:
+                raise InternalError("homogenized hull gave an absurd row")
+            continue
+        ineqs.append(tuple(-x for x in r[:n]) + (r[n],))
+    if not lin:
+        return _h_from_int_rows(sorted(ineqs), (), n)
+    eqs = []
+    for l in lin:
+        if not any(l[:n]):
+            raise InternalError("affine hull gave an absurd equality")
+        eqs.append(list(l[:n]) + [-l[n]])
+    from .linalg import rref
+
+    red, pivots = rref(eqs)
+    if pivots and pivots[-1] == n:
+        raise InternalError("inconsistent affine hull")
+    eq_red = red[: len(pivots)]
+    reduced = _reduce_mod_equalities([(r[:n], r[n]) for r in ineqs], eq_red, pivots)
+    ineq_rows = sorted({_primitive_row(a, c) for a, c in reduced})
+    eq_rows = sorted({_sign_normal_row(_primitive_row(r[:-1], r[-1])) for r in eq_red})
+    return _h_from_int_rows(ineq_rows, eq_rows, n)
+
+
 def vrep_to_h(V: VRepresentation) -> HPolyhedron:
     """Canonical H-description of a V-representation."""
     n = V.ambient_dim
     if V.empty:
         return HPolyhedron.make_empty(n)
-    gens = set()
-    for v in V.vertices:
-        gens.add(_primitive_row(v, Fraction(1)))
+    gens = {_primitive_row(v, Fraction(1)) for v in V.vertices}
     for r in V.rays:
         gens.add(_primitive_row(vec(r), Fraction(0)))
     for l in V.lineality:
         row = _primitive_row(vec(l), Fraction(0))
         gens.add(row)
         gens.add(tuple(-x for x in row))
-    lin, rays = cone_generators(tuple(sorted(gens)), n + 1)
-    ineqs = []
-    eqs = []
-    for r in rays:
-        a, c = r[:n], r[n]
-        if all(x == 0 for x in a):
-            if c < 0:
-                raise InternalError("homogenized hull gave an absurd row")
-            continue
-        ineqs.append((tuple(Fraction(-x) for x in a), Fraction(c)))
-    for l in lin:
-        a, c = l[:n], l[n]
-        if all(x == 0 for x in a):
-            raise InternalError("affine hull gave an absurd equality")
-        eqs.append((vec(a), Fraction(-c)))
-    # canonicalize equalities to a reduced echelon basis, then reduce the
-    # inequality normals modulo the equality space
-    if eqs:
-        from .linalg import rref
-
-        red, pivots = rref([list(a) + [c] for a, c in eqs])
-        if pivots and pivots[-1] == n:
-            raise InternalError("inconsistent affine hull")
-        eq_red = red[: len(pivots)]
-        eqs = [
-            (tuple(r[:-1]), r[-1])
-            for r in (tuple(row) for row in eq_red)
-        ]
-        ineqs = _reduce_mod_equalities(ineqs, eq_red, pivots)
-    ineq_rows = sorted({_primitive_row(a, c) for a, c in ineqs})
-    eq_rows = sorted({_sign_normal_row(_primitive_row(a, c)) for a, c in eqs})
-    return HPolyhedron(
-        tuple((vec(r[:-1]), Fraction(r[-1])) for r in ineq_rows),
-        tuple((vec(r[:-1]), Fraction(r[-1])) for r in eq_rows),
-        n,
-    )
+    return _hform_from_dd(*cone_generators(tuple(sorted(gens)), n + 1), n)
 
 
 def _sign_normal_row(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -396,27 +418,48 @@ def contains(P: HPolyhedron, x: Sequence) -> bool:
     return True
 
 
+def _integer_rows(rows: Sequence[Row]) -> Optional[list[IntVec]]:
+    """Rows (normal | offset) as integer tuples, or None if an entry has a
+    denominator."""
+    out = []
+    for normal, offset in rows:
+        row = tuple(normal) + (offset,)
+        if any(x.denominator != 1 for x in row):
+            return None
+        out.append(tuple(x.numerator for x in row))
+    return out
+
+
 def scale_polyhedron(P: HPolyhedron, t) -> HPolyhedron:
     """The dilate t*P for a positive rational t.
 
     Rows are re-normalized to primitive integers and re-sorted, so scaling
-    a canonical form yields the canonical form of the scaled set.
+    a canonical form yields the canonical form of the scaled set.  On
+    integer rows, and canonical rows are integer, t = p/q takes (a | b) to
+    the primitive part of (q*a | p*b) in int arithmetic.
     """
     t = frac(t)
     if t <= 0:
         raise InputError("scaling factor must be positive")
     if P.empty:
         return P
-    ineq_rows = sorted(
-        _primitive_row(normal, offset * t) for normal, offset in P.inequalities
-    )
-    eq_rows = sorted(
-        _sign_normal_row(_primitive_row(normal, offset * t))
-        for normal, offset in P.equalities
-    )
-    return HPolyhedron(
-        tuple((vec(r[:-1]), Fraction(r[-1])) for r in ineq_rows),
-        tuple((vec(r[:-1]), Fraction(r[-1])) for r in eq_rows),
+    ineqs = _integer_rows(P.inequalities)
+    eqs = _integer_rows(P.equalities)
+    if ineqs is not None and eqs is not None:
+        p, q = t.numerator, t.denominator
+
+        def scaled(r):
+            return _reduce(tuple(q * x for x in r[:-1]) + (p * r[-1],))
+
+    else:
+        ineqs, eqs = P.inequalities, P.equalities
+
+        def scaled(r):
+            return _primitive_row(r[0], r[1] * t)
+
+    return _h_from_int_rows(
+        sorted(map(scaled, ineqs)),
+        sorted(_sign_normal_row(scaled(r)) for r in eqs),
         P.ambient_dim,
     )
 

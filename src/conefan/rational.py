@@ -2,7 +2,9 @@
 
 All geometry runs on `fractions.Fraction`; vectors and matrices are plain
 tuples of Fractions (or of ints where integrality is an invariant, e.g.
-primitive ray generators).  Floats are rejected everywhere.
+primitive ray generators).  Newton-polyhedron hulls run on integer rows
+end to end; their Fractions are made only at the HPolyhedron boundary.
+Floats and bools are rejected by every coercion (JSON true is not 1).
 
 A distinguished PlusInfinity singleton serves as the valuation of the zero
 ideal.  It deliberately lives outside the scalar type used by the geometry
@@ -77,11 +79,11 @@ def is_zero_vec(u: Sequence) -> bool:
 
 
 def ivec(entries: Iterable) -> IntVec:
-    """Coerce to an integer vector, rejecting non-integral entries."""
+    """Coerce to an integer vector, rejecting non-integral entries and bools."""
     out = []
     for x in entries:
-        if isinstance(x, int):
-            out.append(int(x))  # int() turns a bool into a plain int
+        if type(x) is int:
+            out.append(x)
             continue
         f = frac(x)
         if f.denominator != 1:

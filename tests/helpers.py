@@ -108,6 +108,62 @@ def newton_polyhedron_reference(I):
     )
 
 
+def orthant_hull_reference(points, n: int):
+    """conv(points) + nonnegative orthant by the V-route: a VRepresentation
+    of the minimal points (Fractions) and the unit rays, then vrep_to_h."""
+    from conefan.graded import _minimalize
+    from conefan.polyhedra import VRepresentation, vrep_to_h
+
+    unit_rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    return vrep_to_h(
+        VRepresentation.make(
+            vertices=_minimalize(points), rays=unit_rays, ambient_dim=n
+        )
+    )
+
+
+def scale_polyhedron_reference(P: HPolyhedron, t) -> HPolyhedron:
+    """The dilate t*P by scaling every offset in Fractions and clearing
+    denominators row by row with _primitive_row."""
+    from conefan.polyhedra import _primitive_row, _sign_normal_row
+
+    t = Fraction(t)
+    if P.empty:
+        return P
+    ineq_rows = sorted(
+        _primitive_row(normal, offset * t) for normal, offset in P.inequalities
+    )
+    eq_rows = sorted(
+        _sign_normal_row(_primitive_row(normal, offset * t))
+        for normal, offset in P.equalities
+    )
+    return HPolyhedron(
+        tuple((vec(r[:-1]), Fraction(r[-1])) for r in ineq_rows),
+        tuple((vec(r[:-1]), Fraction(r[-1])) for r in eq_rows),
+        P.ambient_dim,
+    )
+
+
+def clear_conefan_caches() -> int:
+    """Clear every module-level memo in conefan; returns how many there are."""
+    import importlib
+    import pkgutil
+
+    import conefan
+
+    cleared = 0
+    for info in pkgutil.iter_modules(conefan.__path__):
+        module = importlib.import_module(f"conefan.{info.name}")
+        for obj in vars(module).values():
+            # imported names are cleared in the module that defines them
+            if getattr(obj, "__module__", None) == module.__name__ and hasattr(
+                obj, "cache_clear"
+            ):
+                obj.cache_clear()
+                cleared += 1
+    return cleared
+
+
 def rref_reference(rows):
     """Gauss-Jordan elimination on Fractions; (rows, pivot columns)."""
     m = [list(r) for r in rows]

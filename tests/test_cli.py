@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+
+from helpers import clear_conefan_caches
 
 from conefan.cli import main
 
@@ -24,6 +27,18 @@ HALFSTEP = {
     "generators": [
         {"degree": [1], "ideal": [[2, 0], [0, 2]]},
         {"degree": [2], "ideal": [[1, 0], [0, 1]]},
+    ],
+}
+
+
+# the 3x3 bench system of the verify benchmarks
+BENCH = {
+    "ambient_dim": 3,
+    "grading_rank": 3,
+    "generators": [
+        {"degree": [1, 3, 1], "ideal": [[2, 3, 2], [3, 1, 0]]},
+        {"degree": [3, 1, 1], "ideal": [[0, 1, 4]]},
+        {"degree": [1, 3, 3], "ideal": [[2, 1, 4], [3, 0, 3], [3, 2, 0]]},
     ],
 }
 
@@ -231,6 +246,46 @@ def test_verify_merges_duplicate_degrees(tmp_path, capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "system, caps",
+    [(WORKED, []), (BENCH, ["--p-bound", "3", "--L", "1"])],
+    ids=["worked", "bench"],
+)
+def test_verify_report_does_not_depend_on_cache_state(system, caps, tmp_path):
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    report = tmp_path / "report.json"
+
+    def digest():
+        assert main(["verify", str(path), *caps, "--json", str(report)]) == 0
+        return hashlib.sha256(report.read_bytes()).hexdigest()
+
+    first = digest()
+    warm = digest()
+    # every memo in the package, so the last run starts from cold caches
+    assert clear_conefan_caches() == 12
+    assert digest() == warm == first
+
+
+@pytest.mark.parametrize(
+    "index, key, value",
+    [(0, "degree", [True, 0]), (2, "degree", [1, False]), (1, "ideal", [[0, True]])],
+)
+def test_verify_rejects_bool_entries(tmp_path, capsys, index, key, value):
+    # JSON true is not the integer 1: a bool in a degree or an exponent is
+    # a validation error (exit 2), as it is in fan --generators
+    system = json.loads(json.dumps(WORKED))
+    system["generators"][index][key] = value
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(system))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not a rational scalar: ")
+    assert main(["fan", "--generators", "[[true,0],[0,1]]"]) == 2
+
+
 def test_verify_deterministic_reports(worked_file, tmp_path):
     p1 = str(tmp_path / "r1.json")
     p2 = str(tmp_path / "r2.json")
@@ -318,16 +373,31 @@ def test_fan_check_caps_generator_count(capsys):
     assert "capped at 12 generators" in capsys.readouterr().err
 
 
+_UNDER_O = (
+    "import sys\n"
+    "if __debug__:\n"
+    "    sys.exit('not running under -O')\n"
+    "from conefan import _kernel, cli, graded\n"
+)
+
+
+def _assert_internal_error_under_O(body, message):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O + body],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ")
+    assert message in lines[0]
+
+
 def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
     # a failed consistency check is a bug: exit 3 with one line on stderr,
     # never a FALSIFIED report, and it must not depend on assert statements
     report = tmp_path / "report.json"
-    prelude = (
-        "import sys\n"
-        "if __debug__:\n"
-        "    sys.exit('not running under -O')\n"
-        "from conefan import _kernel, cli, graded\n"
-    )
     cases = [
         (
             "_kernel.simplex_rows = lambda nums, dens, basis, k: ('unbounded', 0)\n"
@@ -343,14 +413,27 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
         ),
     ]
     for body, message in cases:
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", prelude + body],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 3, proc.stderr
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("internal error: ")
-        assert message in lines[0]
+        _assert_internal_error_under_O(body, message)
+    assert not report.exists()
+
+
+def test_orthant_hull_checks_exit_3_under_python_O(worked_file, tmp_path):
+    # the integer Newton hull keeps both of its consistency checks: a
+    # lineality space in the dual cone and an absurd row (0 <= -1)
+    report = tmp_path / "report.json"
+    run = f"sys.exit(cli.main(['verify', {worked_file!r}, '--json', {str(report)!r}]))\n"
+    cases = [
+        (
+            "graded.cone_generators = lambda rows, dim: "
+            "(((1,) + (0,) * (dim - 1),), ())\n",
+            "orthant hull is not full-dimensional",
+        ),
+        (
+            "graded.cone_generators = lambda rows, dim: "
+            "((), ((0,) * (dim - 1) + (-1,),))\n",
+            "homogenized hull gave an absurd row",
+        ),
+    ]
+    for body, message in cases:
+        _assert_internal_error_under_O(body + run, message)
     assert not report.exists()

@@ -11,6 +11,7 @@ from helpers import (
     minimalize_reference,
     newton_polyhedron_reference,
     np_membership_set,
+    orthant_hull_reference,
     representations_reference,
 )
 
@@ -146,6 +147,16 @@ def test_from_exponents_order_is_canonical():
     assert list(ideal.gens) == sorted(ideal.gens)
 
 
+def test_bool_weights_and_exponents_rejected():
+    # ivec takes ints only: True would otherwise pass for the weight 1
+    with pytest.raises(InputError):
+        weight_vector([True, 0])
+    with pytest.raises(InputError):
+        weight_valuation((0, True), MI(2, [(1, 0)]))
+    with pytest.raises(InputError):
+        MI(2, [(False, 1)])
+
+
 def test_newton_polyhedron():
     np1 = newton_polyhedron(MI(2, [(2, 0), (0, 2)]))
     assert set(np1.vertices) == {vec([2, 0]), vec([0, 2])}
@@ -177,6 +188,36 @@ def test_newton_routes_match_reference(I):
     ref = newton_polyhedron_reference(I)
     assert newton_polyhedron(I) == ref
     assert newton_hform(I) == vrep_to_h(ref)
+
+
+@st.composite
+def hull_point_sets(draw):
+    n = draw(st.integers(1, 4))
+    # a narrow range gives duplicates and dominated points; denominators
+    # up to 4 give rational points like asymptotic_newton's
+    if draw(st.booleans()):
+        entry = st.integers(-2, 4)
+    else:
+        entry = st.builds(Fraction, st.integers(-6, 12), st.integers(1, 4))
+    point = st.tuples(*[entry] * n)
+    return n, draw(st.lists(point, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hull_point_sets())
+@example((1, [(0,)]))
+@example((3, [(0, 0, 0)]))
+@example((3, [(0, 0, 0), (0, 0, 0), (1, 2, 0)]))
+@example((2, [(2, 0), (2, 0), (0, 2), (3, 1), (2, 2)]))
+@example((2, [(Fraction(1, 2), 0), (0, Fraction(3, 2)), (1, 1)]))
+@example((2, [(Fraction(4, 2), Fraction(0)), (2, 0), (0, 2)]))
+def test_orthant_hull_matches_reference(case):
+    # the integer-row hull must equal the V-route through VRepresentation
+    # and vrep_to_h, on integer, rational and mixed points
+    from conefan.graded import _orthant_hull
+
+    n, points = case
+    assert _orthant_hull(points, n) == orthant_hull_reference(points, n)
 
 
 @pytest.mark.parametrize("system", [worked_system(), bench_system()])

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import brute_recession_rays, brute_vertices, random_h_polyhedron
+from helpers import (
+    brute_recession_rays,
+    brute_vertices,
+    random_h_polyhedron,
+    scale_polyhedron_reference,
+)
 
 from conefan.errors import CapExceededError, EmptyPolyhedronError
 from conefan.polyhedra import (
@@ -332,6 +337,44 @@ def test_scale_polyhedron_canonical():
         VRepresentation.make(vertices=[(4, 8)], rays=[(1, 0), (0, 1)])
     )
     assert doubled == direct
+
+
+@st.composite
+def scalable_forms(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        # canonical forms: integer rows, with equalities when the points
+        # and rays span less than the ambient space
+        points = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=4))
+        rays = draw(st.lists(st.tuples(*[entry] * n), max_size=3))
+        P = vrep_to_h(VRepresentation.make(vertices=points, rays=rays, ambient_dim=n))
+    else:
+        # rational rows; any with a denominator take the Fraction route
+        value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+        row = st.tuples(st.tuples(*[value] * n), value)
+        P = HPolyhedron.from_rows(
+            draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=2)), n
+        )
+    t = draw(
+        st.one_of(
+            st.integers(1, 6),
+            st.builds(Fraction, st.integers(1, 12), st.integers(1, 5)),
+        )
+    )
+    return P, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalable_forms())
+@example((vrep_to_h(VRepresentation.make(vertices=[(1, 2), (3, 0)])), 2))
+@example((vrep_to_h(VRepresentation.make(vertices=[(1, 2), (3, 0)])), Fraction(3, 4)))
+@example((vrep_to_h(VRepresentation.make(vertices=[(2, 4)], rays=[(1, 0), (0, 1)])),
+          Fraction(1, 2)))
+def test_scale_polyhedron_matches_reference(case):
+    # integer rows rescale in int; the result must be the Fraction route's
+    P, t = case
+    assert scale_polyhedron(P, t) == scale_polyhedron_reference(P, t)
 
 
 def test_empty_polyhedron_total_operations():
