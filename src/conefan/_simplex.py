@@ -187,38 +187,3 @@ def _check_optimal(x, xden, y, yden, lp):
         raise InternalError("nonzero duality gap in verified optimum")
     return Fraction(primal, cden * xden)
 
-
-def maximize_over_h(
-    objective: Sequence,
-    inequalities: Sequence[tuple[Sequence, object]],
-    equalities: Sequence[tuple[Sequence, object]],
-    dim: int,
-) -> StandardResult:
-    """Maximize <objective, x> over an H-system with free variables.
-
-    Splits x = u - w with u, w >= 0 and adds one slack per inequality.
-    Returns a StandardResult whose value (when optimal) is the maximum and
-    whose x is a maximizer in the original coordinates.
-    """
-    n_ineq = len(inequalities)
-    cols = 2 * dim + n_ineq
-    A = []
-    b = []
-    for idx, (normal, offset) in enumerate(inequalities):
-        row = [frac(v) for v in normal] + [-frac(v) for v in normal]
-        row += [Fraction(0)] * n_ineq
-        row[2 * dim + idx] = Fraction(1)
-        A.append(row)
-        b.append(frac(offset))
-    for normal, offset in equalities:
-        row = [frac(v) for v in normal] + [-frac(v) for v in normal]
-        row += [Fraction(0)] * n_ineq
-        A.append(row)
-        b.append(frac(offset))
-    c = [-frac(v) for v in objective] + [frac(v) for v in objective]
-    c += [Fraction(0)] * n_ineq
-    res = solve_standard(c, A, b)
-    if res.status != "optimal":
-        return res
-    x = tuple(res.x[i] - res.x[dim + i] for i in range(dim))
-    return StandardResult(status="optimal", x=x, value=-res.value)

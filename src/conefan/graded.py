@@ -329,13 +329,17 @@ def _positive_functional(cone: Cone, degrees: tuple[IntVec, ...]) -> IntVec:
     return theta
 
 
-@lru_cache(maxsize=None)
-def expand_degree(sys: GradedSystem, m: IntVec) -> MonomialIdeal:
+def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
     """Ideal in degree m: sum over all representations sum l_i m_i = m of
     the products prod ideals_i^{l_i}; the zero ideal when none exists."""
     m = ivec(m)
     if len(m) != sys.grading_rank:
         raise InputError("degree length must match the grading rank")
+    return _expand_degree_cached(sys, m)
+
+
+@lru_cache(maxsize=None)
+def _expand_degree_cached(sys: GradedSystem, m: IntVec) -> MonomialIdeal:
     gens: list[IntVec] = []
     for rep in _representations(sys, m):
         product = MonomialIdeal.unit(sys.ambient)
@@ -420,8 +424,7 @@ def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
-def _degree_newton_hform(sys: GradedSystem, m: IntVec) -> Optional[HPolyhedron]:
+def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyhedron]:
     """Newton polyhedron of the degree-m ideal, from representation data.
 
     Since the degree-m ideal is the sum over representations l of the
@@ -430,8 +433,15 @@ def _degree_newton_hform(sys: GradedSystem, m: IntVec) -> Optional[HPolyhedron]:
     (scale-invariant) vertex sets.  Agrees exactly with
     newton_hform(expand_degree(sys, m)); None encodes the zero ideal.
     """
+    return _degree_newton_hform_cached(sys, ivec(m))
+
+
+@lru_cache(maxsize=None)
+def _degree_newton_hform_cached(
+    sys: GradedSystem, m: IntVec
+) -> Optional[HPolyhedron]:
     points: set = set()
-    for rep in _representations(sys, ivec(m)):
+    for rep in _representations(sys, m):
         parts = [
             (_lattice_vertices(newton_hform(I)), l)
             for I, l in zip(sys.ideals, rep)
@@ -441,8 +451,9 @@ def _degree_newton_hform(sys: GradedSystem, m: IntVec) -> Optional[HPolyhedron]:
     return _orthant_hull(points, sys.ambient) if points else None
 
 
-@lru_cache(maxsize=None)
-def asymptotic_valuation(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
+def asymptotic_valuation(
+    sys: GradedSystem, w: Sequence[int], m: Sequence[int]
+) -> Valuation:
     """Asymptotic value of the weight valuation on the system at degree m.
 
     Computed as the exact linear program min sum l_i * v_w(ideals_i) over
@@ -451,8 +462,11 @@ def asymptotic_valuation(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
     the degree cone; returns PlusInfinity when m is reachable only through
     zero ideals.
     """
-    w = ivec(w)
-    m = ivec(m)
+    return _asymptotic_valuation_cached(sys, ivec(w), ivec(m))
+
+
+@lru_cache(maxsize=None)
+def _asymptotic_valuation_cached(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
     if all(x == 0 for x in m):
         return Fraction(0)
     if not sys.degree_cone().contains_point(m):
@@ -500,8 +514,7 @@ def asymptotic_limit_check(
     return LimitCheck(lp_value, tuple(seq), consistent)
 
 
-@lru_cache(maxsize=None)
-def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
+def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
     """Limit Newton polyhedron of degree m.
 
     The polyhedron whose support function in every nonnegative direction w
@@ -514,7 +527,11 @@ def asymptotic_newton(sys: GradedSystem, m: IntVec) -> HPolyhedron:
     vertices, plus the orthant (checked against the literal lift
     projection in the test suite).
     """
-    m = ivec(m)
+    return _asymptotic_newton_cached(sys, ivec(m))
+
+
+@lru_cache(maxsize=None)
+def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
     n = sys.ambient
     degrees, ideals = sys.nonzero_part()
     if all(x == 0 for x in m):

@@ -20,10 +20,8 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
-from . import _simplex
 from ._dd import cone_generators, _canonical_basis, _reduce
 from .errors import (
-    BudgetExceededError,
     CapExceededError,
     EmptyPolyhedronError,
     InputError,
@@ -41,8 +39,6 @@ from .rational import (
 )
 
 DEFAULT_DIM_CAP = 8
-_FM_ROW_BUDGET = 2000
-_LP_PRUNE_THRESHOLD = 24
 
 Row = tuple[Vec, Fraction]
 
@@ -165,14 +161,26 @@ def _primitive_row(normal: Vec, offset: Fraction) -> tuple[IntVec, ...]:
 
 
 def _homogeneous_rows(P: HPolyhedron) -> tuple[IntVec, ...]:
-    """Integer rows a with <a,(x,t)> >= 0 describing the homogenization."""
+    """Integer rows a with <a,(x,t)> >= 0 describing the homogenization.
+
+    On integer rows, and canonical rows are integer, (a | b) becomes the
+    primitive part of (-a | b) in int arithmetic."""
     n = P.ambient_dim
-    rows = set()
-    for normal, offset in P.inequalities:
-        r = _primitive_row(tuple(-x for x in normal), offset)
-        rows.add(r)
-    for normal, offset in P.equalities:
-        r = _primitive_row(tuple(-x for x in normal), offset)
+    ineqs = _integer_rows(P.inequalities)
+    eqs = _integer_rows(P.equalities)
+    if ineqs is not None and eqs is not None:
+
+        def homogenized(r):
+            return _reduce(tuple(-x for x in r[:-1]) + (r[-1],))
+
+    else:
+        ineqs, eqs = P.inequalities, P.equalities
+
+        def homogenized(r):
+            return _primitive_row(tuple(-x for x in r[0]), r[1])
+
+    rows = set(map(homogenized, ineqs))
+    for r in map(homogenized, eqs):
         rows.add(r)
         rows.add(tuple(-x for x in r))
     t_row = tuple([0] * n + [1])
@@ -464,57 +472,15 @@ def scale_polyhedron(P: HPolyhedron, t) -> HPolyhedron:
     )
 
 
-def _prune_rows(
-    ineqs: list[tuple[Vec, Fraction]],
-    eqs: list[tuple[Vec, Fraction]],
-    dim: int,
-    force_lp: bool,
-):
-    """Cheap dedup plus (optionally) exact LP redundancy removal.
-
-    Returns None when the system is detected infeasible.
-    """
-    seen = {}
-    for normal, offset in ineqs:
-        row = _primitive_row(normal, offset)
-        key, off = row[:-1], row[-1]
-        zero_normal = all(x == 0 for x in key)
-        if zero_normal:
-            if off < 0:
-                return None
-            continue
-        # identical normals keep the tightest offset
-        prev = seen.get(key)
-        if prev is None or (off, ) < prev[1:]:
-            seen[key] = (key, off)
-    rows = [
-        (vec(k), Fraction(off))
-        for k, (key, off) in sorted(seen.items())
-    ]
-    if not force_lp and len(rows) <= _LP_PRUNE_THRESHOLD:
-        return rows
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        candidate = kept[i]
-        rest = kept[:i] + kept[i + 1 :]
-        res = _simplex.maximize_over_h(candidate[0], rest, eqs, dim)
-        if res.status == "infeasible":
-            return None
-        if res.status == "optimal" and res.value <= candidate[1]:
-            kept.pop(i)
-        else:
-            i += 1
-    return kept
-
-
 def project(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
-    """Image of P under projection onto the 0-based coordinates in `keep`.
+    """Image of P under projection onto the 0-based coordinates in `keep`,
+    in canonical H-form.
 
-    Variables outside `keep` are eliminated one at a time: by substitution
-    when they occur in an equality, by Fourier-Motzkin combination of the
-    positive and negative inequality rows otherwise.  Redundant rows are
-    removed by exact feasibility tests along the way.
+    The image of conv(V) + cone(R) + span(L) under a coordinate projection
+    is conv(V') + cone(R') + span(L') with the projected generators, so the
+    double description of P is mapped coordinatewise and converted back
+    with vrep_to_h.  P itself goes through dual_description, so an
+    ambient dimension above DEFAULT_DIM_CAP raises CapExceededError.
     """
     keep = sorted(set(keep))
     n = P.ambient_dim
@@ -524,72 +490,18 @@ def project(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
         raise InputError("projection needs at least one coordinate")
     if P.empty:
         return HPolyhedron.make_empty(len(keep))
-    ineqs = [(vec(a), frac(b)) for a, b in P.inequalities]
-    eqs = [(vec(a), frac(b)) for a, b in P.equalities]
-    drop = [j for j in range(n) if j not in keep]
-    while drop:
-        # eliminate the variable with the fewest pairings first
-        def fm_cost(j):
-            pos = sum(1 for a, _ in ineqs if a[j] > 0)
-            neg = sum(1 for a, _ in ineqs if a[j] < 0)
-            return pos * neg
+    V = dual_description(P)
+    if V.empty:
+        return HPolyhedron.make_empty(len(keep))
 
-        subst = [j for j in drop if any(a[j] != 0 for a, _ in eqs)]
-        if subst:
-            j = subst[0]
-            eq = next((row for row in eqs if row[0][j] != 0))
-            eqs.remove(eq)
-            enorm, eoff = eq
+    def image(v):
+        return tuple(v[k] for k in keep)
 
-            def substitute(row):
-                a, b = row
-                if a[j] == 0:
-                    return row
-                f = a[j] / enorm[j]
-                return (
-                    tuple(x - f * y for x, y in zip(a, enorm)),
-                    b - f * eoff,
-                )
-
-            ineqs = [substitute(r) for r in ineqs]
-            eqs = [substitute(r) for r in eqs]
-        else:
-            j = min(drop, key=fm_cost)
-            pos = [r for r in ineqs if r[0][j] > 0]
-            neg = [r for r in ineqs if r[0][j] < 0]
-            zero = [r for r in ineqs if r[0][j] == 0]
-            combos = []
-            for (ap, bp) in pos:
-                for (an, bn) in neg:
-                    coef_p = ap[j]
-                    coef_n = -an[j]
-                    normal = tuple(
-                        coef_n * x + coef_p * y for x, y in zip(ap, an)
-                    )
-                    combos.append((normal, coef_n * bp + coef_p * bn))
-            ineqs = zero + combos
-        drop.remove(j)
-        pruned = _prune_rows(ineqs, eqs, n, force_lp=False)
-        if pruned is None:
-            return HPolyhedron.make_empty(len(keep))
-        ineqs = pruned
-        if len(ineqs) > _FM_ROW_BUDGET:
-            raise BudgetExceededError(
-                f"projection exceeded {_FM_ROW_BUDGET} intermediate rows"
-            )
-    proj_ineqs = [
-        (tuple(a[k] for k in keep), b)
-        for a, b in ineqs
-        if all(a[j] == 0 for j in range(n) if j not in keep)
-    ]
-    proj_eqs = [
-        (tuple(a[k] for k in keep), b)
-        for a, b in eqs
-        if all(a[j] == 0 for j in range(n) if j not in keep)
-    ]
-    if len(proj_ineqs) != len(ineqs) or len(proj_eqs) != len(eqs):
-        raise InternalError("eliminated variable left a nonzero coefficient")
-    out = HPolyhedron.from_rows(proj_ineqs, proj_eqs, ambient_dim=len(keep))
-    if len(keep) <= DEFAULT_DIM_CAP:
-        return canonical_h(out)
-    return out
+    return vrep_to_h(
+        VRepresentation.make(
+            vertices=map(image, V.vertices),
+            rays=map(image, V.rays),
+            lineality=map(image, V.lineality),
+            ambient_dim=len(keep),
+        )
+    )

@@ -6,7 +6,8 @@ rays from the homogeneous system, Newton-polyhedron membership by direct
 inequality evaluation on integer points, minimal generators by pairwise
 divisibility, row reduction and simplex pivoting by plain Fraction
 arithmetic, parallelepiped points by a bounding-box scan, representations
-of a degree by a search bounded only by the theta-weight.
+of a degree by a search bounded only by the theta-weight, projection by
+Fourier-Motzkin elimination with LP redundancy removal.
 """
 
 from __future__ import annotations
@@ -14,10 +15,19 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
+from conefan._simplex import StandardResult, solve_standard
+from conefan.errors import BudgetExceededError, InputError, InternalError
 from conefan.linalg import linear_solve, rank
-from conefan.polyhedra import HPolyhedron, contains
-from conefan.rational import dot, primitive_direction, vec
+from conefan.polyhedra import (
+    DEFAULT_DIM_CAP,
+    HPolyhedron,
+    _primitive_row,
+    canonical_h,
+    contains,
+)
+from conefan.rational import Vec, dot, frac, primitive_direction, vec
 
 
 def brute_vertices(P: HPolyhedron) -> set:
@@ -143,6 +153,21 @@ def scale_polyhedron_reference(P: HPolyhedron, t) -> HPolyhedron:
         P.ambient_dim,
     )
 
+
+
+def homogeneous_rows_reference(P: HPolyhedron) -> tuple:
+    """Integer rows of the homogenization by negating each normal in
+    Fractions and clearing denominators row by row with _primitive_row."""
+    rows = set()
+    for normal, offset in P.inequalities:
+        rows.add(_primitive_row(tuple(-x for x in normal), offset))
+    for normal, offset in P.equalities:
+        r = _primitive_row(tuple(-x for x in normal), offset)
+        rows.add(r)
+        rows.add(tuple(-x for x in r))
+    t_row = tuple([0] * P.ambient_dim + [1])
+    rows.discard(t_row)
+    return (t_row,) + tuple(sorted(rows))
 
 def clear_conefan_caches() -> int:
     """Clear every module-level memo in conefan; returns how many there are."""
@@ -412,6 +437,181 @@ def representations_reference(sys, m) -> tuple:
     return tuple(found)
 
 
+def maximize_over_h(
+    objective: Sequence,
+    inequalities: Sequence[tuple[Sequence, object]],
+    equalities: Sequence[tuple[Sequence, object]],
+    dim: int,
+) -> StandardResult:
+    """Maximize <objective, x> over an H-system with free variables.
+
+    Splits x = u - w with u, w >= 0 and adds one slack per inequality.
+    Returns a StandardResult whose value (when optimal) is the maximum and
+    whose x is a maximizer in the original coordinates.
+    """
+    n_ineq = len(inequalities)
+    A = []
+    b = []
+    for idx, (normal, offset) in enumerate(inequalities):
+        row = [frac(v) for v in normal] + [-frac(v) for v in normal]
+        row += [Fraction(0)] * n_ineq
+        row[2 * dim + idx] = Fraction(1)
+        A.append(row)
+        b.append(frac(offset))
+    for normal, offset in equalities:
+        row = [frac(v) for v in normal] + [-frac(v) for v in normal]
+        row += [Fraction(0)] * n_ineq
+        A.append(row)
+        b.append(frac(offset))
+    c = [-frac(v) for v in objective] + [frac(v) for v in objective]
+    c += [Fraction(0)] * n_ineq
+    res = solve_standard(c, A, b)
+    if res.status != "optimal":
+        return res
+    x = tuple(res.x[i] - res.x[dim + i] for i in range(dim))
+    return StandardResult(status="optimal", x=x, value=-res.value)
+
+
+# Fourier-Motzkin projection with exact LP redundancy removal; the library
+# projects through the double description instead.
+_FM_ROW_BUDGET = 2000
+_LP_PRUNE_THRESHOLD = 24
+
+
+def _prune_rows(
+    ineqs: list[tuple[Vec, Fraction]],
+    eqs: list[tuple[Vec, Fraction]],
+    dim: int,
+    force_lp: bool,
+):
+    """Cheap dedup plus (optionally) exact LP redundancy removal.
+
+    Returns None when the system is detected infeasible.
+    """
+    seen = {}
+    for normal, offset in ineqs:
+        row = _primitive_row(normal, offset)
+        key, off = row[:-1], row[-1]
+        zero_normal = all(x == 0 for x in key)
+        if zero_normal:
+            if off < 0:
+                return None
+            continue
+        # identical normals keep the tightest offset
+        prev = seen.get(key)
+        if prev is None or (off, ) < prev[1:]:
+            seen[key] = (key, off)
+    rows = [
+        (vec(k), Fraction(off))
+        for k, (key, off) in sorted(seen.items())
+    ]
+    if not force_lp and len(rows) <= _LP_PRUNE_THRESHOLD:
+        return rows
+    kept = list(rows)
+    i = 0
+    while i < len(kept):
+        candidate = kept[i]
+        rest = kept[:i] + kept[i + 1 :]
+        res = maximize_over_h(candidate[0], rest, eqs, dim)
+        if res.status == "infeasible":
+            return None
+        if res.status == "optimal" and res.value <= candidate[1]:
+            kept.pop(i)
+        else:
+            i += 1
+    return kept
+
+
+def project_fm_reference(P: HPolyhedron, keep: Sequence[int]) -> HPolyhedron:
+    """Image of P under projection onto the 0-based coordinates in `keep`,
+    by elimination: the independent oracle for conefan.polyhedra.project.
+
+    Variables outside `keep` are eliminated one at a time: by substitution
+    when they occur in an equality, by Fourier-Motzkin combination of the
+    positive and negative inequality rows otherwise.  Redundant rows are
+    removed by exact feasibility tests along the way.  Works in any
+    ambient dimension; the result is canonical when at most
+    DEFAULT_DIM_CAP coordinates are kept.
+    """
+    keep = sorted(set(keep))
+    n = P.ambient_dim
+    if any(k < 0 or k >= n for k in keep):
+        raise InputError("projection indices out of range")
+    if not keep:
+        raise InputError("projection needs at least one coordinate")
+    if P.empty:
+        return HPolyhedron.make_empty(len(keep))
+    ineqs = [(vec(a), frac(b)) for a, b in P.inequalities]
+    eqs = [(vec(a), frac(b)) for a, b in P.equalities]
+    drop = [j for j in range(n) if j not in keep]
+    while drop:
+        # eliminate the variable with the fewest pairings first
+        def fm_cost(j):
+            pos = sum(1 for a, _ in ineqs if a[j] > 0)
+            neg = sum(1 for a, _ in ineqs if a[j] < 0)
+            return pos * neg
+
+        subst = [j for j in drop if any(a[j] != 0 for a, _ in eqs)]
+        if subst:
+            j = subst[0]
+            eq = next((row for row in eqs if row[0][j] != 0))
+            eqs.remove(eq)
+            enorm, eoff = eq
+
+            def substitute(row):
+                a, b = row
+                if a[j] == 0:
+                    return row
+                f = a[j] / enorm[j]
+                return (
+                    tuple(x - f * y for x, y in zip(a, enorm)),
+                    b - f * eoff,
+                )
+
+            ineqs = [substitute(r) for r in ineqs]
+            eqs = [substitute(r) for r in eqs]
+        else:
+            j = min(drop, key=fm_cost)
+            pos = [r for r in ineqs if r[0][j] > 0]
+            neg = [r for r in ineqs if r[0][j] < 0]
+            zero = [r for r in ineqs if r[0][j] == 0]
+            combos = []
+            for (ap, bp) in pos:
+                for (an, bn) in neg:
+                    coef_p = ap[j]
+                    coef_n = -an[j]
+                    normal = tuple(
+                        coef_n * x + coef_p * y for x, y in zip(ap, an)
+                    )
+                    combos.append((normal, coef_n * bp + coef_p * bn))
+            ineqs = zero + combos
+        drop.remove(j)
+        pruned = _prune_rows(ineqs, eqs, n, force_lp=False)
+        if pruned is None:
+            return HPolyhedron.make_empty(len(keep))
+        ineqs = pruned
+        if len(ineqs) > _FM_ROW_BUDGET:
+            raise BudgetExceededError(
+                f"projection exceeded {_FM_ROW_BUDGET} intermediate rows"
+            )
+    proj_ineqs = [
+        (tuple(a[k] for k in keep), b)
+        for a, b in ineqs
+        if all(a[j] == 0 for j in range(n) if j not in keep)
+    ]
+    proj_eqs = [
+        (tuple(a[k] for k in keep), b)
+        for a, b in eqs
+        if all(a[j] == 0 for j in range(n) if j not in keep)
+    ]
+    if len(proj_ineqs) != len(ineqs) or len(proj_eqs) != len(eqs):
+        raise InternalError("eliminated variable left a nonzero coefficient")
+    out = HPolyhedron.from_rows(proj_ineqs, proj_eqs, ambient_dim=len(keep))
+    if len(keep) <= DEFAULT_DIM_CAP:
+        return canonical_h(out)
+    return out
+
+
 def asymptotic_newton_via_lift(system, m):
     """Literal lift-and-project route to the limit Newton polyhedron.
 
@@ -421,7 +621,6 @@ def asymptotic_newton_via_lift(system, m):
     independent oracle for conefan.graded.asymptotic_newton.
     """
     from conefan.graded import newton_polyhedron
-    from conefan.polyhedra import project
     from conefan.rational import ivec
 
     m = ivec(m)
@@ -465,7 +664,7 @@ def asymptotic_newton_via_lift(system, m):
         row[k + mu_count + coord] = Fraction(-1)
         ineqs.append((tuple(row), Fraction(0)))
     lifted = HPolyhedron.from_rows(ineqs, eqs, ambient_dim=total)
-    return project(lifted, range(k + mu_count, total))
+    return project_fm_reference(lifted, range(k + mu_count, total))
 
 
 def is_cost_linear_on_sampled(generators, costs, cone, sample_count=8, seed=0):

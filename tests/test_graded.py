@@ -641,17 +641,43 @@ def test_graded_system_validation():
         GradedSystem.create(1, 1, [(1,)], [MI(2, [(1, 0)])])
 
 
+@pytest.mark.parametrize(
+    "entry, memo, bad, good",
+    [
+        ("asymptotic_valuation", "_asymptotic_valuation_cached",
+         ((True, 0), (1, 1)), ((1, 0), (1, 1))),
+        ("asymptotic_valuation", "_asymptotic_valuation_cached",
+         ((1, 0), (True, 1)), ((1, 0), (1, 1))),
+        ("asymptotic_newton", "_asymptotic_newton_cached", ((True, 1),), ((1, 1),)),
+        ("_degree_newton_hform", "_degree_newton_hform_cached", ((True, 1),), ((1, 1),)),
+        ("expand_degree", "_expand_degree_cached", ((True, 1),), ((1, 1),)),
+    ],
+)
+def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good):
+    # (True, 1) == (1, 1) as a memo key, so a check made only on a cache
+    # miss would let the bool through once the integer call is cached
+    import conefan.graded as graded
+
+    fn = getattr(graded, entry)
+    getattr(graded, memo).cache_clear()
+    with pytest.raises(InputError):
+        fn(worked_system(), *bad)
+    fn(worked_system(), *good)
+    with pytest.raises(InputError):
+        fn(worked_system(), *bad)
+
+
 def test_expand_degree_budget(monkeypatch):
     import conefan.graded as graded
 
     monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", 5)
     from conefan.errors import BudgetExceededError
 
-    graded.expand_degree.cache_clear()
+    graded._expand_degree_cached.cache_clear()
     graded._representations.cache_clear()
     with pytest.raises(BudgetExceededError):
         graded.expand_degree(worked_system(), (3, 3))
-    graded.expand_degree.cache_clear()
+    graded._expand_degree_cached.cache_clear()
     graded._representations.cache_clear()
 
 
@@ -664,7 +690,7 @@ def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m):
 
     def expand(budget):
         monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", budget)
-        graded.expand_degree.cache_clear()
+        graded._expand_degree_cached.cache_clear()
         graded._representations.cache_clear()
         return graded.expand_degree(zerogen_system(), m)
 
@@ -673,7 +699,7 @@ def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m):
         with pytest.raises(BudgetExceededError):
             expand(2)
     finally:
-        graded.expand_degree.cache_clear()
+        graded._expand_degree_cached.cache_clear()
         graded._representations.cache_clear()
 
 
@@ -717,8 +743,8 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
         return search(sys_, m)
 
     # cached callers would hide degrees an earlier test already expanded
-    graded.expand_degree.cache_clear()
-    graded._degree_newton_hform.cache_clear()
+    graded._expand_degree_cached.cache_clear()
+    graded._degree_newton_hform_cached.cache_clear()
     monkeypatch.setattr(graded, "_representations", record)
     verify_closure_identity(system, power_bound=3, power_checks=1)
     monkeypatch.setattr(graded, "_representations", search)

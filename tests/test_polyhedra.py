@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from helpers import (
     brute_recession_rays,
     brute_vertices,
+    homogeneous_rows_reference,
+    project_fm_reference,
     random_h_polyhedron,
     scale_polyhedron_reference,
 )
@@ -17,6 +19,7 @@ from conefan.polyhedra import (
     UNBOUNDED,
     HPolyhedron,
     VRepresentation,
+    _homogeneous_rows,
     canonical_h,
     canonical_vrep,
     contains,
@@ -319,6 +322,54 @@ def test_project_soundness_completeness():
             assert not dual_description(slab).empty
 
 
+
+@st.composite
+def projection_cases(draw):
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    offset = st.builds(Fraction, st.integers(-3, 8), st.integers(1, 2))
+    row = st.tuples(st.tuples(*[entry] * n), offset)
+    P = HPolyhedron.from_rows(
+        draw(st.lists(row, max_size=12)), draw(st.lists(row, max_size=2)), n
+    )
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return P, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(projection_cases())
+# 5 * 5 = 25 rows after the elimination: the oracle's LP pruning runs
+@example((HPolyhedron.from_rows([
+    ((1, 0, 0, 1), 3), ((0, 1, 0, 1), 3), ((0, 0, 1, 1), 3), ((1, 1, 1, 1), 5),
+    ((-1, 2, 0, 1), 4), ((-1, 0, 0, -1), 3), ((0, -1, 0, -1), 3),
+    ((0, 0, -1, -1), 3), ((-1, -1, -1, -1), 5), ((2, -1, 1, -1), 4)]), [0, 1, 2]))
+# infeasible: x <= 0 and x >= 1
+@example((HPolyhedron.from_rows([((1, 0), 0), ((-1, 0), -1)]), [1]))
+@example((HPolyhedron.make_empty(3), [0, 2]))
+# a triangle cut to a segment by the equality x = y
+@example((HPolyhedron.from_rows(
+    [((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 1), 3)], [((1, -1, 0), 0)]), [0, 2]))
+# a slab 0 <= x + y <= 2 with lineality (1, -1, 0) and (0, 0, 1)
+@example((HPolyhedron.from_rows([((1, 1, 0), 2), ((-1, -1, 0), 0)]), [0]))
+@example((HPolyhedron.from_rows([((1, 1, 0), 2), ((-1, -1, 0), 0)]), [2, 1]))
+@example((HPolyhedron.from_rows([((-1, 0, 0), 0), ((1, 1, -1), 1)]), [0, 1, 2]))
+def test_project_matches_fourier_motzkin(case):
+    # projection by double description against elimination; both end in
+    # the canonical form, so the point sets agree iff the forms are equal
+    P, keep = case
+    Q = project(P, keep)
+    assert Q == project_fm_reference(P, keep)
+    assert not any(
+        isinstance(x, float)
+        for normal, offset in Q.inequalities + Q.equalities
+        for x in normal + (offset,)
+    )
+
+
+def test_project_above_dim_cap_raises():
+    with pytest.raises(CapExceededError):
+        project(orthant(9), [0, 1])
+
 def test_contains():
     assert contains(orthant(), (0, 0))
     NP = vrep_to_h(
@@ -376,6 +427,15 @@ def test_scale_polyhedron_matches_reference(case):
     P, t = case
     assert scale_polyhedron(P, t) == scale_polyhedron_reference(P, t)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(scalable_forms())
+def test_homogeneous_rows_match_reference(case):
+    # canonical integer rows take the int route, rows with a denominator
+    # the Fraction route; both must give the reference's rows
+    P, _ = case
+    assert _homogeneous_rows(P) == homogeneous_rows_reference(P)
 
 def test_empty_polyhedron_total_operations():
     E = HPolyhedron.make_empty(2)

@@ -18,3 +18,25 @@ def test_no_assert_statements_in_package():
                 if isinstance(exc, ast.Name) and exc.id == "AssertionError":
                     found.append(f"{path.name}:{node.lineno}")
     assert not found, found
+
+
+def test_no_elimination_projection_in_package():
+    # project() runs through the double description; Fourier-Motzkin with
+    # LP pruning lives on only as the test oracle in tests/helpers.py
+    banned = {"maximize_over_h", "_prune_rows", "_FM_ROW_BUDGET"}
+    found = []
+    for path in sorted(Path(conefan.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            for name in sorted(names & banned):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}:{name}")
+    assert not found, found
