@@ -139,13 +139,21 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, _minimalize(sums))
 
 
-@lru_cache(maxsize=None)
 def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
+    """I^k for an int k >= 0, checked before the memo lookup (True == 1
+    and 1.0 == 1 would otherwise hit a cached entry)."""
+    if type(k) is not int:
+        raise InputError(f"ideal powers need an int exponent, got {k!r}")
     if k < 0:
         raise InputError("ideal powers need k >= 0")
+    return _ideal_power_cached(I, k)
+
+
+@lru_cache(maxsize=None)
+def _ideal_power_cached(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if k == 0:
         return MonomialIdeal.unit(I.ambient)
-    half = ideal_power(I, k // 2)
+    half = _ideal_power_cached(I, k // 2)
     out = ideal_product(half, half)
     if k % 2:
         out = ideal_product(out, I)
@@ -196,9 +204,9 @@ def _orthant_hull(points, n: int) -> HPolyhedron:
     built as integer rows: (v | 1) for an integer point, (v | 1) with its
     denominators cleared for a rational one, and (e_i | 0) for the orthant
     rays.  Their sorted tuple goes to the double description, whose rays
-    are the primitive facet rows; Fractions are made only for the returned
-    HPolyhedron.  The hull contains a translate of the orthant, so a
-    lineality space in its dual cone is an internal failure.
+    are the primitive facet rows of the returned HPolyhedron.  The hull
+    contains a translate of the orthant, so a lineality space in its dual
+    cone is an internal failure.
     """
     rows = {_lift_point(v) for v in _minimalize(points)}
     rows.update(tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n))
@@ -440,14 +448,14 @@ def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyh
 def _degree_newton_hform_cached(
     sys: GradedSystem, m: IntVec
 ) -> Optional[HPolyhedron]:
+    # a zero ideal has no Newton polyhedron, but every representation
+    # gives it exponent 0, which _minkowski_points skips
+    vertex_lists = [
+        () if I.is_zero else _lattice_vertices(newton_hform(I)) for I in sys.ideals
+    ]
     points: set = set()
     for rep in _representations(sys, m):
-        parts = [
-            (_lattice_vertices(newton_hform(I)), l)
-            for I, l in zip(sys.ideals, rep)
-            if l
-        ]
-        points |= _minkowski_points(parts, sys.ambient)
+        points |= _minkowski_points(zip(vertex_lists, rep), sys.ambient)
     return _orthant_hull(points, sys.ambient) if points else None
 
 
@@ -539,15 +547,8 @@ def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
     if not degrees:
         raise NotInConeError(f"degree {m} is reachable only through zero ideals")
     r = len(degrees)
-    nonneg = []
-    for i in range(r):
-        row = [Fraction(0)] * r
-        row[i] = Fraction(-1)
-        nonneg.append((tuple(row), Fraction(0)))
-    eqs = [
-        (tuple(Fraction(d[j]) for d in degrees), Fraction(m[j]))
-        for j in range(sys.grading_rank)
-    ]
+    nonneg = [(tuple(-1 if j == i else 0 for j in range(r)), 0) for i in range(r)]
+    eqs = [(tuple(d[j] for d in degrees), m[j]) for j in range(sys.grading_rank)]
     rep_polytope = dual_description(
         HPolyhedron.from_rows(nonneg, eqs, ambient_dim=r)
     )
@@ -750,7 +751,7 @@ def _h_weights(h: Optional[HPolyhedron]) -> list[IntVec]:
         return []
     out = []
     for normal, _ in h.inequalities:
-        w = tuple(-x for x in ivec(normal))
+        w = tuple(-x for x in normal)
         if any(x < 0 for x in w) or all(x == 0 for x in w):
             continue
         out.append(primitive_int_vector(w))

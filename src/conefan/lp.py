@@ -128,9 +128,9 @@ def price_polyhedron(
 
     By LP duality the maximum of <target, y> over this polyhedron equals
     representation_cost(generators, costs, target) for every target in the
-    cone of the generators.  The rows are kept verbatim, one per generator;
-    with no generators the region is the whole space (ambient_dim required
-    then).
+    cone of the generators.  There is one row per nonzero generator, scaled
+    to primitive integers by HPolyhedron.from_rows; with no generators the
+    region is the whole space (ambient_dim required then).
     """
     gens = tuple(vec(g) for g in generators)
     costs = vec(costs)
@@ -140,7 +140,7 @@ def price_polyhedron(
         if ambient_dim is None:
             raise InputError("ambient dimension required without generators")
         return HPolyhedron((), (), ambient_dim)
-    return HPolyhedron(tuple(zip(gens, costs)), (), len(gens[0]))
+    return HPolyhedron.from_rows(zip(gens, costs), (), len(gens[0]))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,14 @@ Conversions run through the double description of the homogenization, so both
 directions produce irredundant output.  The empty polyhedron is a first-class
 value carrying an explicit flag, and every operation is total on it.
 
-Canonical forms make equality of point sets a structural comparison:
-inequalities are reduced modulo the equality space, scaled to primitive
-integer rows, and sorted; vertex and ray lists are sorted with primitive
+HPolyhedron rows (normal | offset) hold plain ints, and direct
+construction accepts nothing else.  HPolyhedron.from_rows is the one
+rational entry point: it scales each row by a positive factor to its
+primitive integer row, which leaves the point set unchanged, and every
+HPolyhedron the module returns has primitive rows.  Canonical forms make
+equality of point sets a structural comparison: inequalities are reduced
+modulo the equality space and sorted, equalities are brought to a
+sign-normal echelon basis; vertex and ray lists are sorted with primitive
 integer rays.
 """
 
@@ -40,11 +45,13 @@ from .rational import (
 
 DEFAULT_DIM_CAP = 8
 
-Row = tuple[Vec, Fraction]
+Row = tuple[IntVec, int]
 
 
 def _row(normal: Sequence, offset) -> Row:
-    return (vec(normal), frac(offset))
+    """Primitive integer row of a rational (normal | offset)."""
+    r = _primitive_row(vec(normal), frac(offset))
+    return (r[:-1], r[-1])
 
 
 @dataclass(frozen=True)
@@ -59,9 +66,13 @@ class HPolyhedron:
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InputError("ambient dimension must be positive")
-        for normal, _ in self.inequalities + self.equalities:
+        for normal, offset in self.inequalities + self.equalities:
             if len(normal) != self.ambient_dim:
                 raise InputError("constraint dimension mismatch")
+            if type(offset) is not int or any(type(x) is not int for x in normal):
+                raise InputError(
+                    "HPolyhedron rows hold ints; build rational rows with from_rows"
+                )
 
     @staticmethod
     def from_rows(
@@ -69,6 +80,9 @@ class HPolyhedron:
         equalities: Sequence[tuple[Sequence, object]] = (),
         ambient_dim: Optional[int] = None,
     ) -> "HPolyhedron":
+        """HPolyhedron of rational rows, each scaled to its primitive
+        integer row; a row with zero normal is dropped, or makes the
+        polyhedron empty when it is infeasible."""
         ineqs = []
         eqs = []
         for normal, offset in inequalities:
@@ -161,26 +175,15 @@ def _primitive_row(normal: Vec, offset: Fraction) -> tuple[IntVec, ...]:
 
 
 def _homogeneous_rows(P: HPolyhedron) -> tuple[IntVec, ...]:
-    """Integer rows a with <a,(x,t)> >= 0 describing the homogenization.
-
-    On integer rows, and canonical rows are integer, (a | b) becomes the
-    primitive part of (-a | b) in int arithmetic."""
+    """Integer rows a with <a,(x,t)> >= 0 describing the homogenization:
+    (a | b) becomes the primitive part of (-a | b)."""
     n = P.ambient_dim
-    ineqs = _integer_rows(P.inequalities)
-    eqs = _integer_rows(P.equalities)
-    if ineqs is not None and eqs is not None:
 
-        def homogenized(r):
-            return _reduce(tuple(-x for x in r[:-1]) + (r[-1],))
+    def homogenized(r):
+        return _reduce(tuple(-x for x in r[0]) + (r[1],))
 
-    else:
-        ineqs, eqs = P.inequalities, P.equalities
-
-        def homogenized(r):
-            return _primitive_row(tuple(-x for x in r[0]), r[1])
-
-    rows = set(map(homogenized, ineqs))
-    for r in map(homogenized, eqs):
+    rows = set(map(homogenized, P.inequalities))
+    for r in map(homogenized, P.equalities):
         rows.add(r)
         rows.add(tuple(-x for x in r))
     t_row = tuple([0] * n + [1])
@@ -255,11 +258,11 @@ def _lift_point(v: Sequence) -> IntVec:
 def _h_from_int_rows(
     ineq_rows: Sequence[IntVec], eq_rows: Sequence[IntVec], n: int
 ) -> HPolyhedron:
-    """HPolyhedron of sorted primitive integer rows (normal | offset); the
-    only place a hull's Fractions are made."""
+    """HPolyhedron of sorted primitive integer rows (normal | offset), each
+    split into its (normal, offset) pair as it stands."""
     return HPolyhedron(
-        tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in ineq_rows),
-        tuple((tuple(map(Fraction, r[:-1])), Fraction(r[-1])) for r in eq_rows),
+        tuple((r[:-1], r[-1]) for r in ineq_rows),
+        tuple((r[:-1], r[-1]) for r in eq_rows),
         n,
     )
 
@@ -426,48 +429,26 @@ def contains(P: HPolyhedron, x: Sequence) -> bool:
     return True
 
 
-def _integer_rows(rows: Sequence[Row]) -> Optional[list[IntVec]]:
-    """Rows (normal | offset) as integer tuples, or None if an entry has a
-    denominator."""
-    out = []
-    for normal, offset in rows:
-        row = tuple(normal) + (offset,)
-        if any(x.denominator != 1 for x in row):
-            return None
-        out.append(tuple(x.numerator for x in row))
-    return out
-
-
 def scale_polyhedron(P: HPolyhedron, t) -> HPolyhedron:
     """The dilate t*P for a positive rational t.
 
-    Rows are re-normalized to primitive integers and re-sorted, so scaling
-    a canonical form yields the canonical form of the scaled set.  On
-    integer rows, and canonical rows are integer, t = p/q takes (a | b) to
-    the primitive part of (q*a | p*b) in int arithmetic.
+    t = p/q takes each row (a | b) to the primitive part of (q*a | p*b), and
+    the rows are re-sorted, so scaling a canonical form yields the
+    canonical form of the scaled set.
     """
     t = frac(t)
     if t <= 0:
         raise InputError("scaling factor must be positive")
     if P.empty:
         return P
-    ineqs = _integer_rows(P.inequalities)
-    eqs = _integer_rows(P.equalities)
-    if ineqs is not None and eqs is not None:
-        p, q = t.numerator, t.denominator
+    p, q = t.numerator, t.denominator
 
-        def scaled(r):
-            return _reduce(tuple(q * x for x in r[:-1]) + (p * r[-1],))
-
-    else:
-        ineqs, eqs = P.inequalities, P.equalities
-
-        def scaled(r):
-            return _primitive_row(r[0], r[1] * t)
+    def scaled(r):
+        return _reduce(tuple(q * x for x in r[0]) + (p * r[1],))
 
     return _h_from_int_rows(
-        sorted(map(scaled, ineqs)),
-        sorted(_sign_normal_row(scaled(r)) for r in eqs),
+        sorted(map(scaled, P.inequalities)),
+        sorted(_sign_normal_row(scaled(r)) for r in P.equalities),
         P.ambient_dim,
     )
 

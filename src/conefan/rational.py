@@ -1,10 +1,10 @@
 """Exact scalars and vector helpers shared across the package.
 
-All geometry runs on `fractions.Fraction`; vectors and matrices are plain
-tuples of Fractions (or of ints where integrality is an invariant, e.g.
-primitive ray generators).  Newton-polyhedron hulls run on integer rows
-end to end; their Fractions are made only at the HPolyhedron boundary.
-Floats and bools are rejected by every coercion (JSON true is not 1).
+Values with a denominator are `fractions.Fraction`s; vectors and matrices
+are plain tuples of them, or of ints where integrality is an invariant:
+primitive ray generators, and every HPolyhedron row, which is a primitive
+integer row from construction on.  Floats and bools are rejected by every
+coercion (JSON true is not 1).
 
 A distinguished PlusInfinity singleton serves as the valuation of the zero
 ideal.  It deliberately lives outside the scalar type used by the geometry

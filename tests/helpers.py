@@ -148,8 +148,8 @@ def scale_polyhedron_reference(P: HPolyhedron, t) -> HPolyhedron:
         for normal, offset in P.equalities
     )
     return HPolyhedron(
-        tuple((vec(r[:-1]), Fraction(r[-1])) for r in ineq_rows),
-        tuple((vec(r[:-1]), Fraction(r[-1])) for r in eq_rows),
+        tuple((r[:-1], r[-1]) for r in ineq_rows),
+        tuple((r[:-1], r[-1]) for r in eq_rows),
         P.ambient_dim,
     )
 

@@ -8,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    clear_conefan_caches,
     minimalize_reference,
     newton_polyhedron_reference,
     np_membership_set,
@@ -476,6 +477,21 @@ def test_verify_worked_system():
     assert all(c.passed for c in rep.cones)
 
 
+def test_worked_report_holds_no_float():
+    # exact values are ints, Fractions or their strings; int / int would
+    # make a float, and the report must stay exact
+    def walk(x):
+        assert not isinstance(x, float), x
+        if isinstance(x, dict):
+            for v in x.values():
+                walk(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                walk(v)
+
+    walk(verify_closure_identity(worked_system(), power_bound=4).to_dict())
+
+
 def test_verify_trivial_system():
     rep = verify_closure_identity(trivial_system(), power_bound=4)
     assert rep.verified and rep.exponent == 1
@@ -630,6 +646,21 @@ def test_verify_report_serializable():
     rep = verify_closure_identity(worked_system(), power_bound=2)
     payload = json.dumps(rep.to_dict(), sort_keys=True)
     assert "verified" in payload
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, "2", -1])
+def test_ideal_power_rejects_bad_exponents_cold_and_warm(k):
+    # 1.5 // 2 == 0.0 and True == 1 would reach a memo entry for 0 or 1,
+    # and "2" < 0 is a TypeError, so k is checked before the lookup
+    I = MI(2, [(1, 0), (0, 2)])
+    clear_conefan_caches()
+    with pytest.raises(InputError):
+        ideal_power(I, k)
+    for good in (0, 1, 2, 3):
+        ideal_power(I, good)
+    with pytest.raises(InputError):
+        ideal_power(I, k)
+    assert ideal_power(I, 2) == ideal_product(I, I)
 
 
 def test_graded_system_validation():

@@ -14,7 +14,13 @@ from helpers import (
     scale_polyhedron_reference,
 )
 
-from conefan.errors import CapExceededError, EmptyPolyhedronError
+from conefan.errors import CapExceededError, EmptyPolyhedronError, InputError
+from conefan.graded import (
+    GradedSystem,
+    MonomialIdeal,
+    asymptotic_newton,
+    newton_hform,
+)
 from conefan.polyhedra import (
     UNBOUNDED,
     HPolyhedron,
@@ -401,7 +407,7 @@ def scalable_forms(draw):
         rays = draw(st.lists(st.tuples(*[entry] * n), max_size=3))
         P = vrep_to_h(VRepresentation.make(vertices=points, rays=rays, ambient_dim=n))
     else:
-        # rational rows; any with a denominator take the Fraction route
+        # rational rows, which from_rows scales to primitive integer rows
         value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
         row = st.tuples(st.tuples(*[value] * n), value)
         P = HPolyhedron.from_rows(
@@ -423,7 +429,8 @@ def scalable_forms(draw):
 @example((vrep_to_h(VRepresentation.make(vertices=[(2, 4)], rays=[(1, 0), (0, 1)])),
           Fraction(1, 2)))
 def test_scale_polyhedron_matches_reference(case):
-    # integer rows rescale in int; the result must be the Fraction route's
+    # rows rescale in int; the result must be the reference's, which
+    # scales offsets in Fractions and clears denominators row by row
     P, t = case
     assert scale_polyhedron(P, t) == scale_polyhedron_reference(P, t)
 
@@ -432,10 +439,57 @@ def test_scale_polyhedron_matches_reference(case):
 @settings(max_examples=200, deadline=None)
 @given(scalable_forms())
 def test_homogeneous_rows_match_reference(case):
-    # canonical integer rows take the int route, rows with a denominator
-    # the Fraction route; both must give the reference's rows
+    # the rows of canonical forms and of from_rows alike are homogenized in
+    # int; they must give the rows of the reference, which negates each
+    # normal in Fractions and clears denominators row by row
     P, _ = case
     assert _homogeneous_rows(P) == homogeneous_rows_reference(P)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [Fraction(1), Fraction(1, 2), True, False, 1.0],
+    ids=["fraction-int", "fraction", "true", "false", "float"],
+)
+@pytest.mark.parametrize("where", ["normal", "offset", "equality"])
+def test_hpolyhedron_rejects_non_int_entries(bad, where):
+    # rows hold plain ints; Fraction(1) == 1 and True == 1 but neither is
+    # an int, and rational rows go through from_rows
+    row = ((bad, 0), 1) if where == "normal" else ((1, 0), bad)
+    rows = ((row,), ()) if where != "equality" else ((), (row,))
+    with pytest.raises(InputError):
+        HPolyhedron(*rows, 2)
+    assert HPolyhedron((((1, 0), 1),), (), 2) == HPolyhedron.from_rows([((1, 0), 1)])
+
+
+@st.composite
+def rational_rows(draw):
+    n = draw(st.integers(1, 3))
+    value = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    row = st.tuples(st.tuples(*[value] * n), value)
+    return draw(st.lists(row, max_size=4)), draw(st.lists(row, max_size=2)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rational_rows(),
+    st.one_of(
+        st.integers(1, 7), st.builds(Fraction, st.integers(1, 12), st.integers(1, 5))
+    ),
+)
+def test_from_rows_is_invariant_under_positive_scaling(rows, k):
+    # each row is stored as its primitive integer row, which a positive
+    # factor does not change
+    ineqs, eqs, n = rows
+    P = HPolyhedron.from_rows(ineqs, eqs, n)
+    scaled = HPolyhedron.from_rows(
+        [(tuple(k * x for x in a), k * b) for a, b in ineqs],
+        [(tuple(k * x for x in a), k * b) for a, b in eqs],
+        n,
+    )
+    assert scaled == P
+    assert hash(scaled) == hash(P)
+
 
 def test_empty_polyhedron_total_operations():
     E = HPolyhedron.make_empty(2)
@@ -446,3 +500,50 @@ def test_empty_polyhedron_total_operations():
     V = VRepresentation.make_empty(2)
     assert vrep_to_h(V).empty
     assert minkowski_sum(V, dual_description(orthant())).empty
+
+
+def _non_int_entries(P):
+    return [
+        x
+        for normal, offset in P.inequalities + P.equalities
+        for x in normal + (offset,)
+        if type(x) is not int
+    ]
+
+
+@st.composite
+def graded_inputs(draw):
+    # a rank-2 system over a 2- or 3-dimensional exponent space, and a
+    # degree in its cone as a sum of degrees
+    n = draw(st.integers(2, 3))
+    exponents = st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=3)
+    degrees = draw(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=3)
+        .filter(lambda ds: all(any(d) for d in ds))
+    )
+    ideals = [MonomialIdeal.from_exponents(n, draw(exponents)) for _ in degrees]
+    picks = draw(st.lists(st.integers(0, 2), min_size=len(degrees), max_size=len(degrees)))
+    m = tuple(sum(k * d[j] for k, d in zip(picks, degrees)) for j in range(2))
+    return GradedSystem.create(2, n, degrees, ideals), m, ideals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rational_rows(),
+    st.one_of(st.integers(1, 5), st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))),
+    st.data(),
+    graded_inputs(),
+)
+def test_returned_rows_hold_only_ints(rows, t, data, graded):
+    # every HPolyhedron the package returns holds plain ints, whichever
+    # route built it; a float or Fraction row entry fails here
+    ineqs, eqs, n = rows
+    P = HPolyhedron.from_rows(ineqs, eqs, n)
+    keep = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    outputs = [P, canonical_h(P), scale_polyhedron(P, t), project(P, keep)]
+    outputs.append(scale_polyhedron(outputs[1], t))
+    system, m, ideals = graded
+    outputs += [newton_hform(I) for I in ideals]
+    outputs.append(asymptotic_newton(system, m))
+    for Q in outputs:
+        assert not _non_int_entries(Q), Q

@@ -40,3 +40,42 @@ def test_no_elimination_projection_in_package():
             for name in sorted(names & banned):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}:{name}")
     assert not found, found
+
+
+# Every HPolyhedron row is an int row, so "/" between two of its entries
+# is int / int, a float, where the verifier must stay exact.  Each listed
+# function divides by a Fraction, at most the given number of times; any
+# other true division must get a Fraction operand and a place here, or be
+# floor division.
+_TRUE_DIVISION_ALLOWED = {
+    ("fans.py", "caratheodory_reduce"): 2,
+    ("graded.py", "asymptotic_limit_check"): 1,
+}
+
+
+def _true_divisions(node, scope):
+    """Innermost enclosing function name (or <module>) of each "/"."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _true_divisions(child, child.name)
+            continue
+        if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(
+            child.op, ast.Div
+        ):
+            yield scope
+        yield from _true_divisions(child, scope)
+
+
+def test_true_division_only_in_allowed_functions():
+    found = {}
+    for path in sorted(Path(conefan.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope in _true_divisions(tree, "<module>"):
+            key = (path.name, scope)
+            found[key] = found.get(key, 0) + 1
+    extra = {
+        key: count
+        for key, count in found.items()
+        if count > _TRUE_DIVISION_ALLOWED.get(key, 0)
+    }
+    assert not extra, extra
