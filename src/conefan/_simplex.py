@@ -7,7 +7,8 @@ which duals and Farkas certificates are read and then re-verified before
 being returned.
 
 The LP is converted once to integer rows over per-row denominators (the
-form of _kernel._to_int_rows), and everything after that runs on
+form of _kernel._to_int_rows; int inputs enter as they are, over
+denominator 1), and everything after that runs on
 integers: the tableau, both objective rows, the pivots and the
 certificate checks, which compare cross-multiplied integer sums.  Only
 the returned vectors are made Fractions again.
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import _kernel
 from .errors import InputError, InternalError
-from .rational import Vec, frac, idot
+from .rational import Vec, idot, qvec
 
 
 @dataclass(frozen=True)
@@ -47,9 +48,10 @@ def _fracs(nums, den):
 
 
 def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> StandardResult:
-    c = [frac(x) for x in c]
-    rows = [[frac(x) for x in row] for row in A]
-    rhs = [frac(x) for x in b]
+    # ints stay ints: _to_int_rows reads numerator and denominator of both
+    c = list(qvec(c))
+    rows = [list(qvec(row)) for row in A]
+    rhs = list(qvec(b))
     m = len(rows)
     n = len(c)
     if len(rhs) != m or any(len(r) != n for r in rows):

@@ -143,6 +143,16 @@ def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
     return Cone(extreme, normals, dim)
 
 
+def _primitive(v: tuple) -> IntVec | None:
+    """Primitive integer vector on the ray of a rational vector, or None
+    for the zero vector.  All-int vectors skip the Fraction route; vec
+    rejects bools and floats."""
+    if all(type(x) is int for x in v):
+        return primitive_int_vector(v) if any(v) else None
+    v = vec(v)
+    return None if is_zero_vec(v) else primitive_direction(v)
+
+
 def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
     """Canonical cone spanned by rational generators (must be pointed)."""
     gens = [tuple(g) for g in generators]
@@ -153,11 +163,10 @@ def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
     for g in gens:
         if len(g) != n:
             raise InputError("generator dimension mismatch")
-        ints = all(type(x) is int for x in g)
-        gv = g if ints else vec(g)  # vec rejects bools and floats
-        if is_zero_vec(gv):
+        p = _primitive(g)
+        if p is None:
             raise InputError("zero vector is not a valid cone generator")
-        prim.add(primitive_int_vector(gv) if ints else primitive_direction(gv))
+        prim.add(p)
     return _cone_from_primitive_rays(tuple(sorted(prim)), n)
 
 
@@ -167,13 +176,11 @@ def origin_cone(ambient_dim: int) -> Cone:
 
 def cone_from_normals(normals: Sequence[Sequence]) -> Cone:
     """Canonical cone {x : <u, x> >= 0 for all u} (must be pointed)."""
-    ns = list(normals)
+    ns = [tuple(u) for u in normals]
     if not ns:
         raise InputError("cone_from_normals needs at least one normal")
-    n = len(vec(ns[0]))
-    rows = tuple(
-        sorted({primitive_direction(u) for u in ns if not is_zero_vec(vec(u))})
-    )
+    n = len(ns[0])
+    rows = tuple(sorted({p for p in map(_primitive, ns) if p is not None}))
     lin, extreme = cone_generators(rows, n)
     if lin:
         raise NotPointedError(lin[0])
@@ -388,6 +395,14 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     subsets of the generators cut the support cone into chambers; the
     full-dimensional chambers are the maximal cones.  Every cone spanned by
     an independent subset is a union of chambers, which forces linearity.
+
+    A cut splits only the chambers it crosses, those with rays strictly on
+    both sides of the hyperplane; any other chamber is kept whole, without
+    a double description, as its other half is a lower-dimensional face.
+    The chambers are built in coordinates of a basis of span(generators);
+    for a full-dimensional support that basis is the identity, so the
+    chambers are returned as they are, with no round trip back to ambient
+    coordinates.
     """
     gens = [vec(g) for g in generators]
     if not gens:
@@ -415,11 +430,20 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
         mu = tuple(-x for x in u)
         nxt = set()
         for sigma in chambers:
+            sides = [idot(u, r) for r in sigma.rays]
+            if min(sides) >= 0 or max(sides) <= 0:
+                # an uncrossed sigma is its own half; the other half is a
+                # face, of dimension < d, which the dim test would drop
+                nxt.add(sigma)
+                continue
             for half in (u, mu):
                 piece = cone_from_normals(sigma.normals + (half,))
                 if piece.dim == d:
                     nxt.add(piece)
         chambers = sorted(nxt)
+    if d == n:
+        # _span_basis gave the identity: coordinates are ambient already
+        return Fan.make(chambers, n)
     out = []
     for sigma in chambers:
         ambient_rays = [

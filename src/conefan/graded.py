@@ -169,8 +169,8 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 def _minkowski_points(parts, n: int) -> set:
     """Candidate vertices of the weighted Minkowski sum sum_k k * conv(V_k)
     over (V_k, k) parts: every sum of one k-scaled point per part.  Integer
-    points and weights give integer tuples; a rational weight (a vertex of
-    the representation polytope) gives rational ones."""
+    points and weights give integer tuples; a weight with a denominator (an
+    entry of a representation-polytope vertex) gives rational ones."""
     points = {(0,) * n}
     for verts, k in parts:
         if k == 0:
@@ -563,6 +563,8 @@ def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
     vertex_lists = [_lattice_vertices(newton_hform(I)) for I in ideals]
     points: set = set()
     for lam in rep_polytope.vertices:
+        # integral weights as int, so only real denominators make Fractions
+        lam = [x.numerator if x.denominator == 1 else x for x in lam]
         points |= _minkowski_points(zip(vertex_lists, lam), n)
     return _orthant_hull(points, n)
 

@@ -8,6 +8,11 @@ nonnegative combination of generators with per-generator costs) and its
 dual polyhedron of price vectors, whose linear maximum must agree with the
 primal value; duality_check computes both sides through independent code
 paths (simplex vs. vertex enumeration) and compares them bit-exactly.
+
+representation_cost hands its inputs to the simplex as they came: int
+entries stay int (the simplex reads them as integer rows over
+denominator 1), other rationals stay Fractions, and only the returned
+value and witness are Fractions.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import Optional, Sequence
 from . import _simplex
 from .errors import InputError, InternalError, NotInConeError
 from .polyhedra import HPolyhedron, minimize_linear, UNBOUNDED
-from .rational import Mat, Vec, mat, vec, vneg
+from .rational import Mat, Vec, mat, qvec, vec, vneg
 
 
 @dataclass(frozen=True)
@@ -81,22 +86,21 @@ def _columns_matrix(generators: Sequence[Vec], dim: int) -> Mat:
 
 @lru_cache(maxsize=None)
 def _representation_cost_cached(
-    generators: tuple[Vec, ...], costs: Vec, target: Vec
+    generators: tuple[tuple, ...], costs: tuple, target: tuple
 ) -> CostOptimum:
     n = len(target)
     if not generators:
         if all(x == 0 for x in target):
             return CostOptimum(Fraction(0), ())
         raise NotInConeError("target is nonzero but there are no generators")
-    inst = LpInstance(costs, _columns_matrix(generators, n), target)
-    out = simplex_solve(inst)
-    if out.status == "infeasible":
+    res = _simplex.solve_standard(costs, _columns_matrix(generators, n), target)
+    if res.status == "infeasible":
         raise NotInConeError(
             "target admits no nonnegative representation in the generators"
         )
-    if out.status != "optimal":
+    if res.status != "optimal":
         raise InternalError("nonnegative costs cannot be unbounded")
-    return CostOptimum(out.value, out.primal)
+    return CostOptimum(res.value, res.x)
 
 
 def representation_cost(
@@ -105,12 +109,15 @@ def representation_cost(
     """Minimum of <costs, t> over t >= 0 with sum_i t_i generators_i = target.
 
     Raises NotInConeError when the target lies outside the cone spanned by
-    the generators.  The witness is an optimal coefficient vector, so the
-    infimum is always attained at a rational point.
+    the generators.  The witness is an optimal coefficient vector of
+    Fractions, so the infimum is always attained at a rational point.
+    Int entries stay int on the way to the simplex; every other entry is
+    coerced by frac, and bools and floats raise InputError before the
+    memo is consulted.
     """
-    gens = tuple(vec(g) for g in generators)
-    costs = vec(costs)
-    target = vec(target)
+    gens = tuple(qvec(g) for g in generators)
+    costs = qvec(costs)
+    target = qvec(target)
     if len(costs) != len(gens):
         raise InputError("need one cost per generator")
     if any(c < 0 for c in costs):

@@ -1,10 +1,15 @@
 """Exact scalars and vector helpers shared across the package.
 
 Values with a denominator are `fractions.Fraction`s; vectors and matrices
-are plain tuples of them, or of ints where integrality is an invariant:
-primitive ray generators, and every HPolyhedron row, which is a primitive
-integer row from construction on.  Floats and bools are rejected by every
-coercion (JSON true is not 1).
+are plain tuples of them, or of ints where integrality is an invariant or
+the input gave ints:
+  - primitive ray generators and cone normals (primitive_int_vector);
+  - every HPolyhedron row, a primitive integer row from construction on;
+  - the generators, costs and target of a representation-cost LP (qvec),
+    which the simplex reads as integer rows over denominator 1;
+  - the integral entries of a representation-polytope vertex, when
+    Newton vertices are summed with those weights.
+Floats and bools are rejected by every coercion (JSON true is not 1).
 
 A distinguished PlusInfinity singleton serves as the valuation of the zero
 ideal.  It deliberately lives outside the scalar type used by the geometry
@@ -43,6 +48,12 @@ def frac(x: Scalar) -> Fraction:
 
 def vec(entries: Iterable[Scalar]) -> Vec:
     return tuple(frac(x) for x in entries)
+
+
+def qvec(entries: Iterable[Scalar]) -> tuple:
+    """Exact vector that keeps plain ints as int and coerces every other
+    entry with frac (so bools, floats and bad strings are rejected)."""
+    return tuple(x if type(x) is int else frac(x) for x in entries)
 
 
 def mat(rows: Iterable[Iterable[Scalar]]) -> Mat:

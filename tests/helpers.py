@@ -7,7 +7,8 @@ inequality evaluation on integer points, minimal generators by pairwise
 divisibility, row reduction and simplex pivoting by plain Fraction
 arithmetic, parallelepiped points by a bounding-box scan, representations
 of a degree by a search bounded only by the theta-weight, projection by
-Fourier-Motzkin elimination with LP redundancy removal.
+Fourier-Motzkin elimination with LP redundancy removal, the linearity fan
+by cutting every chamber with every hyperplane.
 """
 
 from __future__ import annotations
@@ -17,9 +18,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from conefan import fans
 from conefan._simplex import StandardResult, solve_standard
-from conefan.errors import BudgetExceededError, InputError, InternalError
-from conefan.linalg import linear_solve, rank
+from conefan.errors import (
+    BudgetExceededError,
+    CapExceededError,
+    InputError,
+    InternalError,
+)
+from conefan.linalg import kernel_basis, linear_solve, rank
 from conefan.polyhedra import (
     DEFAULT_DIM_CAP,
     HPolyhedron,
@@ -739,3 +746,48 @@ def parallelepiped_points_reference(c) -> list:
     """Sorted primitive directions of the box scan's lattice points."""
     points = parallelepiped_lattice_points_reference(c)
     return sorted({primitive_direction(vec(p)) for p in points})
+
+
+def linearity_fan_reference(generators):
+    """fans.linearity_fan cutting every chamber by every hyperplane.
+
+    Both halves of each chamber come from a double description and the
+    lower-dimensional ones are dropped; the chambers always go back to
+    ambient coordinates, also when the span basis is the identity.
+    """
+    gens = [vec(g) for g in generators]
+    if not gens:
+        raise InputError("linearity fan needs at least one generator")
+    n = len(gens[0])
+    support = fans.cone_from_generators(gens)
+    d = support.dim
+    if d <= 1:
+        return fans.Fan.make([support], n)
+    if len(gens) > fans.INDEPENDENT_SUBSET_CAP:
+        raise CapExceededError(
+            f"linearity fan capped at {fans.INDEPENDENT_SUBSET_CAP} generators"
+        )
+    basis, pivots = fans._span_basis(gens)
+    coord_gens = [fans._to_coords(g, pivots, basis) for g in gens]
+    cuts = set()
+    for subset in combinations(range(len(coord_gens)), d - 1):
+        rows = [coord_gens[i] for i in subset]
+        if rank(rows) == d - 1:
+            cuts.add(primitive_direction(kernel_basis(rows)[0]))
+    chambers = [fans.cone_from_generators(coord_gens)]
+    for u in sorted(cuts):
+        mu = tuple(-x for x in u)
+        nxt = set()
+        for sigma in chambers:
+            for half in (u, mu):
+                piece = fans.cone_from_normals(sigma.normals + (half,))
+                if piece.dim == d:
+                    nxt.add(piece)
+        chambers = sorted(nxt)
+    out = []
+    for sigma in chambers:
+        ambient_rays = [
+            primitive_direction(fans._from_coords(r, basis)) for r in sigma.rays
+        ]
+        out.append(fans.cone_from_generators(ambient_rays))
+    return fans.Fan.make(out, n)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     is_cost_linear_on_sampled,
+    linearity_fan_reference,
     parallelepiped_lattice_points_reference,
     parallelepiped_points_reference,
     random_generators,
@@ -26,6 +27,7 @@ from conefan.fans import (
     caratheodory_reduce,
     common_refinement,
     cone_from_generators,
+    cone_from_normals,
     every_cost_linear_on,
     independent_subsets,
     intersect,
@@ -72,6 +74,32 @@ def test_cone_from_generators_scalar_routes():
     for bad in ([(True, 0)], [(1.0, 0)], [(0, 0)], [(Fraction(0), 0)], [(1, 0), (1,)]):
         with pytest.raises(InputError):
             cone_from_generators(bad)
+
+
+def test_cone_from_normals_scalar_routes():
+    # integer normals skip the Fraction route; Fraction and string normals
+    # in the same directions give the same cone, zero normals are ignored,
+    # and bools, floats and unparsable strings are rejected
+    ints = cone_from_normals([(1, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, -1)])
+    assert ints.rays == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
+    assert all(type(x) is int for v in ints.rays + ints.normals for x in v)
+    assert ints == cone_from_normals(
+        [
+            (Fraction(1, 3), 0, 0),
+            (0, Fraction(2), 0),
+            ["0", "0", "3/4"],
+            (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2)),
+            (0, 0, 0),
+        ]
+    )
+    for bad in (
+        [(True, 0)],
+        [(1, 0), (0, True)],
+        [(1, 0), (1.0, 1)],
+        [(1, 0), ("x", 1)],
+    ):
+        with pytest.raises(InputError):
+            cone_from_normals(bad)
 
 
 def _contains_point_reference(cone, v):
@@ -700,3 +728,47 @@ def test_every_cost_linear_on_edge_cases():
     with pytest.raises(CapExceededError):
         every_cost_linear_on([(1, k) for k in range(13)], quadrant())
     assert not every_cost_linear_on(V3, quadrant())
+
+
+# The rank-3 six-generator set whose wall arrangement has 34 chambers, and
+# a planar support in 3-space (support dimension 2 < 3).
+SIX_GENS = [(2, 1, 4), (0, 2, 0), (0, 0, 4), (0, 3, 1), (3, 0, 4), (1, 3, 3)]
+PLANAR_GENS = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (1, 2, 0)]
+
+
+def _linearity_fan_cases():
+    cases = [
+        SIX_GENS,
+        PLANAR_GENS,
+        STRADDLE_GENS,
+        V3,
+        # repeated and collinear generators
+        [(1, 0), (2, 0), (1, 0), (0, 1), (1, 1), (3, 3)],
+        [(1, 1, 0), (2, 2, 0), (1, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 2)],
+        # a support of dimension 3 in 4-space
+        [(1, 0, 1, 0), (0, 1, 1, 0), (1, 1, 2, 0), (2, 1, 3, 0), (1, 3, 4, 0)],
+        # rational and string entries
+        [(Fraction(1, 2), 0, 1), (0, 1, 1), ("1", "1", "2"), (1, 1, 1)],
+    ]
+    rng = random.Random(41)
+    for n, top in ((2, 6), (3, 6), (4, 5)):
+        for _ in range(6):
+            gens = random_generators(rng, rng.randint(2, top), n, hi=3)
+            cases.append(gens)
+            # the same set on a hyperplane: last coordinate = sum of the rest
+            cases.append([g[:-1] + (sum(g[:-1]),) for g in gens if any(g[:-1])])
+    return cases
+
+
+def test_linearity_fan_matches_reference():
+    # cutting only the crossed chambers, and skipping the coordinate round
+    # trip when the support is full-dimensional, must give the same fan as
+    # cutting every chamber and always mapping back
+    split = 0
+    for gens in _linearity_fan_cases():
+        got = linearity_fan(gens)
+        assert got == linearity_fan_reference(gens), gens
+        split += len(got.maximal_cones) > 1
+    assert split >= 20
+    assert len(linearity_fan(SIX_GENS).maximal_cones) == 34
+    assert len(linearity_fan(PLANAR_GENS).maximal_cones) == 4

@@ -164,6 +164,26 @@ def test_solve_standard_matches_reference(lp):
     assert _solve([lp]) == [solve_standard_reference(*lp)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(lps())
+@example(_TIE)
+@example(([F(-1), F(0)], [[F(1), F(-1)]], [F(0)]))
+def test_solve_standard_on_ints_matches_reference(lp):
+    # int entries go to the integer rows as they are, with no Fraction in
+    # between; the outcome equals the Fraction reference's, and the
+    # returned vectors and value are Fractions
+    c, A, b = lp
+    ints = (
+        [int(x) for x in c],
+        [[int(x) for x in row] for row in A],
+        [int(x) for x in b],
+    )
+    (got,) = _solve([ints])
+    assert got == solve_standard_reference(*lp)
+    assert all(type(x) is F for v in got[1:4] if v is not None for x in v)
+    assert got[4] is None or type(got[4]) is F
+
+
 def test_solve_standard_battery_reaches_every_outcome():
     # a fixed battery, so the three statuses and the ties are guaranteed
     rng = random.Random(55)

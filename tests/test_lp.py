@@ -7,7 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import certificate_check_reference, random_generators
+from helpers import (
+    certificate_check_reference,
+    clear_conefan_caches,
+    random_generators,
+)
 
 from conefan import _kernel, _simplex
 from conefan.errors import InputError, NotInConeError
@@ -97,6 +101,65 @@ def test_representation_cost_domain_errors():
     with pytest.raises(NotInConeError):
         representation_cost([], (), (1,))
     assert representation_cost([], (), (0, 0)).value == 0
+
+
+def _representation_outcome(gens, costs, target):
+    try:
+        return representation_cost(gens, costs, target)
+    except NotInConeError:
+        return NotInConeError
+
+
+def test_representation_cost_int_and_fraction_inputs_agree():
+    # int entries reach the simplex as ints, Fractions as Fractions: on cold
+    # memos equal values must give the identical optimum, whose value and
+    # witness are Fractions either way
+    rng = random.Random(23)
+    cases = [(V3, (1, 1, 1), (2, 1)), (V3, (0, 2, 1), (-1, 0))]
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        gens = random_generators(rng, rng.randint(1, 5), n)
+        gens = [tuple(int(x) for x in g) for g in gens]
+        costs = tuple(rng.randint(0, 6) for _ in gens)
+        target = tuple(rng.randint(-1, 6) for _ in range(n))
+        cases.append((gens, costs, target))
+    solved = 0
+    for gens, costs, target in cases:
+        clear_conefan_caches()
+        ints = _representation_outcome(gens, costs, target)
+        clear_conefan_caches()
+        fracs = _representation_outcome(
+            [vec(g) for g in gens], vec(costs), vec(target)
+        )
+        clear_conefan_caches()
+        mixed = _representation_outcome(
+            [tuple(str(x) for x in g) for g in gens], costs, vec(target)
+        )
+        assert ints == fracs == mixed, (gens, costs, target)
+        if ints is not NotInConeError:
+            solved += 1
+            assert type(ints.value) is Fraction
+            assert all(type(x) is Fraction for x in ints.witness)
+    assert 10 <= solved < len(cases)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "x"])
+def test_representation_cost_rejects_bools_and_floats_on_any_memo(bad):
+    # (True,) == (1,) as a memo key, so validation must come first; each
+    # bad call equals the good one with 1 in place of the bad entry
+    gens, costs, target = [(1, 0), (0, 1), (1, 1)], [1, 1, 1], [1, 1]
+    calls = [
+        ([(bad, 0), (0, 1), (1, 1)], costs, target),
+        (gens, [bad, 1, 1], target),
+        (gens, costs, [bad, 1]),
+    ]
+    clear_conefan_caches()
+    for warm in (False, True):
+        if warm:
+            representation_cost(gens, costs, target)
+        for args in calls:
+            with pytest.raises(InputError):
+                representation_cost(*args)
 
 
 def test_price_polyhedron():
