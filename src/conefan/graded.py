@@ -20,12 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence, Union
 
 from ._dd import cone_generators
 from .errors import (
     BudgetExceededError,
+    CapExceededError,
     InputError,
     InternalError,
     NotInConeError,
@@ -39,8 +41,10 @@ from .fans import (
     origin_cone,
     smooth_refine,
 )
+from .linalg import hermite_basis_det, int_adjugate
 from .lp import representation_cost
 from .polyhedra import (
+    DEFAULT_DIM_CAP,
     HPolyhedron,
     VRepresentation,
     _hform_from_dd,
@@ -168,9 +172,8 @@ def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 def _minkowski_points(parts, n: int) -> set:
     """Candidate vertices of the weighted Minkowski sum sum_k k * conv(V_k)
-    over (V_k, k) parts: every sum of one k-scaled point per part.  Integer
-    points and weights give integer tuples; a weight with a denominator (an
-    entry of a representation-polytope vertex) gives rational ones."""
+    over (V_k, k) parts of integer points and nonnegative integer weights:
+    every sum of one k-scaled point per part, as an integer tuple."""
     points = {(0,) * n}
     for verts, k in parts:
         if k == 0:
@@ -200,13 +203,12 @@ def _orthant_hull(points, n: int) -> HPolyhedron:
     nonempty point set.
 
     Points dominating another point lie in its orthant translate, so only
-    the minimal points enter the hull.  The homogenized generators are
-    built as integer rows: (v | 1) for an integer point, (v | 1) with its
-    denominators cleared for a rational one, and (e_i | 0) for the orthant
-    rays.  Their sorted tuple goes to the double description, whose rays
-    are the primitive facet rows of the returned HPolyhedron.  The hull
-    contains a translate of the orthant, so a lineality space in its dual
-    cone is an internal failure.
+    the minimal points enter the hull.  The points are integer tuples, and
+    the homogenized generators are the integer rows (v | 1) for the points
+    and (e_i | 0) for the orthant rays.  Their sorted tuple goes to the
+    double description, whose rays are the primitive facet rows of the
+    returned HPolyhedron.  The hull contains a translate of the orthant, so
+    a lineality space in its dual cone is an internal failure.
     """
     rows = {_lift_point(v) for v in _minimalize(points)}
     rows.update(tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n))
@@ -337,13 +339,19 @@ def _positive_functional(cone: Cone, degrees: tuple[IntVec, ...]) -> IntVec:
     return theta
 
 
-def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
-    """Ideal in degree m: sum over all representations sum l_i m_i = m of
-    the products prod ideals_i^{l_i}; the zero ideal when none exists."""
+def _grading_degree(sys: GradedSystem, m: Sequence[int]) -> IntVec:
+    """A degree as an integer vector, checked against the grading rank
+    before any memo sees it."""
     m = ivec(m)
     if len(m) != sys.grading_rank:
         raise InputError("degree length must match the grading rank")
-    return _expand_degree_cached(sys, m)
+    return m
+
+
+def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
+    """Ideal in degree m: sum over all representations sum l_i m_i = m of
+    the products prod ideals_i^{l_i}; the zero ideal when none exists."""
+    return _expand_degree_cached(sys, _grading_degree(sys, m))
 
 
 @lru_cache(maxsize=None)
@@ -441,7 +449,7 @@ def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyh
     (scale-invariant) vertex sets.  Agrees exactly with
     newton_hform(expand_degree(sys, m)); None encodes the zero ideal.
     """
-    return _degree_newton_hform_cached(sys, ivec(m))
+    return _degree_newton_hform_cached(sys, _grading_degree(sys, m))
 
 
 @lru_cache(maxsize=None)
@@ -470,7 +478,7 @@ def asymptotic_valuation(
     the degree cone; returns PlusInfinity when m is reachable only through
     zero ideals.
     """
-    return _asymptotic_valuation_cached(sys, ivec(w), ivec(m))
+    return _asymptotic_valuation_cached(sys, ivec(w), _grading_degree(sys, m))
 
 
 @lru_cache(maxsize=None)
@@ -529,13 +537,57 @@ def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
     equals asymptotic_valuation(sys, w, m): the projection to exponent
     space of the lift {(l, u, x) : l >= 0, sum l_i m_i = m, u a convex
     splitting of each l_i over the Newton polyhedron vertices of ideal i,
-    x >= sum u_ij V_ij}.  Computed by decomposing the representation
-    polytope {l >= 0 : sum l_i m_i = m} into its vertices: the lift's
-    projection is the hull of the weighted Minkowski sums at those
-    vertices, plus the orthant (checked against the literal lift
-    projection in the test suite).
+    x >= sum u_ij V_ij}.  The lift's projection is the hull of the weighted
+    Minkowski sums at the vertices of the representation polytope
+    {l >= 0 : sum l_i m_i = m}, plus the orthant (checked against the
+    literal lift projection in the test suite).  Those vertices are the
+    polytope's basic solutions, from _basic_solutions; with L the lcm of
+    their denominators, the integer points sum (L l_i) v_i are hulled and
+    the hull is scaled by 1/L once.
     """
-    return _asymptotic_newton_cached(sys, ivec(m))
+    return _asymptotic_newton_cached(sys, _grading_degree(sys, m))
+
+
+def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
+    """Vertices of the representation polytope {l >= 0 : sum l_i d_i = m},
+    each as the reduced integer row (q l | q) of its least denominator q.
+
+    A positive functional on the degrees bounds the polytope, so its
+    vertices are its basic feasible solutions (Schrijver, Theory of Linear
+    and Integer Programming, 1986, 8.5): the nonnegative solutions
+    supported on k degrees B that are independent, with k the rank of all
+    the degrees.  The first coordinate set S on which that rank-k span
+    projects isomorphically frames every such B: D_SB (the S-coordinates
+    of B as columns) is invertible exactly when B is independent, and then
+    l_B = adj(D_SB) m_S / det(D_SB).  It solves the whole system iff the
+    other coordinates agree too, which they do not for m outside the span.
+    """
+    coord_rows = tuple(zip(*degrees))
+    k = hermite_basis_det(coord_rows)[0]
+    frame = next(
+        s
+        for s in combinations(range(len(m)), k)
+        if hermite_basis_det([coord_rows[i] for i in s])[0] == k
+    )
+    m_frame = [m[i] for i in frame]
+    out = set()
+    for basis in combinations(range(len(degrees)), k):
+        adj, det = int_adjugate([[coord_rows[i][j] for j in basis] for i in frame])
+        if det < 0:
+            adj, det = [[-x for x in row] for row in adj], -det
+        elif det == 0:
+            continue
+        nums = [idot(row, m_frame) for row in adj]
+        if any(x < 0 for x in nums) or any(
+            idot(nums, [row[j] for j in basis]) != det * mi
+            for row, mi in zip(coord_rows, m)
+        ):
+            continue
+        lam = [0] * len(degrees) + [det]
+        for j, x in zip(basis, nums):
+            lam[j] = x
+        out.add(primitive_int_vector(lam))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -546,27 +598,25 @@ def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
         return _orthant_hull([(0,) * n], n)
     if not degrees:
         raise NotInConeError(f"degree {m} is reachable only through zero ideals")
-    r = len(degrees)
-    nonneg = [(tuple(-1 if j == i else 0 for j in range(r)), 0) for i in range(r)]
-    eqs = [(tuple(d[j] for d in degrees), m[j]) for j in range(sys.grading_rank)]
-    rep_polytope = dual_description(
-        HPolyhedron.from_rows(nonneg, eqs, ambient_dim=r)
-    )
-    if rep_polytope.empty:
+    if len(degrees) > DEFAULT_DIM_CAP:
+        raise CapExceededError(
+            f"representation polytope capped at dimension {DEFAULT_DIM_CAP}, "
+            f"got {len(degrees)}"
+        )
+    vertices = _basic_solutions(degrees, m)
+    if not vertices:
         raise NotInConeError(
             f"degree {m} admits no representation with nonzero ideals"
         )
-    if rep_polytope.rays or rep_polytope.lineality:
-        raise InternalError(
-            "representation polytope unbounded despite a pointed degree cone"
-        )
+    den = lcm(*(lam[-1] for lam in vertices))
     vertex_lists = [_lattice_vertices(newton_hform(I)) for I in ideals]
     points: set = set()
-    for lam in rep_polytope.vertices:
-        # integral weights as int, so only real denominators make Fractions
-        lam = [x.numerator if x.denominator == 1 else x for x in lam]
-        points |= _minkowski_points(zip(vertex_lists, lam), n)
-    return _orthant_hull(points, n)
+    for lam in vertices:
+        scale = den // lam[-1]
+        points |= _minkowski_points(
+            zip(vertex_lists, [scale * x for x in lam[:-1]]), n
+        )
+    return scale_polyhedron(_orthant_hull(points, n), Fraction(1, den))
 
 
 @dataclass(frozen=True)

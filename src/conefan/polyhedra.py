@@ -247,12 +247,11 @@ def _reduce_mod_equalities(
 
 
 def _lift_point(v: Sequence) -> IntVec:
-    """Primitive integer row on the ray of the homogenized point (v | 1):
-    (v | 1) itself for an integer point, with denominators cleared for a
-    rational one."""
-    if all(type(x) is int for x in v):
-        return tuple(v) + (1,)
-    return _primitive_row(v, Fraction(1))
+    """The homogenized integer point (v | 1), a primitive integer row; a
+    point with an entry that is not an int is an internal failure."""
+    if any(type(x) is not int for x in v):
+        raise InternalError(f"hull point {tuple(v)} is not an integer point")
+    return tuple(v) + (1,)
 
 
 def _h_from_int_rows(

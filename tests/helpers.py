@@ -25,6 +25,7 @@ from conefan.errors import (
     CapExceededError,
     InputError,
     InternalError,
+    NotInConeError,
 )
 from conefan.linalg import kernel_basis, linear_solve, rank
 from conefan.polyhedra import (
@@ -33,6 +34,7 @@ from conefan.polyhedra import (
     _primitive_row,
     canonical_h,
     contains,
+    dual_description,
 )
 from conefan.rational import Vec, dot, frac, primitive_direction, vec
 
@@ -672,6 +674,41 @@ def asymptotic_newton_via_lift(system, m):
         ineqs.append((tuple(row), Fraction(0)))
     lifted = HPolyhedron.from_rows(ineqs, eqs, ambient_dim=total)
     return project_fm_reference(lifted, range(k + mu_count, total))
+
+
+def representation_vertices_reference(system, m) -> tuple:
+    """Vertices of the representation polytope {l >= 0 : sum l_i d_i = m}
+    over the degrees with nonzero ideal, as Fraction tuples, from the
+    double description of its H-form.  Raises NotInConeError when the
+    polytope is empty and InternalError when it is unbounded."""
+    degrees, _ = system.nonzero_part()
+    r = len(degrees)
+    nonneg = [(tuple(-1 if j == i else 0 for j in range(r)), 0) for i in range(r)]
+    eqs = [(tuple(d[j] for d in degrees), m[j]) for j in range(system.grading_rank)]
+    polytope = dual_description(HPolyhedron.from_rows(nonneg, eqs, ambient_dim=r))
+    if polytope.empty:
+        raise NotInConeError(f"degree {tuple(m)} admits no representation")
+    if polytope.rays or polytope.lineality:
+        raise InternalError("representation polytope unbounded")
+    return polytope.vertices
+
+
+def asymptotic_newton_reference(system, m):
+    """Limit Newton polyhedron as the V-route hull of the Fraction weighted
+    Minkowski sums at the vertices of representation_vertices_reference."""
+    from conefan.graded import _minkowski_points, newton_polyhedron
+
+    n = system.ambient
+    if all(x == 0 for x in m):
+        return orthant_hull_reference([(0,) * n], n)
+    _, ideals = system.nonzero_part()
+    if not ideals:
+        raise NotInConeError(f"degree {tuple(m)} is reachable only through zero ideals")
+    vertex_lists = [newton_polyhedron(I).vertices for I in ideals]
+    points: set = set()
+    for lam in representation_vertices_reference(system, m):
+        points |= _minkowski_points(zip(vertex_lists, lam), n)
+    return orthant_hull_reference(points, n)
 
 
 def is_cost_linear_on_sampled(generators, costs, cone, sample_count=8, seed=0):

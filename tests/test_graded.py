@@ -41,6 +41,7 @@ from conefan.polyhedra import (
     minimize_linear,
     minkowski_sum,
     same_point_set,
+    scale_polyhedron,
     vrep_to_h,
 )
 from conefan.rational import PLUS_INFINITY, is_finite, vec
@@ -195,7 +196,7 @@ def test_newton_routes_match_reference(I):
 def hull_point_sets(draw):
     n = draw(st.integers(1, 4))
     # a narrow range gives duplicates and dominated points; denominators
-    # up to 4 give rational points like asymptotic_newton's
+    # up to 4 give rational points like the vertices of a limit polyhedron
     if draw(st.booleans()):
         entry = st.integers(-2, 4)
     else:
@@ -214,11 +215,40 @@ def hull_point_sets(draw):
 @example((2, [(Fraction(4, 2), Fraction(0)), (2, 0), (0, 2)]))
 def test_orthant_hull_matches_reference(case):
     # the integer-row hull must equal the V-route through VRepresentation
-    # and vrep_to_h, on integer, rational and mixed points
+    # and vrep_to_h; it takes int points only, so a rational point set is
+    # hulled as asymptotic_newton does it: scaled by the lcm L of its
+    # denominators to integers, and the hull scaled back by 1/L
+    from math import lcm
+
     from conefan.graded import _orthant_hull
 
     n, points = case
-    assert _orthant_hull(points, n) == orthant_hull_reference(points, n)
+    expected = orthant_hull_reference(points, n)
+    if all(type(x) is int for p in points for x in p):
+        assert _orthant_hull(points, n) == expected
+        return
+    den = lcm(*(Fraction(x).denominator for p in points for x in p))
+    scaled = [tuple(int(den * x) for x in p) for p in points]
+    assert scale_polyhedron(_orthant_hull(scaled, n), Fraction(1, den)) == expected
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(Fraction(1, 2),)],
+        [(Fraction(2),)],
+        [(2, 0), (0, Fraction(1))],
+        [(0, 1), (1.0, 0)],
+    ],
+)
+def test_orthant_hull_rejects_non_int_points(points):
+    # a minimal point that is not all ints is an internal failure, even
+    # when its value is integral
+    from conefan.errors import InternalError
+    from conefan.graded import _orthant_hull
+
+    with pytest.raises(InternalError, match="not an integer point"):
+        _orthant_hull(points, len(points[0]))
 
 
 @pytest.mark.parametrize("system", [worked_system(), bench_system()])
@@ -698,6 +728,32 @@ def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good
         fn(worked_system(), *bad)
 
 
+@pytest.mark.parametrize(
+    "entry, memo, weight",
+    [
+        ("asymptotic_valuation", "_asymptotic_valuation_cached", ((1, 0),)),
+        ("asymptotic_newton", "_asymptotic_newton_cached", ()),
+        ("_degree_newton_hform", "_degree_newton_hform_cached", ()),
+        ("expand_degree", "_expand_degree_cached", ()),
+    ],
+)
+@pytest.mark.parametrize("bad", [(1,), (1, 1, 1)])
+def test_memoized_entry_points_check_degree_length_cold_and_warm(
+    entry, memo, weight, bad
+):
+    # grading rank 2: a short degree must not fail deep inside with an
+    # IndexError, nor a long one answer for its first two coordinates
+    import conefan.graded as graded
+
+    fn = getattr(graded, entry)
+    getattr(graded, memo).cache_clear()
+    with pytest.raises(InputError, match="grading rank"):
+        fn(worked_system(), *weight, bad)
+    fn(worked_system(), *weight, (1, 1))
+    with pytest.raises(InputError, match="grading rank"):
+        fn(worked_system(), *weight, bad)
+
+
 def test_expand_degree_budget(monkeypatch):
     import conefan.graded as graded
 
@@ -878,6 +934,85 @@ def test_verify_lower_dimensional_degree_cone():
     witnessed = [t for c in rep2.cones for t in c.checks if t.witness_weight]
     assert witnessed
     assert all(t.left_value != t.right_value for t in witnessed)
+
+
+@st.composite
+def representation_cases(draw):
+    # grading rank up to 3 with up to five degrees (more degrees than the
+    # rank), entries up to 3 (determinants other than +-1), degrees on the
+    # hyperplane where the last coordinate sums the others (a proper
+    # subspace), zero ideals, and targets that are either combinations of
+    # the degrees or arbitrary (often outside the cone or the span)
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(1, 5))
+    entry = st.integers(-1 if draw(st.booleans()) else 0, 3)
+    degree = st.lists(entry, min_size=g, max_size=g)
+    if g > 1 and draw(st.booleans()):
+        degree = st.lists(entry, min_size=g - 1, max_size=g - 1).map(
+            lambda d: d + [sum(d)]
+        )
+    degrees = draw(st.lists(degree.filter(any), min_size=r, max_size=r))
+    exponent = st.tuples(*[st.integers(0, 3)] * n)
+    ideals = [
+        MI(n, draw(st.lists(exponent, min_size=1, max_size=3)))
+        if draw(st.integers(0, 4))
+        else MonomialIdeal.zero(n)
+        for _ in range(r)
+    ]
+    if draw(st.booleans()):
+        m = draw(st.tuples(*[st.integers(-1, 6)] * g))
+    else:
+        coeffs = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r))
+        m = tuple(sum(c * d[j] for c, d in zip(coeffs, degrees)) for j in range(g))
+    return g, n, degrees, ideals, m
+
+
+@settings(max_examples=200, deadline=None)
+@given(representation_cases())
+@example((3, 2, [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+          [MI(2, [(1, 0)]), MI(2, [(0, 1)]), MI(2, [(1, 1), (2, 0)])], (2, 1, 3)))
+@example((3, 2, [[1, 0, 1], [0, 1, 1], [1, 1, 2]],
+          [MI(2, [(1, 0)]), MI(2, [(0, 1)]), MI(2, [(1, 1)])], (1, 1, 1)))
+@example((1, 2, [[1], [2]], [MI(2, [(2, 0), (0, 2)]), MI(2, [(1, 0), (0, 1)])], (3,)))
+@example((2, 1, [[1, 0], [0, 1]], [MonomialIdeal.zero(1)] * 2, (1, 1)))
+@example((2, 1, [[2, 1], [1, 2], [1, 1]], [MI(1, [(1,)])] * 3, (0, 0)))
+def test_basic_solutions_match_double_description(case):
+    # the basic solutions are the vertices of the representation polytope
+    # found by its double description, and the limit Newton polyhedron
+    # built on them matches the Fraction hull at those vertices and the
+    # literal lift projection
+    from conefan.graded import _basic_solutions
+    from helpers import (
+        asymptotic_newton_reference,
+        asymptotic_newton_via_lift,
+        representation_vertices_reference,
+    )
+
+    g, n, degrees, ideals, m = case
+    try:
+        system = GradedSystem.create(g, n, degrees, ideals)
+    except NotPointedError:
+        assume(False)
+    live, _ = system.nonzero_part()
+    if live:
+        try:
+            expected = set(representation_vertices_reference(system, m))
+        except NotInConeError:
+            expected = set()
+        got = {
+            tuple(Fraction(x, lam[-1]) for x in lam[:-1])
+            for lam in _basic_solutions(live, m)
+        }
+        assert got == expected
+    try:
+        ref = asymptotic_newton_reference(system, m)
+    except NotInConeError:
+        with pytest.raises(NotInConeError):
+            asymptotic_newton(system, m)
+        return
+    assert asymptotic_newton(system, m) == ref
+    assert asymptotic_newton_via_lift(system, m) == ref
 
 
 def test_asymptotic_newton_matches_lift_projection():

@@ -433,8 +433,8 @@ def test_integer_checks_reject_what_fraction_checks_reject(case):
 
 def test_lp_path_checks_survive_python_O():
     # under -O bare asserts vanish; these checks must still raise, the
-    # last one where asymptotic_newton meets an unbounded representation
-    # polytope
+    # last one where asymptotic_newton hands its orthant hull a point that
+    # is not all ints
     script = (
         "import sys\n"
         "if __debug__:\n"
@@ -451,11 +451,11 @@ def test_lp_path_checks_survive_python_O():
         "    lp.representation_cost([(1,)], [1], (1,))\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
-        "from conefan import graded, polyhedra\n"
+        "from fractions import Fraction\n"
+        "from conefan import graded\n"
         "system = graded.GradedSystem.create(\n"
         "    1, 1, [(1,)], [graded.MonomialIdeal.from_exponents(1, [(1,)])])\n"
-        "graded.dual_description = lambda h: polyhedra.VRepresentation.make(\n"
-        "    vertices=[(1,)], rays=[(1,)], ambient_dim=1)\n"
+        "graded._minkowski_points = lambda parts, n: {(Fraction(1, 2),)}\n"
         "try:\n"
         "    graded.asymptotic_newton(system, (1,))\n"
         "except AssertionError as exc:\n"
@@ -468,5 +468,5 @@ def test_lp_path_checks_survive_python_O():
     assert proc.stdout.splitlines() == [
         "phase 1 cannot be unbounded",
         "nonnegative costs cannot be unbounded",
-        "representation polytope unbounded despite a pointed degree cone",
+        "hull point (Fraction(1, 2),) is not an integer point",
     ]

@@ -42,6 +42,26 @@ def test_no_elimination_projection_in_package():
     assert not found, found
 
 
+def test_limit_newton_runs_no_double_description():
+    # the representation polytope's vertices are its basic solutions; its
+    # double description lives on only as the test oracle in
+    # tests/helpers.py:representation_vertices_reference
+    path = Path(conefan.__file__).parent / "graded.py"
+    tree = ast.parse(path.read_text(), str(path))
+    banned = {"dual_description", "from_rows"}
+    checked = {"_asymptotic_newton_cached", "_basic_solutions"}
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in checked:
+            names = {
+                n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            }
+            found[node.name] = sorted(names & banned)
+    assert found == {name: [] for name in checked}
+
+
 # Every HPolyhedron row is an int row, so "/" between two of its entries
 # is int / int, a float, where the verifier must stay exact.  Each listed
 # function divides by a Fraction, at most the given number of times; any
