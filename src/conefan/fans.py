@@ -341,14 +341,14 @@ def caratheodory_reduce(
     return tuple(lam)
 
 
-def independent_subsets(
-    generators: Sequence[Sequence], cap: int = INDEPENDENT_SUBSET_CAP
-) -> tuple[tuple[int, ...], ...]:
-    """All index sets whose generators are linearly independent (incl. the empty set)."""
+def independent_subsets(generators: Sequence[Sequence]) -> tuple[tuple[int, ...], ...]:
+    """All index sets whose generators are linearly independent (incl. the
+    empty set), for at most INDEPENDENT_SUBSET_CAP generators."""
     gens = [vec(g) for g in generators]
-    if len(gens) > cap:
+    if len(gens) > INDEPENDENT_SUBSET_CAP:
         raise CapExceededError(
-            f"independent-subset enumeration capped at {cap} generators"
+            "independent-subset enumeration capped at "
+            f"{INDEPENDENT_SUBSET_CAP} generators"
         )
     out = []
 
@@ -632,28 +632,26 @@ def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
     return Fan.make(out, fan.ambient_dim)
 
 
-def smooth_refine(
-    f: Fan,
-    dim_cap: int = SMOOTH_REFINE_DIM_CAP,
-    budget: int = SMOOTH_REFINE_BUDGET,
-) -> Fan:
+def smooth_refine(f: Fan) -> Fan:
     """Deterministic smooth refinement with the same support.
 
     Non-simplicial cones are first triangulated by pulling at their
     lexicographically least rays; afterwards the worst non-smooth cone is
     stellarly subdivided at the primitive parallelepiped point minimizing
     the resulting maximal multiplicity (lexicographic tie-breaks), until all
-    cones are smooth.
+    cones are smooth.  Fans above SMOOTH_REFINE_DIM_CAP dimensions raise
+    CapExceededError, and more than SMOOTH_REFINE_BUDGET subdivisions raise
+    BudgetExceededError.
     """
-    if f.ambient_dim > dim_cap:
+    if f.ambient_dim > SMOOTH_REFINE_DIM_CAP:
         raise CapExceededError(
-            f"smooth refinement capped at ambient dimension {dim_cap}"
+            f"smooth refinement capped at ambient dimension {SMOOTH_REFINE_DIM_CAP}"
         )
     cones = []
     for c in f.maximal_cones:
         cones.extend(_pull_triangulate(c))
     fan = Fan.make(cones, f.ambient_dim)
-    for _ in range(budget):
+    for _ in range(SMOOTH_REFINE_BUDGET):
         rough = [c for c in fan.maximal_cones if not is_smooth(c)]
         if not rough:
             return fan
@@ -677,7 +675,7 @@ def smooth_refine(
         fan = best[2]
     worst = max(c.multiplicity() for c in fan.maximal_cones if not is_smooth(c))
     raise BudgetExceededError(
-        f"smooth refinement stopped after {budget} subdivisions; "
+        f"smooth refinement stopped after {SMOOTH_REFINE_BUDGET} subdivisions; "
         f"{len(fan.maximal_cones)} cones, worst multiplicity {worst}"
     )
 

@@ -223,7 +223,6 @@ def newton_polyhedron(I: MonomialIdeal) -> VRepresentation:
     return dual_description(newton_hform(I))
 
 
-@lru_cache(maxsize=None)
 def newton_hform(I: MonomialIdeal) -> HPolyhedron:
     """Canonical H-form of the Newton polyhedron of a nonzero ideal."""
     if I.is_zero:
@@ -238,14 +237,19 @@ def closure_equal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     return newton_hform(I) == newton_hform(J)
 
 
-def weight_vector(w: Sequence) -> IntVec:
-    """Validated primitive nonnegative weight, not all zero."""
+def _nonnegative_weight(w: Sequence) -> IntVec:
+    """A weight as an integer vector: nonnegative, not all zero."""
     wv = ivec(w)
     if any(x < 0 for x in wv):
         raise InputError("weights must be nonnegative")
     if all(x == 0 for x in wv):
         raise InputError("the zero weight is not a valuation")
-    return primitive_int_vector(wv)
+    return wv
+
+
+def weight_vector(w: Sequence) -> IntVec:
+    """Validated primitive nonnegative weight, not all zero."""
+    return primitive_int_vector(_nonnegative_weight(w))
 
 
 def weight_valuation(w: Sequence[int], I: MonomialIdeal) -> Valuation:
@@ -272,13 +276,17 @@ class GradedSystem:
     ambient: int
     degrees: tuple[IntVec, ...]
     ideals: tuple[MonomialIdeal, ...]
-    # cone(degrees), a functional positive on every degree, and for each
+    # cone(degrees), a functional positive on every degree, for each
     # suffix i (0 <= i <= r) the normals of the cone spanned by degrees[i:]
-    # with nonzero ideal; the fields determine them, so they take no part
-    # in equality or hashing
+    # with nonzero ideal, and for each ideal the vertices of its Newton
+    # polyhedron (() for a zero ideal); the fields determine them, so they
+    # take no part in equality or hashing
     _cone: Cone = field(compare=False, repr=False)
     _theta: IntVec = field(compare=False, repr=False)
     _suffix_normals: tuple[tuple[IntVec, ...], ...] = field(
+        compare=False, repr=False
+    )
+    _vertex_lists: tuple[tuple[IntVec, ...], ...] = field(
         compare=False, repr=False
     )
 
@@ -311,8 +319,11 @@ class GradedSystem:
             _live_cone(degs[i:], ids[i:], grading_rank).normals
             for i in range(len(degs) + 1)
         )
+        vertex_lists = tuple(
+            () if I.is_zero else _lattice_vertices(newton_hform(I)) for I in ids
+        )
         return GradedSystem(
-            grading_rank, ambient, degs, ids, cone, theta, suffix_normals
+            grading_rank, ambient, degs, ids, cone, theta, suffix_normals, vertex_lists
         )
 
     def degree_cone(self) -> Cone:
@@ -350,12 +361,12 @@ def _grading_degree(sys: GradedSystem, m: Sequence[int]) -> IntVec:
 
 def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
     """Ideal in degree m: sum over all representations sum l_i m_i = m of
-    the products prod ideals_i^{l_i}; the zero ideal when none exists."""
-    return _expand_degree_cached(sys, _grading_degree(sys, m))
+    the products prod ideals_i^{l_i}; the zero ideal when none exists.
 
-
-@lru_cache(maxsize=None)
-def _expand_degree_cached(sys: GradedSystem, m: IntVec) -> MonomialIdeal:
+    Not memoized: the representations and the ideal products and powers
+    it folds over are, and no caller asks for the same degree twice.
+    """
+    m = _grading_degree(sys, m)
     gens: list[IntVec] = []
     for rep in _representations(sys, m):
         product = MonomialIdeal.unit(sys.ambient)
@@ -458,12 +469,9 @@ def _degree_newton_hform_cached(
 ) -> Optional[HPolyhedron]:
     # a zero ideal has no Newton polyhedron, but every representation
     # gives it exponent 0, which _minkowski_points skips
-    vertex_lists = [
-        () if I.is_zero else _lattice_vertices(newton_hform(I)) for I in sys.ideals
-    ]
     points: set = set()
     for rep in _representations(sys, m):
-        points |= _minkowski_points(zip(vertex_lists, rep), sys.ambient)
+        points |= _minkowski_points(zip(sys._vertex_lists, rep), sys.ambient)
     return _orthant_hull(points, sys.ambient) if points else None
 
 
@@ -474,15 +482,17 @@ def asymptotic_valuation(
 
     Computed as the exact linear program min sum l_i * v_w(ideals_i) over
     rational l >= 0 with sum l_i m_i = m; generators with zero ideal carry
-    infinite cost and are excluded.  Raises NotInConeError for m outside
-    the degree cone; returns PlusInfinity when m is reachable only through
-    zero ideals.
+    infinite cost and are excluded.  The weight must have the ambient's
+    length, be nonnegative and not be all zero; it is not made primitive,
+    since the value scales with w.  Both vectors are checked before any
+    LP, and each call solves at most one (there is no memo).  Raises
+    NotInConeError for m outside the degree cone; returns PlusInfinity
+    when m is reachable only through zero ideals.
     """
-    return _asymptotic_valuation_cached(sys, ivec(w), _grading_degree(sys, m))
-
-
-@lru_cache(maxsize=None)
-def _asymptotic_valuation_cached(sys: GradedSystem, w: IntVec, m: IntVec) -> Valuation:
+    w = _nonnegative_weight(w)
+    if len(w) != sys.ambient:
+        raise InputError("weight length must match the ambient")
+    m = _grading_degree(sys, m)
     if all(x == 0 for x in m):
         return Fraction(0)
     if not sys.degree_cone().contains_point(m):
@@ -593,7 +603,7 @@ def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
 @lru_cache(maxsize=None)
 def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
     n = sys.ambient
-    degrees, ideals = sys.nonzero_part()
+    degrees, _ = sys.nonzero_part()
     if all(x == 0 for x in m):
         return _orthant_hull([(0,) * n], n)
     if not degrees:
@@ -609,7 +619,8 @@ def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
             f"degree {m} admits no representation with nonzero ideals"
         )
     den = lcm(*(lam[-1] for lam in vertices))
-    vertex_lists = [_lattice_vertices(newton_hform(I)) for I in ideals]
+    # a nonzero ideal's vertex list is nonempty, so these pair with degrees
+    vertex_lists = [v for v in sys._vertex_lists if v]
     points: set = set()
     for lam in vertices:
         scale = den // lam[-1]
@@ -680,10 +691,13 @@ def stabilizing_exponent(
 
 
 def _ideal_power_documentation(sys, ray, d, power_checks) -> str:
-    """Bounded check of the literal ideal-level equality a_{dle} = a_{de}^l."""
+    """Bounded check of the literal ideal-level equality a_{dle} = a_{de}^l.
+
+    At l = 1 both sides are a_{de} itself, so the loop starts at l = 2.
+    """
     try:
         base = expand_degree(sys, _scaled_degree(ray, d))
-        for l in range(1, power_checks + 1):
+        for l in range(2, power_checks + 1):
             left = expand_degree(sys, _scaled_degree(ray, d * l))
             if left != ideal_power(base, l):
                 return (

@@ -12,14 +12,15 @@ paths (simplex vs. vertex enumeration) and compares them bit-exactly.
 representation_cost hands its inputs to the simplex as they came: int
 entries stay int (the simplex reads them as integer rows over
 denominator 1), other rationals stay Fractions, and only the returned
-value and witness are Fractions.
+value and witness are Fractions.  It keeps no memo: every call validates
+its arguments and solves one LP, because no workload asks for the same
+representation cost twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import _simplex
@@ -84,25 +85,6 @@ def _columns_matrix(generators: Sequence[Vec], dim: int) -> Mat:
     )
 
 
-@lru_cache(maxsize=None)
-def _representation_cost_cached(
-    generators: tuple[tuple, ...], costs: tuple, target: tuple
-) -> CostOptimum:
-    n = len(target)
-    if not generators:
-        if all(x == 0 for x in target):
-            return CostOptimum(Fraction(0), ())
-        raise NotInConeError("target is nonzero but there are no generators")
-    res = _simplex.solve_standard(costs, _columns_matrix(generators, n), target)
-    if res.status == "infeasible":
-        raise NotInConeError(
-            "target admits no nonnegative representation in the generators"
-        )
-    if res.status != "optimal":
-        raise InternalError("nonnegative costs cannot be unbounded")
-    return CostOptimum(res.value, res.x)
-
-
 def representation_cost(
     generators: Sequence[Sequence], costs: Sequence, target: Sequence
 ) -> CostOptimum:
@@ -112,8 +94,8 @@ def representation_cost(
     the generators.  The witness is an optimal coefficient vector of
     Fractions, so the infimum is always attained at a rational point.
     Int entries stay int on the way to the simplex; every other entry is
-    coerced by frac, and bools and floats raise InputError before the
-    memo is consulted.
+    coerced by frac, and bools and floats raise InputError before any LP
+    is solved.
     """
     gens = tuple(qvec(g) for g in generators)
     costs = qvec(costs)
@@ -125,7 +107,18 @@ def representation_cost(
     for g in gens:
         if len(g) != len(target):
             raise InputError("generator dimension mismatch")
-    return _representation_cost_cached(gens, costs, target)
+    if not gens:
+        if all(x == 0 for x in target):
+            return CostOptimum(Fraction(0), ())
+        raise NotInConeError("target is nonzero but there are no generators")
+    res = _simplex.solve_standard(costs, _columns_matrix(gens, len(target)), target)
+    if res.status == "infeasible":
+        raise NotInConeError(
+            "target admits no nonnegative representation in the generators"
+        )
+    if res.status != "optimal":
+        raise InternalError("nonnegative costs cannot be unbounded")
+    return CostOptimum(res.value, res.x)
 
 
 def price_polyhedron(

@@ -192,11 +192,15 @@ def _homogeneous_rows(P: HPolyhedron) -> tuple[IntVec, ...]:
 
 
 @lru_cache(maxsize=None)
-def _dd_cached(P: HPolyhedron, dim_cap: int) -> VRepresentation:
+def dual_description(P: HPolyhedron) -> VRepresentation:
+    """Irredundant V-representation of an H-polyhedron (double description).
+
+    Raises CapExceededError above DEFAULT_DIM_CAP coordinates.
+    """
     n = P.ambient_dim
-    if n > dim_cap:
+    if n > DEFAULT_DIM_CAP:
         raise CapExceededError(
-            f"dual description capped at dimension {dim_cap}, got {n}"
+            f"dual description capped at dimension {DEFAULT_DIM_CAP}, got {n}"
         )
     if P.empty:
         return VRepresentation.make_empty(n)
@@ -219,11 +223,6 @@ def _dd_cached(P: HPolyhedron, dim_cap: int) -> VRepresentation:
         _canonical_basis([l[:n] for l in lin]),
         n,
     )
-
-
-def dual_description(P: HPolyhedron, dim_cap: int = DEFAULT_DIM_CAP) -> VRepresentation:
-    """Irredundant V-representation of an H-polyhedron (double description)."""
-    return _dd_cached(P, dim_cap)
 
 
 def _reduce_mod_equalities(
@@ -326,16 +325,16 @@ def _sign_normal_row(row: tuple[int, ...]) -> tuple[int, ...]:
     return row
 
 
-def canonical_h(P: HPolyhedron, dim_cap: int = DEFAULT_DIM_CAP) -> HPolyhedron:
+def canonical_h(P: HPolyhedron) -> HPolyhedron:
     """Unique canonical H-form of the point set described by P."""
-    return vrep_to_h(dual_description(P, dim_cap))
+    return vrep_to_h(dual_description(P))
 
 
-def canonical_vrep(V: VRepresentation, dim_cap: int = DEFAULT_DIM_CAP) -> VRepresentation:
+def canonical_vrep(V: VRepresentation) -> VRepresentation:
     """Irredundant canonical V-form (vertices become 0-faces, rays extreme)."""
     if V.empty:
         return V
-    return dual_description(vrep_to_h(V), dim_cap)
+    return dual_description(vrep_to_h(V))
 
 
 def same_point_set(P: HPolyhedron, Q: HPolyhedron) -> bool:

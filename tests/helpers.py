@@ -178,14 +178,15 @@ def homogeneous_rows_reference(P: HPolyhedron) -> tuple:
     rows.discard(t_row)
     return (t_row,) + tuple(sorted(rows))
 
-def clear_conefan_caches() -> int:
-    """Clear every module-level memo in conefan; returns how many there are."""
+def clear_conefan_caches() -> list[str]:
+    """Clear every module-level memo in conefan; returns their qualified
+    names, sorted."""
     import importlib
     import pkgutil
 
     import conefan
 
-    cleared = 0
+    cleared = []
     for info in pkgutil.iter_modules(conefan.__path__):
         module = importlib.import_module(f"conefan.{info.name}")
         for obj in vars(module).values():
@@ -194,8 +195,8 @@ def clear_conefan_caches() -> int:
                 obj, "cache_clear"
             ):
                 obj.cache_clear()
-                cleared += 1
-    return cleared
+                cleared.append(f"{module.__name__}.{obj.__qualname__}")
+    return sorted(cleared)
 
 
 def rref_reference(rows):

@@ -360,11 +360,64 @@ def test_weight_valuation():
 def test_asymptotic_valuation():
     sys_w = worked_system()
     assert asymptotic_valuation(sys_w, (1, 1), (1, 1)) == 2
+    # linear in w: the weight is not made primitive
+    assert asymptotic_valuation(sys_w, (2, 2), (1, 1)) == 4
     assert asymptotic_valuation(sys_w, (1, 1), (3, 0)) == 3
     assert asymptotic_valuation(sys_w, (0, 1), (2, 0)) == 0
     with pytest.raises(NotInConeError):
         asymptotic_valuation(sys_w, (1, 1), (-1, 0))
     assert asymptotic_valuation(sys_w, (1, 1), (0, 0)) == 0
+
+
+@pytest.mark.parametrize(
+    "w, message",
+    [
+        ((0, 0), "zero weight"),
+        ((1,), "ambient"),
+        ((1, 0, 0), "ambient"),
+        ((-1, 0), "nonnegative"),
+    ],
+)
+@pytest.mark.parametrize("m", [(0, 0), (1, 1)])
+def test_asymptotic_valuation_rejects_bad_weights_before_any_lp(
+    monkeypatch, w, message, m
+):
+    # the zero weight and a wrong-length weight used to give 0, and a
+    # negative one failed inside the LP on its costs
+    import conefan.graded as graded
+
+    def no_lp(*args):
+        raise AssertionError("an LP ran on an invalid weight")
+
+    monkeypatch.setattr(graded, "representation_cost", no_lp)
+    with pytest.raises(InputError, match=message):
+        asymptotic_valuation(worked_system(), w, m)
+
+
+@pytest.mark.parametrize(
+    "system", [worked_system, bench_system, zerogen_system], ids=lambda f: f.__name__
+)
+def test_vertex_lists_are_newton_vertices(system):
+    sys_ = system()
+    assert len(sys_._vertex_lists) == len(sys_.ideals)
+    for verts, I in zip(sys_._vertex_lists, sys_.ideals):
+        if I.is_zero:
+            assert verts == ()
+            continue
+        expect = newton_polyhedron(I).vertices
+        assert verts == tuple(tuple(int(x) for x in v) for v in expect)
+        assert all(type(x) is int for v in verts for x in v)
+
+
+def test_graded_system_newton_vertices_need_the_dim_cap():
+    # the Newton vertices are taken when the system is made, so an ambient
+    # above the double description's cap fails there
+    from conefan.errors import CapExceededError
+
+    with pytest.raises(CapExceededError):
+        GradedSystem.create(1, 9, [(1,)], [MI(9, [(1,) * 9])])
+    zero = GradedSystem.create(1, 9, [(1,)], [MonomialIdeal.zero(9)])
+    assert zero._vertex_lists == ((),)
 
 
 def test_asymptotic_valuation_zero_ideal_exclusion():
@@ -702,16 +755,23 @@ def test_graded_system_validation():
         GradedSystem.create(1, 1, [(1,)], [MI(2, [(1, 0)])])
 
 
+# In the two tests below, memo names the memo that an entry point's
+# validated degree is looked up in (None: it reaches none), and the good
+# call must leave it warm.
+def _warm_memo(memo):
+    import conefan.graded as graded
+
+    return memo is None or getattr(graded, memo).cache_info().currsize > 0
+
+
 @pytest.mark.parametrize(
     "entry, memo, bad, good",
     [
-        ("asymptotic_valuation", "_asymptotic_valuation_cached",
-         ((True, 0), (1, 1)), ((1, 0), (1, 1))),
-        ("asymptotic_valuation", "_asymptotic_valuation_cached",
-         ((1, 0), (True, 1)), ((1, 0), (1, 1))),
+        ("asymptotic_valuation", None, ((True, 0), (1, 1)), ((1, 0), (1, 1))),
+        ("asymptotic_valuation", None, ((1, 0), (True, 1)), ((1, 0), (1, 1))),
         ("asymptotic_newton", "_asymptotic_newton_cached", ((True, 1),), ((1, 1),)),
         ("_degree_newton_hform", "_degree_newton_hform_cached", ((True, 1),), ((1, 1),)),
-        ("expand_degree", "_expand_degree_cached", ((True, 1),), ((1, 1),)),
+        ("expand_degree", "_representations", ((True, 1),), ((1, 1),)),
     ],
 )
 def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good):
@@ -720,10 +780,11 @@ def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good
     import conefan.graded as graded
 
     fn = getattr(graded, entry)
-    getattr(graded, memo).cache_clear()
+    clear_conefan_caches()
     with pytest.raises(InputError):
         fn(worked_system(), *bad)
     fn(worked_system(), *good)
+    assert _warm_memo(memo)
     with pytest.raises(InputError):
         fn(worked_system(), *bad)
 
@@ -731,10 +792,10 @@ def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good
 @pytest.mark.parametrize(
     "entry, memo, weight",
     [
-        ("asymptotic_valuation", "_asymptotic_valuation_cached", ((1, 0),)),
+        ("asymptotic_valuation", None, ((1, 0),)),
         ("asymptotic_newton", "_asymptotic_newton_cached", ()),
         ("_degree_newton_hform", "_degree_newton_hform_cached", ()),
-        ("expand_degree", "_expand_degree_cached", ()),
+        ("expand_degree", "_representations", ()),
     ],
 )
 @pytest.mark.parametrize("bad", [(1,), (1, 1, 1)])
@@ -746,10 +807,11 @@ def test_memoized_entry_points_check_degree_length_cold_and_warm(
     import conefan.graded as graded
 
     fn = getattr(graded, entry)
-    getattr(graded, memo).cache_clear()
+    clear_conefan_caches()
     with pytest.raises(InputError, match="grading rank"):
         fn(worked_system(), *weight, bad)
     fn(worked_system(), *weight, (1, 1))
+    assert _warm_memo(memo)
     with pytest.raises(InputError, match="grading rank"):
         fn(worked_system(), *weight, bad)
 
@@ -760,11 +822,9 @@ def test_expand_degree_budget(monkeypatch):
     monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", 5)
     from conefan.errors import BudgetExceededError
 
-    graded._expand_degree_cached.cache_clear()
     graded._representations.cache_clear()
     with pytest.raises(BudgetExceededError):
         graded.expand_degree(worked_system(), (3, 3))
-    graded._expand_degree_cached.cache_clear()
     graded._representations.cache_clear()
 
 
@@ -777,7 +837,6 @@ def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m):
 
     def expand(budget):
         monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", budget)
-        graded._expand_degree_cached.cache_clear()
         graded._representations.cache_clear()
         return graded.expand_degree(zerogen_system(), m)
 
@@ -786,7 +845,6 @@ def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m):
         with pytest.raises(BudgetExceededError):
             expand(2)
     finally:
-        graded._expand_degree_cached.cache_clear()
         graded._representations.cache_clear()
 
 
@@ -830,7 +888,6 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
         return search(sys_, m)
 
     # cached callers would hide degrees an earlier test already expanded
-    graded._expand_degree_cached.cache_clear()
     graded._degree_newton_hform_cached.cache_clear()
     monkeypatch.setattr(graded, "_representations", record)
     verify_closure_identity(system, power_bound=3, power_checks=1)
