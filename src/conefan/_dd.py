@@ -11,25 +11,14 @@ conefan._kernel.dd_step).
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from . import _kernel
-from .rational import IntVec, idot
 from .linalg import rref
-from .rational import primitive_direction
+from .rational import IntVec, idot, primitive_direction, primitive_int_vector
 
 
-def _reduce(v: tuple[int, ...]) -> IntVec:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        return tuple(x // g for x in v)
-    return tuple(v)
-
-
-def _canonical_basis(vectors: list[IntVec]) -> tuple[IntVec, ...]:
-    """Canonical primitive basis of the span of integer vectors."""
+def _canonical_basis(vectors: list) -> tuple[IntVec, ...]:
+    """Canonical primitive basis of the span of rational vectors."""
     if not vectors:
         return ()
     red, pivots = rref(vectors)
@@ -63,9 +52,8 @@ def cone_generators(
                 if lv[i] == 0:
                     newL.append(l)
                 else:
-                    newL.append(
-                        _reduce(tuple(v0 * x - lv[i] * y for x, y in zip(l, l0)))
-                    )
+                    w = [v0 * x - lv[i] * y for x, y in zip(l, l0)]
+                    newL.append(primitive_int_vector(w))
             newR: list[IntVec] = []
             newZ: list[int] = []
             for r, z in zip(R, Z):
@@ -73,9 +61,8 @@ def cone_generators(
                 if rv == 0:
                     newR.append(r)
                 else:
-                    newR.append(
-                        _reduce(tuple(v0 * x - rv * y for x, y in zip(r, l0)))
-                    )
+                    w = [v0 * x - rv * y for x, y in zip(r, l0)]
+                    newR.append(primitive_int_vector(w))
                 newZ.append(z | bit)
             # the pivot lineality direction becomes a ray, tight on all
             # previously processed constraints

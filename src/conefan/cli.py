@@ -150,19 +150,27 @@ def _cmd_verify(args) -> int:
             raise InputError(f"cannot read system file: {exc}") from exc
     data = _parse_json_arg(raw.decode(), "system file")
     system = load_system(data)
-    caps = data.get("caps", {}) if isinstance(data, dict) else {}
-    power_bound = args.p_bound if args.p_bound is not None else caps.get("p_bound", 4)
-    exponent_cap = args.d_cap if args.d_cap is not None else caps.get("d_cap", 64)
-    power_checks = args.L if args.L is not None else caps.get("L", 8)
-    seed = args.seed if args.seed is not None else caps.get("seed", 0)
+    caps = data.get("caps", {})
+    if not isinstance(caps, dict):
+        raise InputError("caps must be a JSON object")
+
+    def cap(name, default):
+        # a flag wins over the file; a file value must be a JSON integer,
+        # as true, 2.7 or "2" would otherwise pass for one
+        value = getattr(args, name)
+        value = caps.get(name, default) if value is None else value
+        if type(value) is not int:
+            raise InputError(f"cap {name} must be an integer, got {json.dumps(value)}")
+        return value
+
     report = verify_closure_identity(
         system,
-        power_bound=int(power_bound),
-        exponent_cap=int(exponent_cap),
-        power_checks=int(power_checks),
+        power_bound=cap("p_bound", 4),
+        exponent_cap=cap("d_cap", 64),
+        power_checks=cap("L", 8),
         smooth=not args.no_smooth,
         refine=not args.no_refine,
-        seed=int(seed),
+        seed=cap("seed", 0),
     )
     verdict = "VERIFIED" if report.verified else "FALSIFIED"
     print(f"{verdict} (d = {report.exponent}, {len(report.cones)} cones)")

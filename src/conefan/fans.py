@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Sequence
 
 from ._dd import cone_generators
@@ -32,7 +31,13 @@ from .errors import (
     NotPointedError,
     NotPointedSupportError,
 )
-from .linalg import hermite_basis_det, int_adjugate, kernel_basis, rank, rref
+from .linalg import (
+    echelon_lattice_det,
+    int_adjugate,
+    int_echelon,
+    kernel_basis,
+    rank,
+)
 from .lp import representation_cost
 from .polyhedra import HPolyhedron, dual_description
 from .rational import (
@@ -40,7 +45,6 @@ from .rational import (
     Vec,
     dot,
     idot,
-    is_zero_vec,
     primitive_direction,
     primitive_int_vector,
     vec,
@@ -60,18 +64,18 @@ class Cone:
     ambient_dim: int
 
     @cached_property
-    def _echelon(self) -> tuple[int, int]:
-        """(rank, lattice determinant) of the rays, from one integer echelon."""
-        return hermite_basis_det(self.rays)
+    def _echelon(self) -> tuple[list[list[int]], list[int]]:
+        """Integer echelon rows of the rays and their pivot coordinates."""
+        return int_echelon(self.rays)
 
     @property
     def dim(self) -> int:
-        return self._echelon[0]
+        return len(self._echelon[1])
 
-    @property
+    @cached_property
     def lattice_det(self) -> int:
         """Index of the rays' integer span in its saturated lattice."""
-        return self._echelon[1]
+        return echelon_lattice_det(self._echelon[0])
 
     @property
     def is_simplicial(self) -> bool:
@@ -84,11 +88,8 @@ class Cone:
         return self.lattice_det
 
     def contains_point(self, v: Sequence) -> bool:
-        if not all(type(x) is int for x in v):
-            # a rational point is in the cone iff its cleared numerators are
-            v = vec(v)
-            den = lcm(*[x.denominator for x in v])
-            v = [x.numerator * (den // x.denominator) for x in v]
+        # a positive rescaling keeps the sign of every idot
+        v = primitive_direction(v)
         if self.normals and len(v) != self.ambient_dim:
             raise InputError(
                 f"dimension mismatch in dot: {self.ambient_dim} vs {len(v)}"
@@ -117,7 +118,6 @@ class Cone:
         return (self.rays, self.normals) < (other.rays, other.normals)
 
 
-@lru_cache(maxsize=None)
 def _hull(
     rays: tuple[IntVec, ...], dim: int
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
@@ -143,16 +143,6 @@ def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
     return Cone(extreme, normals, dim)
 
 
-def _primitive(v: tuple) -> IntVec | None:
-    """Primitive integer vector on the ray of a rational vector, or None
-    for the zero vector.  All-int vectors skip the Fraction route; vec
-    rejects bools and floats."""
-    if all(type(x) is int for x in v):
-        return primitive_int_vector(v) if any(v) else None
-    v = vec(v)
-    return None if is_zero_vec(v) else primitive_direction(v)
-
-
 def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
     """Canonical cone spanned by rational generators (must be pointed)."""
     gens = [tuple(g) for g in generators]
@@ -163,8 +153,8 @@ def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
     for g in gens:
         if len(g) != n:
             raise InputError("generator dimension mismatch")
-        p = _primitive(g)
-        if p is None:
+        p = primitive_direction(g)
+        if not any(p):
             raise InputError("zero vector is not a valid cone generator")
         prim.add(p)
     return _cone_from_primitive_rays(tuple(sorted(prim)), n)
@@ -180,7 +170,7 @@ def cone_from_normals(normals: Sequence[Sequence]) -> Cone:
     if not ns:
         raise InputError("cone_from_normals needs at least one normal")
     n = len(ns[0])
-    rows = tuple(sorted({p for p in map(_primitive, ns) if p is not None}))
+    rows = tuple(sorted({p for p in map(primitive_direction, ns) if any(p)}))
     lin, extreme = cone_generators(rows, n)
     if lin:
         raise NotPointedError(lin[0])
@@ -363,30 +353,6 @@ def independent_subsets(generators: Sequence[Sequence]) -> tuple[tuple[int, ...]
     return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
-def _span_basis(gens: list[Vec]):
-    """Rational basis of span(gens) plus its pivot columns."""
-    red, pivots = rref(gens)
-    return [tuple(r) for r in red[: len(pivots)]], pivots
-
-
-def _to_coords(v: Vec, pivots: list[int], basis: list[Vec]) -> Vec:
-    coords = tuple(v[p] for p in pivots)
-    recon = [Fraction(0)] * len(v)
-    for c, b in zip(coords, basis):
-        recon = [x + c * y for x, y in zip(recon, b)]
-    if tuple(recon) != tuple(v):
-        raise InputError("vector lies outside the span of the generators")
-    return coords
-
-
-def _from_coords(c: Sequence[Fraction], basis: list[Vec]) -> Vec:
-    n = len(basis[0])
-    out = [Fraction(0)] * n
-    for t, b in zip(c, basis):
-        out = [x + t * y for x, y in zip(out, b)]
-    return tuple(out)
-
-
 def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     """Fan with support cone(generators) on which every nonnegative-cost
     representation function is linear.
@@ -399,12 +365,16 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     A cut splits only the chambers it crosses, those with rays strictly on
     both sides of the hyperplane; any other chamber is kept whole, without
     a double description, as its other half is a lower-dimensional face.
-    The chambers are built in coordinates of a basis of span(generators);
-    for a full-dimensional support that basis is the identity, so the
-    chambers are returned as they are, with no round trip back to ambient
-    coordinates.
+    The chambers are built on the frame S of span(generators), the pivot
+    coordinates of the support's integer echelon E, where a point x of
+    the span has x = x_S adj(E_S) E / det(E_S).  det(E_S) is the product of
+    E's positive pivots, so the rays go back to ambient coordinates as the
+    integer points x_S adj(E_S) E.  For a full-dimensional support S holds
+    every coordinate, and the chambers are returned as they are.  Positive
+    multiples of the generators span the same cones and hyperplanes, so
+    they enter as primitive integer vectors.
     """
-    gens = [vec(g) for g in generators]
+    gens = [primitive_direction(g) for g in generators]
     if not gens:
         raise InputError("linearity fan needs at least one generator")
     n = len(gens[0])
@@ -416,8 +386,8 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
         raise CapExceededError(
             f"linearity fan capped at {INDEPENDENT_SUBSET_CAP} generators"
         )
-    basis, pivots = _span_basis(gens)
-    coord_gens = [_to_coords(g, pivots, basis) for g in gens]
+    echelon, frame = support._echelon
+    coord_gens = [tuple(g[i] for i in frame) for g in gens]
     cuts = set()
     for subset in combinations(range(len(coord_gens)), d - 1):
         rows = [coord_gens[i] for i in subset]
@@ -442,14 +412,14 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
                     nxt.add(piece)
         chambers = sorted(nxt)
     if d == n:
-        # _span_basis gave the identity: coordinates are ambient already
         return Fan.make(chambers, n)
-    out = []
-    for sigma in chambers:
-        ambient_rays = [
-            primitive_direction(_from_coords(r, basis)) for r in sigma.rays
-        ]
-        out.append(cone_from_generators(ambient_rays))
+    adj, _ = int_adjugate([[row[i] for i in frame] for row in echelon])
+    # lift[t] is column t of adj(E_S) E, so x_t = <x_S, lift[t]>
+    lift = [[idot(a, col) for a in adj] for col in zip(*echelon)]
+    out = [
+        cone_from_generators([[idot(r, col) for col in lift] for r in sigma.rays])
+        for sigma in chambers
+    ]
     return Fan.make(out, n)
 
 
@@ -548,20 +518,19 @@ def _pull_triangulate(c: Cone) -> list[Cone]:
     return pieces
 
 
-def _ray_frame(
-    rays: tuple[IntVec, ...],
-) -> tuple[tuple[int, ...], list[list[int]], int]:
-    """Coordinates S of independent rays, adj(R_S) and det(R_S).
+def _ray_frame(c: Cone) -> tuple[list[int], list[list[int]], int]:
+    """Coordinates S of a simplicial cone's rays, adj(R_S) and det(R_S).
 
-    S is the first coordinate set, in lexicographic order, whose square
-    submatrix R_S (the rays' S-coordinates as columns) is invertible; a
-    point x of the rays' span has ray-coordinates adj(R_S) x_S / det(R_S).
+    S is the pivot coordinates of the cone's echelon, the first coordinate
+    set, in lexicographic order, whose square submatrix R_S (the rays'
+    S-coordinates as columns) is invertible; a point x of the rays' span
+    has ray-coordinates adj(R_S) x_S / det(R_S).
     """
-    for coords in combinations(range(len(rays[0])), len(rays)):
-        adj, det = int_adjugate([[r[i] for r in rays] for i in coords])
-        if det:
-            return coords, adj, det
-    raise InternalError("simplicial cone with dependent rays")
+    coords = c._echelon[1]
+    if len(coords) != len(c.rays):
+        raise InternalError("simplicial cone with dependent rays")
+    adj, det = int_adjugate([[r[i] for r in c.rays] for i in coords])
+    return coords, adj, det
 
 
 def _parallelepiped_points(c: Cone) -> list[IntVec]:
@@ -579,7 +548,7 @@ def _parallelepiped_points(c: Cone) -> list[IntVec]:
     system is solved, and the cost grows with D, not with the box.
     """
     rays = c.rays
-    _, adj, det = _ray_frame(rays)
+    _, adj, det = _ray_frame(c)
     d = abs(det)
     k = len(rays)
     steps = {tuple(row[j] % d for row in adj) for j in range(k)}
@@ -615,7 +584,7 @@ def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
         if not c.contains_point(x):
             out.append(c)
             continue
-        coords, adj, det = _ray_frame(c.rays)
+        coords, adj, det = _ray_frame(c)
         # det times the ray-coordinates of x
         lam = [sum(a * x[i] for a, i in zip(row, coords)) for row in adj]
         if any(

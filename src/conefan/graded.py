@@ -41,7 +41,7 @@ from .fans import (
     origin_cone,
     smooth_refine,
 )
-from .linalg import hermite_basis_det, int_adjugate
+from .linalg import int_adjugate, int_echelon
 from .lp import representation_cost
 from .polyhedra import (
     DEFAULT_DIM_CAP,
@@ -144,20 +144,15 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^k for an int k >= 0, checked before the memo lookup (True == 1
-    and 1.0 == 1 would otherwise hit a cached entry)."""
+    """I^k for an int k >= 0 (not a bool or a float), by repeated squaring
+    through the memoized ideal_product."""
     if type(k) is not int:
         raise InputError(f"ideal powers need an int exponent, got {k!r}")
     if k < 0:
         raise InputError("ideal powers need k >= 0")
-    return _ideal_power_cached(I, k)
-
-
-@lru_cache(maxsize=None)
-def _ideal_power_cached(I: MonomialIdeal, k: int) -> MonomialIdeal:
     if k == 0:
         return MonomialIdeal.unit(I.ambient)
-    half = _ideal_power_cached(I, k // 2)
+    half = ideal_power(I, k // 2)
     out = ideal_product(half, half)
     if k % 2:
         out = ideal_product(out, I)
@@ -363,8 +358,8 @@ def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
     """Ideal in degree m: sum over all representations sum l_i m_i = m of
     the products prod ideals_i^{l_i}; the zero ideal when none exists.
 
-    Not memoized: the representations and the ideal products and powers
-    it folds over are, and no caller asks for the same degree twice.
+    Not memoized: the ideal products it folds over are, and no caller asks
+    for the same degree twice.
     """
     m = _grading_degree(sys, m)
     gens: list[IntVec] = []
@@ -383,7 +378,6 @@ def _scaled_degree(m: Sequence[int], k: int) -> IntVec:
     return tuple(k * x for x in ivec(m))
 
 
-@lru_cache(maxsize=None)
 def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
     """All l in Z_{>=0}^r with sum l_i * degrees_i = m and l_i = 0 wherever
     ideals_i is zero (such terms contribute the zero ideal), in
@@ -567,18 +561,15 @@ def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
     and Integer Programming, 1986, 8.5): the nonnegative solutions
     supported on k degrees B that are independent, with k the rank of all
     the degrees.  The first coordinate set S on which that rank-k span
-    projects isomorphically frames every such B: D_SB (the S-coordinates
-    of B as columns) is invertible exactly when B is independent, and then
+    projects isomorphically, the pivot coordinates of an echelon form of
+    the degrees, frames every such B: D_SB (the S-coordinates of B as
+    columns) is invertible exactly when B is independent, and then
     l_B = adj(D_SB) m_S / det(D_SB).  It solves the whole system iff the
     other coordinates agree too, which they do not for m outside the span.
     """
     coord_rows = tuple(zip(*degrees))
-    k = hermite_basis_det(coord_rows)[0]
-    frame = next(
-        s
-        for s in combinations(range(len(m)), k)
-        if hermite_basis_det([coord_rows[i] for i in s])[0] == k
-    )
+    frame = int_echelon(degrees)[1]
+    k = len(frame)
     m_frame = [m[i] for i in frame]
     out = set()
     for basis in combinations(range(len(degrees)), k):
@@ -693,8 +684,12 @@ def stabilizing_exponent(
 def _ideal_power_documentation(sys, ray, d, power_checks) -> str:
     """Bounded check of the literal ideal-level equality a_{dle} = a_{de}^l.
 
-    At l = 1 both sides are a_{de} itself, so the loop starts at l = 2.
+    At l = 1 both sides are a_{de} itself, so the loop starts at l = 2, and
+    with power_checks below 2 nothing is compared or expanded.
     """
+    holds = f"ideal-level power equality holds up to exponent {power_checks}"
+    if power_checks < 2:
+        return holds
     try:
         base = expand_degree(sys, _scaled_degree(ray, d))
         for l in range(2, power_checks + 1):
@@ -704,7 +699,7 @@ def _ideal_power_documentation(sys, ray, d, power_checks) -> str:
                     f"ideal-level power equality differs at exponent {l} "
                     "(closure level is certified for all exponents)"
                 )
-        return f"ideal-level power equality holds up to exponent {power_checks}"
+        return holds
     except BudgetExceededError:
         return "ideal-level power equality not checked (enumeration budget)"
 
@@ -887,8 +882,17 @@ def verify_closure_identity(
     comparisons of Newton polyhedra (see _valuation_chain).  The seed is
     recorded in the report but decides no verdict.  A falsified identity is
     reported as a value, never an exception; a witness weight is a facet
-    normal at which the two closures' valuations differ.
+    normal at which the two closures' valuations differ.  A power_bound or
+    exponent_cap below 1, or a negative power_checks, raises InputError:
+    power_bound 0 would check no nonzero tuple, exponent_cap 0 no exponent.
     """
+    for name, value, least in (
+        ("power_bound", power_bound, 1),
+        ("exponent_cap", exponent_cap, 1),
+        ("power_checks", power_checks, 0),
+    ):
+        if value < least:
+            raise InputError(f"{name} must be at least {least}, got {value}")
     config = VerificationConfig(
         power_bound, exponent_cap, power_checks, smooth, refine, seed
     )

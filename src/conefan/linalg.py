@@ -17,6 +17,7 @@ from .rational import (
     frac,
     ivec,
     primitive_int_vector,
+    sign_normal,
     vzero,
 )
 
@@ -40,13 +41,6 @@ class LinearSolution:
     kernel_basis: tuple[Vec, ...]
 
 
-def _sign_normalize(v: Sequence[Fraction]) -> Vec:
-    for x in v:
-        if x != 0:
-            return tuple(v) if x > 0 else tuple(-y for y in v)
-    return tuple(v)
-
-
 def _kernel_from_rref(red, pivots, ncols: int) -> tuple[Vec, ...]:
     """Kernel basis of the first ncols columns of a reduced echelon form.
 
@@ -62,7 +56,7 @@ def _kernel_from_rref(red, pivots, ncols: int) -> tuple[Vec, ...]:
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -red[i][f]
-        basis.append(_sign_normalize(v))
+        basis.append(sign_normal(v))
     return tuple(basis)
 
 
@@ -142,24 +136,26 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return adj, det
 
 
-def hermite_basis_det(vectors: Sequence[Sequence]) -> tuple[int, int]:
-    """Rank and lattice determinant of a family of integer vectors.
+def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Integer row echelon form of integer vectors: its nonzero rows, each
+    with a positive pivot, and their pivot columns.
 
-    The determinant is the index of the integer span of the vectors inside
-    the saturated lattice of the rational subspace they span (equivalently
-    the gcd of all maximal minors); it is 1 exactly when the vectors extend
-    to a basis of the ambient lattice.
+    The pivot columns are the first coordinate set, in lexicographic order,
+    on which the vectors have their full rank (the greedy basis of the
+    column matroid), so they frame the vectors' span.  Rows are combined by
+    unimodular steps, a Euclidean reduction per column, so the rows span
+    the same lattice as the vectors.
     """
     if not vectors:
-        return 0, 1
-    rows = [list(ivec(v)) for v in vectors]
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
+        return [], []
+    work = [list(ivec(v)) for v in vectors]
+    n = len(work[0])
+    if any(len(r) != n for r in work):
         raise InputError("vectors have differing lengths")
-    work = [r[:] for r in rows]
     m = len(work)
-    r = 0
+    pivots = []
     for col in range(n):
+        r = len(pivots)
         if r == m:
             break
         while True:
@@ -180,20 +176,38 @@ def hermite_basis_det(vectors: Sequence[Sequence]) -> tuple[int, int]:
         if work[r][col] != 0:
             if work[r][col] < 0:
                 work[r] = [-x for x in work[r]]
-            r += 1
-    rk = r
-    if rk == 0:
-        return 0, 1
-    top = work[:rk]
+            pivots.append(col)
+    return work[: len(pivots)], pivots
+
+
+def echelon_lattice_det(rows: Sequence[Sequence[int]]) -> int:
+    """gcd of the maximal minors of the rows of an integer echelon form (1
+    for no rows): the lattice determinant of the vectors it came from."""
+    if not rows:
+        return 1
     g = 0
-    for cols in combinations(range(n), rk):
-        d = _int_det([[row[c] for c in cols] for row in top])
-        g = gcd(g, d)
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, _int_det([[row[c] for c in cols] for row in rows]))
         if g == 1:
             break
-    return rk, g
+    return g
+
+
+def hermite_basis_det(vectors: Sequence[Sequence]) -> tuple[int, int]:
+    """Rank and lattice determinant of a family of integer vectors.
+
+    The determinant is the index of the integer span of the vectors inside
+    the saturated lattice of the rational subspace they span (equivalently
+    the gcd of all maximal minors); it is 1 exactly when the vectors extend
+    to a basis of the ambient lattice.
+    """
+    rows, pivots = int_echelon(vectors)
+    return len(pivots), echelon_lattice_det(rows)
 
 
 def primitive(v: Sequence) -> IntVec:
     """Primitive representative of a nonzero integer vector."""
-    return primitive_int_vector(ivec(v))
+    v = ivec(v)
+    if not any(v):
+        raise InputError("zero vector has no primitive representative")
+    return primitive_int_vector(v)

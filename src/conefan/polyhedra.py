@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Optional, Sequence
 
-from ._dd import cone_generators, _canonical_basis, _reduce
+from ._dd import cone_generators, _canonical_basis
 from .errors import (
     CapExceededError,
     EmptyPolyhedronError,
@@ -39,6 +38,8 @@ from .rational import (
     frac,
     is_zero_vec,
     primitive_direction,
+    primitive_int_vector,
+    sign_normal,
     vec,
     vzero,
 )
@@ -50,7 +51,7 @@ Row = tuple[IntVec, int]
 
 def _row(normal: Sequence, offset) -> Row:
     """Primitive integer row of a rational (normal | offset)."""
-    r = _primitive_row(vec(normal), frac(offset))
+    r = primitive_direction((*normal, offset))
     return (r[:-1], r[-1])
 
 
@@ -140,11 +141,8 @@ class VRepresentation:
         ambient_dim: Optional[int] = None,
     ) -> "VRepresentation":
         verts = tuple(sorted(vec(v) for v in vertices))
-        pr = tuple(
-            sorted({primitive_direction(r) for r in rays if not is_zero_vec(vec(r))})
-        )
-        lin = _canonical_basis([primitive_direction(l) for l in lineality
-                                if not is_zero_vec(vec(l))])
+        pr = tuple(sorted({p for p in map(primitive_direction, rays) if any(p)}))
+        lin = _canonical_basis(list(lineality))
         if ambient_dim is None:
             sample = (list(verts) + list(pr) + list(lin) or [None])[0]
             if sample is None:
@@ -159,28 +157,13 @@ class VRepresentation:
         return VRepresentation((), (), (), ambient_dim, empty=True)
 
 
-def _primitive_row(normal: Vec, offset: Fraction) -> tuple[IntVec, ...]:
-    """Scale (normal | offset) to coprime integers, keeping orientation."""
-    entries = list(normal) + [offset]
-    scale = 1
-    for x in entries:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    ints = [int(x * scale) for x in entries]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 def _homogeneous_rows(P: HPolyhedron) -> tuple[IntVec, ...]:
     """Integer rows a with <a,(x,t)> >= 0 describing the homogenization:
     (a | b) becomes the primitive part of (-a | b)."""
     n = P.ambient_dim
 
     def homogenized(r):
-        return _reduce(tuple(-x for x in r[0]) + (r[1],))
+        return primitive_int_vector(tuple(-x for x in r[0]) + (r[1],))
 
     rows = set(map(homogenized, P.inequalities))
     for r in map(homogenized, P.equalities):
@@ -298,8 +281,8 @@ def _hform_from_dd(
         raise InternalError("inconsistent affine hull")
     eq_red = red[: len(pivots)]
     reduced = _reduce_mod_equalities([(r[:n], r[n]) for r in ineqs], eq_red, pivots)
-    ineq_rows = sorted({_primitive_row(a, c) for a, c in reduced})
-    eq_rows = sorted({_sign_normal_row(_primitive_row(r[:-1], r[-1])) for r in eq_red})
+    ineq_rows = sorted({primitive_direction((*a, c)) for a, c in reduced})
+    eq_rows = sorted({sign_normal(primitive_direction(r)) for r in eq_red})
     return _h_from_int_rows(ineq_rows, eq_rows, n)
 
 
@@ -308,21 +291,14 @@ def vrep_to_h(V: VRepresentation) -> HPolyhedron:
     n = V.ambient_dim
     if V.empty:
         return HPolyhedron.make_empty(n)
-    gens = {_primitive_row(v, Fraction(1)) for v in V.vertices}
+    gens = {primitive_direction((*v, 1)) for v in V.vertices}
     for r in V.rays:
-        gens.add(_primitive_row(vec(r), Fraction(0)))
+        gens.add(primitive_direction((*r, 0)))
     for l in V.lineality:
-        row = _primitive_row(vec(l), Fraction(0))
+        row = primitive_direction((*l, 0))
         gens.add(row)
         gens.add(tuple(-x for x in row))
     return _hform_from_dd(*cone_generators(tuple(sorted(gens)), n + 1), n)
-
-
-def _sign_normal_row(row: tuple[int, ...]) -> tuple[int, ...]:
-    for x in row:
-        if x != 0:
-            return row if x > 0 else tuple(-y for y in row)
-    return row
 
 
 def canonical_h(P: HPolyhedron) -> HPolyhedron:
@@ -442,11 +418,11 @@ def scale_polyhedron(P: HPolyhedron, t) -> HPolyhedron:
     p, q = t.numerator, t.denominator
 
     def scaled(r):
-        return _reduce(tuple(q * x for x in r[0]) + (p * r[1],))
+        return primitive_int_vector(tuple(q * x for x in r[0]) + (p * r[1],))
 
     return _h_from_int_rows(
         sorted(map(scaled, P.inequalities)),
-        sorted(_sign_normal_row(scaled(r)) for r in P.equalities),
+        sorted(sign_normal(scaled(r)) for r in P.equalities),
         P.ambient_dim,
     )
 

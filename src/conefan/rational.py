@@ -10,6 +10,9 @@ the input gave ints:
   - the integral entries of a representation-polytope vertex, when
     Newton vertices are summed with those weights.
 Floats and bools are rejected by every coercion (JSON true is not 1).
+Each normal form has one routine here: primitive_int_vector and
+primitive_direction for primitive integer vectors, sign_normal for the
+sign of a row whose negative describes the same object.
 
 A distinguished PlusInfinity singleton serves as the valuation of the zero
 ideal.  It deliberately lives outside the scalar type used by the geometry
@@ -104,22 +107,38 @@ def ivec(entries: Iterable) -> IntVec:
 
 
 def primitive_int_vector(v: Sequence[int]) -> IntVec:
-    """Divide an integer vector by the gcd of its entries (sign preserved)."""
+    """Divide an integer vector by the gcd of its entries (sign preserved);
+    the zero vector is returned as it is."""
     g = 0
     for x in v:
         g = gcd(g, x)
-    if g == 0:
-        raise InputError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    if g > 1:
+        return tuple(x // g for x in v)
+    return tuple(v)
 
 
 def primitive_direction(v: Sequence) -> IntVec:
-    """Primitive integer vector on the same ray as a rational vector."""
+    """Primitive integer vector on the same ray as a rational vector (the
+    zero vector for the zero vector).  A positive rescaling, so the sign of
+    every entry and of every integer dot product is kept.  All-int vectors
+    skip the Fraction route; every other entry goes through frac, which
+    rejects bools and floats."""
+    if all(type(x) is int for x in v):
+        return primitive_int_vector(v)
     fr = [frac(x) for x in v]
     scale = 1
     for x in fr:
         scale = scale * x.denominator // gcd(scale, x.denominator)
     return primitive_int_vector(tuple(int(x * scale) for x in fr))
+
+
+def sign_normal(v: Sequence) -> tuple:
+    """The vector or its negative, whichever has a positive first nonzero
+    entry; the zero vector is returned as it is."""
+    for x in v:
+        if x != 0:
+            return tuple(v) if x > 0 else tuple(-y for y in v)
+    return tuple(v)
 
 
 def fmt(x) -> str:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Sequence
 
 from conefan import fans
@@ -27,16 +28,15 @@ from conefan.errors import (
     InternalError,
     NotInConeError,
 )
-from conefan.linalg import kernel_basis, linear_solve, rank
+from conefan.linalg import kernel_basis, linear_solve, rank, rref
 from conefan.polyhedra import (
     DEFAULT_DIM_CAP,
     HPolyhedron,
-    _primitive_row,
     canonical_h,
     contains,
     dual_description,
 )
-from conefan.rational import Vec, dot, frac, primitive_direction, vec
+from conefan.rational import Vec, dot, frac, primitive_direction, sign_normal, vec
 
 
 def brute_vertices(P: HPolyhedron) -> set:
@@ -143,17 +143,15 @@ def orthant_hull_reference(points, n: int):
 
 def scale_polyhedron_reference(P: HPolyhedron, t) -> HPolyhedron:
     """The dilate t*P by scaling every offset in Fractions and clearing
-    denominators row by row with _primitive_row."""
-    from conefan.polyhedra import _primitive_row, _sign_normal_row
-
+    denominators row by row with primitive_direction."""
     t = Fraction(t)
     if P.empty:
         return P
     ineq_rows = sorted(
-        _primitive_row(normal, offset * t) for normal, offset in P.inequalities
+        primitive_direction((*normal, offset * t)) for normal, offset in P.inequalities
     )
     eq_rows = sorted(
-        _sign_normal_row(_primitive_row(normal, offset * t))
+        sign_normal(primitive_direction((*normal, offset * t)))
         for normal, offset in P.equalities
     )
     return HPolyhedron(
@@ -166,17 +164,53 @@ def scale_polyhedron_reference(P: HPolyhedron, t) -> HPolyhedron:
 
 def homogeneous_rows_reference(P: HPolyhedron) -> tuple:
     """Integer rows of the homogenization by negating each normal in
-    Fractions and clearing denominators row by row with _primitive_row."""
+    Fractions and clearing denominators row by row with primitive_direction."""
     rows = set()
     for normal, offset in P.inequalities:
-        rows.add(_primitive_row(tuple(-x for x in normal), offset))
+        rows.add(primitive_direction((*(-Fraction(x) for x in normal), offset)))
     for normal, offset in P.equalities:
-        r = _primitive_row(tuple(-x for x in normal), offset)
+        r = primitive_direction((*(-Fraction(x) for x in normal), offset))
         rows.add(r)
         rows.add(tuple(-x for x in r))
     t_row = tuple([0] * P.ambient_dim + [1])
     rows.discard(t_row)
     return (t_row,) + tuple(sorted(rows))
+
+
+def primitive_reference(v) -> tuple:
+    """Primitive integer vector on the ray of a rational vector, in
+    Fractions: divide by the absolute value of the first nonzero entry,
+    then scale by the lcm of the denominators, which leaves entries with
+    gcd 1 and no division by a gcd.  The zero vector maps to itself."""
+    v = [Fraction(x) for x in v]
+    head = next((abs(x) for x in v if x != 0), Fraction(1))
+    v = [x / head for x in v]
+    scale = 1
+    for x in v:
+        scale = scale * x.denominator // gcd(scale, x.denominator)
+    return tuple(int(x * scale) for x in v)
+
+
+def sign_normal_reference(v) -> tuple:
+    """The vector or its negative: a positive first nonzero entry is the
+    lexicographically larger of the two."""
+    return max(tuple(v), tuple(-x for x in v))
+
+
+def frame_reference(vectors) -> tuple:
+    """First coordinate set, in lexicographic order, on which the vectors
+    have their full rank, by trying coordinate combinations in turn, with
+    one Fraction rank each: the search fans._ray_frame and
+    graded._basic_solutions ran before they read echelon pivots."""
+    k = rank(vectors)
+    if k == 0:
+        return ()
+    return next(
+        coords
+        for coords in combinations(range(len(vectors[0])), k)
+        if rank([[v[i] for i in coords] for v in vectors]) == k
+    )
+
 
 def clear_conefan_caches() -> list[str]:
     """Clear every module-level memo in conefan; returns their qualified
@@ -500,7 +534,7 @@ def _prune_rows(
     """
     seen = {}
     for normal, offset in ineqs:
-        row = _primitive_row(normal, offset)
+        row = primitive_direction((*normal, offset))
         key, off = row[:-1], row[-1]
         zero_normal = all(x == 0 for x in key)
         if zero_normal:
@@ -790,8 +824,10 @@ def linearity_fan_reference(generators):
     """fans.linearity_fan cutting every chamber by every hyperplane.
 
     Both halves of each chamber come from a double description and the
-    lower-dimensional ones are dropped; the chambers always go back to
-    ambient coordinates, also when the span basis is the identity.
+    lower-dimensional ones are dropped.  The chambers are built on the
+    pivot coordinates of the Fraction rref of the generators, and always
+    go back to ambient coordinates through its rows, also when they are
+    the identity.
     """
     gens = [vec(g) for g in generators]
     if not gens:
@@ -805,8 +841,9 @@ def linearity_fan_reference(generators):
         raise CapExceededError(
             f"linearity fan capped at {fans.INDEPENDENT_SUBSET_CAP} generators"
         )
-    basis, pivots = fans._span_basis(gens)
-    coord_gens = [fans._to_coords(g, pivots, basis) for g in gens]
+    red, pivots = rref(gens)
+    basis = red[: len(pivots)]
+    coord_gens = [tuple(g[p] for p in pivots) for g in gens]
     cuts = set()
     for subset in combinations(range(len(coord_gens)), d - 1):
         rows = [coord_gens[i] for i in subset]
@@ -825,7 +862,8 @@ def linearity_fan_reference(generators):
     out = []
     for sigma in chambers:
         ambient_rays = [
-            primitive_direction(fans._from_coords(r, basis)) for r in sigma.rays
+            [sum(c * b[t] for c, b in zip(r, basis)) for t in range(n)]
+            for r in sigma.rays
         ]
         out.append(fans.cone_from_generators(ambient_rays))
     return fans.Fan.make(out, n)

@@ -251,10 +251,7 @@ def test_verify_merges_duplicate_degrees(tmp_path, capsys):
 CONEFAN_MEMOS = sorted(
     [
         "conefan._dd.cone_generators",
-        "conefan.fans._hull",
         "conefan.graded.ideal_product",
-        "conefan.graded._ideal_power_cached",
-        "conefan.graded._representations",
         "conefan.graded._degree_newton_hform_cached",
         "conefan.graded._asymptotic_newton_cached",
         "conefan.polyhedra.dual_description",
@@ -344,6 +341,50 @@ def test_verify_caps_from_file(tmp_path, capsys):
     code = main(["verify", str(path)])
     assert code == 0
     assert "VERIFIED (d = 2" in capsys.readouterr().out
+
+
+# caps that are not JSON integers, or that would leave no nonzero tuple or
+# no exponent to check, from the file or from a flag: each is a usage error
+BAD_CAPS = {
+    "p_bound-string": ({"p_bound": "x"}, []),
+    "seed-string": ({"seed": "x"}, []),
+    "caps-not-object": ("oops", []),
+    "p_bound-float": ({"p_bound": 2.7}, []),
+    "p_bound-bool": ({"p_bound": True}, []),
+    "p_bound-zero": ({"p_bound": 0}, []),
+    "d_cap-zero": ({"d_cap": 0}, []),
+    "p-bound-flag-negative": ({}, ["--p-bound", "-3"]),
+    "L-flag-negative": ({}, ["--L", "-1"]),
+}
+
+
+def _bad_caps_file(tmp_path, caps) -> str:
+    path = tmp_path / "caps.json"
+    path.write_text(json.dumps(dict(WORKED, caps=caps)))
+    return str(path)
+
+
+@pytest.mark.parametrize("caps, flags", BAD_CAPS.values(), ids=BAD_CAPS.keys())
+def test_verify_rejects_bad_caps(tmp_path, capsys, caps, flags):
+    assert main(["verify", _bad_caps_file(tmp_path, caps), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_verify_rejects_bad_caps_under_python_O(tmp_path):
+    for caps, flags in BAD_CAPS.values():
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "conefan.cli", "verify",
+             _bad_caps_file(tmp_path, caps), *flags],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, (caps, flags, proc.stderr)
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 def test_fan_check_fails_on_unrefined_cone(capsys):

@@ -733,8 +733,8 @@ def test_verify_report_serializable():
 
 @pytest.mark.parametrize("k", [1.5, 2.0, True, "2", -1])
 def test_ideal_power_rejects_bad_exponents_cold_and_warm(k):
-    # 1.5 // 2 == 0.0 and True == 1 would reach a memo entry for 0 or 1,
-    # and "2" < 0 is a TypeError, so k is checked before the lookup
+    # 1.5 // 2 == 0.0 and True == 1 would pass for the exponents 0 and 1,
+    # and "2" < 0 is a TypeError, so k is checked first
     I = MI(2, [(1, 0), (0, 2)])
     clear_conefan_caches()
     with pytest.raises(InputError):
@@ -744,6 +744,41 @@ def test_ideal_power_rejects_bad_exponents_cold_and_warm(k):
     with pytest.raises(InputError):
         ideal_power(I, k)
     assert ideal_power(I, 2) == ideal_product(I, I)
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [
+        {"power_bound": 0},
+        {"power_bound": -3},
+        {"exponent_cap": 0},
+        {"power_checks": -1},
+    ],
+)
+def test_verify_rejects_caps_out_of_range(caps):
+    # power_bound 0 would check no nonzero tuple and still report VERIFIED
+    with pytest.raises(InputError, match="must be at least"):
+        verify_closure_identity(worked_system(), **caps)
+
+
+@pytest.mark.parametrize("power_checks", [0, 1])
+def test_ideal_power_note_expands_nothing_below_two_checks(
+    monkeypatch, power_checks
+):
+    # a_{de}^1 is a_{de}: with nothing to compare, no degree is expanded
+    import conefan.graded as graded
+
+    def expand(*args):
+        raise AssertionError("expand_degree called")
+
+    monkeypatch.setattr(graded, "expand_degree", expand)
+    rep = verify_closure_identity(
+        worked_system(), power_bound=2, power_checks=power_checks
+    )
+    holds = f": ideal-level power equality holds up to exponent {power_checks}"
+    notes = [note for note in rep.notes if note.startswith("ray ")]
+    assert len(notes) == len(rep.fan.rays())
+    assert all(note.endswith(holds) for note in notes)
 
 
 def test_graded_system_validation():
@@ -771,7 +806,7 @@ def _warm_memo(memo):
         ("asymptotic_valuation", None, ((1, 0), (True, 1)), ((1, 0), (1, 1))),
         ("asymptotic_newton", "_asymptotic_newton_cached", ((True, 1),), ((1, 1),)),
         ("_degree_newton_hform", "_degree_newton_hform_cached", ((True, 1),), ((1, 1),)),
-        ("expand_degree", "_representations", ((True, 1),), ((1, 1),)),
+        ("expand_degree", None, ((True, 1),), ((1, 1),)),
     ],
 )
 def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good):
@@ -795,7 +830,7 @@ def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good
         ("asymptotic_valuation", None, ((1, 0),)),
         ("asymptotic_newton", "_asymptotic_newton_cached", ()),
         ("_degree_newton_hform", "_degree_newton_hform_cached", ()),
-        ("expand_degree", "_representations", ()),
+        ("expand_degree", None, ()),
     ],
 )
 @pytest.mark.parametrize("bad", [(1,), (1, 1, 1)])
@@ -822,10 +857,8 @@ def test_expand_degree_budget(monkeypatch):
     monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", 5)
     from conefan.errors import BudgetExceededError
 
-    graded._representations.cache_clear()
     with pytest.raises(BudgetExceededError):
         graded.expand_degree(worked_system(), (3, 3))
-    graded._representations.cache_clear()
 
 
 @pytest.mark.parametrize("m", [(1, 1), (2, 1), (3, 3), (4, 2)])
@@ -837,15 +870,11 @@ def test_representation_enumeration_prunes_zero_ideals(monkeypatch, m):
 
     def expand(budget):
         monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", budget)
-        graded._representations.cache_clear()
         return graded.expand_degree(zerogen_system(), m)
 
-    try:
-        assert not expand(3).is_zero
-        with pytest.raises(BudgetExceededError):
-            expand(2)
-    finally:
-        graded._representations.cache_clear()
+    assert not expand(3).is_zero
+    with pytest.raises(BudgetExceededError):
+        expand(2)
 
 
 def _representation_nodes(monkeypatch, system, m) -> int:
@@ -856,7 +885,6 @@ def _representation_nodes(monkeypatch, system, m) -> int:
 
     def fits(budget):
         monkeypatch.setattr(graded, "EXPAND_NODE_BUDGET", budget)
-        graded._representations.cache_clear()
         try:
             graded._representations(system, m)
         except BudgetExceededError:
@@ -893,13 +921,10 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
     verify_closure_identity(system, power_bound=3, power_checks=1)
     monkeypatch.setattr(graded, "_representations", search)
     assert len(seen) == 116
-    try:
-        total = sum(_representation_nodes(monkeypatch, system, m) for m in seen)
-        assert total <= 10_000
-        reps = [graded._representations(system, m) for m in sorted(seen)]
-        assert sum(map(len, reps)) == 90
-    finally:
-        graded._representations.cache_clear()
+    total = sum(_representation_nodes(monkeypatch, system, m) for m in seen)
+    assert total <= 10_000
+    reps = [graded._representations(system, m) for m in sorted(seen)]
+    assert sum(map(len, reps)) == 90
 
 
 @st.composite

@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import frame_reference, primitive_reference, sign_normal_reference
+
 from conefan.errors import InputError
 from conefan.linalg import (
     hermite_basis_det,
     int_adjugate,
+    int_echelon,
     kernel_basis,
     linear_solve,
     primitive,
@@ -20,6 +23,8 @@ from conefan.rational import (
     frac,
     mat,
     primitive_direction,
+    primitive_int_vector,
+    sign_normal,
     vec,
 )
 
@@ -155,6 +160,61 @@ def test_primitive():
     with pytest.raises(InputError):
         primitive((0, 0))
     assert primitive_direction((Fraction(1, 2), Fraction(3, 4))) == (2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-12, 12),
+            st.fractions(min_value=-6, max_value=6, max_denominator=9),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+)
+@example([0, 0, 0])
+@example([Fraction(0), 0])
+@example([0, -4, 6])
+def test_normal_forms_match_fraction_references(v):
+    # each routine is total on the zero vector, which it returns as it is
+    expected = primitive_reference(v)
+    assert primitive_direction(v) == expected
+    assert primitive_direction(tuple(v)) == expected
+    if all(type(x) is int for x in v):
+        assert primitive_int_vector(v) == expected
+    assert sign_normal(v) == sign_normal_reference(v)
+    assert sign_normal(primitive_direction(v)) == sign_normal_reference(expected)
+
+
+@st.composite
+def frame_matrices(draw):
+    """Small integer matrices, often rank-deficient: integer combinations
+    of a few base rows and zero rows are mixed in, in any order."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    coefs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    rows = base + [
+        [sum(c * r[j] for c, r in zip(coef, base)) for j in range(n)]
+        for coef in draw(st.lists(coefs, max_size=2))
+    ]
+    rows += [[0] * n] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_matrices())
+@example([[0, 1, 0], [0, 2, 5]])
+@example([[0, 0], [0, 0]])
+@example([[1, 2, 3], [2, 4, 6]])
+def test_echelon_pivots_are_the_first_full_rank_frame(rows):
+    # the greedy basis of the column matroid is the lexicographically first
+    # coordinate set on which the rows keep their rank
+    echelon, pivots = int_echelon(rows)
+    assert tuple(pivots) == frame_reference(rows)
+    assert len(echelon) == len(pivots) == rank(rows)
+    assert all(r[p] > 0 and not any(r[:p]) for r, p in zip(echelon, pivots))
 
 
 def test_exact_arithmetic_roundtrips():

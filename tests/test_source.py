@@ -62,6 +62,30 @@ def test_limit_newton_runs_no_double_description():
     assert found == {name: [] for name in checked}
 
 
+def test_frames_come_from_the_integer_echelon():
+    # a coordinate frame is the pivot list of linalg.int_echelon, with no
+    # search over coordinate combinations and no Fraction rref;
+    # _basic_solutions still runs combinations over the degrees, for its
+    # candidate bases
+    banned = {"combinations", "rref", "hermite_basis_det"}
+    checked = {
+        ("fans.py", "_ray_frame"): banned,
+        ("graded.py", "_basic_solutions"): banned - {"combinations"},
+    }
+    found = {}
+    for (module, name), names in checked.items():
+        path = Path(conefan.__file__).parent / module
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name == name:
+                used = {
+                    n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node)
+                    if isinstance(n, (ast.Name, ast.Attribute))
+                }
+                found[module, name] = sorted(used & names)
+    assert found == {key: [] for key in checked}
+
+
 # Every HPolyhedron row is an int row, so "/" between two of its entries
 # is int / int, a float, where the verifier must stay exact.  Each listed
 # function divides by a Fraction, at most the given number of times; any
