@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 from .errors import ConefanError, InputError, InternalError, NotInConeError
@@ -115,11 +116,13 @@ def load_system(data: dict) -> GradedSystem:
     if not isinstance(data, dict):
         raise InputError("system file must be a JSON object")
     try:
-        n = int(data["ambient_dim"])
-        s = int(data["grading_rank"])
-        raw_gens = data["generators"]
-    except (KeyError, TypeError, ValueError) as exc:
+        n, s, raw_gens = data["ambient_dim"], data["grading_rank"], data["generators"]
+    except KeyError as exc:
         raise InputError(f"malformed system file: {exc}") from exc
+    for key, value in (("ambient_dim", n), ("grading_rank", s)):
+        # true, 2.7 or "2" would otherwise pass for an integer, as in caps
+        if type(value) is not int:
+            raise InputError(f"{key} must be an integer, got {json.dumps(value)}")
     if not isinstance(raw_gens, list) or not raw_gens:
         raise InputError("system file needs a nonempty generators list")
     merged: dict[tuple, MonomialIdeal] = {}
@@ -163,6 +166,8 @@ def _cmd_verify(args) -> int:
             raise InputError(f"cap {name} must be an integer, got {json.dumps(value)}")
         return value
 
+    if args.json:
+        _check_report_path(args.json)
     report = verify_closure_identity(
         system,
         power_bound=cap("p_bound", 4),
@@ -204,6 +209,21 @@ def _cmd_verify(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0 if report.verified else 1
+
+
+def _check_report_path(path: str) -> None:
+    """Open the report path for appending before the run, so that an
+    unwritable one is a usage error rather than a traceback after the
+    verdict.  An existing file is left as it is, and a file made here is
+    removed again, so a run that fails leaves no report behind."""
+    made = not os.path.exists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise InputError(f"cannot write report: {exc}") from exc
+    if made:
+        os.remove(path)
 
 
 def _echo_args(args) -> list[str]:

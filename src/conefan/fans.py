@@ -53,6 +53,7 @@ from .rational import (
 INDEPENDENT_SUBSET_CAP = 12
 SMOOTH_REFINE_DIM_CAP = 4
 SMOOTH_REFINE_BUDGET = 512
+SMOOTH_REFINE_MULTIPLICITY_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,21 @@ class Cone:
             extra.append(tuple(-x for x in u))
         return cone_from_normals(self.normals + tuple(extra))
 
+    @cached_property
+    def _ray_frame(self) -> tuple[list[int], list[list[int]], int]:
+        """Coordinates S of a simplicial cone's rays, adj(R_S) and det(R_S).
+
+        S is the pivot coordinates of the cone's echelon, the first
+        coordinate set, in lexicographic order, whose square submatrix R_S
+        (the rays' S-coordinates as columns) is invertible; a point x of
+        the rays' span has ray-coordinates adj(R_S) x_S / det(R_S).
+        """
+        coords = self._echelon[1]
+        if len(coords) != len(self.rays):
+            raise InternalError("simplicial cone with dependent rays")
+        adj, det = int_adjugate([[r[i] for r in self.rays] for i in coords])
+        return coords, adj, det
+
     def __lt__(self, other):
         return (self.rays, self.normals) < (other.rays, other.normals)
 
@@ -137,6 +153,22 @@ def _hull(
 
 
 def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
+    """Canonical cone of sorted, distinct primitive rays.
+
+    dim independent rays in Z^dim span a simplicial cone, built in closed
+    form: with R the rays as columns, adj(R) R = det(R) I, so row i of
+    adj(R), times the sign of det(R), is a normal positive on ray i and
+    zero on the others, and the primitive such rows are the facet normals.
+    Any other ray set goes through the double descriptions of _hull.
+    """
+    if rays and len(rays) == dim:
+        adj, det = int_adjugate([[r[i] for r in rays] for i in range(dim)])
+        if det:
+            sign = 1 if det > 0 else -1
+            normals = sorted(
+                primitive_int_vector([sign * a for a in row]) for row in adj
+            )
+            return Cone(rays, tuple(normals), dim)
     normals, lin, extreme = _hull(rays, dim)
     if lin:
         raise NotPointedError(lin[0])
@@ -518,38 +550,34 @@ def _pull_triangulate(c: Cone) -> list[Cone]:
     return pieces
 
 
-def _ray_frame(c: Cone) -> tuple[list[int], list[list[int]], int]:
-    """Coordinates S of a simplicial cone's rays, adj(R_S) and det(R_S).
-
-    S is the pivot coordinates of the cone's echelon, the first coordinate
-    set, in lexicographic order, whose square submatrix R_S (the rays'
-    S-coordinates as columns) is invertible; a point x of the rays' span
-    has ray-coordinates adj(R_S) x_S / det(R_S).
-    """
-    coords = c._echelon[1]
-    if len(coords) != len(c.rays):
-        raise InternalError("simplicial cone with dependent rays")
-    adj, det = int_adjugate([[r[i] for r in c.rays] for i in coords])
-    return coords, adj, det
-
-
 def _parallelepiped_points(c: Cone) -> list[IntVec]:
     """Nonzero primitive lattice points with all ray-coordinates in [0, 1).
 
     Enumerates cosets instead of scanning a bounding box (Cox, Little,
     Schenck, Toric Varieties, 11.1).  Take R_S, A = adj(R_S) and
-    D = |det R_S| from _ray_frame.  The columns of A mod D generate the
-    group Z^k / R_S Z^k inside (Z/D)^k, and a breadth-first closure from 0
-    lists its D elements mu.  Each mu / D is the ray-coordinate vector of
-    a point p = R mu / D of the half-open parallelepiped, and these are all
-    its points with integral S-coordinates.  The lattice points are the p
-    integral in every coordinate, which is all of them when the cone is
-    full-dimensional: multiplicity - 1 besides the origin.  No linear
-    system is solved, and the cost grows with D, not with the box.
+    D = |det R_S| from Cone._ray_frame.  The columns of A mod D generate
+    the group Z^k / R_S Z^k inside (Z/D)^k, and a breadth-first closure
+    from 0 lists its D elements mu.  Each mu / D is the ray-coordinate
+    vector of a point p = R mu / D of the half-open parallelepiped, and
+    these are all its points with integral S-coordinates.  The lattice
+    points are the p integral in every coordinate, which is all of them
+    when the cone is full-dimensional: multiplicity - 1 besides the
+    origin.  No linear system is solved, and the cost grows with D, not
+    with the box.  D above SMOOTH_REFINE_MULTIPLICITY_CAP raises
+    CapExceededError before any element is listed.
     """
     rays = c.rays
-    _, adj, det = _ray_frame(c)
+    _, adj, det = c._ray_frame
     d = abs(det)
+    if d > SMOOTH_REFINE_MULTIPLICITY_CAP:
+        # D is the multiplicity for a full-dimensional cone, a multiple of
+        # it otherwise, and the number of cosets listed either way
+        raise CapExceededError(
+            f"smooth refinement capped at multiplicity "
+            f"{SMOOTH_REFINE_MULTIPLICITY_CAP}, but the cone spanned by "
+            f"{', '.join(map(str, rays))} has multiplicity {c.multiplicity()}"
+            + (f" ({d} cosets on its frame)" if d != c.multiplicity() else "")
+        )
     k = len(rays)
     steps = {tuple(row[j] % d for row in adj) for j in range(k)}
     zero = (0,) * k
@@ -577,6 +605,41 @@ def _parallelepiped_points(c: Cone) -> list[IntVec]:
     return sorted(found)
 
 
+def _stellar_weights(c: Cone, x: IntVec) -> list[int]:
+    """det(R_S) times the ray-coordinates of a point x of a simplicial cone.
+
+    Ray i is replaced exactly when its weight is nonzero; a point that does
+    not decompose, or that replaces no ray, is an internal failure.
+    """
+    coords, adj, det = c._ray_frame
+    lam = [sum(a * x[i] for a, i in zip(row, coords)) for row in adj]
+    if any(
+        sum(t * r[i] for t, r in zip(lam, c.rays)) != det * x[i]
+        for i in range(c.ambient_dim)
+    ):
+        raise InternalError("contained point failed to decompose")
+    if not any(lam):
+        raise InternalError("contained point replaced no ray")
+    return lam
+
+
+def _stellar_score(fan: Fan, x: IntVec) -> int:
+    """Largest multiplicity among the cones that a stellar subdivision of
+    the fan at x creates, with no fan built.
+
+    In a cone c containing x, the piece that replaces ray i by x has the
+    rays' determinant scaled by x's i-th ray-coordinate lam_i / det(R_S)
+    (Cramer's rule), so its multiplicity is mult(c) |lam_i| / |det R_S|.
+    """
+    worst = 1
+    for c in fan.maximal_cones:
+        if c.contains_point(x):
+            mult, det = c.multiplicity(), abs(c._ray_frame[2])
+            for t in _stellar_weights(c, x):
+                worst = max(worst, mult * abs(t) // det)
+    return worst
+
+
 def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
     """Stellar subdivision of a simplicial fan at a primitive lattice point."""
     out = []
@@ -584,17 +647,7 @@ def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
         if not c.contains_point(x):
             out.append(c)
             continue
-        coords, adj, det = _ray_frame(c)
-        # det times the ray-coordinates of x
-        lam = [sum(a * x[i] for a, i in zip(row, coords)) for row in adj]
-        if any(
-            sum(t * r[i] for t, r in zip(lam, c.rays)) != det * x[i]
-            for i in range(c.ambient_dim)
-        ):
-            raise InternalError("contained point failed to decompose")
-        if not any(lam):
-            raise InternalError("contained point replaced no ray")
-        for i, t in enumerate(lam):
+        for i, t in enumerate(_stellar_weights(c, x)):
             if t != 0:
                 rest = tuple(r for k, r in enumerate(c.rays) if k != i)
                 out.append(cone_from_generators(rest + (x,)))
@@ -608,9 +661,13 @@ def smooth_refine(f: Fan) -> Fan:
     lexicographically least rays; afterwards the worst non-smooth cone is
     stellarly subdivided at the primitive parallelepiped point minimizing
     the resulting maximal multiplicity (lexicographic tie-breaks), until all
-    cones are smooth.  Fans above SMOOTH_REFINE_DIM_CAP dimensions raise
-    CapExceededError, and more than SMOOTH_REFINE_BUDGET subdivisions raise
-    BudgetExceededError.
+    cones are smooth.  A candidate point is scored without building its
+    subdivision: each cone containing it splits into pieces whose
+    multiplicities follow from the point's ray-coordinates in that cone
+    (_stellar_score), and only the winning point is subdivided.  Fans above
+    SMOOTH_REFINE_DIM_CAP dimensions, and cones whose multiplicity exceeds
+    SMOOTH_REFINE_MULTIPLICITY_CAP, raise CapExceededError; more than
+    SMOOTH_REFINE_BUDGET subdivisions raise BudgetExceededError.
     """
     if f.ambient_dim > SMOOTH_REFINE_DIM_CAP:
         raise CapExceededError(
@@ -625,23 +682,13 @@ def smooth_refine(f: Fan) -> Fan:
         if not rough:
             return fan
         target = max(rough, key=lambda c: (c.multiplicity(), c.rays))
-        current = set(fan.maximal_cones)
-        best = None
-        for x in _parallelepiped_points(target):
-            trial = _stellar_subdivide(fan, x)
-            worst = max(
-                (
-                    c.multiplicity()
-                    for c in trial.maximal_cones
-                    if c not in current
-                ),
-                default=1,
-            )
-            if best is None or (worst, x) < (best[0], best[1]):
-                best = (worst, x, trial)
+        best = min(
+            ((_stellar_score(fan, x), x) for x in _parallelepiped_points(target)),
+            default=None,
+        )
         if best is None:
             raise InternalError("non-smooth cone without subdivision points")
-        fan = best[2]
+        fan = _stellar_subdivide(fan, best[1])
     worst = max(c.multiplicity() for c in fan.maximal_cones if not is_smooth(c))
     raise BudgetExceededError(
         f"smooth refinement stopped after {SMOOTH_REFINE_BUDGET} subdivisions; "

@@ -17,11 +17,11 @@ that force that equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from ._dd import cone_generators
@@ -846,14 +846,20 @@ def _separating_weight(
     raise InternalError("differing Newton polyhedra without a separating facet")
 
 
-def _check_limit_polyhedra(sys: GradedSystem, rays) -> None:
+def _check_limit_polyhedra(sys: GradedSystem, limits: dict) -> None:
     """Anchor the limit polyhedra to the certified LP: at every facet
-    weight w of P(e) = asymptotic_newton(sys, e), the asymptotic valuation
-    at e must be P(e)'s support value.  A mismatch is an internal failure."""
-    for e in rays:
-        limit_h = asymptotic_newton(sys, e)
-        for w in _h_weights(limit_h):
-            if asymptotic_valuation(sys, w, e) != _support(limit_h, w):
+    weight w of P(e) = asymptotic_newton(sys, e), given as limits[e], the
+    asymptotic valuation at e must be P(e)'s support value.  A facet row
+    (a | b) of P(e) with a <= 0 is tight on P(e), so with g the gcd of a
+    and w = -a / g that value is min <w, x> = -b / g.  A mismatch is an
+    internal failure."""
+    for e, limit_h in limits.items():
+        for normal, offset in limit_h.inequalities:
+            if any(x > 0 for x in normal) or not any(normal):
+                continue
+            g = gcd(*normal)
+            w = tuple(-x // g for x in normal)
+            if asymptotic_valuation(sys, w, e) != Fraction(-offset, g):
                 raise InternalError(
                     f"limit polyhedron of ray {e} disagrees with the "
                     f"asymptotic valuation at weight {w}"
@@ -879,19 +885,29 @@ def verify_closure_identity(
     tuple p with sum(p) <= power_bound, closure equality of the degree
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
     the p_i; (e) the valuation chain for every weight w >= 0 at once, as
-    comparisons of Newton polyhedra (see _valuation_chain).  The seed is
-    recorded in the report but decides no verdict.  A falsified identity is
-    reported as a value, never an exception; a witness weight is a facet
-    normal at which the two closures' valuations differ.  A power_bound or
-    exponent_cap below 1, or a negative power_checks, raises InputError:
-    power_bound 0 would check no nonzero tuple, exponent_cap 0 no exponent.
+    comparisons of Newton polyhedra (see _valuation_chain).  Steps (d) and
+    (e) depend only on the face spanned by the rays with p_i > 0 and on
+    those powers, so each such face tuple is checked once, and every cone
+    containing the face reports that check under its own powers.  The
+    seed is recorded in the report but decides no verdict.  A falsified
+    identity is reported as a value, never an exception; a witness weight
+    is a facet normal at which the two closures' valuations differ.  The
+    four integer parameters must be ints (not bools or floats), and a
+    power_bound or exponent_cap below 1, or a negative power_checks,
+    raises InputError: power_bound 0 would check no nonzero tuple,
+    exponent_cap 0 no exponent.
     """
     for name, value, least in (
         ("power_bound", power_bound, 1),
         ("exponent_cap", exponent_cap, 1),
         ("power_checks", power_checks, 0),
+        ("seed", seed, None),
     ):
-        if value < least:
+        # True would run as 1 but be reported as true, and 2.5 would fail
+        # deep inside with a bare TypeError
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int, got {value!r}")
+        if least is not None and value < least:
             raise InputError(f"{name} must be at least {least}, got {value}")
     config = VerificationConfig(
         power_bound, exponent_cap, power_checks, smooth, refine, seed
@@ -911,44 +927,22 @@ def verify_closure_identity(
     d = cert.value
     for ray, doc in cert.ideal_level:
         notes.append(f"ray {ray}: {doc}")
-    _check_limit_polyhedra(sys, fan.rays())
+    limits = {e: asymptotic_newton(sys, e) for e in fan.rays()}
+    _check_limit_polyhedra(sys, limits)
+    ray_h = {e: _degree_newton_hform(sys, _scaled_degree(e, d)) for e in limits}
+    limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
+    # a tuple's check depends only on its rays with nonzero power, a face
+    # that cones sharing it list in the same (sorted) order
+    checked: dict[tuple, TupleCheck] = {}
     cone_checks = []
     for cone in fan.maximal_cones:
-        rays = cone.rays
         checks = []
-        ray_h = {e: _degree_newton_hform(sys, _scaled_degree(e, d)) for e in rays}
-        limit_h = {e: scale_polyhedron(asymptotic_newton(sys, e), d) for e in rays}
-        for p in _power_tuples(len(rays), power_bound):
-            m = tuple(
-                sum(pi * e[j] for pi, e in zip(p, rays))
-                for j in range(sys.grading_rank)
-            )
-            dm = _scaled_degree(m, d)
-            left_h = _degree_newton_hform(sys, dm)
-            right_h = _weighted_minkowski_hform(
-                [(ray_h[e], pi) for pi, e in zip(p, rays)], sys.ambient
-            )
-            ok = left_h == right_h
-            witness = lval = rval = None
-            if not ok:
-                witness = _separating_weight(left_h, right_h)
-                lval, rval = _support(left_h, witness), _support(right_h, witness)
-            chain_ok, chain_note = _valuation_chain(
-                sys, d, rays, p, m, left_h, right_h, ray_h, limit_h
-            )
-            checks.append(
-                TupleCheck(
-                    powers=p,
-                    degree=m,
-                    closure_ok=ok,
-                    witness_weight=witness,
-                    left_value=lval,
-                    right_value=rval,
-                    chain_ok=chain_ok,
-                    chain_note=chain_note,
-                )
-            )
-        cone_checks.append(ConeCheck(rays=rays, checks=tuple(checks)))
+        for p in _power_tuples(len(cone.rays), power_bound):
+            face = tuple((e, pi) for e, pi in zip(cone.rays, p) if pi)
+            if face not in checked:
+                checked[face] = _check_tuple(sys, d, face, ray_h, limit_h)
+            checks.append(replace(checked[face], powers=p))
+        cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
     verified = all(c.passed for c in cone_checks)
     return VerificationReport(
         config=config,
@@ -961,15 +955,51 @@ def verify_closure_identity(
     )
 
 
+def _check_tuple(sys, d, face, ray_h, limit_h) -> TupleCheck:
+    """Closure equality and valuation chain for one exponent tuple, given
+    as its (ray, power) pairs with nonzero power; the returned powers are
+    those pairs' powers, for the caller to replace with the full tuple."""
+    rays = tuple(e for e, _ in face)
+    p = tuple(pi for _, pi in face)
+    m = tuple(
+        sum(pi * e[j] for pi, e in zip(p, rays)) for j in range(sys.grading_rank)
+    )
+    left_h = _degree_newton_hform(sys, _scaled_degree(m, d))
+    right_h = _weighted_minkowski_hform(
+        [(ray_h[e], pi) for pi, e in zip(p, rays)], sys.ambient
+    )
+    ok = left_h == right_h
+    witness = lval = rval = None
+    if not ok:
+        witness = _separating_weight(left_h, right_h)
+        lval, rval = _support(left_h, witness), _support(right_h, witness)
+    chain_ok, chain_note = _valuation_chain(
+        sys, d, rays, p, m, left_h, right_h, ray_h, limit_h
+    )
+    return TupleCheck(
+        powers=p,
+        degree=m,
+        closure_ok=ok,
+        witness_weight=witness,
+        left_value=lval,
+        right_value=rval,
+        chain_ok=chain_ok,
+        chain_note=chain_note,
+    )
+
+
 def _weighted_minkowski_hform(
     parts: Sequence[tuple[Optional[HPolyhedron], int]], n: int
 ) -> Optional[HPolyhedron]:
     """Newton polyhedron of a product of ideal powers, from the factors'
     polyhedra: the weighted Minkowski sum of their polytope parts plus the
-    orthant.  None (the zero ideal) absorbs."""
+    orthant.  None (the zero ideal) absorbs, and a single factor is its
+    polyhedron scaled by its power."""
     parts = [(h, k) for h, k in parts if k]
     if any(h is None for h, _ in parts):
         return None
+    if len(parts) == 1:
+        return scale_polyhedron(*parts[0])
     verts = [(_lattice_vertices(h), k) for h, k in parts]
     return _orthant_hull(_minkowski_points(verts, n), n)
 

@@ -8,7 +8,9 @@ divisibility, row reduction and simplex pivoting by plain Fraction
 arithmetic, parallelepiped points by a bounding-box scan, representations
 of a degree by a search bounded only by the theta-weight, projection by
 Fourier-Motzkin elimination with LP redundancy removal, the linearity fan
-by cutting every chamber with every hyperplane.
+by cutting every chamber with every hyperplane, stellar scores by building
+the trial subdivision, simplicial cones by double description, and the
+verifier's cone checks with nothing shared between cones.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from conefan.errors import (
     InputError,
     InternalError,
     NotInConeError,
+    NotPointedError,
 )
 from conefan.linalg import kernel_basis, linear_solve, rank, rref
 from conefan.polyhedra import (
@@ -867,3 +870,72 @@ def linearity_fan_reference(generators):
         ]
         out.append(fans.cone_from_generators(ambient_rays))
     return fans.Fan.make(out, n)
+
+
+def stellar_score_reference(fan, x) -> int:
+    """fans._stellar_score by building the trial subdivision at x: the
+    largest multiplicity among its cones that the fan did not have, as
+    smooth_refine scored its candidates before the closed form."""
+    current = set(fan.maximal_cones)
+    trial = fans._stellar_subdivide(fan, x)
+    return max(
+        (c.multiplicity() for c in trial.maximal_cones if c not in current),
+        default=1,
+    )
+
+
+def cone_from_primitive_rays_reference(rays, dim):
+    """fans._cone_from_primitive_rays through the two double descriptions
+    of fans._hull, for any ray set: the dual cone's generators are the
+    normals, and their dual cone's extreme rays are the rays."""
+    normals, lin, extreme = fans._hull(tuple(rays), dim)
+    if lin:
+        raise NotPointedError(lin[0])
+    return fans.Cone(extreme, normals, dim)
+
+
+def cone_checks_reference(system, fan, d, power_bound) -> tuple:
+    """verify_closure_identity's cone checks with nothing shared: every
+    maximal cone checks each of its tuples itself, with its own ray
+    polyhedra, and every product of ray ideals, one factor too, is the
+    orthant hull of its Minkowski points."""
+    from conefan import graded
+    from conefan.polyhedra import scale_polyhedron
+
+    n = system.ambient
+    out = []
+    for cone in fan.maximal_cones:
+        rays = cone.rays
+        ray_h = {
+            e: graded._degree_newton_hform(system, graded._scaled_degree(e, d))
+            for e in rays
+        }
+        limit_h = {
+            e: scale_polyhedron(graded.asymptotic_newton(system, e), d) for e in rays
+        }
+        checks = []
+        for p in graded._power_tuples(len(rays), power_bound):
+            m = tuple(
+                sum(pi * e[j] for pi, e in zip(p, rays))
+                for j in range(system.grading_rank)
+            )
+            left_h = graded._degree_newton_hform(system, graded._scaled_degree(m, d))
+            parts = [(ray_h[e], pi) for pi, e in zip(p, rays) if pi]
+            right_h = None
+            if all(h is not None for h, _ in parts):
+                verts = [(graded._lattice_vertices(h), k) for h, k in parts]
+                right_h = graded._orthant_hull(graded._minkowski_points(verts, n), n)
+            ok = left_h == right_h
+            witness = lval = rval = None
+            if not ok:
+                witness = graded._separating_weight(left_h, right_h)
+                lval = graded._support(left_h, witness)
+                rval = graded._support(right_h, witness)
+            chain_ok, chain_note = graded._valuation_chain(
+                system, d, rays, p, m, left_h, right_h, ray_h, limit_h
+            )
+            checks.append(
+                graded.TupleCheck(p, m, ok, witness, lval, rval, chain_ok, chain_note)
+            )
+        out.append(graded.ConeCheck(rays, tuple(checks)))
+    return tuple(out)

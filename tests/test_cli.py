@@ -494,3 +494,65 @@ def test_orthant_hull_checks_exit_3_under_python_O(worked_file, tmp_path):
     for body, message in cases:
         _assert_internal_error_under_O(body + run, message)
     assert not report.exists()
+
+
+def _one_error_line(err: str) -> str:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize("key", ["ambient_dim", "grading_rank"])
+@pytest.mark.parametrize("value", [2.7, True, "2"], ids=["float", "bool", "string"])
+def test_verify_rejects_non_integer_dimensions(tmp_path, capsys, key, value):
+    # int() would read 2.7 as 2, true as 1 and "2" as 2, and the worked
+    # system would verify
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(dict(WORKED, **{key: value})))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{key} must be an integer" in _one_error_line(captured.err)
+
+
+def test_verify_unwritable_report_is_usage_error(worked_file, tmp_path, capsys):
+    # found before the run: no verdict is printed and the exit code is not
+    # FALSIFIED's 1
+    for path in (tmp_path / "missing" / "r.json", tmp_path):
+        assert main(["verify", worked_file, "--json", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write report" in _one_error_line(captured.err)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_verify_failed_run_keeps_existing_report(worked_file, tmp_path, capsys):
+    # a run that fails after the report path was opened leaves an existing
+    # file as it was
+    report = tmp_path / "report.json"
+    report.write_text("earlier\n")
+    assert main(["verify", worked_file, "--p-bound", "0", "--json", str(report)]) == 2
+    _one_error_line(capsys.readouterr().err)
+    assert report.read_text() == "earlier\n"
+
+
+HUGE_MULTIPLICITY = '[[3,"1/3",1],[0,2,1],["2/3","1/2",0],["3/2",0,2],["2/3",2,0]]'
+
+
+def test_fan_smooth_caps_multiplicity(capsys):
+    # chambers of multiplicity up to 135,200 (3,070,080 once triangulated)
+    # are refused before their group is listed; that listing died of
+    # MemoryError with exit 1
+    args = ["fan", "--generators", HUGE_MULTIPLICITY, "--linearity", "--smooth"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "capped at multiplicity" in _one_error_line(captured.err)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "conefan.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "capped at multiplicity" in _one_error_line(proc.stderr)

@@ -6,11 +6,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cone_from_primitive_rays_reference,
     is_cost_linear_on_sampled,
     linearity_fan_reference,
     parallelepiped_lattice_points_reference,
     parallelepiped_points_reference,
     random_generators,
+    stellar_score_reference,
 )
 
 from conefan import fans
@@ -40,10 +42,10 @@ from conefan.fans import (
     refines,
     smooth_refine,
 )
-from conefan.linalg import linear_solve, rank
+from conefan.linalg import int_adjugate, linear_solve, rank
 from conefan.lp import price_polyhedron, representation_cost
 from conefan.polyhedra import HPolyhedron
-from conefan.rational import dot, vec
+from conefan.rational import dot, primitive_int_vector, vec
 
 V3 = [(1, 0), (0, 1), (1, 1)]
 
@@ -772,3 +774,103 @@ def test_linearity_fan_matches_reference():
     assert split >= 20
     assert len(linearity_fan(SIX_GENS).maximal_cones) == 34
     assert len(linearity_fan(PLANAR_GENS).maximal_cones) == 4
+
+
+def test_stellar_score_matches_trial_fans(monkeypatch):
+    # every candidate smooth_refine scores, in every round, on the smooth
+    # refinement families, scores as its trial subdivision's worst new cone
+    real = fans._stellar_score
+    scored = 0
+
+    def checked(fan, x):
+        nonlocal scored
+        scored += 1
+        got = real(fan, x)
+        assert got == stellar_score_reference(fan, x), (fan.maximal_cones, x)
+        return got
+
+    monkeypatch.setattr(fans, "_stellar_score", checked)
+    for gens in SMOOTH_PARITY_CONES:
+        base = cone_from_generators(gens)
+        smooth_refine(Fan.make([base], base.ambient_dim))
+    assert scored >= 300
+
+
+@st.composite
+def simplicial_fans(draw):
+    """Pulling triangulations of linearity fans of a few small generators."""
+    n = draw(st.integers(2, 3))
+    gens = draw(
+        st.lists(
+            st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=2, max_size=4
+        )
+    )
+    fan = linearity_fan(gens)
+    cones = [t for c in fan.maximal_cones for t in fans._pull_triangulate(c)]
+    return Fan.make(cones, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(simplicial_fans())
+@example(Fan.make([cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 5)])], 3))
+@example(
+    Fan.make(
+        [
+            cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 0, 1)]),
+            cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 0, -1)]),
+        ],
+        3,
+    )
+)
+def test_stellar_score_matches_trial_fans_on_random_fans(fan):
+    for c in fan.maximal_cones:
+        if is_smooth(c):
+            continue
+        for x in fans._parallelepiped_points(c):
+            assert fans._stellar_score(fan, x) == stellar_score_reference(fan, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(
+            st.tuples(*[st.integers(-5, 5)] * d), min_size=d, max_size=d
+        )
+    )
+)
+@example([(1, 0), (0, 1)])
+@example([(0, 1), (1, 0)])  # sorted, these columns have determinant -1
+@example([(-3,)])
+@example([(2, -1, 3), (-1, 4, 2), (0, 0, -1)])
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 9)])
+def test_closed_form_simplicial_cone_matches_double_description(vectors):
+    d = len(vectors)
+    assume(int_adjugate([list(col) for col in zip(*vectors)])[1] != 0)
+    rays = tuple(sorted(primitive_int_vector(v) for v in vectors))
+    got = fans._cone_from_primitive_rays(rays, d)
+    assert got == cone_from_primitive_rays_reference(rays, d)
+    assert got.rays == rays and len(got.normals) == d
+
+
+def test_smooth_refine_caps_multiplicity():
+    cap = fans.SMOOTH_REFINE_MULTIPLICITY_CAP
+    # the CI cone (65) and the benchmark's heaviest (17) stay far below it
+    assert cap > 65
+    at_cap = cone_from_generators([(1, 0), (1, cap)])
+    assert len(fans._parallelepiped_points(at_cap)) == cap - 1
+    over = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, cap + 1)])
+    with pytest.raises(CapExceededError, match=f"has multiplicity {cap + 1}"):
+        smooth_refine(Fan.make([over], 3))
+    # this linearity fan has chambers of multiplicity up to 135,200 (and a
+    # triangulated one of 3,070,080), whose group listing ran out of memory
+    with pytest.raises(CapExceededError, match="capped at multiplicity"):
+        smooth_refine(linearity_fan(HUGE_MULTIPLICITY_GENS))
+
+
+HUGE_MULTIPLICITY_GENS = [
+    [3, Fraction(1, 3), 1],
+    [0, 2, 1],
+    [Fraction(2, 3), Fraction(1, 2), 0],
+    [Fraction(3, 2), 0, 2],
+    [Fraction(2, 3), 2, 0],
+]

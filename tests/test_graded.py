@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     clear_conefan_caches,
+    cone_checks_reference,
     minimalize_reference,
     newton_polyhedron_reference,
     np_membership_set,
@@ -1138,3 +1140,88 @@ def test_ideal_level_power_equality_documented():
         for note in rep_w.notes
         if note.startswith("ray ")
     )
+
+
+@pytest.mark.parametrize("name", ["power_bound", "exponent_cap", "power_checks", "seed"])
+@pytest.mark.parametrize("value", [True, False, 2.5, 2.0])
+def test_verify_rejects_caps_that_are_not_ints(name, value):
+    # True would run as 1 and be reported as true, and 2.5 would fail
+    # deep inside with a bare TypeError
+    with pytest.raises(InputError, match=f"{name} must be an int"):
+        verify_closure_identity(worked_system(), **{name: value})
+
+
+def flat_system():
+    # the degrees span a plane in grading rank 3 (flat.json of the CI smoke test)
+    return GradedSystem.create(
+        3,
+        2,
+        [(1, 0, 1), (0, 1, 1), (1, 1, 2)],
+        [MI(2, [(1, 0)]), MI(2, [(0, 1)]), MI(2, [(1, 1), (2, 0)])],
+    )
+
+
+def five_degree_system():
+    # five degrees in grading rank 3, 58 smooth cones (CI smoke test)
+    return GradedSystem.create(
+        3,
+        3,
+        [(0, 0, 1), (4, 0, 1), (2, 3, 1), (0, 3, 1), (2, 0, 1)],
+        [
+            MI(3, [(2, 3, 2), (3, 1, 0)]),
+            MI(3, [(0, 1, 4)]),
+            MI(3, [(2, 1, 4), (3, 0, 3), (3, 2, 0)]),
+            MI(3, [(1, 1, 1)]),
+            MI(3, [(0, 2, 1), (1, 0, 2)]),
+        ],
+    )
+
+
+SHARED_FACE_CASES = {
+    "worked": (worked_system, {"power_bound": 4}),
+    "bench": (bench_system, {"power_bound": 3, "power_checks": 1}),
+    "flat": (flat_system, {"power_bound": 3}),
+    "five-degree": (five_degree_system, {"power_bound": 2, "power_checks": 1}),
+    # FALSIFIED: witness weights, values and chain notes are shared too
+    "worked-single-cone": (worked_system, {"power_bound": 4, "refine": False}),
+}
+
+
+@pytest.mark.parametrize("case", SHARED_FACE_CASES, ids=SHARED_FACE_CASES)
+def test_face_checks_match_per_cone_reference(case):
+    make, kwargs = SHARED_FACE_CASES[case]
+    system = make()
+    rep = verify_closure_identity(system, **kwargs)
+    ref = cone_checks_reference(
+        system, rep.fan, rep.exponent, kwargs["power_bound"]
+    )
+    assert rep.to_dict() == replace(rep, cones=ref).to_dict()
+    if case == "worked-single-cone":
+        assert not rep.verified
+        failing = [t for t in rep.cones[0].checks if not t.chain_ok]
+        assert any(t.witness_weight for t in failing)
+        assert all(t.chain_note for t in failing)
+    else:
+        assert rep.verified
+
+
+@pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])
+def test_limit_support_read_from_facet_rows(make):
+    # the LP anchor reads P(e)'s support at a facet weight from the facet
+    # row; it must be the minimum over P(e)'s vertices
+    from conefan.graded import _h_weights, _support
+
+    system = make()
+    for e in linearity_fan(system.degrees).rays():
+        limit_h = asymptotic_newton(system, e)
+        weights = _h_weights(limit_h)
+        assert weights
+        rows = [
+            (a, b)
+            for a, b in limit_h.inequalities
+            if all(x <= 0 for x in a) and any(a)
+        ]
+        for w, (a, b) in zip(weights, rows, strict=True):
+            g = -sum(a) // sum(w)
+            assert tuple(-x for x in a) == tuple(g * x for x in w)
+            assert Fraction(-b, g) == _support(limit_h, w)
