@@ -7,8 +7,9 @@ Subcommands:
 
 Exit codes: 0 success/verified, 1 domain failure (target outside the cone,
 falsified identity, failed linearity check), 2 usage, validation, or
-budget errors, 3 internal error (a failed consistency check, never a
-verdict).  fan --check is exact, so fan --seed decides nothing.
+budget errors and MemoryError, 3 internal error (a failed consistency
+check, never a verdict).  fan --check is exact, so fan --seed decides
+nothing.
 verify checks the valuation chain for every weight w >= 0 at once, so
 its --seed is recorded in the report but decides no verdict.  JSON
 reports are byte-identical for identical inputs and seeds.
@@ -327,6 +328,11 @@ def main(argv=None) -> int:
         return 1
     except ConefanError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # running out of memory says nothing about the input's mathematics,
+        # so it must not exit 1, the FALSIFIED code
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -47,13 +47,14 @@ class BudgetExceededError(ConefanError):
 
 
 class StabilizationError(ConefanError):
-    """No stabilizing exponent below the cap exists for some fan ray."""
+    """No stabilizing exponent below the cap exists for some fan ray, or
+    none can exist (message says why)."""
 
-    def __init__(self, ray, cap):
+    def __init__(self, ray, cap, message=None):
         self.ray = tuple(ray)
         self.cap = cap
         super().__init__(
-            f"no stabilizing exponent <= {cap} found for ray {self.ray}"
+            message or f"no stabilizing exponent <= {cap} found for ray {self.ray}"
         )
 
 

@@ -52,7 +52,10 @@ from .rational import (
 
 INDEPENDENT_SUBSET_CAP = 12
 SMOOTH_REFINE_DIM_CAP = 4
-SMOOTH_REFINE_BUDGET = 512
+# cones that smooth_refine's scoring may visit in one refinement: ten times
+# the most that one needs in the tests and workloads (about 60,000), so a
+# cone near the multiplicity cap stops in seconds rather than minutes
+SMOOTH_REFINE_BUDGET = 600_000
 SMOOTH_REFINE_MULTIPLICITY_CAP = 4096
 
 
@@ -666,8 +669,11 @@ def smooth_refine(f: Fan) -> Fan:
     multiplicities follow from the point's ray-coordinates in that cone
     (_stellar_score), and only the winning point is subdivided.  Fans above
     SMOOTH_REFINE_DIM_CAP dimensions, and cones whose multiplicity exceeds
-    SMOOTH_REFINE_MULTIPLICITY_CAP, raise CapExceededError; more than
-    SMOOTH_REFINE_BUDGET subdivisions raise BudgetExceededError.
+    SMOOTH_REFINE_MULTIPLICITY_CAP, raise CapExceededError.  Scoring a
+    candidate visits every cone of the fan, and a round whose scoring
+    would take the visits past SMOOTH_REFINE_BUDGET raises
+    BudgetExceededError before it starts; every round visits at least one
+    cone, so this also bounds the subdivisions.
     """
     if f.ambient_dim > SMOOTH_REFINE_DIM_CAP:
         raise CapExceededError(
@@ -677,23 +683,24 @@ def smooth_refine(f: Fan) -> Fan:
     for c in f.maximal_cones:
         cones.extend(_pull_triangulate(c))
     fan = Fan.make(cones, f.ambient_dim)
-    for _ in range(SMOOTH_REFINE_BUDGET):
+    visits = 0
+    while True:
         rough = [c for c in fan.maximal_cones if not is_smooth(c)]
         if not rough:
             return fan
         target = max(rough, key=lambda c: (c.multiplicity(), c.rays))
-        best = min(
-            ((_stellar_score(fan, x), x) for x in _parallelepiped_points(target)),
-            default=None,
-        )
+        points = _parallelepiped_points(target)
+        visits += len(points) * len(fan.maximal_cones)
+        if visits > SMOOTH_REFINE_BUDGET:
+            raise BudgetExceededError(
+                f"smooth refinement would visit more than {SMOOTH_REFINE_BUDGET} "
+                f"cones in scoring; {len(fan.maximal_cones)} cones, worst "
+                f"multiplicity {target.multiplicity()}"
+            )
+        best = min(((_stellar_score(fan, x), x) for x in points), default=None)
         if best is None:
             raise InternalError("non-smooth cone without subdivision points")
         fan = _stellar_subdivide(fan, best[1])
-    worst = max(c.multiplicity() for c in fan.maximal_cones if not is_smooth(c))
-    raise BudgetExceededError(
-        f"smooth refinement stopped after {SMOOTH_REFINE_BUDGET} subdivisions; "
-        f"{len(fan.maximal_cones)} cones, worst multiplicity {worst}"
-    )
 
 
 def is_cost_linear_on(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd, lcm
 from typing import Optional, Sequence, Union
@@ -346,8 +346,8 @@ def _positive_functional(cone: Cone, degrees: tuple[IntVec, ...]) -> IntVec:
 
 
 def _grading_degree(sys: GradedSystem, m: Sequence[int]) -> IntVec:
-    """A degree as an integer vector, checked against the grading rank
-    before any memo sees it."""
+    """A degree as an integer vector (bools rejected), checked against the
+    grading rank before any work is done on it."""
     m = ivec(m)
     if len(m) != sys.grading_rank:
         raise InputError("degree length must match the grading rank")
@@ -453,14 +453,9 @@ def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyh
     of the Minkowski sums sum l_i * NP(ideals_i), which only involves the
     (scale-invariant) vertex sets.  Agrees exactly with
     newton_hform(expand_degree(sys, m)); None encodes the zero ideal.
+    Not memoized: a verify run keeps the ones it repeats (_RunPolyhedra).
     """
-    return _degree_newton_hform_cached(sys, _grading_degree(sys, m))
-
-
-@lru_cache(maxsize=None)
-def _degree_newton_hform_cached(
-    sys: GradedSystem, m: IntVec
-) -> Optional[HPolyhedron]:
+    m = _grading_degree(sys, m)
     # a zero ideal has no Newton polyhedron, but every representation
     # gives it exponent 0, which _minkowski_points skips
     points: set = set()
@@ -547,9 +542,36 @@ def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
     literal lift projection in the test suite).  Those vertices are the
     polytope's basic solutions, from _basic_solutions; with L the lcm of
     their denominators, the integer points sum (L l_i) v_i are hulled and
-    the hull is scaled by 1/L once.
+    the hull is scaled by 1/L once.  Not memoized: a verify run keeps the
+    ones it repeats (_RunPolyhedra).
     """
-    return _asymptotic_newton_cached(sys, _grading_degree(sys, m))
+    m = _grading_degree(sys, m)
+    n = sys.ambient
+    degrees, _ = sys.nonzero_part()
+    if all(x == 0 for x in m):
+        return _orthant_hull([(0,) * n], n)
+    if not degrees:
+        raise NotInConeError(f"degree {m} is reachable only through zero ideals")
+    if len(degrees) > DEFAULT_DIM_CAP:
+        raise CapExceededError(
+            f"representation polytope capped at dimension {DEFAULT_DIM_CAP}, "
+            f"got {len(degrees)}"
+        )
+    vertices = _basic_solutions(degrees, m)
+    if not vertices:
+        raise NotInConeError(
+            f"degree {m} admits no representation with nonzero ideals"
+        )
+    den = lcm(*(lam[-1] for lam in vertices))
+    # a nonzero ideal's vertex list is nonempty, so these pair with degrees
+    vertex_lists = [v for v in sys._vertex_lists if v]
+    points: set = set()
+    for lam in vertices:
+        scale = den // lam[-1]
+        points |= _minkowski_points(
+            zip(vertex_lists, [scale * x for x in lam[:-1]]), n
+        )
+    return scale_polyhedron(_orthant_hull(points, n), Fraction(1, den))
 
 
 def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
@@ -591,34 +613,17 @@ def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _asymptotic_newton_cached(sys: GradedSystem, m: IntVec) -> HPolyhedron:
-    n = sys.ambient
-    degrees, _ = sys.nonzero_part()
-    if all(x == 0 for x in m):
-        return _orthant_hull([(0,) * n], n)
-    if not degrees:
-        raise NotInConeError(f"degree {m} is reachable only through zero ideals")
-    if len(degrees) > DEFAULT_DIM_CAP:
-        raise CapExceededError(
-            f"representation polytope capped at dimension {DEFAULT_DIM_CAP}, "
-            f"got {len(degrees)}"
-        )
-    vertices = _basic_solutions(degrees, m)
-    if not vertices:
-        raise NotInConeError(
-            f"degree {m} admits no representation with nonzero ideals"
-        )
-    den = lcm(*(lam[-1] for lam in vertices))
-    # a nonzero ideal's vertex list is nonempty, so these pair with degrees
-    vertex_lists = [v for v in sys._vertex_lists if v]
-    points: set = set()
-    for lam in vertices:
-        scale = den // lam[-1]
-        points |= _minkowski_points(
-            zip(vertex_lists, [scale * x for x in lam[:-1]]), n
-        )
-    return scale_polyhedron(_orthant_hull(points, n), Fraction(1, den))
+class _RunPolyhedra:
+    """The degree and limit Newton polyhedra of one system, kept for one
+    verify run and dropped with it: newton(m) is _degree_newton_hform(sys,
+    m) and limit(m) is asymptotic_newton(sys, m), each computed on first
+    use.  Their keys are the integer degrees the run derives itself."""
+
+    def __init__(self, sys: GradedSystem):
+        self.sys = sys
+        # the module functions are looked up at call time
+        self.newton = cache(lambda m: _degree_newton_hform(sys, m))
+        self.limit = cache(lambda m: asymptotic_newton(sys, m))
 
 
 @dataclass(frozen=True)
@@ -643,8 +648,18 @@ def stabilizing_exponent(
     multiple (which is what the verified identity needs).  The stronger
     ideal-level power equality cannot be certified for all l at desk
     scale; its outcome up to power_checks is recorded per ray in
-    ideal_level without gating the exponent.
+    ideal_level without gating the exponent.  A ray outside the cone of
+    the degrees with a nonzero ideal, where every a_m is zero, raises
+    StabilizationError saying so.
     """
+    return _stabilize(_RunPolyhedra(sys), fan, cap, power_checks)
+
+
+def _stabilize(
+    forms: _RunPolyhedra, fan: Fan, cap: int, power_checks: int
+) -> ExponentCertificate:
+    """stabilizing_exponent on the polyhedra of one run."""
+    sys = forms.sys
     cone = sys.degree_cone()
     per_ray = []
     ideal_level = []
@@ -652,19 +667,24 @@ def stabilizing_exponent(
         if not cone.contains_point(ray):
             raise InputError(f"fan ray {ray} lies outside the degree cone")
         try:
-            limit_h = asymptotic_newton(sys, ray)
+            limit_h = forms.limit(ray)
         except NotInConeError as exc:
-            raise StabilizationError(ray, cap) from exc
+            raise StabilizationError(
+                ray,
+                cap,
+                f"fan ray {ray} lies outside the cone of the degrees "
+                "with a nonzero ideal, so its ideals are all zero",
+            ) from exc
         found = None
         for d in range(1, cap + 1):
-            np_de = _degree_newton_hform(sys, _scaled_degree(ray, d))
+            np_de = forms.newton(_scaled_degree(ray, d))
             if np_de is None:
                 continue
             if np_de != scale_polyhedron(limit_h, d):
                 continue
             ok = True
             for l in range(1, power_checks + 1):
-                np_dle = _degree_newton_hform(sys, _scaled_degree(ray, d * l))
+                np_dle = forms.newton(_scaled_degree(ray, d * l))
                 if np_dle is None or np_dle != scale_polyhedron(np_de, l):
                     ok = False
                     break
@@ -923,13 +943,14 @@ def verify_closure_identity(
         notes.append("refinement skipped: using the single degree cone")
     if smooth:
         fan = smooth_refine(fan)
-    cert = stabilizing_exponent(sys, fan, exponent_cap, power_checks)
+    forms = _RunPolyhedra(sys)
+    cert = _stabilize(forms, fan, exponent_cap, power_checks)
     d = cert.value
     for ray, doc in cert.ideal_level:
         notes.append(f"ray {ray}: {doc}")
-    limits = {e: asymptotic_newton(sys, e) for e in fan.rays()}
+    limits = {e: forms.limit(e) for e in fan.rays()}
     _check_limit_polyhedra(sys, limits)
-    ray_h = {e: _degree_newton_hform(sys, _scaled_degree(e, d)) for e in limits}
+    ray_h = {e: forms.newton(_scaled_degree(e, d)) for e in limits}
     limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
@@ -940,7 +961,7 @@ def verify_closure_identity(
         for p in _power_tuples(len(cone.rays), power_bound):
             face = tuple((e, pi) for e, pi in zip(cone.rays, p) if pi)
             if face not in checked:
-                checked[face] = _check_tuple(sys, d, face, ray_h, limit_h)
+                checked[face] = _check_tuple(forms, d, face, ray_h, limit_h)
             checks.append(replace(checked[face], powers=p))
         cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
     verified = all(c.passed for c in cone_checks)
@@ -955,16 +976,18 @@ def verify_closure_identity(
     )
 
 
-def _check_tuple(sys, d, face, ray_h, limit_h) -> TupleCheck:
+def _check_tuple(forms, d, face, ray_h, limit_h) -> TupleCheck:
     """Closure equality and valuation chain for one exponent tuple, given
-    as its (ray, power) pairs with nonzero power; the returned powers are
-    those pairs' powers, for the caller to replace with the full tuple."""
+    as its (ray, power) pairs with nonzero power, on the polyhedra of the
+    run (a _RunPolyhedra); the returned powers are those pairs' powers, for
+    the caller to replace with the full tuple."""
+    sys = forms.sys
     rays = tuple(e for e, _ in face)
     p = tuple(pi for _, pi in face)
     m = tuple(
         sum(pi * e[j] for pi, e in zip(p, rays)) for j in range(sys.grading_rank)
     )
-    left_h = _degree_newton_hform(sys, _scaled_degree(m, d))
+    left_h = forms.newton(_scaled_degree(m, d))
     right_h = _weighted_minkowski_hform(
         [(ray_h[e], pi) for pi, e in zip(p, rays)], sys.ambient
     )
@@ -974,7 +997,7 @@ def _check_tuple(sys, d, face, ray_h, limit_h) -> TupleCheck:
         witness = _separating_weight(left_h, right_h)
         lval, rval = _support(left_h, witness), _support(right_h, witness)
     chain_ok, chain_note = _valuation_chain(
-        sys, d, rays, p, m, left_h, right_h, ray_h, limit_h
+        forms, d, rays, p, m, left_h, right_h, ray_h, limit_h
     )
     return TupleCheck(
         powers=p,
@@ -1004,9 +1027,9 @@ def _weighted_minkowski_hform(
     return _orthant_hull(_minkowski_points(verts, n), n)
 
 
-def _valuation_chain(sys, d, rays, p, m, left_h, right_h, ray_h, limit_h):
+def _valuation_chain(forms, d, rays, p, m, left_h, right_h, ray_h, limit_h):
     """Check the valuation sandwich for one exponent tuple, for every
-    weight w >= 0 at once.
+    weight w >= 0 at once, on the polyhedra of the run (a _RunPolyhedra).
 
     v_w(a_{dm}) <= sum p_i v_w(a_{d e_i}) (the product is contained in the
     degree-dm ideal); each v_w(a_{d e_i}) equals d * asymptotic(e_i) (the
@@ -1038,7 +1061,7 @@ def _valuation_chain(sys, d, rays, p, m, left_h, right_h, ray_h, limit_h):
             w = _separating_weight(ray_h[e], limit_h[e])
             return False, f"ray ideal not asymptotically stable at weight {w}"
     # with the rays stable, right_h is already sum p_i * limit_h[e_i]
-    asym_h = scale_polyhedron(asymptotic_newton(sys, m), d)
+    asym_h = scale_polyhedron(forms.limit(m), d)
     if asym_h != right_h:
         w = _separating_weight(asym_h, right_h)
         return False, f"additivity failed on the cone at weight {w}"

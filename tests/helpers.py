@@ -932,7 +932,15 @@ def cone_checks_reference(system, fan, d, power_bound) -> tuple:
                 lval = graded._support(left_h, witness)
                 rval = graded._support(right_h, witness)
             chain_ok, chain_note = graded._valuation_chain(
-                system, d, rays, p, m, left_h, right_h, ray_h, limit_h
+                graded._RunPolyhedra(system),
+                d,
+                rays,
+                p,
+                m,
+                left_h,
+                right_h,
+                ray_h,
+                limit_h,
             )
             checks.append(
                 graded.TupleCheck(p, m, ok, witness, lval, rval, chain_ok, chain_note)

@@ -247,13 +247,12 @@ def test_verify_merges_duplicate_degrees(tmp_path, capsys):
 
 
 # the package's memos: each one is hit on the bench system's verify, and a
-# memo that no workload hits again is not kept
+# memo that no workload hits again is not kept; the degree and limit
+# Newton polyhedra are kept only for the length of one verify run
 CONEFAN_MEMOS = sorted(
     [
         "conefan._dd.cone_generators",
         "conefan.graded.ideal_product",
-        "conefan.graded._degree_newton_hform_cached",
-        "conefan.graded._asymptotic_newton_cached",
         "conefan.polyhedra.dual_description",
     ]
 )
@@ -537,6 +536,51 @@ def test_verify_failed_run_keeps_existing_report(worked_file, tmp_path, capsys):
 
 
 HUGE_MULTIPLICITY = '[[3,"1/3",1],[0,2,1],["2/3","1/2",0],["3/2",0,2],["2/3",2,0]]'
+
+
+ZERO_RAY = {
+    "ambient_dim": 1,
+    "grading_rank": 2,
+    "generators": [
+        {"degree": [1, 0], "ideal": [[1]]},
+        {"degree": [0, 1], "ideal": []},
+    ],
+}
+
+
+def test_verify_ray_with_only_zero_ideals_names_the_cause(tmp_path, capsys):
+    # the ray (0, 1) carries only the zero ideal: exit 2 as before, but the
+    # message names the empty cone, not the exponent cap
+    path = tmp_path / "zero_ray.json"
+    path.write_text(json.dumps(ZERO_RAY))
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line = _one_error_line(captured.err)
+    assert line == (
+        "error: fan ray (0, 1) lies outside the cone of the degrees with a "
+        "nonzero ideal, so its ideals are all zero"
+    )
+    assert "cap" not in line and "64" not in line
+    live = dict(ZERO_RAY, generators=ZERO_RAY["generators"][:1])
+    path.write_text(json.dumps(live))
+    assert main(["verify", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "VERIFIED (d = 1, 1 cones)"
+
+
+def test_out_of_memory_is_a_usage_exit_not_a_verdict(worked_file, monkeypatch, capsys):
+    # exit 1 would read as FALSIFIED; a MemoryError says nothing about the
+    # system, so it exits 2 with one error line and no traceback
+    import conefan.graded as graded
+
+    def exhausted(exponents):
+        raise MemoryError
+
+    monkeypatch.setattr(graded, "_minimalize", exhausted)
+    assert main(["verify", worked_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_error_line(captured.err) == "error: out of memory"
 
 
 def test_fan_smooth_caps_multiplicity(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from helpers import (
 
 from conefan import fans
 from conefan.errors import (
+    BudgetExceededError,
     CapExceededError,
     EmptyPolyhedronError,
     InputError,
@@ -865,6 +867,17 @@ def test_smooth_refine_caps_multiplicity():
     # triangulated one of 3,070,080), whose group listing ran out of memory
     with pytest.raises(CapExceededError, match="capped at multiplicity"):
         smooth_refine(linearity_fan(HUGE_MULTIPLICITY_GENS))
+
+
+def test_smooth_refine_budget_stops_near_cap_cones_early():
+    # multiplicity 4096 is at the cap, and the refinement's scoring would
+    # visit millions of cones (5.95M before the 512-subdivision budget
+    # stopped it, after 24 s); counted visits stop it within seconds
+    cone = cone_from_generators([(1, 0, 0), (0, 1, 0), (1, 1, 4096)])
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="cones in scoring"):
+        smooth_refine(Fan.make([cone], 3))
+    assert time.perf_counter() - start < 10
 
 
 HUGE_MULTIPLICITY_GENS = [

@@ -693,8 +693,8 @@ def test_valuation_chain_catches_unstable_ray(monkeypatch):
 
     monkeypatch.setattr(
         graded,
-        "stabilizing_exponent",
-        lambda system, fan, cap, checks: ExponentCertificate(1, (((1,), 1),)),
+        "_stabilize",
+        lambda forms, fan, cap, checks: ExponentCertificate(1, (((1,), 1),)),
     )
     rep = verify_closure_identity(halfstep_system(), power_bound=2)
     assert not rep.verified
@@ -806,8 +806,8 @@ def _warm_memo(memo):
     [
         ("asymptotic_valuation", None, ((True, 0), (1, 1)), ((1, 0), (1, 1))),
         ("asymptotic_valuation", None, ((1, 0), (True, 1)), ((1, 0), (1, 1))),
-        ("asymptotic_newton", "_asymptotic_newton_cached", ((True, 1),), ((1, 1),)),
-        ("_degree_newton_hform", "_degree_newton_hform_cached", ((True, 1),), ((1, 1),)),
+        ("asymptotic_newton", None, ((True, 1),), ((1, 1),)),
+        ("_degree_newton_hform", None, ((True, 1),), ((1, 1),)),
         ("expand_degree", None, ((True, 1),), ((1, 1),)),
     ],
 )
@@ -830,8 +830,8 @@ def test_memoized_entry_points_reject_bools_cold_and_warm(entry, memo, bad, good
     "entry, memo, weight",
     [
         ("asymptotic_valuation", None, ((1, 0),)),
-        ("asymptotic_newton", "_asymptotic_newton_cached", ()),
-        ("_degree_newton_hform", "_degree_newton_hform_cached", ()),
+        ("asymptotic_newton", None, ()),
+        ("_degree_newton_hform", None, ()),
         ("expand_degree", None, ()),
     ],
 )
@@ -902,6 +902,27 @@ def _representation_nodes(monkeypatch, system, m) -> int:
     return hi
 
 
+def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
+    # the degree and limit Newton polyhedra last for one verify run only,
+    # so a second identical run makes every orthant hull the first one made
+    import conefan.graded as graded
+
+    hull = graded._orthant_hull
+    calls = []
+
+    def counted(points, n):
+        calls.append(n)
+        return hull(points, n)
+
+    monkeypatch.setattr(graded, "_orthant_hull", counted)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
+        counts.append(len(calls))
+    assert counts == [233, 233]
+
+
 def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
     # the degrees a verify of the bench system at p-bound 3, L 1 enumerates
     # (the benchmark's verify-chain input) need 316 nodes; a search bounded
@@ -917,8 +938,6 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
             seen.add(m)
         return search(sys_, m)
 
-    # cached callers would hide degrees an earlier test already expanded
-    graded._degree_newton_hform_cached.cache_clear()
     monkeypatch.setattr(graded, "_representations", record)
     verify_closure_identity(system, power_bound=3, power_checks=1)
     monkeypatch.setattr(graded, "_representations", search)
@@ -972,6 +991,24 @@ def test_stabilizing_exponent_cap_reported():
         stabilizing_exponent(sys_h, fan, cap=1)
     assert err.value.ray == (1,)
     assert err.value.cap == 1
+
+
+def test_ray_with_only_zero_ideals_is_not_a_cap_failure():
+    # a_m is zero off the cone of the degrees with a nonzero ideal, so no
+    # exponent, below any cap, stabilizes the ray (0, 1)
+    from conefan.errors import StabilizationError
+
+    system = GradedSystem.create(
+        2, 1, [(1, 0), (0, 1)], [MI(1, [(1,)]), MonomialIdeal.zero(1)]
+    )
+    fan = Fan.make([system.degree_cone()], 2)
+    with pytest.raises(StabilizationError) as err:
+        stabilizing_exponent(system, fan, cap=64)
+    assert err.value.ray == (0, 1)
+    assert str(err.value) == (
+        "fan ray (0, 1) lies outside the cone of the degrees with a nonzero "
+        "ideal, so its ideals are all zero"
+    )
 
 
 def test_degree_newton_routes_agree():

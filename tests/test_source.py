@@ -49,7 +49,7 @@ def test_limit_newton_runs_no_double_description():
     path = Path(conefan.__file__).parent / "graded.py"
     tree = ast.parse(path.read_text(), str(path))
     banned = {"dual_description", "from_rows"}
-    checked = {"_asymptotic_newton_cached", "_basic_solutions"}
+    checked = {"asymptotic_newton", "_basic_solutions"}
     found = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.FunctionDef) and node.name in checked:
