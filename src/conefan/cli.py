@@ -8,8 +8,8 @@ Subcommands:
 Exit codes: 0 success/verified, 1 domain failure (target outside the cone,
 falsified identity, failed linearity check), 2 usage, validation, or
 budget errors and MemoryError, 3 internal error (a failed consistency
-check, never a verdict).  fan --check is exact, so fan --seed decides
-nothing.
+check or any other unexpected exception, never a verdict).  fan --check
+is exact, so fan --seed decides nothing.
 verify checks the valuation chain for every weight w >= 0 at once, so
 its --seed is recorded in the report but decides no verdict.  JSON
 reports are byte-identical for identical inputs and seeds.
@@ -334,6 +334,12 @@ def main(argv=None) -> int:
         # so it must not exit 1, the FALSIFIED code
         print("error: out of memory", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # any other exception is a bug, never a verdict: it must not escape
+        # with a traceback and exit 1, the FALSIFIED code
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

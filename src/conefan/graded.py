@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
 from math import gcd, lcm
+from operator import le, mul
 from typing import Optional, Sequence, Union
 
 from ._dd import cone_generators
@@ -211,6 +212,56 @@ def _orthant_hull(points, n: int) -> HPolyhedron:
     if lin:
         raise InternalError("orthant hull is not full-dimensional")
     return _hform_from_dd(lin, rays, n)
+
+
+def _orthant_vertices(h: HPolyhedron, points) -> tuple[IntVec, ...]:
+    """Vertices of h = _orthant_hull(points), read off facet incidences,
+    in sorted order.
+
+    Every vertex is one of the points.  A point c is a vertex exactly when
+    no other point is tight on every facet row that c is tight on: a
+    vertex's tight rows cut out {c} alone, and any other point's minimal
+    face has dimension >= 1 and contains a vertex v != c (h is pointed),
+    tight wherever c is.  So c is a vertex iff no mask but its own
+    contains its tight-row mask.
+    """
+    pts = sorted(set(points))
+    masks = [
+        sum(1 << k for k, (w, b) in enumerate(h.inequalities) if idot(w, c) == b)
+        for c in pts
+    ]
+    return tuple(
+        c
+        for c, mask in zip(pts, masks)
+        if sum(other & mask == mask for other in masks) == 1
+    )
+
+
+def _is_dilate(points, h: HPolyhedron, vertices, t: Fraction) -> bool:
+    """conv(points) + orthant == t * h, for integer points (False for
+    none), an orthant hull h with its integer vertices and t = p/q > 0, in
+    integer arithmetic.
+
+    (i) Every point satisfies every facet row (w | b) of t * h, q <w, a> <=
+    p b: the left side lies in t * h.  (ii) Every vertex t v of t * h
+    dominates a point, q a <= p v: t * h lies in the left side.
+    Conversely, under equality each vertex of t * h is a vertex of the
+    left side, which is one of the points (McConnell, Mehlhorn, Naeher and
+    Schweitzer, Certifying algorithms, 2011, for certificates of this
+    kind).
+    """
+    p, q = t.numerator, t.denominator
+    # the hottest loop of a passing verify: the points are scaled once, and
+    # map keeps the dot products and comparisons in C
+    scaled = [[q * x for x in a] for a in points]
+    for w, b in h.inequalities:
+        bound = p * b
+        if any(sum(map(mul, w, a)) > bound for a in scaled):
+            return False
+    return all(
+        any(all(map(le, a, pv)) for a in scaled)
+        for pv in ([p * y for y in v] for v in vertices)
+    )
 
 
 def newton_polyhedron(I: MonomialIdeal) -> VRepresentation:
@@ -445,15 +496,15 @@ def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
     return tuple(found)
 
 
-def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyhedron]:
-    """Newton polyhedron of the degree-m ideal, from representation data.
+def _degree_points(sys: GradedSystem, m: Sequence[int]) -> tuple[IntVec, ...]:
+    """Minimal candidate points of the degree-m ideal's Newton polyhedron,
+    from representation data; () encodes the zero ideal.
 
     Since the degree-m ideal is the sum over representations l of the
     products prod ideals_i^{l_i}, its Newton polyhedron is the convex hull
-    of the Minkowski sums sum l_i * NP(ideals_i), which only involves the
-    (scale-invariant) vertex sets.  Agrees exactly with
-    newton_hform(expand_degree(sys, m)); None encodes the zero ideal.
-    Not memoized: a verify run keeps the ones it repeats (_RunPolyhedra).
+    of the Minkowski sums sum l_i * NP(ideals_i) plus the orthant, which
+    only involves the (scale-invariant) vertex sets: it is conv(points) +
+    orthant for the returned points.
     """
     m = _grading_degree(sys, m)
     # a zero ideal has no Newton polyhedron, but every representation
@@ -461,6 +512,16 @@ def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyh
     points: set = set()
     for rep in _representations(sys, m):
         points |= _minkowski_points(zip(sys._vertex_lists, rep), sys.ambient)
+    return _minimalize(points)
+
+
+def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyhedron]:
+    """Newton polyhedron of the degree-m ideal: the orthant hull of its
+    _degree_points.  Agrees exactly with newton_hform(expand_degree(sys,
+    m)); None encodes the zero ideal.  A verify run hulls a degree ideal
+    only to explain a failure (_RunPolyhedra.newton).
+    """
+    points = _degree_points(sys, m)
     return _orthant_hull(points, sys.ambient) if points else None
 
 
@@ -536,20 +597,31 @@ def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
     equals asymptotic_valuation(sys, w, m): the projection to exponent
     space of the lift {(l, u, x) : l >= 0, sum l_i m_i = m, u a convex
     splitting of each l_i over the Newton polyhedron vertices of ideal i,
-    x >= sum u_ij V_ij}.  The lift's projection is the hull of the weighted
-    Minkowski sums at the vertices of the representation polytope
-    {l >= 0 : sum l_i m_i = m}, plus the orthant (checked against the
-    literal lift projection in the test suite).  Those vertices are the
-    polytope's basic solutions, from _basic_solutions; with L the lcm of
-    their denominators, the integer points sum (L l_i) v_i are hulled and
-    the hull is scaled by 1/L once.  Not memoized: a verify run keeps the
-    ones it repeats (_RunPolyhedra).
+    x >= sum u_ij V_ij}.  It is (conv(C) + orthant) / L for the integer
+    points C and the integer L of _limit_points, so the integer hull is
+    scaled once.  Not memoized: a verify run keeps the ones it repeats
+    (_RunPolyhedra).
+    """
+    points, den = _limit_points(sys, m)
+    return scale_polyhedron(_orthant_hull(points, sys.ambient), Fraction(1, den))
+
+
+def _limit_points(sys: GradedSystem, m: Sequence[int]) -> tuple[tuple[IntVec, ...], int]:
+    """(C, L) with asymptotic_newton(sys, m) = (conv(C) + orthant) / L, C
+    minimal integer points.
+
+    The lift's projection is the hull of the weighted Minkowski sums at
+    the vertices of the representation polytope {l >= 0 : sum l_i m_i =
+    m}, plus the orthant (checked against the literal lift projection in
+    the test suite).  Those vertices are the polytope's basic solutions,
+    from _basic_solutions; with L the lcm of their denominators, C holds
+    the integer points sum (L l_i) v_i.
     """
     m = _grading_degree(sys, m)
     n = sys.ambient
     degrees, _ = sys.nonzero_part()
     if all(x == 0 for x in m):
-        return _orthant_hull([(0,) * n], n)
+        return ((0,) * n,), 1
     if not degrees:
         raise NotInConeError(f"degree {m} is reachable only through zero ideals")
     if len(degrees) > DEFAULT_DIM_CAP:
@@ -571,7 +643,7 @@ def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
         points |= _minkowski_points(
             zip(vertex_lists, [scale * x for x in lam[:-1]]), n
         )
-    return scale_polyhedron(_orthant_hull(points, n), Fraction(1, den))
+    return _minimalize(points), den
 
 
 def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
@@ -614,16 +686,70 @@ def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
 
 
 class _RunPolyhedra:
-    """The degree and limit Newton polyhedra of one system, kept for one
-    verify run and dropped with it: newton(m) is _degree_newton_hform(sys,
-    m) and limit(m) is asymptotic_newton(sys, m), each computed on first
-    use.  Their keys are the integer degrees the run derives itself."""
+    """The Newton-polyhedron data of one system, kept for one verify run
+    and dropped with it, each computed on first use:
+
+    - points(m): the minimal candidate points of a_m (_degree_points);
+    - the limit polyhedron P(e), as its integer orthant hull h, the 1/L
+      that scales h to P(e) and the vertices of h (_orthant_vertices), per
+      primitive direction e; P(t e) = t P(e) exactly, since the
+      representation polytope scales by t;
+    - newton(m): the H-form of NP(a_m), hulled from points(m), which a
+      run builds only to explain a failure.
+
+    A passing run decides NP(a_m) = k P(e) from points(m) against the one
+    hull of P(e) (_is_dilate).  The keys are the integer degrees the run
+    derives itself.
+    """
 
     def __init__(self, sys: GradedSystem):
         self.sys = sys
         # the module functions are looked up at call time
-        self.newton = cache(lambda m: _degree_newton_hform(sys, m))
-        self.limit = cache(lambda m: asymptotic_newton(sys, m))
+        self.points = cache(lambda m: _degree_points(sys, m))
+        self.newton = cache(
+            lambda m: _orthant_hull(self.points(m), sys.ambient)
+            if self.points(m)
+            else None
+        )
+        self._limits = cache(self._primitive_limit)
+
+    def _primitive_limit(self, e: IntVec):
+        points, den = _limit_points(self.sys, e)
+        h = _orthant_hull(points, self.sys.ambient)
+        return h, _orthant_vertices(h, points), Fraction(1, den)
+
+    def limit_hull(self, m: IntVec) -> tuple[HPolyhedron, tuple[IntVec, ...], Fraction]:
+        """(h, vertices of h, s) with P(m) = s * h."""
+        e = primitive_int_vector(m)
+        t = next((x // y for x, y in zip(m, e) if y), 1)
+        h, vertices, s = self._limits(e)
+        return h, vertices, t * s
+
+    def limit(self, m: IntVec) -> HPolyhedron:
+        """The H-form of P(m), equal to asymptotic_newton(sys, m)."""
+        h, _, s = self.limit_hull(m)
+        return scale_polyhedron(h, s)
+
+    def equals_limit(self, points, m: IntVec, k: int) -> bool:
+        """conv(points) + orthant == k * P(m)."""
+        h, vertices, s = self.limit_hull(m)
+        return _is_dilate(points, h, vertices, k * s)
+
+    def stable(self, m: IntVec, k: int) -> bool:
+        """NP(a_{k m}) == k * P(m); False when a_{k m} is zero."""
+        return self.equals_limit(self.points(_scaled_degree(m, k)), m, k)
+
+    def limit_vertices(self, m: IntVec, k: int) -> tuple[IntVec, ...]:
+        """The vertices of k * P(m) as integer points, for a k at which they
+        are the vertices of a lattice polyhedron NP(a_{k m})."""
+        _, vertices, s = self.limit_hull(m)
+        t = k * s
+        p, q = t.numerator, t.denominator
+        if any(p * x % q for v in vertices for x in v):
+            raise InternalError(
+                f"{k} times the limit polyhedron of {m} has a vertex off the lattice"
+            )
+        return tuple(tuple(p * x // q for x in v) for v in vertices)
 
 
 @dataclass(frozen=True)
@@ -658,7 +784,12 @@ def stabilizing_exponent(
 def _stabilize(
     forms: _RunPolyhedra, fan: Fan, cap: int, power_checks: int
 ) -> ExponentCertificate:
-    """stabilizing_exponent on the polyhedra of one run."""
+    """stabilizing_exponent on the polyhedra of one run.
+
+    Each equality NP(a_{d e}) = d P(e), and each power check, is decided
+    from the degree's points against the one hull of P(e)
+    (_RunPolyhedra.stable); no degree ideal is hulled.
+    """
     sys = forms.sys
     cone = sys.degree_cone()
     per_ray = []
@@ -666,8 +797,9 @@ def _stabilize(
     for ray in fan.rays():
         if not cone.contains_point(ray):
             raise InputError(f"fan ray {ray} lies outside the degree cone")
+        # P(e) first: a ray whose ideals are all zero has none
         try:
-            limit_h = forms.limit(ray)
+            forms.limit_hull(ray)
         except NotInConeError as exc:
             raise StabilizationError(
                 ray,
@@ -675,22 +807,17 @@ def _stabilize(
                 f"fan ray {ray} lies outside the cone of the degrees "
                 "with a nonzero ideal, so its ideals are all zero",
             ) from exc
-        found = None
-        for d in range(1, cap + 1):
-            np_de = forms.newton(_scaled_degree(ray, d))
-            if np_de is None:
-                continue
-            if np_de != scale_polyhedron(limit_h, d):
-                continue
-            ok = True
-            for l in range(1, power_checks + 1):
-                np_dle = forms.newton(_scaled_degree(ray, d * l))
-                if np_dle is None or np_dle != scale_polyhedron(np_de, l):
-                    ok = False
-                    break
-            if ok:
-                found = d
-                break
+        # given NP(a_{d e}) = d P(e), NP(a_{d l e}) = l NP(a_{d e}) is
+        # NP(a_{d l e}) = d l P(e), and l = 1 repeats the first check
+        found = next(
+            (
+                d
+                for d in range(1, cap + 1)
+                if forms.stable(ray, d)
+                and all(forms.stable(ray, d * l) for l in range(2, power_checks + 1))
+            ),
+            None,
+        )
         if found is None:
             raise StabilizationError(ray, cap)
         per_ray.append((ray, found))
@@ -908,7 +1035,11 @@ def verify_closure_identity(
     comparisons of Newton polyhedra (see _valuation_chain).  Steps (d) and
     (e) depend only on the face spanned by the rays with p_i > 0 and on
     those powers, so each such face tuple is checked once, and every cone
-    containing the face reports that check under its own powers.  The
+    containing the face reports that check under its own powers.  Only
+    the limit polyhedra P(m) are hulled in a passing run: every other
+    Newton-polyhedron equality is decided from exponent points against
+    one of those hulls (_RunPolyhedra), and the H-forms of degree ideals
+    and products are built only to explain a failure.  The
     seed is recorded in the report but decides no verdict.  A falsified
     identity is reported as a value, never an exception; a witness weight
     is a facet normal at which the two closures' valuations differ.  The
@@ -950,8 +1081,13 @@ def verify_closure_identity(
         notes.append(f"ray {ray}: {doc}")
     limits = {e: forms.limit(e) for e in fan.rays()}
     _check_limit_polyhedra(sys, limits)
-    ray_h = {e: forms.newton(_scaled_degree(e, d)) for e in limits}
     limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
+    # a stable ray's degree polyhedron is its limit's dilate, so only an
+    # unstable one is hulled
+    ray_h = {
+        e: limit_h[e] if forms.stable(e, d) else forms.newton(_scaled_degree(e, d))
+        for e in limits
+    }
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
     checked: dict[tuple, TupleCheck] = {}
@@ -980,13 +1116,28 @@ def _check_tuple(forms, d, face, ray_h, limit_h) -> TupleCheck:
     """Closure equality and valuation chain for one exponent tuple, given
     as its (ray, power) pairs with nonzero power, on the polyhedra of the
     run (a _RunPolyhedra); the returned powers are those pairs' powers, for
-    the caller to replace with the full tuple."""
+    the caller to replace with the full tuple.
+
+    Once every ray of the face is stable (ray_h[e] == limit_h[e]), both
+    sides are compared with d P(m) by their points alone; if both equal
+    it, the tuple passes with no witness.  Otherwise the H-forms of
+    both sides are built and compared, which names the witness, the
+    values and the failing link.
+    """
     sys = forms.sys
     rays = tuple(e for e, _ in face)
     p = tuple(pi for _, pi in face)
     m = tuple(
         sum(pi * e[j] for pi, e in zip(p, rays)) for j in range(sys.grading_rank)
     )
+    # with every ray stable, the product's points are the sums of p_i
+    # times a vertex of d P(e_i)
+    if all(ray_h[e] == limit_h[e] for e in rays):
+        product = _minkowski_points(
+            [(forms.limit_vertices(e, d), pi) for e, pi in face], sys.ambient
+        )
+        if forms.stable(m, d) and forms.equals_limit(product, m, d):
+            return TupleCheck(p, m, True, None, None, None, True, None)
     left_h = forms.newton(_scaled_degree(m, d))
     right_h = _weighted_minkowski_hform(
         [(ray_h[e], pi) for pi, e in zip(p, rays)], sys.ambient

@@ -583,6 +583,37 @@ def test_out_of_memory_is_a_usage_exit_not_a_verdict(worked_file, monkeypatch, c
     assert _one_error_line(captured.err) == "error: out of memory"
 
 
+def test_unexpected_exception_is_an_internal_error(worked_file, monkeypatch, capsys):
+    # a bug that raises an exception conefan never raises on purpose exited
+    # 1, the FALSIFIED code, with a traceback; it is an internal error (exit
+    # 3) with one line on stderr, plain and under -O
+    import conefan.graded as graded
+
+    def broken(exponents):
+        raise ZeroDivisionError("integer division or modulo by zero")
+
+    line = "internal error: ZeroDivisionError: integer division or modulo by zero"
+    monkeypatch.setattr(graded, "_minimalize", broken)
+    assert main(["verify", worked_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
+    body = (
+        "def broken(exponents):\n"
+        "    raise ZeroDivisionError('integer division or modulo by zero')\n"
+        "graded._minimalize = broken\n"
+        f"sys.exit(cli.main(['verify', {worked_file!r}]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O + body],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [line]
+
+
 def test_fan_smooth_caps_multiplicity(capsys):
     # chambers of multiplicity up to 135,200 (3,070,080 once triangulated)
     # are refused before their group is listed; that listing died of

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -19,7 +19,7 @@ from helpers import (
 )
 
 from conefan.errors import InputError, NotInConeError, NotPointedError
-from conefan.fans import Fan, linearity_fan
+from conefan.fans import Fan, linearity_fan, smooth_refine
 from conefan.graded import (
     GradedSystem,
     MonomialIdeal,
@@ -638,30 +638,45 @@ def _note_weight(note, prefix):
 @pytest.mark.parametrize(
     "name, note, closure_ok",
     [
-        # a wrong limit polyhedron breaks additivity; the closures agree
-        ("asymptotic_newton", "additivity failed on the cone", True),
+        # a wrong limit polyhedron (twice the true one) breaks additivity;
+        # the closures agree
+        ("_limit_points", "additivity failed on the cone", True),
         # a degree ideal that misses the product of the ray ideals, whose
         # value is below the product's at the first facet weight (1, 0) and
         # above it only at (1, 1)
-        ("_degree_newton_hform", "inclusion inequality failed", False),
+        ("_degree_points", "inclusion inequality failed", False),
     ],
 )
 def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok):
+    # the fault sits in the points a run decides its equalities from, so
+    # the point certificate and the hulls that explain the failure both see it
     import conefan.graded as graded
-    from conefan.polyhedra import scale_polyhedron
 
     real = getattr(graded, name)
     broken_degree = (2, 1)  # inside the fan cone spanned by (1, 0), (1, 1)
 
-    def broken(system, m):
-        h = real(system, m)
+    def broken_points(system, m):
+        out = real(system, m)
         if tuple(m) != broken_degree:
-            return h
+            return out
         if closure_ok:
-            return scale_polyhedron(h, 2)
-        return newton_hform(MI(2, [(1, 5), (6, 0)]))
+            points, den = out
+            return tuple(tuple(2 * x for x in c) for c in points), den
+        return ((1, 5), (6, 0))
 
-    monkeypatch.setattr(graded, name, broken)
+    # the polyhedron hulled from the points: twice the limit polyhedron,
+    # or the Newton polyhedron of (x y^5, x^6)
+    broken = {
+        "_limit_points": graded.asymptotic_newton,
+        "_degree_points": graded._degree_newton_hform,
+    }[name]
+    true_h = broken(worked_system(), broken_degree)
+    monkeypatch.setattr(graded, name, broken_points)
+    assert broken(worked_system(), broken_degree) == (
+        scale_polyhedron(true_h, 2)
+        if closure_ok
+        else newton_hform(MI(2, [(1, 5), (6, 0)]))
+    )
     rep = verify_closure_identity(worked_system(), power_bound=3)
     assert not rep.verified and rep.exponent == 1
     failing = [t for c in rep.cones for t in c.checks if not t.chain_ok]
@@ -904,7 +919,9 @@ def _representation_nodes(monkeypatch, system, m) -> int:
 
 def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
     # the degree and limit Newton polyhedra last for one verify run only,
-    # so a second identical run makes every orthant hull the first one made
+    # so a second identical run makes every orthant hull the first one made;
+    # a passing run hulls only its 66 limit polyhedra and the 3 generator
+    # ideals (233 when every degree ideal and product was hulled too)
     import conefan.graded as graded
 
     hull = graded._orthant_hull
@@ -920,7 +937,28 @@ def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
         calls.clear()
         verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
         counts.append(len(calls))
-    assert counts == [233, 233]
+    assert counts == [69, 69]
+
+
+def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
+    # a passing run decides every equality from points against the limit
+    # hulls; the H-forms of degree ideals and of products only explain a
+    # failure
+    import conefan.graded as graded
+
+    def refuse(*args):
+        raise AssertionError(f"H-form built for {args[-1]}")
+
+    class PointsOnly(graded._RunPolyhedra):
+        def __init__(self, sys):
+            super().__init__(sys)
+            self.newton = refuse
+
+    monkeypatch.setattr(graded, "_RunPolyhedra", PointsOnly)
+    monkeypatch.setattr(graded, "_degree_newton_hform", refuse)
+    monkeypatch.setattr(graded, "_weighted_minkowski_hform", refuse)
+    rep = verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
+    assert rep.verified
 
 
 def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
@@ -1221,6 +1259,11 @@ SHARED_FACE_CASES = {
     "five-degree": (five_degree_system, {"power_bound": 2, "power_checks": 1}),
     # FALSIFIED: witness weights, values and chain notes are shared too
     "worked-single-cone": (worked_system, {"power_bound": 4, "refine": False}),
+    # FALSIFIED on many tuples: each one's explanation builds its hulls
+    "five-degree-single-cone": (
+        five_degree_system,
+        {"power_bound": 2, "power_checks": 1, "refine": False},
+    ),
 }
 
 
@@ -1233,7 +1276,7 @@ def test_face_checks_match_per_cone_reference(case):
         system, rep.fan, rep.exponent, kwargs["power_bound"]
     )
     assert rep.to_dict() == replace(rep, cones=ref).to_dict()
-    if case == "worked-single-cone":
+    if case.endswith("single-cone"):
         assert not rep.verified
         failing = [t for t in rep.cones[0].checks if not t.chain_ok]
         assert any(t.witness_weight for t in failing)
@@ -1262,3 +1305,91 @@ def test_limit_support_read_from_facet_rows(make):
             g = -sum(a) // sum(w)
             assert tuple(-x for x in a) == tuple(g * x for x in w)
             assert Fraction(-b, g) == _support(limit_h, w)
+
+
+@pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])
+def test_limit_polyhedron_scales_with_its_degree(make):
+    # a run keys the limit polyhedra by primitive direction: P(t m) = t P(m)
+    # exactly, since the representation polytope scales by t
+    import conefan.graded as graded
+
+    system = make()
+    forms = graded._RunPolyhedra(system)
+    for e in smooth_refine(linearity_fan(system.degrees)).rays():
+        limit = asymptotic_newton(system, e)
+        for t in (2, 3):
+            m = tuple(t * x for x in e)
+            assert asymptotic_newton(system, m) == scale_polyhedron(limit, t)
+            assert forms.limit(m) == asymptotic_newton(system, m)
+
+
+@st.composite
+def dilate_cases(draw):
+    """Integer points C with orthant hull h, a dilate t = k / den and
+    integer points A: q C, whose hull is t h when k = den q, with points
+    dropped and others added, so conv(A) + orthant is t h or is not."""
+    n = draw(st.integers(1, 4))
+    hull = draw(st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=6))
+    den = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    k = draw(st.one_of(st.just(den * q), st.integers(1, 9)))
+    keep = draw(
+        st.lists(
+            st.sampled_from([True, True, True, False]),
+            min_size=len(hull),
+            max_size=len(hull),
+        )
+    )
+    extra = draw(st.lists(st.tuples(*[st.integers(0, 12)] * n), max_size=3))
+    points = [tuple(q * x for x in c) for c, kept in zip(hull, keep) if kept]
+    points += extra
+    assume(points)
+    return hull, den, k, points
+
+
+@settings(max_examples=400, deadline=None)
+@given(dilate_cases())
+# equal: a non-vertex dropped, and a point inside 2 h added
+@example(([(0, 4), (2, 2), (4, 0)], 1, 2, [(0, 8), (8, 0), (5, 5)]))
+@example(([(1, 1, 0), (0, 2, 3)], 3, 6, [(2, 2, 0), (0, 4, 6), (9, 9, 9)]))
+# unequal: a vertex dropped, a point outside, a dilate off the lattice
+@example(([(0, 4), (2, 2), (4, 0)], 1, 2, [(0, 8), (8, 0)]))
+@example(([(0, 4), (4, 0)], 1, 1, [(0, 4), (4, 0), (1, 1)]))
+@example(([(1, 2)], 2, 1, [(1, 1)]))
+def test_point_certificate_decides_dilate_equality(case):
+    from conefan.graded import _is_dilate, _orthant_hull, _orthant_vertices
+
+    hull, den, k, points = case
+    n = len(hull[0])
+    h = _orthant_hull(hull, n)
+    t = Fraction(k, den)
+    expected = _orthant_hull(points, n) == scale_polyhedron(h, t)
+    event(f"equal: {expected}")
+    assert _is_dilate(points, h, _orthant_vertices(h, hull), t) is expected
+    # a zero ideal has no points and equals no polyhedron
+    assert not _is_dilate((), h, _orthant_vertices(h, hull), t)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 6)] * n), min_size=1, max_size=12)
+    )
+)
+# (2, 2) is minimal but not a vertex, (3, 3) is not minimal; the repeated
+# minimal point (1, 1, 1) is the centre of the other three, no vertex
+@example([(0, 4), (2, 2), (4, 0), (3, 3)])
+@example([(1, 1, 1), (0, 0, 3), (3, 0, 0), (0, 3, 0), (1, 1, 1)])
+def test_orthant_vertices_read_from_facet_incidences(points):
+    from conefan.graded import _orthant_hull, _orthant_vertices
+    from conefan.polyhedra import dual_description
+
+    n = len(points[0])
+    h = _orthant_hull(points, n)
+    expected = sorted(
+        tuple(x.numerator for x in v) for v in dual_description(h).vertices
+    )
+    vertices = _orthant_vertices(h, points)
+    minimal = minimalize_reference(points)
+    event(f"all minimal points are vertices: {len(vertices) == len(minimal)}")
+    assert sorted(vertices) == expected
