@@ -38,6 +38,7 @@ from .fans import (
     Cone,
     Fan,
     cone_from_generators,
+    every_cost_linear_on,
     linearity_fan,
     origin_cone,
     smooth_refine,
@@ -324,7 +325,9 @@ class GradedSystem:
     ideals: tuple[MonomialIdeal, ...]
     # cone(degrees), a functional positive on every degree, for each
     # suffix i (0 <= i <= r) the normals of the cone spanned by degrees[i:]
-    # with nonzero ideal, and for each ideal the vertices of its Newton
+    # with nonzero ideal, the theta-weight of each degree, for each degree
+    # i < r its pairings with the normals of suffix i + 1 (the tables of
+    # _representations), and for each ideal the vertices of its Newton
     # polyhedron (() for a zero ideal); the fields determine them, so they
     # take no part in equality or hashing
     _cone: Cone = field(compare=False, repr=False)
@@ -332,6 +335,8 @@ class GradedSystem:
     _suffix_normals: tuple[tuple[IntVec, ...], ...] = field(
         compare=False, repr=False
     )
+    _weights: IntVec = field(compare=False, repr=False)
+    _slopes: tuple[IntVec, ...] = field(compare=False, repr=False)
     _vertex_lists: tuple[tuple[IntVec, ...], ...] = field(
         compare=False, repr=False
     )
@@ -365,11 +370,25 @@ class GradedSystem:
             _live_cone(degs[i:], ids[i:], grading_rank).normals
             for i in range(len(degs) + 1)
         )
+        weights = tuple(idot(theta, d) for d in degs)
+        slopes = tuple(
+            tuple(idot(u, d) for u in suffix_normals[i + 1])
+            for i, d in enumerate(degs)
+        )
         vertex_lists = tuple(
             () if I.is_zero else _lattice_vertices(newton_hform(I)) for I in ids
         )
         return GradedSystem(
-            grading_rank, ambient, degs, ids, cone, theta, suffix_normals, vertex_lists
+            grading_rank,
+            ambient,
+            degs,
+            ids,
+            cone,
+            theta,
+            suffix_normals,
+            weights,
+            slopes,
+            vertex_lists,
         )
 
     def degree_cone(self) -> Cone:
@@ -441,15 +460,17 @@ def _representations(sys: GradedSystem, m: IntVec) -> tuple[IntVec, ...]:
     off the suffix normals and capped by the remaining theta-weight, and
     the last exponent is solved for directly.  EXPAND_NODE_BUDGET bounds
     the search nodes; every node's remainder is a nonnegative rational
-    combination of the degrees still to come.
+    combination of the degrees still to come.  The theta-weights and the
+    slopes <u, degrees[i]> for every normal u of the cone after level i
+    depend only on the system, which keeps them (sys._weights,
+    sys._slopes).
     """
     theta = sys._theta
     degrees = sys.degrees
     suffix = sys._suffix_normals
     last = len(degrees) - 1
-    weights = [idot(theta, d) for d in degrees]
-    # <u, degrees[i]> for every normal u of the cone after level i
-    slopes = [[idot(u, d) for u in suffix[i + 1]] for i, d in enumerate(degrees)]
+    weights = sys._weights
+    slopes = sys._slopes
     found: list[IntVec] = []
     nodes = 0
 
@@ -766,9 +787,8 @@ def stabilizing_exponent(
     sys: GradedSystem, fan: Fan, cap: int = 64, power_checks: int = 8
 ) -> ExponentCertificate:
     """Smallest per-ray exponents d with Newton(a_{d e}) = d * limit
-    polyhedron of e, certified additionally by closure equality of
-    a_{d l e} with (a_{d e})^l for l up to power_checks; the overall
-    exponent is their lcm.
+    polyhedron of e, which implies closure equality of a_{d l e} with
+    (a_{d e})^l for every l; the overall exponent is their lcm.
 
     The polyhedral identity pins the closure-level statement for every
     multiple (which is what the verified identity needs).  The stronger
@@ -786,9 +806,12 @@ def _stabilize(
 ) -> ExponentCertificate:
     """stabilizing_exponent on the polyhedra of one run.
 
-    Each equality NP(a_{d e}) = d P(e), and each power check, is decided
-    from the degree's points against the one hull of P(e)
-    (_RunPolyhedra.stable); no degree ideal is hulled.
+    Each equality NP(a_{d e}) = d P(e) is decided from the degree's points
+    against the one hull of P(e) (_RunPolyhedra.stable); no degree ideal
+    is hulled.  It implies NP(a_{d l e}) = d l P(e) for every l >= 1, so
+    no multiple is checked: a_{d e}^l lies in a_{d l e}, which gives
+    l NP(a_{d e}) within NP(a_{d l e}), and every finite level lies in its
+    limit, NP(a_{d l e}) within d l P(e) = l NP(a_{d e}).
     """
     sys = forms.sys
     cone = sys.degree_cone()
@@ -807,17 +830,7 @@ def _stabilize(
                 f"fan ray {ray} lies outside the cone of the degrees "
                 "with a nonzero ideal, so its ideals are all zero",
             ) from exc
-        # given NP(a_{d e}) = d P(e), NP(a_{d l e}) = l NP(a_{d e}) is
-        # NP(a_{d l e}) = d l P(e), and l = 1 repeats the first check
-        found = next(
-            (
-                d
-                for d in range(1, cap + 1)
-                if forms.stable(ray, d)
-                and all(forms.stable(ray, d * l) for l in range(2, power_checks + 1))
-            ),
-            None,
-        )
+        found = next((d for d in range(1, cap + 1) if forms.stable(ray, d)), None)
         if found is None:
             raise StabilizationError(ray, cap)
         per_ray.append((ray, found))
@@ -1032,10 +1045,16 @@ def verify_closure_identity(
     tuple p with sum(p) <= power_bound, closure equality of the degree
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
     the p_i; (e) the valuation chain for every weight w >= 0 at once, as
-    comparisons of Newton polyhedra (see _valuation_chain).  Steps (d) and
+    comparisons of Newton polyhedra (see _valuation_chain).  A cone whose
+    rays are all stable at d and on which every nonnegative cost of the
+    live degrees is linear passes (d) and (e) for every p at once
+    (_cone_certified), so its nonzero tuples are recorded as passing with
+    no check; any other cone, and the all-zero tuple, are checked tuple by
+    tuple, which names a falsifying tuple and its witness.  Steps (d) and
     (e) depend only on the face spanned by the rays with p_i > 0 and on
     those powers, so each such face tuple is checked once, and every cone
-    containing the face reports that check under its own powers.  Only
+    containing the face reports that check under its own powers; a face
+    of a certified cone is certified in every cone that shares it.  Only
     the limit polyhedra P(m) are hulled in a passing run: every other
     Newton-polyhedron equality is decided from exponent points against
     one of those hulls (_RunPolyhedra), and the H-forms of degree ideals
@@ -1084,20 +1103,27 @@ def verify_closure_identity(
     limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
     # a stable ray's degree polyhedron is its limit's dilate, so only an
     # unstable one is hulled
+    stable = {e: forms.stable(e, d) for e in limits}
     ray_h = {
-        e: limit_h[e] if forms.stable(e, d) else forms.newton(_scaled_degree(e, d))
+        e: limit_h[e] if stable[e] else forms.newton(_scaled_degree(e, d))
         for e in limits
     }
+    live = sys.nonzero_part()[0]
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
     checked: dict[tuple, TupleCheck] = {}
     cone_checks = []
     for cone in fan.maximal_cones:
+        certified = _cone_certified(live, cone, stable)
         checks = []
         for p in _power_tuples(len(cone.rays), power_bound):
             face = tuple((e, pi) for e, pi in zip(cone.rays, p) if pi)
             if face not in checked:
-                checked[face] = _check_tuple(forms, d, face, ray_h, limit_h)
+                if certified and face:
+                    m = _face_degree(face, sys.grading_rank)
+                    checked[face] = TupleCheck(p, m, True, None, None, None, True, None)
+                else:
+                    checked[face] = _check_tuple(forms, d, face, ray_h, limit_h)
             checks.append(replace(checked[face], powers=p))
         cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
     verified = all(c.passed for c in cone_checks)
@@ -1110,6 +1136,40 @@ def verify_closure_identity(
         verified=verified,
         notes=tuple(notes),
     )
+
+
+def _cone_certified(live, cone: Cone, stable: dict) -> bool:
+    """Whether the closure identity and the valuation chain hold on the
+    cone for every exponent tuple p, not only up to a power bound: every
+    ray e_i of the cone is stable at the run's d (stable[e_i]) and every
+    nonnegative cost on the live degrees is linear on the cone.
+
+    For m = sum p_i e_i the product a_{d e_1}^{p_1} ... a_{d e_k}^{p_k}
+    lies in a_{d m}, and every finite level lies in its limit (the LP
+    relaxation), so sum p_i NP(a_{d e_i}) lies in NP(a_{d m}), which lies
+    in d P(m).  The support function of P(m) at w >= 0 is the least cost
+    of m under the costs alpha(w)_i = v_w(I_i) of the live degrees; if
+    each such cost is linear on the cone, P(m) = sum p_i P(e_i), and with
+    NP(a_{d e_i}) = d P(e_i) both inclusions are equalities for every p
+    at once (the sandwich of _valuation_chain).  Such a tuple therefore
+    passes exactly as _check_tuple's point certificate passes it, with no
+    witness.  A cone outside the live cone (NotInConeError) or a chamber
+    check over too many live degrees (CapExceededError) is not certified,
+    and its tuples go through _check_tuple; a run reaches neither, since
+    _stabilize refuses a ray outside the live cone and the representation
+    polytopes cap the live degrees at DEFAULT_DIM_CAP.
+    """
+    if not all(stable[e] for e in cone.rays):
+        return False
+    try:
+        return every_cost_linear_on(live, cone)
+    except (NotInConeError, CapExceededError):
+        return False
+
+
+def _face_degree(face, grading_rank: int) -> IntVec:
+    """sum p_i e_i over a face tuple's (ray, power) pairs."""
+    return tuple(sum(pi * e[j] for e, pi in face) for j in range(grading_rank))
 
 
 def _check_tuple(forms, d, face, ray_h, limit_h) -> TupleCheck:
@@ -1127,9 +1187,7 @@ def _check_tuple(forms, d, face, ray_h, limit_h) -> TupleCheck:
     sys = forms.sys
     rays = tuple(e for e, _ in face)
     p = tuple(pi for _, pi in face)
-    m = tuple(
-        sum(pi * e[j] for pi, e in zip(p, rays)) for j in range(sys.grading_rank)
-    )
+    m = _face_degree(face, sys.grading_rank)
     # with every ray stable, the product's points are the sums of p_i
     # times a vertex of d P(e_i)
     if all(ray_h[e] == limit_h[e] for e in rays):

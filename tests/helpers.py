@@ -424,6 +424,33 @@ def random_generators(rng: random.Random, r: int, n: int, lo=0, hi=5):
     return gens
 
 
+def random_graded_system(rng: random.Random, allow_zero: bool = False):
+    """Random graded system of the verifier's corpus: grading rank s and
+    ambient dimension n in 2..3, s to s + 2 distinct nonzero degrees with
+    entries 0..3 (so the degree cone is pointed), and ideals of 1..3
+    generators with entries 0..3; with allow_zero, one ideal may be zero."""
+    from conefan.graded import GradedSystem, MonomialIdeal
+
+    s = rng.randint(2, 3)
+    n = rng.randint(2, 3)
+    degrees: list[tuple] = []
+    count = rng.randint(s, s + 2)
+    while len(degrees) < count:
+        g = tuple(rng.randint(0, 3) for _ in range(s))
+        if any(g) and g not in degrees:
+            degrees.append(g)
+    ideals = [
+        MonomialIdeal.from_exponents(
+            n,
+            [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 3))],
+        )
+        for _ in degrees
+    ]
+    if allow_zero and rng.random() < 0.5:
+        ideals[rng.randrange(count)] = MonomialIdeal.zero(n)
+    return GradedSystem.create(s, n, degrees, ideals)
+
+
 def np_membership_set(I, bound: int) -> frozenset:
     """Integer points of the Newton polyhedron with coordinate sum <= bound."""
     from conefan.graded import newton_hform

@@ -15,6 +15,7 @@ from helpers import (
     newton_polyhedron_reference,
     np_membership_set,
     orthant_hull_reference,
+    random_graded_system,
     representations_reference,
 )
 
@@ -649,8 +650,12 @@ def _note_weight(note, prefix):
 )
 def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok):
     # the fault sits in the points a run decides its equalities from, so
-    # the point certificate and the hulls that explain the failure both see it
+    # the point certificate and the hulls that explain the failure both see
+    # it; the cone certificate reads neither (its cones are stable and every
+    # cost is linear on them), so it is switched off to run the tuple checks
     import conefan.graded as graded
+
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
 
     real = getattr(graded, name)
     broken_degree = (2, 1)  # inside the fan cone spanned by (1, 0), (1, 1)
@@ -920,8 +925,8 @@ def _representation_nodes(monkeypatch, system, m) -> int:
 def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
     # the degree and limit Newton polyhedra last for one verify run only,
     # so a second identical run makes every orthant hull the first one made;
-    # a passing run hulls only its 66 limit polyhedra and the 3 generator
-    # ideals (233 when every degree ideal and product was hulled too)
+    # a passing run on certified cones hulls only the limit polyhedra of
+    # its 9 rays and of the zero tuple's degree, and the 3 generator ideals
     import conefan.graded as graded
 
     hull = graded._orthant_hull
@@ -937,7 +942,7 @@ def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
         calls.clear()
         verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
         counts.append(len(calls))
-    assert counts == [69, 69]
+    assert counts == [13, 13]
 
 
 def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
@@ -962,9 +967,10 @@ def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
 
 
 def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
-    # the degrees a verify of the bench system at p-bound 3, L 1 enumerates
-    # (the benchmark's verify-chain input) need 316 nodes; a search bounded
-    # only by the theta-weight visits 233,585
+    # the tuple degrees of a verify of the bench system at p-bound 3, L 1
+    # (the benchmark's verify-chain input), with the ray multiples its
+    # exponent search tries, need 316 nodes; a search bounded only by the
+    # theta-weight visits 233,585
     import conefan.graded as graded
 
     system = bench_system()
@@ -977,13 +983,28 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
         return search(sys_, m)
 
     monkeypatch.setattr(graded, "_representations", record)
-    verify_closure_identity(system, power_bound=3, power_checks=1)
+    rep = verify_closure_identity(system, power_bound=3, power_checks=1)
     monkeypatch.setattr(graded, "_representations", search)
-    assert len(seen) == 116
-    total = sum(_representation_nodes(monkeypatch, system, m) for m in seen)
+    d = rep.exponent
+    degrees = {
+        tuple(k * x for x in e) for e, top in rep.per_ray for k in range(1, top + 1)
+    }
+    for cone in rep.fan.maximal_cones:
+        for p in graded._power_tuples(len(cone.rays), 3):
+            degrees.add(
+                tuple(
+                    d * sum(pi * e[j] for pi, e in zip(p, cone.rays))
+                    for j in range(3)
+                )
+            )
+    assert len(degrees) == 116
+    total = sum(_representation_nodes(monkeypatch, system, m) for m in degrees)
     assert total <= 10_000
-    reps = [graded._representations(system, m) for m in sorted(seen)]
+    reps = [graded._representations(system, m) for m in sorted(degrees)]
     assert sum(map(len, reps)) == 90
+    # certified cones search only the zero tuple's degree, the ray
+    # multiples up to each ray's exponent and d times each ray
+    assert seen <= degrees and len(seen) == 42
 
 
 @st.composite
@@ -1283,6 +1304,119 @@ def test_face_checks_match_per_cone_reference(case):
         assert all(t.chain_note for t in failing)
     else:
         assert rep.verified
+
+
+@pytest.mark.parametrize("make", [worked_system, bench_system, five_degree_system])
+def test_certified_cones_check_only_the_zero_face(monkeypatch, make):
+    # every cone of these verified runs has stable rays and every cost
+    # linear on it, so each passes all its tuples at once; only the all-zero
+    # tuple, which every cone shares, goes through the tuple check
+    import conefan.graded as graded
+
+    faces = []
+    check = graded._check_tuple
+
+    def record(forms, d, face, ray_h, limit_h):
+        faces.append(face)
+        return check(forms, d, face, ray_h, limit_h)
+
+    monkeypatch.setattr(graded, "_check_tuple", record)
+    rep = verify_closure_identity(make(), power_bound=2, power_checks=1)
+    assert rep.verified
+    assert faces == [()]
+
+
+def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
+    # a certificate that always held would pass the single-cone five-degree
+    # run, whose cones bend; the per-cone reference of SHARED_FACE_CASES
+    # must tell the two reports apart
+    import conefan.graded as graded
+
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: True)
+    make, kwargs = SHARED_FACE_CASES["five-degree-single-cone"]
+    system = make()
+    rep = verify_closure_identity(system, **kwargs)
+    ref = cone_checks_reference(system, rep.fan, rep.exponent, kwargs["power_bound"])
+    assert rep.verified
+    assert rep.to_dict() != replace(rep, cones=ref).to_dict()
+
+
+def test_cone_certificate_needs_stable_rays_inside_the_live_cone():
+    from conefan.fans import cone_from_generators
+    from conefan.graded import _cone_certified
+
+    # the two chambers of the worked degrees are certified, the quadrant
+    # they split is not
+    worked = [(1, 0), (0, 1), (1, 1)]
+    quadrant = cone_from_generators([(1, 0), (0, 1)])
+    stable = dict.fromkeys([(1, 0), (0, 1), (1, 1)], True)
+    assert _cone_certified(worked, cone_from_generators([(1, 0), (1, 1)]), stable)
+    assert not _cone_certified(worked, quadrant, stable)
+    assert _cone_certified([(1, 0), (0, 1)], quadrant, stable)
+    # an unstable ray
+    assert not _cone_certified(
+        [(1, 0), (0, 1)], quadrant, {**stable, (0, 1): False}
+    )
+    # live degrees whose cone misses the ray (0, 1) (NotInConeError); a run
+    # never gets here, since the exponent search refuses such a ray first
+    assert not _cone_certified([(1, 0), (1, 1)], quadrant, stable)
+    # a chamber check over 13 live degrees (CapExceededError); a run never
+    # gets here either, since its representation polytopes are capped at 8
+    many = [(1, 0), (0, 1)] + [(1, k) for k in range(1, 12)]
+    assert not _cone_certified(many, quadrant, stable)
+
+
+def test_zero_ideal_systems_keep_their_verdicts():
+    from conefan.errors import StabilizationError
+
+    # the fan ray (0, 1) carries only the zero ideal, so its cone leaves
+    # the live cone; the exponent search names that before any cone check
+    lonely = GradedSystem.create(
+        2, 1, [(1, 0), (0, 1)], [MI(1, [(1,)]), MonomialIdeal.zero(1)]
+    )
+    with pytest.raises(StabilizationError, match="nonzero ideal"):
+        verify_closure_identity(lonely, power_bound=2)
+    # the zero ideal at (1, 1) leaves every cone inside the live cone
+    for refine in (True, False):
+        rep = verify_closure_identity(zerogen_system(), power_bound=3, refine=refine)
+        ref = cone_checks_reference(zerogen_system(), rep.fan, rep.exponent, 3)
+        assert rep.verified
+        assert rep.to_dict() == replace(rep, cones=ref).to_dict()
+
+
+# seeds of random_graded_system (one zero ideal allowed at multiples of 3)
+# whose runs reach a verdict with and without refinement: zero ideals (15,
+# 21, 45, 54, 96), falsified single-cone runs with some cones certified
+# (16, 17, 28) and single-cone runs that verify on an uncertified cone (19,
+# 108)
+CORPUS_SLICE = (3, 15, 16, 17, 19, 21, 28, 45, 54, 96, 108)
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
+    import conefan.graded as graded
+
+    certify = graded._cone_certified
+    outcomes = []
+
+    def record(live, cone, stable):
+        outcomes.append(certify(live, cone, stable))
+        return outcomes[-1]
+
+    monkeypatch.setattr(graded, "_cone_certified", record)
+    verdicts = set()
+    for seed in CORPUS_SLICE:
+        system = random_graded_system(random.Random(seed), allow_zero=seed % 3 == 0)
+        rep = verify_closure_identity(
+            system, power_bound=2, power_checks=1, refine=refine
+        )
+        ref = cone_checks_reference(system, rep.fan, rep.exponent, 2)
+        assert rep.to_dict() == replace(rep, cones=ref).to_dict(), seed
+        verdicts.add(rep.verified)
+    # the linearity fan's cones are all certified; the single cones both
+    # pass and fall back
+    assert verdicts == ({True} if refine else {True, False})
+    assert all(outcomes) if refine else set(outcomes) == {True, False}
 
 
 @pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])
