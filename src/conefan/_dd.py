@@ -10,8 +10,6 @@ conefan._kernel.dd_step).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import _kernel
 from .linalg import rref
 from .rational import IntVec, idot, primitive_direction, primitive_int_vector
@@ -26,7 +24,6 @@ def _canonical_basis(vectors: list) -> tuple[IntVec, ...]:
     return tuple(primitive_direction(r) for r in rows)
 
 
-@lru_cache(maxsize=None)
 def cone_generators(
     rows: tuple[IntVec, ...], dim: int
 ) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:

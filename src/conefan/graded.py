@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import le, mul
@@ -133,12 +133,15 @@ class MonomialIdeal:
         return all(self.contains_exponent(g) for g in other.gens)
 
 
-@lru_cache(maxsize=None)
 def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if I.ambient != J.ambient:
         raise InputError("ideal product needs matching ambients")
     if I.is_zero or J.is_zero:
         return MonomialIdeal.zero(I.ambient)
+    if I.is_unit:
+        return J
+    if J.is_unit:
+        return I
     sums = [
         tuple(a + b for a, b in zip(g, h)) for g in I.gens for h in J.gens
     ]
@@ -146,8 +149,8 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    """I^k for an int k >= 0 (not a bool or a float), by repeated squaring
-    through the memoized ideal_product."""
+    """I^k for an int k >= 0 (not a bool or a float), by repeated
+    squaring."""
     if type(k) is not int:
         raise InputError(f"ideal powers need an int exponent, got {k!r}")
     if k < 0:
@@ -428,17 +431,26 @@ def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
     """Ideal in degree m: sum over all representations sum l_i m_i = m of
     the products prod ideals_i^{l_i}; the zero ideal when none exists.
 
-    Not memoized: the ideal products it folds over are, and no caller asks
-    for the same degree twice.
+    Each ideals_i^l is formed once per call, and so is the product over
+    each representation prefix: _representations lists its output in
+    lexicographic order, so the representations sharing a prefix follow
+    one another, and products[k] holds the product over the first k
+    entries of the last one until a representation differs there.
     """
     m = _grading_degree(sys, m)
+    powers: dict[tuple[int, int], MonomialIdeal] = {}
+    products = [MonomialIdeal.unit(sys.ambient)]
+    last: IntVec = ()
     gens: list[IntVec] = []
     for rep in _representations(sys, m):
-        product = MonomialIdeal.unit(sys.ambient)
-        for I, l in zip(sys.ideals, rep):
-            if l:
-                product = ideal_product(product, ideal_power(I, l))
-        gens.extend(product.gens)
+        k = next((k for k, (a, b) in enumerate(zip(last, rep)) if a != b), 0)
+        del products[k + 1 :]
+        for i in range(k, len(rep)):
+            if (i, rep[i]) not in powers:
+                powers[i, rep[i]] = ideal_power(sys.ideals[i], rep[i])
+            products.append(ideal_product(products[-1], powers[i, rep[i]]))
+        last = rep
+        gens.extend(products[-1].gens)
     if not gens:
         return MonomialIdeal.zero(sys.ambient)
     return MonomialIdeal(sys.ambient, _minimalize(gens))
@@ -845,16 +857,19 @@ def _ideal_power_documentation(sys, ray, d, power_checks) -> str:
     """Bounded check of the literal ideal-level equality a_{dle} = a_{de}^l.
 
     At l = 1 both sides are a_{de} itself, so the loop starts at l = 2, and
-    with power_checks below 2 nothing is compared or expanded.
+    with power_checks below 2 nothing is compared or expanded.  Each level
+    forms a_{de}^l as a_{de}^{l-1} a_{de}, one product per level.
     """
     holds = f"ideal-level power equality holds up to exponent {power_checks}"
     if power_checks < 2:
         return holds
     try:
         base = expand_degree(sys, _scaled_degree(ray, d))
+        power = base
         for l in range(2, power_checks + 1):
             left = expand_degree(sys, _scaled_degree(ray, d * l))
-            if left != ideal_power(base, l):
+            power = ideal_product(power, base)
+            if left != power:
                 return (
                     f"ideal-level power equality differs at exponent {l} "
                     "(closure level is certified for all exponents)"
@@ -1102,8 +1117,11 @@ def verify_closure_identity(
     _check_limit_polyhedra(sys, limits)
     limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
     # a stable ray's degree polyhedron is its limit's dilate, so only an
-    # unstable one is hulled
-    stable = {e: forms.stable(e, d) for e in limits}
+    # unstable one is hulled.  Each ray is asked at its own exponent, whose
+    # points _stabilize has already made: NP(a_{d_e e}) = d_e P(e) gives
+    # NP(a_{k d_e e}) = k d_e P(e) for every k by the inclusion argument of
+    # _stabilize, so a ray stable at d_e is stable at its multiple d
+    stable = {e: forms.stable(e, de) for e, de in cert.per_ray}
     ray_h = {
         e: limit_h[e] if stable[e] else forms.newton(_scaled_degree(e, d))
         for e in limits
@@ -1141,8 +1159,9 @@ def verify_closure_identity(
 def _cone_certified(live, cone: Cone, stable: dict) -> bool:
     """Whether the closure identity and the valuation chain hold on the
     cone for every exponent tuple p, not only up to a power bound: every
-    ray e_i of the cone is stable at the run's d (stable[e_i]) and every
-    nonnegative cost on the live degrees is linear on the cone.
+    ray e_i of the cone is stable at its own exponent, hence at the run's
+    d (stable[e_i]), and every nonnegative cost on the live degrees is
+    linear on the cone.
 
     For m = sum p_i e_i the product a_{d e_1}^{p_1} ... a_{d e_k}^{p_k}
     lies in a_{d m}, and every finite level lies in its limit (the LP

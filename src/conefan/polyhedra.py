@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional, Sequence
 
 from ._dd import cone_generators, _canonical_basis
@@ -57,7 +57,11 @@ def _row(normal: Sequence, offset) -> Row:
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Polyhedron {x : <a,x> <= b for inequalities, <a,x> = b for equalities}."""
+    """Polyhedron {x : <a,x> <= b for inequalities, <a,x> = b for equalities}.
+
+    Its V-representation, once dual_description has made it, is kept on
+    the polyhedron and goes away with it.
+    """
 
     inequalities: tuple[Row, ...]
     equalities: tuple[Row, ...]
@@ -109,6 +113,37 @@ class HPolyhedron:
     @staticmethod
     def make_empty(ambient_dim: int) -> "HPolyhedron":
         return HPolyhedron((), (), ambient_dim, empty=True)
+
+    @cached_property
+    def _vrep(self) -> "VRepresentation":
+        """The double description behind dual_description, computed once
+        and kept for the life of the polyhedron."""
+        n = self.ambient_dim
+        if n > DEFAULT_DIM_CAP:
+            raise CapExceededError(
+                f"dual description capped at dimension {DEFAULT_DIM_CAP}, got {n}"
+            )
+        if self.empty:
+            return VRepresentation.make_empty(n)
+        lin, rays = cone_generators(_homogeneous_rows(self), n + 1)
+        if any(l[n] != 0 for l in lin) or any(r[n] < 0 for r in rays):
+            raise InternalError("generators escaped the t >= 0 halfspace")
+        vertices = []
+        rec_rays = []
+        for r in rays:
+            t = r[n]
+            if t > 0:
+                vertices.append(tuple(Fraction(x, t) for x in r[:n]))
+            else:
+                rec_rays.append(r[:n])
+        if not vertices:
+            return VRepresentation.make_empty(n)
+        return VRepresentation(
+            tuple(sorted(vertices)),
+            tuple(sorted(rec_rays)),
+            _canonical_basis([l[:n] for l in lin]),
+            n,
+        )
 
 
 @dataclass(frozen=True)
@@ -174,38 +209,13 @@ def _homogeneous_rows(P: HPolyhedron) -> tuple[IntVec, ...]:
     return (t_row,) + tuple(sorted(rows))
 
 
-@lru_cache(maxsize=None)
 def dual_description(P: HPolyhedron) -> VRepresentation:
-    """Irredundant V-representation of an H-polyhedron (double description).
+    """Irredundant V-representation of an H-polyhedron (double description),
+    kept on P, so asking again for the same polyhedron costs nothing.
 
     Raises CapExceededError above DEFAULT_DIM_CAP coordinates.
     """
-    n = P.ambient_dim
-    if n > DEFAULT_DIM_CAP:
-        raise CapExceededError(
-            f"dual description capped at dimension {DEFAULT_DIM_CAP}, got {n}"
-        )
-    if P.empty:
-        return VRepresentation.make_empty(n)
-    lin, rays = cone_generators(_homogeneous_rows(P), n + 1)
-    if any(l[n] != 0 for l in lin) or any(r[n] < 0 for r in rays):
-        raise InternalError("generators escaped the t >= 0 halfspace")
-    vertices = []
-    rec_rays = []
-    for r in rays:
-        t = r[n]
-        if t > 0:
-            vertices.append(tuple(Fraction(x, t) for x in r[:n]))
-        else:
-            rec_rays.append(r[:n])
-    if not vertices:
-        return VRepresentation.make_empty(n)
-    return VRepresentation(
-        tuple(sorted(vertices)),
-        tuple(sorted(rec_rays)),
-        _canonical_basis([l[:n] for l in lin]),
-        n,
-    )
+    return P._vrep
 
 
 def _reduce_mod_equalities(

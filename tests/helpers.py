@@ -215,27 +215,6 @@ def frame_reference(vectors) -> tuple:
     )
 
 
-def clear_conefan_caches() -> list[str]:
-    """Clear every module-level memo in conefan; returns their qualified
-    names, sorted."""
-    import importlib
-    import pkgutil
-
-    import conefan
-
-    cleared = []
-    for info in pkgutil.iter_modules(conefan.__path__):
-        module = importlib.import_module(f"conefan.{info.name}")
-        for obj in vars(module).values():
-            # imported names are cleared in the module that defines them
-            if getattr(obj, "__module__", None) == module.__name__ and hasattr(
-                obj, "cache_clear"
-            ):
-                obj.cache_clear()
-                cleared.append(f"{module.__name__}.{obj.__qualname__}")
-    return sorted(cleared)
-
-
 def rref_reference(rows):
     """Gauss-Jordan elimination on Fractions; (rows, pivot columns)."""
     m = [list(r) for r in rows]

@@ -7,8 +7,6 @@ import sys
 
 import pytest
 
-from helpers import clear_conefan_caches
-
 from conefan.cli import main
 
 WORKED = {
@@ -246,18 +244,6 @@ def test_verify_merges_duplicate_degrees(tmp_path, capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
-# the package's memos: each one is hit on the bench system's verify, and a
-# memo that no workload hits again is not kept; the degree and limit
-# Newton polyhedra are kept only for the length of one verify run
-CONEFAN_MEMOS = sorted(
-    [
-        "conefan._dd.cone_generators",
-        "conefan.graded.ideal_product",
-        "conefan.polyhedra.dual_description",
-    ]
-)
-
-
 @pytest.mark.parametrize(
     "system, caps",
     [(WORKED, []), (BENCH, ["--p-bound", "3", "--L", "1"])],
@@ -274,9 +260,19 @@ def test_verify_report_does_not_depend_on_cache_state(system, caps, tmp_path):
 
     first = digest()
     warm = digest()
-    # every memo in the package, so the last run starts from cold caches
-    assert clear_conefan_caches() == CONEFAN_MEMOS
-    assert digest() == warm == first
+    # a fresh interpreter holds nothing an earlier run made
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cold = tmp_path / "cold.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "conefan.cli", "verify", str(path), *caps]
+        + ["--json", str(cold)],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(cold.read_bytes()).hexdigest() == warm == first
 
 
 @pytest.mark.parametrize(

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    certificate_check_reference,
-    clear_conefan_caches,
-    random_generators,
-)
+from helpers import certificate_check_reference, random_generators
 
 from conefan import _kernel, _simplex
 from conefan.errors import InputError, NotInConeError
@@ -111,9 +107,9 @@ def _representation_outcome(gens, costs, target):
 
 
 def test_representation_cost_int_and_fraction_inputs_agree():
-    # int entries reach the simplex as ints, Fractions as Fractions: on cold
-    # memos equal values must give the identical optimum, whose value and
-    # witness are Fractions either way
+    # int entries reach the simplex as ints, Fractions as Fractions: equal
+    # values must give the identical optimum, whose value and witness are
+    # Fractions either way
     rng = random.Random(23)
     cases = [(V3, (1, 1, 1), (2, 1)), (V3, (0, 2, 1), (-1, 0))]
     for _ in range(40):
@@ -125,13 +121,10 @@ def test_representation_cost_int_and_fraction_inputs_agree():
         cases.append((gens, costs, target))
     solved = 0
     for gens, costs, target in cases:
-        clear_conefan_caches()
         ints = _representation_outcome(gens, costs, target)
-        clear_conefan_caches()
         fracs = _representation_outcome(
             [vec(g) for g in gens], vec(costs), vec(target)
         )
-        clear_conefan_caches()
         mixed = _representation_outcome(
             [tuple(str(x) for x in g) for g in gens], costs, vec(target)
         )
@@ -153,7 +146,6 @@ def test_representation_cost_rejects_bools_and_floats_on_any_memo(bad):
         (gens, [bad, 1, 1], target),
         (gens, costs, [bad, 1]),
     ]
-    clear_conefan_caches()
     for warm in (False, True):
         if warm:
             representation_cost(gens, costs, target)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import conefan
@@ -131,3 +133,19 @@ def test_true_division_only_in_allowed_functions():
         if count > _TRUE_DIVISION_ALLOWED.get(key, 0)
     }
     assert not extra, extra
+
+
+def test_package_keeps_no_module_memos():
+    # no result may depend on what an earlier call left behind: repeated
+    # work is kept by the run (_RunPolyhedra) or the object (cached
+    # properties) that made it, and goes away with it
+    found = []
+    for info in pkgutil.iter_modules(conefan.__path__):
+        module = importlib.import_module(f"conefan.{info.name}")
+        for obj in vars(module).values():
+            # an imported name is listed in the module that defines it
+            if getattr(obj, "__module__", None) == module.__name__ and hasattr(
+                obj, "cache_clear"
+            ):
+                found.append(f"{module.__name__}.{obj.__qualname__}")
+    assert not found, sorted(found)
