@@ -16,23 +16,22 @@ the returned vectors are made Fractions again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
 
 from . import _kernel
+from ._value import Frozen
 from .errors import InputError, InternalError
 from .rational import Vec, idot, qvec
 
 
-@dataclass(frozen=True)
-class StandardResult:
+class StandardResult(Frozen):
     status: str  # "optimal" | "infeasible" | "unbounded"
-    x: Optional[Vec] = None
-    y: Optional[Vec] = None  # dual solution or Farkas certificate
-    ray: Optional[Vec] = None  # improving ray when unbounded
-    value: Optional[Fraction] = None
+    x: Vec | None = None
+    y: Vec | None = None  # dual solution or Farkas certificate
+    ray: Vec | None = None  # improving ray when unbounded
+    value: Fraction | None = None
 
 
 def _int_lp(c, A, b):

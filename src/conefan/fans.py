@@ -14,13 +14,13 @@ smooth refinement by stellar subdivision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
 
 from ._dd import cone_generators
+from ._value import Frozen
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -32,6 +32,7 @@ from .errors import (
     NotPointedSupportError,
 )
 from .linalg import (
+    _int_det,
     echelon_lattice_det,
     int_adjugate,
     int_echelon,
@@ -47,6 +48,7 @@ from .rational import (
     idot,
     primitive_direction,
     primitive_int_vector,
+    sign_normal,
     vec,
 )
 
@@ -59,8 +61,7 @@ SMOOTH_REFINE_BUDGET = 600_000
 SMOOTH_REFINE_MULTIPLICITY_CAP = 4096
 
 
-@dataclass(frozen=True)
-class Cone:
+class Cone(Frozen):
     """Strongly convex rational cone with canonical dual descriptions."""
 
     rays: tuple[IntVec, ...]
@@ -234,8 +235,7 @@ def is_face(tau: Cone, sigma: Cone) -> bool:
     return sigma.face(tight) == tau
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Frozen):
     """Fan stored through its maximal cones (canonically sorted)."""
 
     maximal_cones: tuple[Cone, ...]
@@ -426,10 +426,15 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     cuts = set()
     for subset in combinations(range(len(coord_gens)), d - 1):
         rows = [coord_gens[i] for i in subset]
-        # d >= 2 here, so the rows are coordinates in Q^d and rank d - 1
-        # leaves a one-dimensional kernel: the cut hyperplane's normal
-        if rank(rows) == d - 1:
-            cuts.add(primitive_direction(kernel_basis(rows)[0]))
+        # the signed (d-1)-minors of the d-1 integer rows span their
+        # kernel in Z^d, the cut hyperplane's normal, and all vanish
+        # exactly when the rows have rank below d - 1
+        u = [
+            (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
+            for j in range(d)
+        ]
+        if any(u):
+            cuts.add(sign_normal(primitive_int_vector(u)))
     chambers = [cone_from_generators(coord_gens)]
     for u in sorted(cuts):
         mu = tuple(-x for x in u)

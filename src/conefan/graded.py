@@ -17,15 +17,15 @@ that force that equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
 from math import gcd, lcm
 from operator import le, mul
-from typing import Optional, Sequence, Union
 
 from ._dd import cone_generators
+from ._value import Frozen
 from .errors import (
     BudgetExceededError,
     CapExceededError,
@@ -58,6 +58,7 @@ from .polyhedra import (
 from .rational import (
     PLUS_INFINITY,
     IntVec,
+    PlusInfinity,
     dot,
     idot,
     is_finite,
@@ -67,7 +68,7 @@ from .rational import (
 )
 
 EXPAND_NODE_BUDGET = 10**6
-Valuation = Union[Fraction, type(PLUS_INFINITY)]
+Valuation = Fraction | PlusInfinity
 
 
 def _minimalize(exponents) -> tuple[IntVec, ...]:
@@ -90,8 +91,7 @@ def _minimalize(exponents) -> tuple[IntVec, ...]:
     return tuple(p for k, p in enumerate(pts) if below[k] == 1 << k)
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """Monomial ideal given by its minimal generator exponents."""
 
     ambient: int
@@ -312,8 +312,7 @@ def weight_valuation(w: Sequence[int], I: MonomialIdeal) -> Valuation:
     return Fraction(min(idot(wv, g) for g in I.gens))
 
 
-@dataclass(frozen=True)
-class GradedSystem:
+class GradedSystem(Frozen):
     """Finitely generated graded system of monomial ideals.
 
     degrees[i] is the grading degree of generator i and ideals[i] its
@@ -332,17 +331,13 @@ class GradedSystem:
     # i < r its pairings with the normals of suffix i + 1 (the tables of
     # _representations), and for each ideal the vertices of its Newton
     # polyhedron (() for a zero ideal); the fields determine them, so they
-    # take no part in equality or hashing
-    _cone: Cone = field(compare=False, repr=False)
-    _theta: IntVec = field(compare=False, repr=False)
-    _suffix_normals: tuple[tuple[IntVec, ...], ...] = field(
-        compare=False, repr=False
-    )
-    _weights: IntVec = field(compare=False, repr=False)
-    _slopes: tuple[IntVec, ...] = field(compare=False, repr=False)
-    _vertex_lists: tuple[tuple[IntVec, ...], ...] = field(
-        compare=False, repr=False
-    )
+    # take no part in equality or hashing (their names start with "_")
+    _cone: Cone
+    _theta: IntVec
+    _suffix_normals: tuple[tuple[IntVec, ...], ...]
+    _weights: IntVec
+    _slopes: tuple[IntVec, ...]
+    _vertex_lists: tuple[tuple[IntVec, ...], ...]
 
     @staticmethod
     def create(
@@ -431,24 +426,35 @@ def expand_degree(sys: GradedSystem, m: Sequence[int]) -> MonomialIdeal:
     """Ideal in degree m: sum over all representations sum l_i m_i = m of
     the products prod ideals_i^{l_i}; the zero ideal when none exists.
 
-    Each ideals_i^l is formed once per call, and so is the product over
+    Each ideals_i^l is formed once per call, by ideal_power's squaring
+    chain from the powers already in the table, and so is the product over
     each representation prefix: _representations lists its output in
     lexicographic order, so the representations sharing a prefix follow
     one another, and products[k] holds the product over the first k
     entries of the last one until a representation differs there.
     """
     m = _grading_degree(sys, m)
+    unit = MonomialIdeal.unit(sys.ambient)
     powers: dict[tuple[int, int], MonomialIdeal] = {}
-    products = [MonomialIdeal.unit(sys.ambient)]
+
+    def power(i: int, l: int) -> MonomialIdeal:
+        if (i, l) not in powers:
+            if l == 0:
+                powers[i, l] = unit
+            else:
+                half = power(i, l // 2)
+                out = ideal_product(half, half)
+                powers[i, l] = ideal_product(out, sys.ideals[i]) if l % 2 else out
+        return powers[i, l]
+
+    products = [unit]
     last: IntVec = ()
     gens: list[IntVec] = []
     for rep in _representations(sys, m):
         k = next((k for k, (a, b) in enumerate(zip(last, rep)) if a != b), 0)
         del products[k + 1 :]
         for i in range(k, len(rep)):
-            if (i, rep[i]) not in powers:
-                powers[i, rep[i]] = ideal_power(sys.ideals[i], rep[i])
-            products.append(ideal_product(products[-1], powers[i, rep[i]]))
+            products.append(ideal_product(products[-1], power(i, rep[i])))
         last = rep
         gens.extend(products[-1].gens)
     if not gens:
@@ -548,7 +554,7 @@ def _degree_points(sys: GradedSystem, m: Sequence[int]) -> tuple[IntVec, ...]:
     return _minimalize(points)
 
 
-def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> Optional[HPolyhedron]:
+def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron | None:
     """Newton polyhedron of the degree-m ideal: the orthant hull of its
     _degree_points.  Agrees exactly with newton_hform(expand_degree(sys,
     m)); None encodes the zero ideal.  A verify run hulls a degree ideal
@@ -590,8 +596,7 @@ def asymptotic_valuation(
         return PLUS_INFINITY
 
 
-@dataclass(frozen=True)
-class LimitCheck:
+class LimitCheck(Frozen):
     lp_value: Valuation
     sequence: tuple[Valuation, ...]  # v_w(a_{l m}) / l for l = 1..L
     consistent: bool
@@ -785,8 +790,7 @@ class _RunPolyhedra:
         return tuple(tuple(p * x // q for x in v) for v in vertices)
 
 
-@dataclass(frozen=True)
-class ExponentCertificate:
+class ExponentCertificate(Frozen):
     """Stabilizing exponent: overall lcm, per-ray values, and per-ray
     documentation of the bounded ideal-level power checks."""
 
@@ -889,20 +893,18 @@ def _power_tuples(s: int, bound: int):
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class TupleCheck:
+class TupleCheck(Frozen):
     powers: IntVec
     degree: IntVec
     closure_ok: bool
-    witness_weight: Optional[IntVec]
-    left_value: Optional[Valuation]
-    right_value: Optional[Valuation]
+    witness_weight: IntVec | None
+    left_value: Valuation | None
+    right_value: Valuation | None
     chain_ok: bool
-    chain_note: Optional[str]
+    chain_note: str | None
 
 
-@dataclass(frozen=True)
-class ConeCheck:
+class ConeCheck(Frozen):
     rays: tuple[IntVec, ...]
     checks: tuple[TupleCheck, ...]
 
@@ -911,8 +913,7 @@ class ConeCheck:
         return all(c.closure_ok and c.chain_ok for c in self.checks)
 
 
-@dataclass(frozen=True)
-class VerificationConfig:
+class VerificationConfig(Frozen):
     power_bound: int
     exponent_cap: int
     power_checks: int
@@ -921,8 +922,7 @@ class VerificationConfig:
     seed: int
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     config: VerificationConfig
     fan: Fan
     exponent: int
@@ -975,13 +975,13 @@ class VerificationReport:
         }
 
 
-def _fmt_val(v) -> Optional[str]:
+def _fmt_val(v) -> str | None:
     if v is None:
         return None
     return str(v)
 
 
-def _h_weights(h: Optional[HPolyhedron]) -> list[IntVec]:
+def _h_weights(h: HPolyhedron | None) -> list[IntVec]:
     """Primitive weight vectors normal to the facets of a Newton polyhedron."""
     if h is None:
         return []
@@ -994,7 +994,7 @@ def _h_weights(h: Optional[HPolyhedron]) -> list[IntVec]:
     return out
 
 
-def _support(h: Optional[HPolyhedron], w: IntVec) -> Valuation:
+def _support(h: HPolyhedron | None, w: IntVec) -> Valuation:
     """min <w, x> over a Newton polyhedron for w >= 0, attained at a vertex;
     PlusInfinity for None (the zero ideal).  On NP(I) this is v_w(I)."""
     if h is None:
@@ -1003,7 +1003,7 @@ def _support(h: Optional[HPolyhedron], w: IntVec) -> Valuation:
 
 
 def _separating_weight(
-    a: Optional[HPolyhedron], b: Optional[HPolyhedron], above: bool = False
+    a: HPolyhedron | None, b: HPolyhedron | None, above: bool = False
 ) -> IntVec:
     """First facet weight of a or b at which their support values differ
     (with above, at which a's exceeds b's).
@@ -1142,7 +1142,7 @@ def verify_closure_identity(
                     checked[face] = TupleCheck(p, m, True, None, None, None, True, None)
                 else:
                     checked[face] = _check_tuple(forms, d, face, ray_h, limit_h)
-            checks.append(replace(checked[face], powers=p))
+            checks.append(checked[face]._replace(powers=p))
         cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
     verified = all(c.passed for c in cone_checks)
     return VerificationReport(
@@ -1240,8 +1240,8 @@ def _check_tuple(forms, d, face, ray_h, limit_h) -> TupleCheck:
 
 
 def _weighted_minkowski_hform(
-    parts: Sequence[tuple[Optional[HPolyhedron], int]], n: int
-) -> Optional[HPolyhedron]:
+    parts: Sequence[tuple[HPolyhedron | None, int]], n: int
+) -> HPolyhedron | None:
     """Newton polyhedron of a product of ideal powers, from the factors'
     polyhedra: the weighted Minkowski sum of their polytope parts plus the
     orthant.  None (the zero ideal) absorbs, and a single factor is its

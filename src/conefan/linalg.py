@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
-from typing import Optional, Sequence
 
 from . import _kernel
+from ._value import Frozen
 from .errors import InputError
 from .rational import (
     IntVec,
@@ -33,8 +33,7 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-@dataclass(frozen=True)
-class LinearSolution:
+class LinearSolution(Frozen):
     """One particular solution together with a basis of the kernel."""
 
     particular: Vec
@@ -72,7 +71,7 @@ def kernel_basis(rows: Sequence[Sequence]) -> tuple[Vec, ...]:
     return _kernel_from_rref(red, pivots, len(rows[0]))
 
 
-def linear_solve(A: Mat, b: Vec) -> Optional[LinearSolution]:
+def linear_solve(A: Mat, b: Vec) -> LinearSolution | None:
     """Solve A x = b exactly; None when the system is inconsistent.
 
     One reduction of [A | b] serves both outputs: when the system is

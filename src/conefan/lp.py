@@ -19,18 +19,17 @@ representation cost twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from . import _simplex
+from ._value import Frozen
 from .errors import InputError, InternalError, NotInConeError
 from .polyhedra import HPolyhedron, minimize_linear, UNBOUNDED
 from .rational import Mat, Vec, mat, qvec, vec, vneg
 
 
-@dataclass(frozen=True)
-class LpInstance:
+class LpInstance(Frozen):
     """min <cost, x> subject to matrix x = rhs and x >= 0."""
 
     cost: Vec
@@ -49,8 +48,7 @@ class LpInstance:
         return LpInstance(vec(cost), mat(matrix), vec(rhs))
 
 
-@dataclass(frozen=True)
-class LpOutcome:
+class LpOutcome(Frozen):
     """Solver outcome; all certificates are re-verified before return.
 
     optimal:    value, primal, dual with cost.primal == rhs.dual exactly
@@ -59,9 +57,9 @@ class LpOutcome:
     """
 
     status: str
-    value: Optional[Fraction] = None
-    primal: Optional[Vec] = None
-    dual: Optional[Vec] = None
+    value: Fraction | None = None
+    primal: Vec | None = None
+    dual: Vec | None = None
 
 
 def simplex_solve(inst: LpInstance) -> LpOutcome:
@@ -73,8 +71,7 @@ def simplex_solve(inst: LpInstance) -> LpOutcome:
     return LpOutcome("unbounded", primal=res.ray)
 
 
-@dataclass(frozen=True)
-class CostOptimum:
+class CostOptimum(Frozen):
     value: Fraction
     witness: Vec  # nonnegative coefficients reproducing the target
 
@@ -143,8 +140,7 @@ def price_polyhedron(
     return HPolyhedron.from_rows(zip(gens, costs), (), len(gens[0]))
 
 
-@dataclass(frozen=True)
-class DualityCheck:
+class DualityCheck(Frozen):
     primal_value: Fraction
     dual_value: Fraction
     gap_zero: bool

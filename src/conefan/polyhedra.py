@@ -19,12 +19,12 @@ integer rays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
 
 from ._dd import cone_generators, _canonical_basis
+from ._value import Frozen
 from .errors import (
     CapExceededError,
     EmptyPolyhedronError,
@@ -55,8 +55,7 @@ def _row(normal: Sequence, offset) -> Row:
     return (r[:-1], r[-1])
 
 
-@dataclass(frozen=True)
-class HPolyhedron:
+class HPolyhedron(Frozen):
     """Polyhedron {x : <a,x> <= b for inequalities, <a,x> = b for equalities}.
 
     Its V-representation, once dual_description has made it, is kept on
@@ -83,7 +82,7 @@ class HPolyhedron:
     def from_rows(
         inequalities: Sequence[tuple[Sequence, object]] = (),
         equalities: Sequence[tuple[Sequence, object]] = (),
-        ambient_dim: Optional[int] = None,
+        ambient_dim: int | None = None,
     ) -> "HPolyhedron":
         """HPolyhedron of rational rows, each scaled to its primitive
         integer row; a row with zero normal is dropped, or makes the
@@ -146,8 +145,7 @@ class HPolyhedron:
         )
 
 
-@dataclass(frozen=True)
-class VRepresentation:
+class VRepresentation(Frozen):
     """conv(vertices) + cone(rays) + span(lineality); empty iff flagged."""
 
     vertices: tuple[Vec, ...]
@@ -173,7 +171,7 @@ class VRepresentation:
         vertices: Sequence[Sequence] = (),
         rays: Sequence[Sequence] = (),
         lineality: Sequence[Sequence] = (),
-        ambient_dim: Optional[int] = None,
+        ambient_dim: int | None = None,
     ) -> "VRepresentation":
         verts = tuple(sorted(vec(v) for v in vertices))
         pr = tuple(sorted({p for p in map(primitive_direction, rays) if any(p)}))
@@ -327,8 +325,7 @@ def same_point_set(P: HPolyhedron, Q: HPolyhedron) -> bool:
     return canonical_h(P) == canonical_h(Q)
 
 
-@dataclass(frozen=True)
-class WeylDecomposition:
+class WeylDecomposition(Frozen):
     polytope_vertices: tuple[Vec, ...]
     recession: VRepresentation
 
@@ -351,8 +348,7 @@ class _Unbounded:
 UNBOUNDED = _Unbounded()
 
 
-@dataclass(frozen=True)
-class MinimizeResult:
+class MinimizeResult(Frozen):
     value: Fraction
     argmin: Vec
 

@@ -21,13 +21,13 @@ so that polyhedral code stays total over Fraction.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 
-Scalar = Union[int, str, Fraction]
+Scalar = int | str | Fraction
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 IntVec = tuple[int, ...]

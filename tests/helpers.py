@@ -9,12 +9,15 @@ arithmetic, parallelepiped points by a bounding-box scan, representations
 of a degree by a search bounded only by the theta-weight, projection by
 Fourier-Motzkin elimination with LP redundancy removal, the linearity fan
 by cutting every chamber with every hyperplane, stellar scores by building
-the trial subdivision, simplicial cones by double description, and the
-verifier's cone checks with nothing shared between cones.
+the trial subdivision, simplicial cones by double description, the
+verifier's cone checks with nothing shared between cones, the ideal of a
+degree with a fresh power for every factor, and the value classes as the
+frozen dataclasses they stand for.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -953,3 +956,37 @@ def cone_checks_reference(system, fan, d, power_bound) -> tuple:
             )
         out.append(graded.ConeCheck(rays, tuple(checks)))
     return tuple(out)
+
+
+def expand_degree_reference(system, m):
+    """Ideal in degree m: the sum over representations_reference of the
+    products of ideal_power of each factor, each power made afresh."""
+    from conefan.graded import MonomialIdeal, ideal_power, ideal_product, ideal_sum
+
+    out = MonomialIdeal.zero(system.ambient)
+    for rep in representations_reference(system, m):
+        term = MonomialIdeal.unit(system.ambient)
+        for I, l in zip(system.ideals, rep):
+            term = ideal_product(term, ideal_power(I, l))
+        out = ideal_sum(out, term)
+    return out
+
+
+def frozen_dataclass_reference(cls):
+    """The frozen dataclass a conefan value class stands for: its own
+    annotations as fields, in order, a class attribute of a field's name
+    as that field's default, fields named "_..." left out of equality,
+    hashing and repr, and the class's __post_init__."""
+    fields = []
+    for name, annotation in cls.__annotations__.items():
+        shown = not name.startswith("_")
+        spec = {"compare": shown, "repr": shown}
+        if name in vars(cls):
+            spec["default"] = vars(cls)[name]
+        fields.append((name, annotation, dataclasses.field(**spec)))
+    namespace = {}
+    if hasattr(cls, "__post_init__"):
+        namespace["__post_init__"] = cls.__post_init__
+    return dataclasses.make_dataclass(
+        cls.__name__, fields, frozen=True, namespace=namespace
+    )

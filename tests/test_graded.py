@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -10,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     cone_checks_reference,
+    expand_degree_reference,
     minimalize_reference,
     newton_polyhedron_reference,
     np_membership_set,
@@ -320,6 +320,22 @@ def test_expand_degree_examples():
     assert expand_degree(sys_w, (0, 0)).is_unit
     assert expand_degree(sys_w, (-1, 0)).is_zero
     assert expand_degree(sys_w, (3, 1)).gens == expand_degree(sys_w, (3, 1)).gens
+
+
+def test_expand_degree_matches_fresh_powers():
+    # expand_degree squares each ideals_i^l from the powers already in its
+    # table; the reference makes every factor with its own ideal_power
+    rng = random.Random(23)
+    for system in [bench_system(), halfstep_system()] + [
+        random_graded_system(rng, allow_zero=True) for _ in range(30)
+    ]:
+        for _ in range(3):
+            lam = [rng.randint(0, 6) for _ in system.degrees]
+            m = tuple(
+                sum(l * d[j] for l, d in zip(lam, system.degrees))
+                for j in range(system.grading_rank)
+            )
+            assert expand_degree(system, m) == expand_degree_reference(system, m), m
 
 
 def test_expand_degree_graded_compatibility():
@@ -1291,7 +1307,7 @@ def test_face_checks_match_per_cone_reference(case):
     ref = cone_checks_reference(
         system, rep.fan, rep.exponent, kwargs["power_bound"]
     )
-    assert rep.to_dict() == replace(rep, cones=ref).to_dict()
+    assert rep.to_dict() == rep._replace(cones=ref).to_dict()
     if case.endswith("single-cone"):
         assert not rep.verified
         failing = [t for t in rep.cones[0].checks if not t.chain_ok]
@@ -1333,7 +1349,7 @@ def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
     rep = verify_closure_identity(system, **kwargs)
     ref = cone_checks_reference(system, rep.fan, rep.exponent, kwargs["power_bound"])
     assert rep.verified
-    assert rep.to_dict() != replace(rep, cones=ref).to_dict()
+    assert rep.to_dict() != rep._replace(cones=ref).to_dict()
 
 
 def test_cone_certificate_needs_stable_rays_inside_the_live_cone():
@@ -1376,7 +1392,7 @@ def test_zero_ideal_systems_keep_their_verdicts():
         rep = verify_closure_identity(zerogen_system(), power_bound=3, refine=refine)
         ref = cone_checks_reference(zerogen_system(), rep.fan, rep.exponent, 3)
         assert rep.verified
-        assert rep.to_dict() == replace(rep, cones=ref).to_dict()
+        assert rep.to_dict() == rep._replace(cones=ref).to_dict()
 
 
 # seeds of random_graded_system (one zero ideal allowed at multiples of 3)
@@ -1406,7 +1422,7 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
             system, power_bound=2, power_checks=1, refine=refine
         )
         ref = cone_checks_reference(system, rep.fan, rep.exponent, 2)
-        assert rep.to_dict() == replace(rep, cones=ref).to_dict(), seed
+        assert rep.to_dict() == rep._replace(cones=ref).to_dict(), seed
         verdicts.add(rep.verified)
     # the linearity fan's cones are all certified; the single cones both
     # pass and fall back

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import conefan
@@ -149,3 +152,25 @@ def test_package_keeps_no_module_memos():
             ):
                 found.append(f"{module.__name__}.{obj.__qualname__}")
     assert not found, sorted(found)
+
+
+def test_cli_imports_no_dataclasses_inspect_or_typing():
+    # the value classes come from _value.Frozen and the annotation types
+    # from collections.abc: dataclasses (which imports inspect) and typing
+    # were most of what importing conefan cost.  -S keeps site, and what
+    # its .pth files import, out of the check
+    src = Path(conefan.__file__).parent.parent
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-S",
+            "-c",
+            "import sys, conefan.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
