@@ -68,7 +68,7 @@ def cone_generators(
             L, R, Z = newL, newR, newZ
         else:
             vals = [idot(a, r) for r in R]
-            R, Z = _kernel.dd_step(R, Z, vals, bit)
+            R, Z = _kernel.dd_step(R, Z, vals, bit, dim - len(L) - 2)
             R = list(R)
             Z = list(Z)
     rays = tuple(sorted(tuple(r) for r in R))

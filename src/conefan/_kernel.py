@@ -22,10 +22,15 @@ from math import gcd, lcm
 
 
 def _to_int_rows(rows):
-    """(nums, dens): row i equals nums[i] / dens[i], with dens[i] > 0."""
+    """(nums, dens): row i equals nums[i] / dens[i], with dens[i] > 0.
+    A row of plain ints is copied as it is, over denominator 1."""
     nums = []
     dens = []
     for row in rows:
+        if all(type(f) is int for f in row):
+            nums.append(list(row))
+            dens.append(1)
+            continue
         den = lcm(*[f.denominator for f in row])
         nums.append([f.numerator * (den // f.denominator) for f in row])
         dens.append(den)
@@ -140,12 +145,17 @@ def simplex_rows(nums, dens, basis, allowed_cols):
         basis[leave] = enter
 
 
-def dd_step(rays, zsets, vals, bit):
+def dd_step(rays, zsets, vals, bit, min_common=0):
     """Intersect cone(rays) with one halfspace {x : <a, x> >= 0}.
 
     rays: integer tuples; zsets: bitmasks of previously-tight constraints;
     vals[i] = <a, rays[i]>; bit marks the new constraint.  Keeps the
-    representation minimal via the combinatorial adjacency test.
+    representation minimal via the combinatorial adjacency test.  A pair
+    whose zsets share fewer than min_common constraints is not adjacent
+    and skips that test: two adjacent extreme rays of a cone in R^d with
+    a lineality space of dimension l are tight together on constraints of
+    rank d - l - 2 (Fukuda and Prodon, 1996), so the caller may pass that
+    bound; 0 keeps every pair.
 
     Returns (new_rays, new_zsets).
     """
@@ -165,6 +175,8 @@ def dd_step(rays, zsets, vals, bit):
         ri = rays[i]
         for j in neg:
             mask = zi & zsets[j]
+            if mask.bit_count() < min_common:
+                continue
             adjacent = True
             for k in range(nrays):
                 if k != i and k != j and (zsets[k] & mask) == mask:

@@ -120,7 +120,36 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
     adj(M) M = M adj(M) = det(M) I, so for invertible M the solution of
     M x = b is adj(M) b / det(M) with no division until the end.
+
+    One fraction-free Gauss-Jordan pass on [M | I] (Bareiss's exact
+    divisions, row swaps only below the pivot) ends as [d I | E] with
+    E M = d I; the swaps make d = +-det(M) and E = +-adj(M) with the same
+    sign.  A singular M has no pivot in some column and takes the
+    cofactor expansion instead, since its adjugate need not vanish.
     """
+    n = len(rows)
+    work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if p is None:
+            return _cofactor_adjugate(rows)
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            sign = -sign
+        pivot_row = work[k]
+        pivot = pivot_row[k]
+        for i, row in enumerate(work):
+            if i != k:
+                f = row[k]
+                work[i] = [(x * pivot - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return [[sign * x for x in row[n:]] for row in work], sign * prev
+
+
+def _cofactor_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """int_adjugate by signed (n-1)-minors, for any square integer matrix."""
     n = len(rows)
     adj = [[0] * n for _ in range(n)]
     for i in range(n):

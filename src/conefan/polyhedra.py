@@ -70,6 +70,8 @@ class HPolyhedron(Frozen):
     def __post_init__(self):
         if self.ambient_dim < 1:
             raise InputError("ambient dimension must be positive")
+        if self.empty and (self.inequalities or self.equalities):
+            raise InputError("empty H-polyhedron must carry no rows")
         for normal, offset in self.inequalities + self.equalities:
             if len(normal) != self.ambient_dim:
                 raise InputError("constraint dimension mismatch")

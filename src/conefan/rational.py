@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 
@@ -122,14 +122,15 @@ def primitive_direction(v: Sequence) -> IntVec:
     zero vector for the zero vector).  A positive rescaling, so the sign of
     every entry and of every integer dot product is kept.  All-int vectors
     skip the Fraction route; every other entry goes through frac, which
-    rejects bools and floats."""
+    rejects bools and floats, and is scaled on its numerator and
+    denominator, with no Fraction arithmetic."""
     if all(type(x) is int for x in v):
         return primitive_int_vector(v)
     fr = [frac(x) for x in v]
-    scale = 1
-    for x in fr:
-        scale = scale * x.denominator // gcd(scale, x.denominator)
-    return primitive_int_vector(tuple(int(x * scale) for x in fr))
+    scale = lcm(*[x.denominator for x in fr])
+    return primitive_int_vector(
+        tuple(x.numerator * (scale // x.denominator) for x in fr)
+    )
 
 
 def sign_normal(v: Sequence) -> tuple:

@@ -197,6 +197,33 @@ def primitive_reference(v) -> tuple:
     return tuple(int(x * scale) for x in v)
 
 
+def _det_reference(rows) -> int:
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _det_reference([r[:j] + r[j + 1 :] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def adjugate_reference(rows) -> tuple:
+    """(adj, det) of a square integer matrix from its definition: adj[j][i]
+    is the (i, j) cofactor, each minor expanded along its first row."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    adj = [
+        [
+            (-1) ** (i + j)
+            * _det_reference([r[:j] + r[j + 1 :] for k, r in enumerate(rows) if k != i])
+            for i in range(n)
+        ]
+        for j in range(n)
+    ]
+    return adj, _det_reference(rows)
+
+
 def sign_normal_reference(v) -> tuple:
     """The vector or its negative: a positive first nonzero entry is the
     lexicographically larger of the two."""

@@ -5,7 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import frame_reference, primitive_reference, sign_normal_reference
+from helpers import (
+    adjugate_reference,
+    frame_reference,
+    primitive_reference,
+    sign_normal_reference,
+)
 
 from conefan.errors import InputError
 from conefan.linalg import (
@@ -153,6 +158,40 @@ def test_int_adjugate_identity(m):
         assert x == tuple(Fraction(sum(row), det) for row in adj)
 
 
+@st.composite
+def square_matrices(draw):
+    """Integer matrices up to 5x5, often singular: a zero row, a zero
+    column, or a row replaced by an integer combination of two rows."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "zero row", "zero column", "dependent"]))
+    if n and kind == "zero row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    elif n and kind == "zero column":
+        col = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[col] = 0
+    elif n > 1 and kind == "dependent":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.integers(-2, 2))
+        target = draw(st.integers(0, n - 1))
+        rows[target] = [k * a + b for a, b in zip(rows[i], rows[j])]
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[2, 1], [4, 2]])
+@example([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+@example([[0, 0], [0, 0]])
+def test_int_adjugate_matches_cofactor_reference(m):
+    # the Gauss-Jordan pass, with its row swaps, and the cofactor fallback
+    # for singular input both give the adjugate and determinant exactly
+    assert int_adjugate(m) == adjugate_reference(m)
+
+
 def test_primitive():
     assert primitive((2, 4)) == (1, 2)
     assert primitive((1, 1)) == (1, 1)
@@ -185,6 +224,15 @@ def test_normal_forms_match_fraction_references(v):
         assert primitive_int_vector(v) == expected
     assert sign_normal(v) == sign_normal_reference(v)
     assert sign_normal(primitive_direction(v)) == sign_normal_reference(expected)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [(Fraction(1, 2), True), (False, Fraction(1, 3)), (Fraction(1, 2), 0.5), (1.0, 2)],
+)
+def test_primitive_direction_rejects_bools_and_floats(v):
+    with pytest.raises(InputError):
+        primitive_direction(v)
 
 
 @st.composite

@@ -502,6 +502,21 @@ def test_empty_polyhedron_total_operations():
     assert minkowski_sum(V, dual_description(orthant())).empty
 
 
+@pytest.mark.parametrize("where", ["inequalities", "equalities"])
+def test_empty_hpolyhedron_carries_no_rows(where):
+    # the empty set has one structural form, make_empty's, as for
+    # VRepresentation; a row beside the flag would make a second one
+    row = (((1, 0), 1),)
+    rows = (row, ()) if where == "inequalities" else ((), row)
+    with pytest.raises(InputError, match="no rows"):
+        HPolyhedron(*rows, 2, True)
+    with pytest.raises(InputError, match="no rows"):
+        HPolyhedron.make_empty(2)._replace(**{where: row})
+    assert HPolyhedron(*rows, 2).empty is False
+    with pytest.raises(InputError, match="no generators"):
+        VRepresentation(((0, 0),), (), (), 2, True)
+
+
 def _non_int_entries(P):
     return [
         x
