@@ -2,7 +2,8 @@
 
   rref_frac(rows)                     reduced row echelon form over Fraction
   simplex_rows(nums, dens, basis, k)  Bland-rule pivoting on integer rows
-  dd_step(rays, zsets, vals, bit)     one double-description halfspace step
+  dd_step(rays, zsets, vals, bit, min_common)
+                                      one double-description halfspace step
 
 Rational rows are worked on fraction-free (Bareiss, Math. Comp. 22, 1968):
 each row is a list of integers over one positive common denominator, an
@@ -145,7 +146,7 @@ def simplex_rows(nums, dens, basis, allowed_cols):
         basis[leave] = enter
 
 
-def dd_step(rays, zsets, vals, bit, min_common=0):
+def dd_step(rays, zsets, vals, bit, min_common):
     """Intersect cone(rays) with one halfspace {x : <a, x> >= 0}.
 
     rays: integer tuples; zsets: bitmasks of previously-tight constraints;
@@ -154,8 +155,8 @@ def dd_step(rays, zsets, vals, bit, min_common=0):
     whose zsets share fewer than min_common constraints is not adjacent
     and skips that test: two adjacent extreme rays of a cone in R^d with
     a lineality space of dimension l are tight together on constraints of
-    rank d - l - 2 (Fukuda and Prodon, 1996), so the caller may pass that
-    bound; 0 keeps every pair.
+    rank d - l - 2 (Fukuda and Prodon, 1996), which bounds their number
+    from below; 0 keeps every pair.
 
     Returns (new_rays, new_zsets).
     """

@@ -6,11 +6,6 @@ is added per row; their tableau columns double as the basis inverse, from
 which duals and Farkas certificates are read and then re-verified before
 being returned.
 
-solve_costs solves several costs over one feasible region {x >= 0 : A x
-= b}: phase 1 depends on A and b alone, so it runs once per region, and
-each cost's phase 2 starts from its own copy of the phase-1 tableau and
-is certified on its own.  solve_standard is its batch of one.
-
 The LP is converted once to integer rows over per-row denominators (the
 form of _kernel._to_int_rows; int inputs enter as they are, over
 denominator 1), and everything after that runs on
@@ -39,44 +34,29 @@ class StandardResult(Frozen):
     value: Fraction | None = None
 
 
+def _int_lp(c, A, b):
+    """(rows, dens, cost, cden): row i of [A | b] equals rows[i] / dens[i]
+    and c equals cost / cden, in integers over positive denominators."""
+    rows, dens = _kernel._to_int_rows([a + [v] for a, v in zip(A, b)])
+    (cost,), (cden,) = _kernel._to_int_rows([c])
+    return rows, dens, cost, cden
+
+
 def _fracs(nums, den):
     return tuple(Fraction(v, den) for v in nums)
 
 
 def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> StandardResult:
-    return solve_costs([c], A, b)[0]
-
-
-def solve_costs(
-    cs: Sequence[Sequence], A: Sequence[Sequence], b: Sequence
-) -> list[StandardResult]:
-    """solve_standard(c, A, b) for every c in cs, one result per cost.
-
-    Phase 1 and the drive-out of the artificial variables depend on A and b
-    alone, so they run once; each cost's phase 2 starts from a copy of
-    that tableau (the last cost takes the tableau itself, so a batch of
-    one copies nothing) and never from another cost's final basis, which
-    makes every result equal to the one a batch of one gives.  An
-    infeasible region gives every cost the same certified Farkas result.
-    """
     # ints stay ints: _to_int_rows reads numerator and denominator of both
-    cs = [list(qvec(c)) for c in cs]
+    c = list(qvec(c))
     rows = [list(qvec(row)) for row in A]
     rhs = list(qvec(b))
-    if not cs:
-        return []
     m = len(rows)
-    n = len(cs[0])
-    if (
-        len(rhs) != m
-        or any(len(r) != n for r in rows)
-        or any(len(c) != n for c in cs)
-    ):
+    n = len(c)
+    if len(rhs) != m or any(len(r) != n for r in rows):
         raise InputError("inconsistent LP dimensions")
-    # row i of [A | b] equals lp_rows[i] / lp_dens[i], in integers over a
-    # positive denominator, and cost k equals costs[k] / cdens[k]
-    lp_rows, lp_dens = _kernel._to_int_rows([a + [v] for a, v in zip(rows, rhs)])
-    costs, cdens = _kernel._to_int_rows(cs)
+    lp = _int_lp(c, rows, rhs)
+    lp_rows, lp_dens, cost, cden = lp
 
     # tableau columns: n original, m artificial, then rhs; rows with a
     # negative rhs are negated so the artificial basis starts feasible
@@ -107,8 +87,8 @@ def solve_costs(
     if obj[n + m] < 0:
         # y_i = 1 - (reduced cost of artificial i), back in the input signs
         y = [s * (den - obj[n + i]) for i, s in enumerate(signs)]
-        _check_farkas(y, lp_rows, lp_dens, n)
-        return [StandardResult(status="infeasible", y=_fracs(y, den))] * len(cs)
+        _check_farkas(y, lp)
+        return StandardResult(status="infeasible", y=_fracs(y, den))
 
     # drive artificial variables out of the basis where possible
     for i in range(m):
@@ -118,23 +98,6 @@ def solve_costs(
                 _kernel._pivot(tab, dens, i, piv)
                 basis[i] = piv
 
-    out = []
-    last = len(cs) - 1
-    for k, (cost, cden) in enumerate(zip(costs, cdens)):
-        if k < last:
-            t, d, bs = [list(row) for row in tab], list(dens), list(basis)
-        else:
-            t, d, bs = tab, dens, basis
-        out.append(_phase2(t, d, bs, signs, (lp_rows, lp_dens, cost, cden)))
-    return out
-
-
-def _phase2(tab, dens, basis, signs, lp):
-    """Phase 2 on a feasible phase-1 tableau (updated in place) for the
-    cost in lp = (rows, dens, cost, cden); returns the certified result."""
-    cost, cden = lp[2], lp[3]
-    m = len(tab)
-    n = len(cost)
     # phase 2 objective: reduced costs of c for the current basis; the rhs
     # cell ends up holding minus the objective value
     basic = [
@@ -173,11 +136,11 @@ def _phase2(tab, dens, basis, signs, lp):
     )
 
 
-def _combine(y, rows, dens, n):
-    """(comb, den): comb / (den * yden) equals y^T [A | b] for y / yden,
-    with n the width of A."""
+def _combine(y, lp):
+    """(comb, den): comb / (den * yden) equals y^T [A | b] for y / yden."""
+    rows, dens, cost, _ = lp
     den = lcm(*dens)
-    comb = [0] * (n + 1)
+    comb = [0] * (len(cost) + 1)
     for v, d, row in zip(y, dens, rows):
         if v:
             f = v * (den // d)
@@ -185,8 +148,9 @@ def _combine(y, rows, dens, n):
     return comb, den
 
 
-def _check_farkas(y, rows, dens, n):
-    comb, _ = _combine(y, rows, dens, n)
+def _check_farkas(y, lp):
+    n = len(lp[2])  # the width of c
+    comb, _ = _combine(y, lp)
     if any(v > 0 for v in comb[:n]):
         raise InternalError("invalid Farkas certificate (A^T y > 0)")
     if comb[n] <= 0:
@@ -208,14 +172,14 @@ def _check_optimal(x, xden, y, yden, lp):
     """Certify x / xden and y / yden as an optimal primal/dual pair; returns
     the objective value.  Both sides of each comparison are multiplied by
     the same positive integer, so every test is exact."""
-    rows, dens, cost, cden = lp
+    rows, _, cost, cden = lp
     n = len(cost)
     if any(v < 0 for v in x):
         raise InternalError("primal solution has a negative entry")
     for row in rows:
         if idot(row, x) != row[n] * xden:
             raise InternalError("primal solution violates A x = b")
-    comb, den = _combine(y, rows, dens, n)
+    comb, den = _combine(y, lp)
     scale = den * yden
     if any(cden * v > cj * scale for v, cj in zip(comb, cost)):
         raise InternalError("dual solution violates A^T y <= c")

@@ -44,7 +44,7 @@ from .fans import (
     smooth_refine,
 )
 from .linalg import int_adjugate, int_echelon
-from .lp import _representation_costs
+from .lp import representation_cost
 from .polyhedra import (
     DEFAULT_DIM_CAP,
     HPolyhedron,
@@ -578,34 +578,22 @@ def asymptotic_valuation(
     NotInConeError for m outside the degree cone; returns PlusInfinity
     when m is reachable only through zero ideals.
     """
-    return _asymptotic_valuations(sys, [w], m)[0]
-
-
-def _asymptotic_valuations(
-    sys: GradedSystem, ws: Sequence[Sequence[int]], m: Sequence[int]
-) -> list[Valuation]:
-    """asymptotic_valuation(sys, w, m) for every w in ws, in order.
-
-    The LPs of one degree share their feasible region {l >= 0 : sum l_i
-    m_i = m}, so every weight and m are checked before any LP, and the
-    simplex runs phase 1 once for the whole batch."""
-    ws = [_nonnegative_weight(w) for w in ws]
-    if any(len(w) != sys.ambient for w in ws):
+    w = _nonnegative_weight(w)
+    if len(w) != sys.ambient:
         raise InputError("weight length must match the ambient")
     m = _grading_degree(sys, m)
     if all(x == 0 for x in m):
-        return [Fraction(0)] * len(ws)
+        return Fraction(0)
     if not sys.degree_cone().contains_point(m):
         raise NotInConeError(f"degree {m} lies outside the degree cone")
     degrees, ideals = sys.nonzero_part()
     if not degrees:
-        return [PLUS_INFINITY] * len(ws)
-    cost_rows = [vec([weight_valuation(w, I) for I in ideals]) for w in ws]
+        return PLUS_INFINITY
+    costs = vec([weight_valuation(w, I) for I in ideals])
     try:
-        optima = _representation_costs(degrees, cost_rows, vec(m))
+        return representation_cost(degrees, costs, vec(m)).value
     except NotInConeError:
-        return [PLUS_INFINITY] * len(ws)
-    return [opt.value for opt in optima]
+        return PLUS_INFINITY
 
 
 class LimitCheck(Frozen):
@@ -1038,21 +1026,15 @@ def _check_limit_polyhedra(sys: GradedSystem, limits: dict) -> None:
     weight w of P(e) = asymptotic_newton(sys, e), given as limits[e], the
     asymptotic valuation at e must be P(e)'s support value.  A facet row
     (a | b) of P(e) with a <= 0 is tight on P(e), so with g the gcd of a
-    and w = -a / g that value is min <w, x> = -b / g.  A ray's weights
-    share one LP region, so each ray makes one batched call.  A mismatch
-    is an internal failure."""
+    and w = -a / g that value is min <w, x> = -b / g.  A mismatch is an
+    internal failure."""
     for e, limit_h in limits.items():
-        weights = []
-        supports = []
         for normal, offset in limit_h.inequalities:
             if any(x > 0 for x in normal) or not any(normal):
                 continue
             g = gcd(*normal)
-            weights.append(tuple(-x // g for x in normal))
-            supports.append(Fraction(-offset, g))
-        values = _asymptotic_valuations(sys, weights, e)
-        for w, value, support in zip(weights, values, supports):
-            if value != support:
+            w = tuple(-x // g for x in normal)
+            if asymptotic_valuation(sys, w, e) != Fraction(-offset, g):
                 raise InternalError(
                     f"limit polyhedron of ray {e} disagrees with the "
                     f"asymptotic valuation at weight {w}"

@@ -14,10 +14,7 @@ entries stay int (the simplex reads them as integer rows over
 denominator 1), other rationals stay Fractions, and only the returned
 value and witness are Fractions.  It keeps no memo: every call validates
 its arguments and solves one LP, because no workload asks for the same
-representation cost twice.  _representation_costs takes several cost
-vectors for one generator set and target: their LPs share one feasible
-region, so phase 1 runs once per region (_simplex.solve_costs), and
-representation_cost is its batch of one.
+representation cost twice.
 """
 
 from __future__ import annotations
@@ -97,43 +94,28 @@ def representation_cost(
     coerced by frac, and bools and floats raise InputError before any LP
     is solved.
     """
-    return _representation_costs(generators, [costs], target)[0]
-
-
-def _representation_costs(
-    generators: Sequence[Sequence], cost_rows: Sequence[Sequence], target: Sequence
-) -> list[CostOptimum]:
-    """representation_cost(generators, costs, target) for every costs in
-    cost_rows, in order.  The LPs share their feasible region, so every
-    argument is validated once and the simplex runs phase 1 once."""
     gens = tuple(qvec(g) for g in generators)
-    cost_rows = [qvec(costs) for costs in cost_rows]
+    costs = qvec(costs)
     target = qvec(target)
-    for costs in cost_rows:
-        if len(costs) != len(gens):
-            raise InputError("need one cost per generator")
-        if any(c < 0 for c in costs):
-            raise InputError("costs must be nonnegative")
+    if len(costs) != len(gens):
+        raise InputError("need one cost per generator")
+    if any(c < 0 for c in costs):
+        raise InputError("costs must be nonnegative")
     for g in gens:
         if len(g) != len(target):
             raise InputError("generator dimension mismatch")
     if not gens:
         if all(x == 0 for x in target):
-            return [CostOptimum(Fraction(0), ())] * len(cost_rows)
+            return CostOptimum(Fraction(0), ())
         raise NotInConeError("target is nonzero but there are no generators")
-    results = _simplex.solve_costs(
-        cost_rows, _columns_matrix(gens, len(target)), target
-    )
-    out = []
-    for res in results:
-        if res.status == "infeasible":
-            raise NotInConeError(
-                "target admits no nonnegative representation in the generators"
-            )
-        if res.status != "optimal":
-            raise InternalError("nonnegative costs cannot be unbounded")
-        out.append(CostOptimum(res.value, res.x))
-    return out
+    res = _simplex.solve_standard(costs, _columns_matrix(gens, len(target)), target)
+    if res.status == "infeasible":
+        raise NotInConeError(
+            "target admits no nonnegative representation in the generators"
+        )
+    if res.status != "optimal":
+        raise InternalError("nonnegative costs cannot be unbounded")
+    return CostOptimum(res.value, res.x)
 
 
 def price_polyhedron(

@@ -458,9 +458,8 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
             "phase 1 cannot be unbounded",
         ),
         (
-            "real = graded._asymptotic_valuations\n"
-            "graded._asymptotic_valuations = lambda s, ws, m: "
-            "[v + 1 for v in real(s, ws, m)]\n"
+            "real = graded.asymptotic_valuation\n"
+            "graded.asymptotic_valuation = lambda s, w, m: real(s, w, m) + 1\n"
             f"sys.exit(cli.main(['verify', {worked_file!r}, '--json', {str(report)!r}]))\n",
             "disagrees with the asymptotic",
         ),

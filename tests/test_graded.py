@@ -407,7 +407,7 @@ def test_asymptotic_valuation_rejects_bad_weights_before_any_lp(
     def no_lp(*args):
         raise AssertionError("an LP ran on an invalid weight")
 
-    monkeypatch.setattr(graded, "_representation_costs", no_lp)
+    monkeypatch.setattr(graded, "representation_cost", no_lp)
     with pytest.raises(InputError, match=message):
         asymptotic_valuation(worked_system(), w, m)
 
@@ -446,71 +446,6 @@ def test_asymptotic_valuation_zero_ideal_exclusion():
         1, 1, [(1,), (2,)], [MonomialIdeal.zero(1), MI(1, [(1,)])]
     )
     assert asymptotic_valuation(only_zero, (1,), (1,)) == Fraction(1, 2)
-
-
-def _valuations_one_by_one(system, ws, m):
-    try:
-        return [asymptotic_valuation(system, w, m) for w in ws]
-    except (InputError, NotInConeError) as exc:
-        return type(exc)
-
-
-def _valuations_batched(system, ws, m):
-    from conefan.graded import _asymptotic_valuations
-
-    try:
-        return _asymptotic_valuations(system, ws, m)
-    except (InputError, NotInConeError) as exc:
-        return type(exc)
-
-
-def test_batched_valuations_equal_one_by_one():
-    # one LP region per degree: the batch gives each weight the value its
-    # own call gives, with the zero degree, PlusInfinity (no live degree,
-    # or an infeasible region) and NotInConeError (outside the degree
-    # cone) for the whole batch, and a bad weight anywhere rejected
-    one_ray_zero = GradedSystem.create(
-        2, 2, [(1, 0), (0, 1)], [MI(2, [(1, 2)]), MonomialIdeal.zero(2)]
-    )
-    all_zero = GradedSystem.create(1, 2, [(1,)], [MonomialIdeal.zero(2)])
-    cases = [
-        (worked_system(), [(1, 1), (2, 0), (0, 3)], (2, 1)),
-        (worked_system(), [(1, 1), (0, 1)], (0, 0)),
-        (worked_system(), [(1, 1)], (-1, 0)),
-        (worked_system(), [(1, 1), (0, 0)], (1, 1)),
-        (worked_system(), [], (1, 1)),
-        (zerogen_system(), [(1, 1), (1, 0)], (1, 1)),
-        (one_ray_zero, [(1, 1), (3, 1)], (1, 1)),
-        (one_ray_zero, [(1, 1), (3, 1)], (2, 0)),
-        (all_zero, [(1, 1)], (1,)),
-        (halfstep_system(), [(1, 1), (1, 2), (5, 0)], (3,)),
-    ]
-    rng = random.Random(24)
-    for _ in range(60):
-        system = random_graded_system(rng, allow_zero=True)
-        # nonzero weights: a bad weight is rejected before m is looked at,
-        # where the calls one by one may first fail on m
-        count = rng.randint(1, 4)
-        ws = []
-        while len(ws) < count:
-            w = tuple(rng.randint(0, 3) for _ in range(system.ambient))
-            if any(w):
-                ws.append(w)
-        m = tuple(rng.randint(-1, 4) for _ in range(system.grading_rank))
-        cases.append((system, ws, m))
-    seen = set()
-    for system, ws, m in cases:
-        expected = _valuations_one_by_one(system, ws, m)
-        assert _valuations_batched(system, ws, m) == expected
-        if isinstance(expected, list):
-            seen |= {"infinite" if v == PLUS_INFINITY else "finite" for v in expected}
-        else:
-            seen.add(expected)
-    assert seen == {"finite", "infinite", InputError, NotInConeError}
-    assert _valuations_batched(one_ray_zero, [(1, 1), (3, 1)], (1, 1)) == [
-        PLUS_INFINITY
-    ] * 2
-    assert _valuations_batched(worked_system(), [(1, 1), (0, 1)], (0, 0)) == [0, 0]
 
 
 def test_asymptotic_limit_check():
@@ -822,11 +757,9 @@ def test_limit_polyhedra_anchored_to_lp(monkeypatch):
     # limit polyhedron and the asymptotic valuation into an internal error
     import conefan.graded as graded
 
-    real = graded._asymptotic_valuations
+    real = graded.asymptotic_valuation
     monkeypatch.setattr(
-        graded,
-        "_asymptotic_valuations",
-        lambda system, ws, m: [v + 1 for v in real(system, ws, m)],
+        graded, "asymptotic_valuation", lambda system, w, m: real(system, w, m) + 1
     )
     with pytest.raises(AssertionError, match="disagrees with the asymptotic"):
         verify_closure_identity(worked_system(), power_bound=1)

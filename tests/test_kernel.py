@@ -206,83 +206,6 @@ def test_solve_standard_battery_reaches_every_outcome():
     assert _has_ratio_tie(_phase1_tableau(_TIE[1], _TIE[2])[0], 3)
 
 
-@st.composite
-def cost_batches(draw, entries=_int_entries):
-    """(costs, A, b): one to four costs over one region, so that a batch
-    mixes optimal and unbounded costs, or shares an infeasible region."""
-    c, A, b = draw(lps(entries))
-    extra = draw(st.lists(
-        st.lists(entries, min_size=len(c), max_size=len(c)), max_size=3
-    ))
-    return [c] + [[F(x) for x in e] for e in extra], A, b
-
-
-def _batch(cs, A, b):
-    return [
-        (res.status, res.x, res.y, res.ray, res.value)
-        for res in _simplex.solve_costs(cs, A, b)
-    ]
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(cost_batches(), cost_batches(_frac_entries)))
-@example(([_TIE[0], [F(1), F(1), F(1)], [F(0), F(0), F(0)]], _TIE[1], _TIE[2]))
-# x1 + x2 = 1 and x1 + x2 = 2 share no point: every cost gets the Farkas result
-@example(([[F(1), F(0)], [F(-1), F(2)]], [[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]))
-# -1 is unbounded below on x1 - x2 = 0, 1 is not
-@example(([[F(-1), F(0)], [F(1), F(0)]], [[F(1), F(-1)]], [F(0)]))
-def test_solve_costs_matches_reference_per_cost(batch):
-    # phase 1 runs once for the batch, and each cost's x, y, ray and value
-    # equal the reference's for that cost alone and solve_standard's
-    cs, A, b = batch
-    got = _batch(cs, A, b)
-    assert got == [solve_standard_reference(c, A, b) for c in cs]
-    assert got == _solve([(c, A, b) for c in cs])
-
-
-def test_solve_costs_battery_reaches_every_outcome():
-    rng = random.Random(56)
-
-    def pick(count):
-        return [F(rng.choice((0, 0, 0, rng.randint(-4, 4)))) for _ in range(count)]
-
-    statuses = set()
-    mixed = 0
-    for _ in range(200):
-        m = rng.randint(1, 4)
-        n = rng.randint(1, 6)
-        A, b = [pick(n) for _ in range(m)], pick(m)
-        cs = [pick(n) for _ in range(rng.randint(1, 4))]
-        got = _batch(cs, A, b)
-        assert got == [solve_standard_reference(c, A, b) for c in cs]
-        kinds = {out[0] for out in got}
-        statuses |= kinds
-        mixed += kinds == {"optimal", "unbounded"}
-    assert statuses == {"optimal", "infeasible", "unbounded"}
-    assert mixed >= 5
-
-
-def test_solve_costs_pivots_phase_1_once(monkeypatch):
-    # a batch of k costs makes one phase-1 run and k phase-2 runs; a batch
-    # of one copies no tableau
-    calls = []
-    real = _kernel.simplex_rows
-
-    def counted(nums, dens, basis, k):
-        calls.append(id(nums))
-        return real(nums, dens, basis, k)
-
-    monkeypatch.setattr(_kernel, "simplex_rows", counted)
-    A, b = [[F(1), F(1), F(1)], [F(1), F(0), F(2)]], [F(2), F(1)]
-    cs = [[F(1), F(2), F(3)], [F(3), F(2), F(1)], [F(0), F(0), F(1)]]
-    assert _batch(cs, A, b) == [solve_standard_reference(c, A, b) for c in cs]
-    assert len(calls) == 4 and calls[0] == calls[-1] and len(set(calls)) == 3
-    calls.clear()
-    _simplex.solve_standard(cs[0], A, b)
-    assert len(calls) == 2 and calls[0] == calls[1]
-    assert _simplex.solve_costs([], A, b) == []
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.lists(_entries, min_size=3, max_size=3), min_size=1, max_size=4),
@@ -335,7 +258,7 @@ def test_dd_step_matches_reference():
             zsets.append(rng.getrandbits(6))
         normal = [rng.randint(-3, 3) for _ in range(dim)]
         vals = [sum(x * y for x, y in zip(normal, r)) for r in rays]
-        got = _kernel.dd_step(list(rays), list(zsets), list(vals), 1 << 6)
+        got = _kernel.dd_step(list(rays), list(zsets), list(vals), 1 << 6, 0)
         ref = _dd_step_reference(rays, zsets, vals, 1 << 6)
         assert [tuple(r) for r in got[0]] == ref[0]
         assert got[1] == ref[1]
@@ -364,8 +287,8 @@ def test_cone_generators_adjacency_bound_drops_no_ray(case):
     rows, dim = case
     from conefan import _dd
 
-    def unbounded_step(rays, zsets, vals, bit, min_common=0):
-        return real(rays, zsets, vals, bit)
+    def unbounded_step(rays, zsets, vals, bit, min_common):
+        return real(rays, zsets, vals, bit, 0)
 
     real = _kernel.dd_step
     got = _dd.cone_generators(tuple(rows), dim)
@@ -381,7 +304,7 @@ def test_dd_step_bound_skips_pairs_with_few_common_constraints():
     # (1, 0) and (0, -1) share no tight constraint and no third ray is
     # tight where both are, so bound 0 combines them and bound 1 does not
     rays, zsets, vals = [(1, 0), (0, -1)], [0b01, 0b10], [1, -1]
-    assert _kernel.dd_step(rays, zsets, vals, 1 << 2) == (
+    assert _kernel.dd_step(rays, zsets, vals, 1 << 2, 0) == (
         [(1, 0), (1, -1)],
         [0b01, 0b100],
     )
@@ -402,8 +325,8 @@ def test_full_pipeline_matches_reference_kernel():
         "    import helpers\n"
         "    from conefan import _simplex\n"
         "    _kernel.rref_frac = helpers.rref_reference\n"
-        "    _simplex.solve_costs = lambda cs, A, b: [_simplex.StandardResult(\n"
-        "        *helpers.solve_standard_reference(c, A, b)) for c in cs]\n"
+        "    _simplex.solve_standard = lambda c, A, b: _simplex.StandardResult(\n"
+        "        *helpers.solve_standard_reference(c, A, b))\n"
         "from conefan.graded import GradedSystem, MonomialIdeal, "
         "verify_closure_identity\n"
         "MI = MonomialIdeal.from_exponents\n"

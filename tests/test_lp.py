@@ -318,14 +318,13 @@ def _check(kind, cert, c, A, b):
     """Run solve_standard's integer check of the given kind on a Fraction
     certificate: the message of the AssertionError it raises, None when
     it passes, or the value when an optimality check passes."""
-    rows, dens = _kernel._to_int_rows([list(r) + [v] for r, v in zip(A, b)])
-    lp = (rows, dens, *_ints(c))
+    lp = _simplex._int_lp(list(c), [list(r) for r in A], list(b))
     try:
         if kind == "optimal":
             x, y = cert
             return _simplex._check_optimal(*_ints(x), *_ints(y), lp)
         if kind == "infeasible":
-            _simplex._check_farkas(_ints(cert)[0], rows, dens, len(c))
+            _simplex._check_farkas(_ints(cert)[0], lp)
         else:
             _simplex._check_ray(_ints(cert)[0], lp)
     except AssertionError as exc:
@@ -438,8 +437,8 @@ def test_lp_path_checks_survive_python_O():
         "    _simplex.solve_standard([1], [[1]], [1])\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
-        "_simplex.solve_costs = lambda cs, A, b: [_simplex.StandardResult(\n"
-        "    'unbounded', ray=(1,))] * len(cs)\n"
+        "_simplex.solve_standard = lambda c, A, b: _simplex.StandardResult(\n"
+        "    'unbounded', ray=(1,))\n"
         "try:\n"
         "    lp.representation_cost([(1,)], [1], (1,))\n"
         "except AssertionError as exc:\n"
