@@ -733,11 +733,11 @@ class _RunPolyhedra:
       primitive direction e; P(t e) = t P(e) exactly, since the
       representation polytope scales by t;
     - newton(m): the H-form of NP(a_m), hulled from points(m), which a
-      run builds only to explain a failure.
+      run builds only for a tuple that no cone certifies.
 
-    A passing run decides NP(a_m) = k P(e) from points(m) against the one
-    hull of P(e) (_is_dilate).  The keys are the integer degrees the run
-    derives itself.
+    stable(m, k) decides NP(a_{k m}) = k P(m) from points(k m) against the
+    one hull of P(m) (_is_dilate); no degree ideal is hulled for it.  The
+    keys are the integer degrees the run derives itself.
     """
 
     def __init__(self, sys: GradedSystem):
@@ -768,26 +768,10 @@ class _RunPolyhedra:
         h, _, s = self.limit_hull(m)
         return scale_polyhedron(h, s)
 
-    def equals_limit(self, points, m: IntVec, k: int) -> bool:
-        """conv(points) + orthant == k * P(m)."""
-        h, vertices, s = self.limit_hull(m)
-        return _is_dilate(points, h, vertices, k * s)
-
     def stable(self, m: IntVec, k: int) -> bool:
         """NP(a_{k m}) == k * P(m); False when a_{k m} is zero."""
-        return self.equals_limit(self.points(_scaled_degree(m, k)), m, k)
-
-    def limit_vertices(self, m: IntVec, k: int) -> tuple[IntVec, ...]:
-        """The vertices of k * P(m) as integer points, for a k at which they
-        are the vertices of a lattice polyhedron NP(a_{k m})."""
-        _, vertices, s = self.limit_hull(m)
-        t = k * s
-        p, q = t.numerator, t.denominator
-        if any(p * x % q for v in vertices for x in v):
-            raise InternalError(
-                f"{k} times the limit polyhedron of {m} has a vertex off the lattice"
-            )
-        return tuple(tuple(p * x // q for x in v) for v in vertices)
+        h, vertices, s = self.limit_hull(m)
+        return _is_dilate(self.points(_scaled_degree(m, k)), h, vertices, k * s)
 
 
 class ExponentCertificate(Frozen):
@@ -1060,20 +1044,25 @@ def verify_closure_identity(
     tuple p with sum(p) <= power_bound, closure equality of the degree
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
     the p_i; (e) the valuation chain for every weight w >= 0 at once, as
-    comparisons of Newton polyhedra (see _valuation_chain).  A cone whose
-    rays are all stable at d and on which every nonnegative cost of the
-    live degrees is linear passes (d) and (e) for every p at once
-    (_cone_certified), so its nonzero tuples are recorded as passing with
-    no check; any other cone, and the all-zero tuple, are checked tuple by
-    tuple, which names a falsifying tuple and its witness.  Steps (d) and
-    (e) depend only on the face spanned by the rays with p_i > 0 and on
-    those powers, so each such face tuple is checked once, and every cone
-    containing the face reports that check under its own powers; a face
-    of a certified cone is certified in every cone that shares it.  Only
-    the limit polyhedra P(m) are hulled in a passing run: every other
-    Newton-polyhedron equality is decided from exponent points against
-    one of those hulls (_RunPolyhedra), and the H-forms of degree ideals
-    and products are built only to explain a failure.  The
+    comparisons of Newton polyhedra (see _valuation_chain).  The exponent
+    certificate is trusted in one place: right after (c) every ray is
+    asked once more whether NP(a_{d_e e}) = d_e P(e) at its own exponent
+    d_e, and a ray that is not is an InternalError (exit 3 on the command
+    line), never a falsified tuple; every later step may take NP(a_{d e})
+    = d P(e).  A cone on which every nonnegative cost of the live degrees
+    is linear passes (d) and (e) for every p at once (_cone_certified),
+    so its nonzero tuples are recorded as passing with no check.  The
+    all-zero tuple passes in every cone: its degree ideal a_0 is the unit
+    ideal, since the degree cone is pointed, and so is the empty product.
+    Every other tuple is checked on one route (_check_tuple), which hulls
+    both sides and names a falsifying tuple and its witness.  Steps (d)
+    and (e) depend only on the face spanned by the rays with p_i > 0 and
+    on those powers, so each such face tuple is checked once, and every
+    cone containing the face reports that check under its own powers; a
+    face of a certified cone is certified in every cone that shares it.
+    A run whose cones are all certified hulls only the limit polyhedra
+    P(m): the stability of each ray is decided from exponent points
+    against one of those hulls (_RunPolyhedra.stable).  The
     seed is recorded in the report but decides no verdict.  A falsified
     identity is reported as a value, never an exception; a witness weight
     is a facet normal at which the two closures' valuations differ.  The
@@ -1115,33 +1104,33 @@ def verify_closure_identity(
         notes.append(f"ray {ray}: {doc}")
     limits = {e: forms.limit(e) for e in fan.rays()}
     _check_limit_polyhedra(sys, limits)
+    # the certificate's own claim, NP(a_{d_e e}) = d_e P(e), asked again
+    # at the points _stabilize has already made; by its inclusion argument
+    # it holds at every multiple of d_e, d among them, so NP(a_{d e}) is
+    # d P(e) on every ray
+    for e, de in cert.per_ray:
+        if not forms.stable(e, de):
+            raise InternalError(
+                f"fan ray {e} is not stable at its exponent {de}, "
+                "which the exponent certificate claims"
+            )
     limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
-    # a stable ray's degree polyhedron is its limit's dilate, so only an
-    # unstable one is hulled.  Each ray is asked at its own exponent, whose
-    # points _stabilize has already made: NP(a_{d_e e}) = d_e P(e) gives
-    # NP(a_{k d_e e}) = k d_e P(e) for every k by the inclusion argument of
-    # _stabilize, so a ray stable at d_e is stable at its multiple d
-    stable = {e: forms.stable(e, de) for e, de in cert.per_ray}
-    ray_h = {
-        e: limit_h[e] if stable[e] else forms.newton(_scaled_degree(e, d))
-        for e in limits
-    }
     live = sys.nonzero_part()[0]
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
     checked: dict[tuple, TupleCheck] = {}
     cone_checks = []
     for cone in fan.maximal_cones:
-        certified = _cone_certified(live, cone, stable)
+        certified = _cone_certified(live, cone)
         checks = []
         for p in _power_tuples(len(cone.rays), power_bound):
             face = tuple((e, pi) for e, pi in zip(cone.rays, p) if pi)
             if face not in checked:
-                if certified and face:
+                if certified or not face:
                     m = _face_degree(face, sys.grading_rank)
                     checked[face] = TupleCheck(p, m, True, None, None, None, True, None)
                 else:
-                    checked[face] = _check_tuple(forms, d, face, ray_h, limit_h)
+                    checked[face] = _check_tuple(forms, d, face, limit_h)
             checks.append(checked[face]._replace(powers=p))
         cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
     verified = all(c.passed for c in cone_checks)
@@ -1156,12 +1145,12 @@ def verify_closure_identity(
     )
 
 
-def _cone_certified(live, cone: Cone, stable: dict) -> bool:
+def _cone_certified(live, cone: Cone) -> bool:
     """Whether the closure identity and the valuation chain hold on the
     cone for every exponent tuple p, not only up to a power bound: every
-    ray e_i of the cone is stable at its own exponent, hence at the run's
-    d (stable[e_i]), and every nonnegative cost on the live degrees is
-    linear on the cone.
+    nonnegative cost on the live degrees is linear on the cone.  Every ray
+    e_i is stable at the run's d, which verify_closure_identity has
+    checked.
 
     For m = sum p_i e_i the product a_{d e_1}^{p_1} ... a_{d e_k}^{p_k}
     lies in a_{d m}, and every finite level lies in its limit (the LP
@@ -1171,15 +1160,13 @@ def _cone_certified(live, cone: Cone, stable: dict) -> bool:
     each such cost is linear on the cone, P(m) = sum p_i P(e_i), and with
     NP(a_{d e_i}) = d P(e_i) both inclusions are equalities for every p
     at once (the sandwich of _valuation_chain).  Such a tuple therefore
-    passes exactly as _check_tuple's point certificate passes it, with no
-    witness.  A cone outside the live cone (NotInConeError) or a chamber
-    check over too many live degrees (CapExceededError) is not certified,
-    and its tuples go through _check_tuple; a run reaches neither, since
-    _stabilize refuses a ray outside the live cone and the representation
-    polytopes cap the live degrees at DEFAULT_DIM_CAP.
+    passes exactly as _check_tuple passes it, with no witness.  A cone
+    outside the live cone (NotInConeError) or a chamber check over too
+    many live degrees (CapExceededError) is not certified, and its tuples
+    go through _check_tuple; a run reaches neither, since _stabilize
+    refuses a ray outside the live cone and the representation polytopes
+    cap the live degrees at DEFAULT_DIM_CAP.
     """
-    if not all(stable[e] for e in cone.rays):
-        return False
     try:
         return every_cost_linear_on(live, cone)
     except (NotInConeError, CapExceededError):
@@ -1191,42 +1178,31 @@ def _face_degree(face, grading_rank: int) -> IntVec:
     return tuple(sum(pi * e[j] for e, pi in face) for j in range(grading_rank))
 
 
-def _check_tuple(forms, d, face, ray_h, limit_h) -> TupleCheck:
-    """Closure equality and valuation chain for one exponent tuple, given
-    as its (ray, power) pairs with nonzero power, on the polyhedra of the
-    run (a _RunPolyhedra); the returned powers are those pairs' powers, for
-    the caller to replace with the full tuple.
+def _check_tuple(forms, d, face, limit_h) -> TupleCheck:
+    """Closure equality and valuation chain for one nonzero exponent
+    tuple, given as its (ray, power) pairs with nonzero power, on the
+    polyhedra of the run (a _RunPolyhedra); the returned powers are those
+    pairs' powers, for the caller to replace with the full tuple.
 
-    Once every ray of the face is stable (ray_h[e] == limit_h[e]), both
-    sides are compared with d P(m) by their points alone; if both equal
-    it, the tuple passes with no witness.  Otherwise the H-forms of
-    both sides are built and compared, which names the witness, the
-    values and the failing link.
+    Only a tuple on a cone that _cone_certified does not certify comes
+    here.  Both sides are hulled: NP(a_{d m}) from the degree's points,
+    and the product from limit_h[e] = d P(e) = NP(a_{d e}) (every ray is
+    stable at d).  Comparing the H-forms names the witness, the values
+    and the failing link.
     """
     sys = forms.sys
-    rays = tuple(e for e, _ in face)
     p = tuple(pi for _, pi in face)
     m = _face_degree(face, sys.grading_rank)
-    # with every ray stable, the product's points are the sums of p_i
-    # times a vertex of d P(e_i)
-    if all(ray_h[e] == limit_h[e] for e in rays):
-        product = _minkowski_points(
-            [(forms.limit_vertices(e, d), pi) for e, pi in face], sys.ambient
-        )
-        if forms.stable(m, d) and forms.equals_limit(product, m, d):
-            return TupleCheck(p, m, True, None, None, None, True, None)
     left_h = forms.newton(_scaled_degree(m, d))
     right_h = _weighted_minkowski_hform(
-        [(ray_h[e], pi) for pi, e in zip(p, rays)], sys.ambient
+        [(limit_h[e], pi) for e, pi in face], sys.ambient
     )
     ok = left_h == right_h
     witness = lval = rval = None
     if not ok:
         witness = _separating_weight(left_h, right_h)
         lval, rval = _support(left_h, witness), _support(right_h, witness)
-    chain_ok, chain_note = _valuation_chain(
-        forms, d, rays, p, m, left_h, right_h, ray_h, limit_h
-    )
+    chain_ok, chain_note = _valuation_chain(forms, d, m, left_h, right_h)
     return TupleCheck(
         powers=p,
         degree=m,
@@ -1255,40 +1231,31 @@ def _weighted_minkowski_hform(
     return _orthant_hull(_minkowski_points(verts, n), n)
 
 
-def _valuation_chain(forms, d, rays, p, m, left_h, right_h, ray_h, limit_h):
-    """Check the valuation sandwich for one exponent tuple, for every
-    weight w >= 0 at once, on the polyhedra of the run (a _RunPolyhedra).
+def _valuation_chain(forms, d, m, left_h, right_h):
+    """Check the valuation sandwich for one nonzero exponent tuple, for
+    every weight w >= 0 at once, on the polyhedra of the run (a
+    _RunPolyhedra).
 
     v_w(a_{dm}) <= sum p_i v_w(a_{d e_i}) (the product is contained in the
     degree-dm ideal); each v_w(a_{d e_i}) equals d * asymptotic(e_i) (the
-    per-ray certificate); additivity on the cone makes the sum equal
-    asymptotic(dm), which bounds v_w(a_{dm}) from below; hence everything
-    collapses to equality.  Each link is the support function, over all
-    w >= 0, of a Newton polyhedron, and support functions turn Minkowski
-    sums into sums, so the links are containments and equalities of
-    polyhedra: left_h = NP(a_{dm}), right_h = sum p_i NP(a_{d e_i}) and
-    limit_h[e] = d * asymptotic_newton(e).  A failing link is named at the
-    first facet weight separating the two polyhedra it compares.
+    per-ray certificate, checked once per run by verify_closure_identity);
+    additivity on the cone makes the sum equal asymptotic(dm), which
+    bounds v_w(a_{dm}) from below; hence everything collapses to
+    equality.  Each link is the support function, over all w >= 0, of a
+    Newton polyhedron, and support functions turn Minkowski sums into
+    sums, so the links are containments and equalities of polyhedra:
+    left_h = NP(a_{dm}) (None for the zero ideal) and right_h = sum p_i
+    d P(e_i), the product's polyhedron, which is never zero.  A failing
+    link is named at the first facet weight separating the two polyhedra
+    it compares.
     """
     if left_h is None:
-        if right_h is None:
-            return True, "degree ideal and product are both zero"
         return False, "degree ideal is zero but the product is not"
-    if all(x == 0 for x in m):
-        return True, None
-    if right_h is None:
-        w = _separating_weight(left_h, right_h)
-        return False, f"ray ideal vanished under weight {w}"
     if left_h != right_h:
         vertices = dual_description(right_h).vertices
         if not all(contains(left_h, v) for v in vertices):
             w = _separating_weight(left_h, right_h, above=True)
             return False, f"inclusion inequality failed at weight {w}"
-    for pi, e in zip(p, rays):
-        if pi > 0 and ray_h[e] != limit_h[e]:
-            w = _separating_weight(ray_h[e], limit_h[e])
-            return False, f"ray ideal not asymptotically stable at weight {w}"
-    # with the rays stable, right_h is already sum p_i * limit_h[e_i]
     asym_h = scale_polyhedron(forms.limit(m), d)
     if asym_h != right_h:
         w = _separating_weight(asym_h, right_h)

@@ -115,8 +115,11 @@ def _int_det(rows: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant of a square integer matrix.
+def int_adjugate(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]] | None, int]:
+    """Adjugate and determinant of a square integer matrix; (None, 0) for
+    a singular one.
 
     adj(M) M = M adj(M) = det(M) I, so for invertible M the solution of
     M x = b is adj(M) b / det(M) with no division until the end.
@@ -124,8 +127,9 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     One fraction-free Gauss-Jordan pass on [M | I] (Bareiss's exact
     divisions, row swaps only below the pivot) ends as [d I | E] with
     E M = d I; the swaps make d = +-det(M) and E = +-adj(M) with the same
-    sign.  A singular M has no pivot in some column and takes the
-    cofactor expansion instead, since its adjugate need not vanish.
+    sign.  A singular M has no pivot in some column; its adjugate need
+    not vanish, but every caller skips a zero determinant, so none is
+    formed.
     """
     n = len(rows)
     work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
@@ -134,7 +138,7 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     for k in range(n):
         p = next((i for i in range(k, n) if work[i][k] != 0), None)
         if p is None:
-            return _cofactor_adjugate(rows)
+            return None, 0
         if p != k:
             work[k], work[p] = work[p], work[k]
             sign = -sign
@@ -146,22 +150,6 @@ def int_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
                 work[i] = [(x * pivot - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
     return [[sign * x for x in row[n:]] for row in work], sign * prev
-
-
-def _cofactor_adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """int_adjugate by signed (n-1)-minors, for any square integer matrix."""
-    n = len(rows)
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [x for c, x in enumerate(r) if c != j]
-                for k, r in enumerate(rows)
-                if k != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * _int_det(minor)
-    det = sum(rows[0][j] * adj[j][0] for j in range(n)) if n else 1
-    return adj, det
 
 
 def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

@@ -450,6 +450,8 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
     # a failed consistency check is a bug: exit 3 with one line on stderr,
     # never a FALSIFIED report, and it must not depend on assert statements
     report = tmp_path / "report.json"
+    halfstep = tmp_path / "halfstep.json"
+    halfstep.write_text(json.dumps(HALFSTEP))
     cases = [
         (
             "_kernel.simplex_rows = lambda nums, dens, basis, k: ('unbounded', 0)\n"
@@ -462,6 +464,14 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
             "graded.asymptotic_valuation = lambda s, w, m: real(s, w, m) + 1\n"
             f"sys.exit(cli.main(['verify', {worked_file!r}, '--json', {str(report)!r}]))\n",
             "disagrees with the asymptotic",
+        ),
+        (
+            # an exponent certificate that claims d = 1 for the half-step
+            # system, whose ray needs 2
+            "graded._stabilize = lambda forms, fan, cap, checks: "
+            "graded.ExponentCertificate(1, (((1,), 1),))\n"
+            f"sys.exit(cli.main(['verify', {str(halfstep)!r}, '--json', {str(report)!r}]))\n",
+            "fan ray (1,) is not stable at its exponent 1",
         ),
     ]
     for body, message in cases:

@@ -664,10 +664,10 @@ def _note_weight(note, prefix):
     ],
 )
 def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok):
-    # the fault sits in the points a run decides its equalities from, so
-    # the point certificate and the hulls that explain the failure both see
-    # it; the cone certificate reads neither (its cones are stable and every
-    # cost is linear on them), so it is switched off to run the tuple checks
+    # the fault sits in the points a run hulls its polyhedra from, away
+    # from the rays, so the exponent certificate holds; the cone
+    # certificate reads no points (every cost is linear on its cones), so
+    # it is switched off to run the tuple checks
     import conefan.graded as graded
 
     monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
@@ -720,10 +720,12 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
         assert (t.left_value, t.right_value) == (1, 2)
 
 
-def test_valuation_chain_catches_unstable_ray(monkeypatch):
+def test_unstable_ray_certificate_is_an_internal_error(monkeypatch):
     # the half-step system needs d = 2; forced to d = 1, the degree-1 ideal
-    # is not the limit polyhedron of its ray
+    # is not the limit polyhedron of its ray.  A broken exponent
+    # certificate is a bug, never a falsified tuple
     import conefan.graded as graded
+    from conefan.errors import InternalError
     from conefan.graded import ExponentCertificate
 
     monkeypatch.setattr(
@@ -731,11 +733,12 @@ def test_valuation_chain_catches_unstable_ray(monkeypatch):
         "_stabilize",
         lambda forms, fan, cap, checks: ExponentCertificate(1, (((1,), 1),)),
     )
-    rep = verify_closure_identity(halfstep_system(), power_bound=2)
-    assert not rep.verified
-    t = rep.cones[0].checks[1]
-    assert t.powers == (1,) and t.closure_ok and not t.chain_ok
-    w = _note_weight(t.chain_note, "ray ideal not asymptotically stable")
+    unstable = r"fan ray \(1,\) is not stable at its exponent 1"
+    with pytest.raises(InternalError, match=unstable):
+        verify_closure_identity(halfstep_system(), power_bound=2)
+    # the ray really is unstable at 1: v_w(x^2, y^2) = 2 at w = (1, 1),
+    # where the limit polyhedron's value is 1/2
+    w = (1, 1)
     limit = minimize_linear(asymptotic_newton(halfstep_system(), (1,)), vec(w))
     assert limit.value != _valuation_at(halfstep_system(), w, (1,), 1)
 
@@ -937,7 +940,7 @@ def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
     # the degree and limit Newton polyhedra last for one verify run only,
     # so a second identical run makes every orthant hull the first one made;
     # a passing run on certified cones hulls only the limit polyhedra of
-    # its 9 rays and of the zero tuple's degree, and the 3 generator ideals
+    # its 9 rays and the 3 generator ideals
     import conefan.graded as graded
 
     hull = graded._orthant_hull
@@ -953,7 +956,7 @@ def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
         calls.clear()
         verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
         counts.append(len(calls))
-    assert counts == [13, 13]
+    assert counts == [12, 12]
 
 
 def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
@@ -1013,9 +1016,9 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
     assert total <= 10_000
     reps = [graded._representations(system, m) for m in sorted(degrees)]
     assert sum(map(len, reps)) == 90
-    # certified cones search only the zero tuple's degree and the ray
-    # multiples up to each ray's exponent
-    assert seen <= degrees and len(seen) == 36
+    # certified cones search only the ray multiples up to each ray's
+    # exponent; the zero tuple passes with no search
+    assert seen <= degrees and len(seen) == 35
 
 
 @st.composite
@@ -1319,22 +1322,23 @@ def test_face_checks_match_per_cone_reference(case):
 
 @pytest.mark.parametrize("make", [worked_system, bench_system, five_degree_system])
 def test_certified_cones_check_only_the_zero_face(monkeypatch, make):
-    # every cone of these verified runs has stable rays and every cost
-    # linear on it, so each passes all its tuples at once; only the all-zero
-    # tuple, which every cone shares, goes through the tuple check
+    # every cone of these verified runs has every cost linear on it, so
+    # each passes all its tuples at once; the all-zero tuple, which every
+    # cone shares, passes as the unit ideal on both sides, so no tuple goes
+    # through the tuple check
     import conefan.graded as graded
 
     faces = []
     check = graded._check_tuple
 
-    def record(forms, d, face, ray_h, limit_h):
+    def record(forms, d, face, limit_h):
         faces.append(face)
-        return check(forms, d, face, ray_h, limit_h)
+        return check(forms, d, face, limit_h)
 
     monkeypatch.setattr(graded, "_check_tuple", record)
     rep = verify_closure_identity(make(), power_bound=2, power_checks=1)
     assert rep.verified
-    assert faces == [()]
+    assert faces == []
 
 
 def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
@@ -1352,7 +1356,7 @@ def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
     assert rep.to_dict() != rep._replace(cones=ref).to_dict()
 
 
-def test_cone_certificate_needs_stable_rays_inside_the_live_cone():
+def test_cone_certificate_needs_linear_costs_inside_the_live_cone():
     from conefan.fans import cone_from_generators
     from conefan.graded import _cone_certified
 
@@ -1360,21 +1364,16 @@ def test_cone_certificate_needs_stable_rays_inside_the_live_cone():
     # they split is not
     worked = [(1, 0), (0, 1), (1, 1)]
     quadrant = cone_from_generators([(1, 0), (0, 1)])
-    stable = dict.fromkeys([(1, 0), (0, 1), (1, 1)], True)
-    assert _cone_certified(worked, cone_from_generators([(1, 0), (1, 1)]), stable)
-    assert not _cone_certified(worked, quadrant, stable)
-    assert _cone_certified([(1, 0), (0, 1)], quadrant, stable)
-    # an unstable ray
-    assert not _cone_certified(
-        [(1, 0), (0, 1)], quadrant, {**stable, (0, 1): False}
-    )
+    assert _cone_certified(worked, cone_from_generators([(1, 0), (1, 1)]))
+    assert not _cone_certified(worked, quadrant)
+    assert _cone_certified([(1, 0), (0, 1)], quadrant)
     # live degrees whose cone misses the ray (0, 1) (NotInConeError); a run
     # never gets here, since the exponent search refuses such a ray first
-    assert not _cone_certified([(1, 0), (1, 1)], quadrant, stable)
+    assert not _cone_certified([(1, 0), (1, 1)], quadrant)
     # a chamber check over 13 live degrees (CapExceededError); a run never
     # gets here either, since its representation polytopes are capped at 8
     many = [(1, 0), (0, 1)] + [(1, k) for k in range(1, 12)]
-    assert not _cone_certified(many, quadrant, stable)
+    assert not _cone_certified(many, quadrant)
 
 
 def test_zero_ideal_systems_keep_their_verdicts():
@@ -1410,8 +1409,8 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
     certify = graded._cone_certified
     outcomes = []
 
-    def record(live, cone, stable):
-        outcomes.append(certify(live, cone, stable))
+    def record(live, cone):
+        outcomes.append(certify(live, cone))
         return outcomes[-1]
 
     monkeypatch.setattr(graded, "_cone_certified", record)
