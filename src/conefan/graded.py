@@ -51,15 +51,14 @@ from .polyhedra import (
     VRepresentation,
     _hform_from_dd,
     _lift_point,
-    contains,
     dual_description,
+    minimize_linear,
     scale_polyhedron,
 )
 from .rational import (
     PLUS_INFINITY,
     IntVec,
     PlusInfinity,
-    dot,
     idot,
     is_finite,
     ivec,
@@ -184,33 +183,25 @@ def _minkowski_points(parts, n: int) -> set:
     return points
 
 
-def _lattice_vertices(h: HPolyhedron) -> tuple[IntVec, ...]:
-    """Vertices of a monomial ideal's Newton polyhedron as integer tuples.
-
-    They are minimal generator exponents, hence lattice points; a vertex
-    with a denominator is an internal failure.
-    """
-    out = []
-    for v in dual_description(h).vertices:
-        if any(x.denominator != 1 for x in v):
-            raise InternalError(f"Newton polyhedron vertex {v} is not a lattice point")
-        out.append(tuple(x.numerator for x in v))
-    return tuple(out)
-
-
 def _orthant_hull(points, n: int) -> HPolyhedron:
     """Canonical H-form of conv(points) + nonnegative orthant, for a
     nonempty point set.
 
-    Points dominating another point lie in its orthant translate, so only
-    the minimal points enter the hull.  The points are integer tuples, and
-    the homogenized generators are the integer rows (v | 1) for the points
-    and (e_i | 0) for the orthant rays.  Their sorted tuple goes to the
-    double description, whose rays are the primitive facet rows of the
-    returned HPolyhedron.  The hull contains a translate of the orthant, so
-    a lineality space in its dual cone is an internal failure.
+    The callers pass minimal points; a point dominating another would only
+    add a redundant generator, which leaves the facets as they are.  The
+    points are integer tuples, and the homogenized generators are the
+    integer rows (v | 1) for the points and (e_i | 0) for the orthant
+    rays.  Their sorted tuple goes to the double description, whose rays
+    are the primitive facet rows of the returned HPolyhedron.  The hull
+    contains a translate of the orthant, so a lineality space in its dual
+    cone is an internal failure.  Like dual_description, it raises
+    CapExceededError above DEFAULT_DIM_CAP coordinates.
     """
-    rows = {_lift_point(v) for v in _minimalize(points)}
+    if n > DEFAULT_DIM_CAP:
+        raise CapExceededError(
+            f"orthant hull capped at dimension {DEFAULT_DIM_CAP}, got {n}"
+        )
+    rows = {_lift_point(v) for v in points}
     rows.update(tuple(1 if j == i else 0 for j in range(n + 1)) for i in range(n))
     lin, rays = cone_generators(tuple(sorted(rows)), n + 1)
     if lin:
@@ -374,7 +365,8 @@ class GradedSystem(Frozen):
             for i, d in enumerate(degs)
         )
         vertex_lists = tuple(
-            () if I.is_zero else _lattice_vertices(newton_hform(I)) for I in ids
+            () if I.is_zero else _orthant_vertices(newton_hform(I), I.gens)
+            for I in ids
         )
         return GradedSystem(
             grading_rank,
@@ -556,12 +548,12 @@ def _degree_points(sys: GradedSystem, m: Sequence[int]) -> tuple[IntVec, ...]:
 
 def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron | None:
     """Newton polyhedron of the degree-m ideal: the orthant hull of its
-    _degree_points.  Agrees exactly with newton_hform(expand_degree(sys,
-    m)); None encodes the zero ideal.  A verify run hulls a degree ideal
-    only to explain a failure (_RunPolyhedra.newton).
+    _degree_points, as a run hulls it (_RunPolyhedra.newton).  Agrees
+    exactly with newton_hform(expand_degree(sys, m)); None encodes the zero
+    ideal.  A verify run hulls a degree ideal only for a tuple that no cone
+    certifies.
     """
-    points = _degree_points(sys, m)
-    return _orthant_hull(points, sys.ambient) if points else None
+    return _RunPolyhedra(sys).newton(_grading_degree(sys, m))
 
 
 def asymptotic_valuation(
@@ -637,11 +629,10 @@ def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
     splitting of each l_i over the Newton polyhedron vertices of ideal i,
     x >= sum u_ij V_ij}.  It is (conv(C) + orthant) / L for the integer
     points C and the integer L of _limit_points, so the integer hull is
-    scaled once.  Not memoized: a verify run keeps the ones it repeats
-    (_RunPolyhedra).
+    scaled once, as a run does it (_RunPolyhedra.limit); this call keeps
+    nothing.
     """
-    points, den = _limit_points(sys, m)
-    return scale_polyhedron(_orthant_hull(points, sys.ambient), Fraction(1, den))
+    return _RunPolyhedra(sys).limit(_grading_degree(sys, m))
 
 
 def _limit_points(sys: GradedSystem, m: Sequence[int]) -> tuple[tuple[IntVec, ...], int]:
@@ -732,12 +723,18 @@ class _RunPolyhedra:
       that scales h to P(e) and the vertices of h (_orthant_vertices), per
       primitive direction e; P(t e) = t P(e) exactly, since the
       representation polytope scales by t;
-    - newton(m): the H-form of NP(a_m), hulled from points(m), which a
-      run builds only for a tuple that no cone certifies.
+    - newton(m): the H-form of NP(a_m), hulled from points(m) (None for
+      the zero ideal), which a run builds only for a tuple that no cone
+      certifies.
 
     stable(m, k) decides NP(a_{k m}) = k P(m) from points(k m) against the
-    one hull of P(m) (_is_dilate); no degree ideal is hulled for it.  The
-    keys are the integer degrees the run derives itself.
+    one hull of P(m) (_is_dilate); no degree ideal is hulled for it.
+    lattice_vertices(m) gives the vertices of P(m) as integer points where
+    P(m) = NP(a_m), which is how the tuple check builds a product from
+    the rays' vertices with no double description per factor.  The keys
+    are the integer degrees the run derives itself.  asymptotic_newton and
+    _degree_newton_hform build one of these for a single call, so each
+    Newton form is assembled in one place.
     """
 
     def __init__(self, sys: GradedSystem):
@@ -767,6 +764,18 @@ class _RunPolyhedra:
         """The H-form of P(m), equal to asymptotic_newton(sys, m)."""
         h, _, s = self.limit_hull(m)
         return scale_polyhedron(h, s)
+
+    def lattice_vertices(self, m: IntVec) -> list[IntVec]:
+        """The vertices of P(m) as integer points, for an m with P(m) =
+        NP(a_m), whose vertices are generator exponents; a vertex off the
+        lattice is an internal failure."""
+        _, vertices, s = self.limit_hull(m)
+        p, q = s.numerator, s.denominator
+        if any(p * x % q for v in vertices for x in v):
+            raise InternalError(
+                f"the limit polyhedron of {m} has a vertex off the lattice"
+            )
+        return [tuple(p * x // q for x in v) for v in vertices]
 
     def stable(self, m: IntVec, k: int) -> bool:
         """NP(a_{k m}) == k * P(m); False when a_{k m} is zero."""
@@ -965,10 +974,8 @@ def _fmt_val(v) -> str | None:
     return str(v)
 
 
-def _h_weights(h: HPolyhedron | None) -> list[IntVec]:
+def _h_weights(h: HPolyhedron) -> list[IntVec]:
     """Primitive weight vectors normal to the facets of a Newton polyhedron."""
-    if h is None:
-        return []
     out = []
     for normal, _ in h.inequalities:
         w = tuple(-x for x in normal)
@@ -978,29 +985,16 @@ def _h_weights(h: HPolyhedron | None) -> list[IntVec]:
     return out
 
 
-def _support(h: HPolyhedron | None, w: IntVec) -> Valuation:
-    """min <w, x> over a Newton polyhedron for w >= 0, attained at a vertex;
-    PlusInfinity for None (the zero ideal).  On NP(I) this is v_w(I)."""
-    if h is None:
-        return PLUS_INFINITY
-    return min(dot(w, v) for v in dual_description(h).vertices)
-
-
-def _separating_weight(
-    a: HPolyhedron | None, b: HPolyhedron | None, above: bool = False
-) -> IntVec:
-    """First facet weight of a or b at which their support values differ
-    (with above, at which a's exceeds b's).
+def _separating_weight(a: HPolyhedron, b: HPolyhedron) -> IntVec:
+    """First facet weight of a or b at which their support values differ.
 
     Orthant-closed polyhedra are determined by their support values at
     nonnegative weights, and a vertex of one outside the other violates a
     facet of the other, so two different Newton polyhedra always differ at
-    one of these normals (a's exceeds b's at a facet of a when b is not
-    contained in a).
+    one of these normals.
     """
     for w in sorted(set(_h_weights(a) + _h_weights(b))):
-        sa, sb = _support(a, w), _support(b, w)
-        if (sa > sb) if above else (sa != sb):
+        if minimize_linear(a, w).value != minimize_linear(b, w).value:
             return w
     raise InternalError("differing Newton polyhedra without a separating facet")
 
@@ -1044,7 +1038,7 @@ def verify_closure_identity(
     tuple p with sum(p) <= power_bound, closure equality of the degree
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
     the p_i; (e) the valuation chain for every weight w >= 0 at once, as
-    comparisons of Newton polyhedra (see _valuation_chain).  The exponent
+    comparisons of Newton polyhedra (see _check_tuple).  The exponent
     certificate is trusted in one place: right after (c) every ray is
     asked once more whether NP(a_{d_e e}) = d_e P(e) at its own exponent
     d_e, and a ray that is not is an InternalError (exit 3 on the command
@@ -1055,11 +1049,15 @@ def verify_closure_identity(
     all-zero tuple passes in every cone: its degree ideal a_0 is the unit
     ideal, since the degree cone is pointed, and so is the empty product.
     Every other tuple is checked on one route (_check_tuple), which hulls
-    both sides and names a falsifying tuple and its witness.  Steps (d)
-    and (e) depend only on the face spanned by the rays with p_i > 0 and
-    on those powers, so each such face tuple is checked once, and every
-    cone containing the face reports that check under its own powers; a
-    face of a certified cone is certified in every cone that shares it.
+    both sides and names a falsifying tuple and its witness; in practice
+    only a run with refine=False reaches it.  Of the chain's links only
+    additivity, P(m) = sum p_i P(e_i), can fail: the other links are
+    theorems, and a broken one is an InternalError there, never a
+    falsified tuple.  Steps (d) and (e) depend only on the face spanned by
+    the rays with p_i > 0 and on those powers, so each such face tuple is
+    checked once, and every cone containing the face reports that check
+    under its own powers; a face of a certified cone is certified in every
+    cone that shares it.
     A run whose cones are all certified hulls only the limit polyhedra
     P(m): the stability of each ray is decided from exponent points
     against one of those hulls (_RunPolyhedra.stable).  The
@@ -1114,7 +1112,6 @@ def verify_closure_identity(
                 f"fan ray {e} is not stable at its exponent {de}, "
                 "which the exponent certificate claims"
             )
-    limit_h = {e: scale_polyhedron(h, d) for e, h in limits.items()}
     live = sys.nonzero_part()[0]
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
@@ -1130,7 +1127,7 @@ def verify_closure_identity(
                     m = _face_degree(face, sys.grading_rank)
                     checked[face] = TupleCheck(p, m, True, None, None, None, True, None)
                 else:
-                    checked[face] = _check_tuple(forms, d, face, limit_h)
+                    checked[face] = _check_tuple(forms, d, face)
             checks.append(checked[face]._replace(powers=p))
         cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
     verified = all(c.passed for c in cone_checks)
@@ -1159,8 +1156,9 @@ def _cone_certified(live, cone: Cone) -> bool:
     of m under the costs alpha(w)_i = v_w(I_i) of the live degrees; if
     each such cost is linear on the cone, P(m) = sum p_i P(e_i), and with
     NP(a_{d e_i}) = d P(e_i) both inclusions are equalities for every p
-    at once (the sandwich of _valuation_chain).  Such a tuple therefore
-    passes exactly as _check_tuple passes it, with no witness.  A cone
+    at once (the sandwich of _check_tuple, whose one falsifiable link,
+    additivity, linear costs settle).  Such a tuple therefore passes
+    exactly as _check_tuple passes it, with no witness.  A cone
     outside the live cone (NotInConeError) or a chamber check over too
     many live degrees (CapExceededError) is not certified, and its tuples
     go through _check_tuple; a run reaches neither, since _stabilize
@@ -1178,31 +1176,61 @@ def _face_degree(face, grading_rank: int) -> IntVec:
     return tuple(sum(pi * e[j] for e, pi in face) for j in range(grading_rank))
 
 
-def _check_tuple(forms, d, face, limit_h) -> TupleCheck:
+def _check_tuple(forms, d, face) -> TupleCheck:
     """Closure equality and valuation chain for one nonzero exponent
     tuple, given as its (ray, power) pairs with nonzero power, on the
     polyhedra of the run (a _RunPolyhedra); the returned powers are those
     pairs' powers, for the caller to replace with the full tuple.
 
     Only a tuple on a cone that _cone_certified does not certify comes
-    here.  Both sides are hulled: NP(a_{d m}) from the degree's points,
-    and the product from limit_h[e] = d P(e) = NP(a_{d e}) (every ray is
-    stable at d).  Comparing the H-forms names the witness, the values
-    and the failing link.
+    here; a refined run's cones are chambers of the linearity fan, so in
+    practice only a run with refine=False reaches it.  With m = sum p_i e_i
+    it hulls three polyhedra: NP(a_{d m}) from the run's points of d m,
+    the product's from the weighted Minkowski sum of the integer vertices
+    of the d P(e_i) = NP(a_{d e_i}) that the run already holds (every ray
+    is stable at d), and d P(m).  The valuation chain for every weight
+    w >= 0 at once is the sandwich
+        sum p_i d P(e_i) within NP(a_{d m}) within d P(m)
+    (the product of the ray ideals lies in a_{d m}, and every finite level
+    lies in its limit).  Both inclusions are theorems, and so is the
+    nonzero a_{d m} under the nonzero product, so a failure of any of them
+    is an InternalError.  The one link that can fail is additivity, d P(m)
+    = sum p_i d P(e_i), named at the first facet weight separating the
+    two; when it holds, the inner inclusion is an equality exactly when
+    the closures agree.  The closure witness is the first facet weight at
+    which NP(a_{d m}) and the product differ.
     """
     sys = forms.sys
+    n = sys.ambient
     p = tuple(pi for _, pi in face)
     m = _face_degree(face, sys.grading_rank)
-    left_h = forms.newton(_scaled_degree(m, d))
-    right_h = _weighted_minkowski_hform(
-        [(limit_h[e], pi) for e, pi in face], sys.ambient
-    )
+    dm = _scaled_degree(m, d)
+    if not forms.points(dm):
+        raise InternalError(f"the ideal in degree {dm} is zero under a nonzero product")
+    left_h = forms.newton(dm)
+    parts = [(forms.lattice_vertices(_scaled_degree(e, d)), pi) for e, pi in face]
+    product = _minimalize(_minkowski_points(parts, n))
+    if any(idot(w, a) > b for w, b in left_h.inequalities for a in product):
+        raise InternalError(
+            f"the product of the ray ideals is not inside the ideal in degree {dm}"
+        )
+    right_h = _orthant_hull(product, n)
+    asym_h = forms.limit(dm)
+    chain_ok = asym_h == right_h
     ok = left_h == right_h
-    witness = lval = rval = None
+    if chain_ok and not ok:
+        raise InternalError(
+            f"the Newton polyhedron in degree {dm} is not inside {d} times "
+            f"the limit polyhedron of {m}"
+        )
+    witness = lval = rval = note = None
     if not ok:
         witness = _separating_weight(left_h, right_h)
-        lval, rval = _support(left_h, witness), _support(right_h, witness)
-    chain_ok, chain_note = _valuation_chain(forms, d, m, left_h, right_h)
+        lval = minimize_linear(left_h, witness).value
+        rval = minimize_linear(right_h, witness).value
+    if not chain_ok:
+        w = _separating_weight(asym_h, right_h)
+        note = f"additivity failed on the cone at weight {w}"
     return TupleCheck(
         powers=p,
         degree=m,
@@ -1211,56 +1239,5 @@ def _check_tuple(forms, d, face, limit_h) -> TupleCheck:
         left_value=lval,
         right_value=rval,
         chain_ok=chain_ok,
-        chain_note=chain_note,
+        chain_note=note,
     )
-
-
-def _weighted_minkowski_hform(
-    parts: Sequence[tuple[HPolyhedron | None, int]], n: int
-) -> HPolyhedron | None:
-    """Newton polyhedron of a product of ideal powers, from the factors'
-    polyhedra: the weighted Minkowski sum of their polytope parts plus the
-    orthant.  None (the zero ideal) absorbs, and a single factor is its
-    polyhedron scaled by its power."""
-    parts = [(h, k) for h, k in parts if k]
-    if any(h is None for h, _ in parts):
-        return None
-    if len(parts) == 1:
-        return scale_polyhedron(*parts[0])
-    verts = [(_lattice_vertices(h), k) for h, k in parts]
-    return _orthant_hull(_minkowski_points(verts, n), n)
-
-
-def _valuation_chain(forms, d, m, left_h, right_h):
-    """Check the valuation sandwich for one nonzero exponent tuple, for
-    every weight w >= 0 at once, on the polyhedra of the run (a
-    _RunPolyhedra).
-
-    v_w(a_{dm}) <= sum p_i v_w(a_{d e_i}) (the product is contained in the
-    degree-dm ideal); each v_w(a_{d e_i}) equals d * asymptotic(e_i) (the
-    per-ray certificate, checked once per run by verify_closure_identity);
-    additivity on the cone makes the sum equal asymptotic(dm), which
-    bounds v_w(a_{dm}) from below; hence everything collapses to
-    equality.  Each link is the support function, over all w >= 0, of a
-    Newton polyhedron, and support functions turn Minkowski sums into
-    sums, so the links are containments and equalities of polyhedra:
-    left_h = NP(a_{dm}) (None for the zero ideal) and right_h = sum p_i
-    d P(e_i), the product's polyhedron, which is never zero.  A failing
-    link is named at the first facet weight separating the two polyhedra
-    it compares.
-    """
-    if left_h is None:
-        return False, "degree ideal is zero but the product is not"
-    if left_h != right_h:
-        vertices = dual_description(right_h).vertices
-        if not all(contains(left_h, v) for v in vertices):
-            w = _separating_weight(left_h, right_h, above=True)
-            return False, f"inclusion inequality failed at weight {w}"
-    asym_h = scale_polyhedron(forms.limit(m), d)
-    if asym_h != right_h:
-        w = _separating_weight(asym_h, right_h)
-        return False, f"additivity failed on the cone at weight {w}"
-    if left_h != right_h:
-        w = _separating_weight(left_h, right_h)
-        return False, f"sandwich did not collapse at weight {w}"
-    return True, None

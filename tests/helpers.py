@@ -41,6 +41,7 @@ from conefan.polyhedra import (
     canonical_h,
     contains,
     dual_description,
+    minimize_linear,
 )
 from conefan.rational import Vec, dot, frac, primitive_direction, sign_normal, vec
 
@@ -930,13 +931,39 @@ def cone_from_primitive_rays_reference(rays, dim):
     return fans.Cone(extreme, normals, dim)
 
 
+def _first_differing_weight(a, b):
+    """The first of the sorted primitive facet weights w >= 0 of two Newton
+    polyhedra at which their minima of <w, x> differ, or None."""
+    from conefan.rational import primitive_int_vector
+
+    weights = {
+        primitive_int_vector(tuple(-x for x in normal))
+        for h in (a, b)
+        for normal, _ in h.inequalities
+        if all(x <= 0 for x in normal) and any(normal)
+    }
+    return next(
+        (
+            w
+            for w in sorted(weights)
+            if minimize_linear(a, w).value != minimize_linear(b, w).value
+        ),
+        None,
+    )
+
+
 def cone_checks_reference(system, fan, d, power_bound) -> tuple:
     """verify_closure_identity's cone checks with nothing shared: every
     maximal cone checks each of its tuples itself, with its own ray
     polyhedra, and every product of ray ideals, one factor too, is the
-    orthant hull of its Minkowski points.  Each ray's polyhedron is hulled
+    orthant hull of the Minkowski points of the ray polyhedra's vertices,
+    read off their double descriptions.  Each ray's polyhedron is hulled
     from its degree ideal, and must equal d times its limit polyhedron,
-    the stability the run takes from its exponent certificate."""
+    the stability the run takes from its exponent certificate.  The chain
+    holds when the product equals d times the limit polyhedron of the
+    tuple's degree (additivity), and both theorem links, the product
+    inside the degree ideal's polyhedron and that one inside d P(m), are
+    asserted; witnesses are found by scanning the sorted facet weights."""
     from conefan import graded
     from conefan.polyhedra import scale_polyhedron
 
@@ -948,38 +975,55 @@ def cone_checks_reference(system, fan, d, power_bound) -> tuple:
             e: graded._degree_newton_hform(system, graded._scaled_degree(e, d))
             for e in rays
         }
-        limit_h = {
+        assert ray_h == {
             e: scale_polyhedron(graded.asymptotic_newton(system, e), d) for e in rays
         }
-        assert ray_h == limit_h
+        vertices = {}
+        for e, h in ray_h.items():
+            vs = dual_description(h).vertices
+            assert all(x.denominator == 1 for v in vs for x in v)
+            vertices[e] = [tuple(int(x) for x in v) for v in vs]
         checks = []
         for p in graded._power_tuples(len(rays), power_bound):
             m = tuple(
                 sum(pi * e[j] for pi, e in zip(p, rays))
                 for j in range(system.grading_rank)
             )
-            left_h = graded._degree_newton_hform(system, graded._scaled_degree(m, d))
-            parts = [(ray_h[e], pi) for pi, e in zip(p, rays) if pi]
-            right_h = None
-            if all(h is not None for h, _ in parts):
-                verts = [(graded._lattice_vertices(h), k) for h, k in parts]
-                right_h = graded._orthant_hull(graded._minkowski_points(verts, n), n)
-            ok = left_h == right_h
-            witness = lval = rval = None
-            if not ok:
-                witness = graded._separating_weight(left_h, right_h)
-                lval = graded._support(left_h, witness)
-                rval = graded._support(right_h, witness)
-            if any(p):
-                chain_ok, chain_note = graded._valuation_chain(
-                    graded._RunPolyhedra(system), d, m, left_h, right_h
-                )
-            else:
+            if not any(p):
                 # a_0 and the empty product are both the unit ideal
-                assert ok
-                chain_ok, chain_note = True, None
+                checks.append(
+                    graded.TupleCheck(p, m, True, None, None, None, True, None)
+                )
+                continue
+            left_h = graded._degree_newton_hform(system, graded._scaled_degree(m, d))
+            parts = [(vertices[e], pi) for pi, e in zip(p, rays)]
+            right_h = graded._orthant_hull(
+                minimalize_reference(graded._minkowski_points(parts, n)), n
+            )
+            asym_h = scale_polyhedron(graded.asymptotic_newton(system, m), d)
+            assert left_h is not None
+            assert all(contains(left_h, v) for v in dual_description(right_h).vertices)
+            assert all(contains(asym_h, v) for v in dual_description(left_h).vertices)
+            witness = _first_differing_weight(left_h, right_h)
+            lval = rval = None
+            if witness is not None:
+                lval = minimize_linear(left_h, witness).value
+                rval = minimize_linear(right_h, witness).value
+            chain_w = _first_differing_weight(asym_h, right_h)
+            note = None
+            if chain_w is not None:
+                note = f"additivity failed on the cone at weight {chain_w}"
             checks.append(
-                graded.TupleCheck(p, m, ok, witness, lval, rval, chain_ok, chain_note)
+                graded.TupleCheck(
+                    p,
+                    m,
+                    witness is None,
+                    witness,
+                    lval,
+                    rval,
+                    chain_w is None,
+                    note,
+                )
             )
         out.append(graded.ConeCheck(rays, tuple(checks)))
     return tuple(out)

@@ -474,6 +474,24 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
             "fan ray (1,) is not stable at its exponent 1",
         ),
     ]
+    # degree points at (2, 1) that break each theorem link of the valuation
+    # chain on the worked system, with the cone certificate off so that
+    # the tuple check runs: no point, points missing the product of the
+    # ray ideals, and points outside P((2, 1))
+    for points, message in [
+        ((), "is zero under a nonzero product"),
+        (((1, 5), (6, 0)), "product of the ray ideals is not inside"),
+        (((1, 0),), "is not inside 1 times the limit polyhedron"),
+    ]:
+        body = (
+            "graded._cone_certified = lambda *args: False\n"
+            "real = graded._degree_points\n"
+            f"graded._degree_points = lambda s, m: {points!r} "
+            "if tuple(m) == (2, 1) else real(s, m)\n"
+            f"sys.exit(cli.main(['verify', {worked_file!r}, '--p-bound', '3', "
+            f"'--json', {str(report)!r}]))\n"
+        )
+        cases.append((body, message))
     for body, message in cases:
         _assert_internal_error_under_O(body, message)
     assert not report.exists()

@@ -253,35 +253,34 @@ def test_orthant_hull_rejects_non_int_points(points):
         _orthant_hull(points, len(points[0]))
 
 
+def _product_hull(parts, n):
+    """The Newton polyhedron of a product of ideal powers as the tuple
+    check builds it: the orthant hull of the minimal weighted Minkowski
+    points of (integer vertex list, power) parts."""
+    from conefan.graded import _minimalize, _minkowski_points, _orthant_hull
+
+    return _orthant_hull(_minimalize(_minkowski_points(parts, n)), n)
+
+
 @pytest.mark.parametrize("system", [worked_system(), bench_system()])
 def test_weighted_minkowski_hform_matches_ideal_product(system):
-    from conefan.graded import _weighted_minkowski_hform
-
-    for I, J in combinations_with_replacement(system.ideals, 2):
+    factors = list(zip(system.ideals, system._vertex_lists))
+    for (I, u), (J, v) in combinations_with_replacement(factors, 2):
         for a in range(3):
             for b in range(3):
                 expect = newton_hform(
                     ideal_product(ideal_power(I, a), ideal_power(J, b))
                 )
-                got = _weighted_minkowski_hform(
-                    [(newton_hform(I), a), (newton_hform(J), b)], system.ambient
-                )
-                assert got == expect
+                assert _product_hull([(u, a), (v, b)], system.ambient) == expect
 
 
 def test_weighted_minkowski_hform_zero_factor():
-    from conefan.graded import _weighted_minkowski_hform
-
     I = MI(2, [(1, 1), (2, 0)])
-    h = newton_hform(I)
-    # a zero factor with a positive exponent absorbs the product
-    assert _weighted_minkowski_hform([(h, 1), (None, 2)], 2) is None
-    # with exponent 0 it contributes the unit ideal and is ignored
-    got = _weighted_minkowski_hform([(None, 0), (h, 2)], 2)
+    J = MI(2, [(0, 3)])
+    # a factor with power 0 contributes the unit ideal and is ignored
+    got = _product_hull([(J.gens, 0), (I.gens, 2)], 2)
     assert got == newton_hform(ideal_power(I, 2))
-    assert _weighted_minkowski_hform([(None, 0)], 2) == newton_hform(
-        MonomialIdeal.unit(2)
-    )
+    assert _product_hull([(J.gens, 0)], 2) == newton_hform(MonomialIdeal.unit(2))
 
 
 def test_closure_equal():
@@ -657,17 +656,14 @@ def _note_weight(note, prefix):
         # a wrong limit polyhedron (twice the true one) breaks additivity;
         # the closures agree
         ("_limit_points", "additivity failed on the cone", True),
-        # a degree ideal that misses the product of the ray ideals, whose
-        # value is below the product's at the first facet weight (1, 0) and
-        # above it only at (1, 1)
-        ("_degree_points", "inclusion inequality failed", False),
     ],
 )
 def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok):
     # the fault sits in the points a run hulls its polyhedra from, away
     # from the rays, so the exponent certificate holds; the cone
     # certificate reads no points (every cost is linear on its cones), so
-    # it is switched off to run the tuple checks
+    # it is switched off to run the tuple checks.  Additivity is the one
+    # link of the chain that can fail, so this is a verdict, not a bug
     import conefan.graded as graded
 
     monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
@@ -676,27 +672,15 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
     broken_degree = (2, 1)  # inside the fan cone spanned by (1, 0), (1, 1)
 
     def broken_points(system, m):
-        out = real(system, m)
+        points, den = real(system, m)
         if tuple(m) != broken_degree:
-            return out
-        if closure_ok:
-            points, den = out
-            return tuple(tuple(2 * x for x in c) for c in points), den
-        return ((1, 5), (6, 0))
+            return points, den
+        return tuple(tuple(2 * x for x in c) for c in points), den
 
-    # the polyhedron hulled from the points: twice the limit polyhedron,
-    # or the Newton polyhedron of (x y^5, x^6)
-    broken = {
-        "_limit_points": graded.asymptotic_newton,
-        "_degree_points": graded._degree_newton_hform,
-    }[name]
-    true_h = broken(worked_system(), broken_degree)
+    true_h = asymptotic_newton(worked_system(), broken_degree)
     monkeypatch.setattr(graded, name, broken_points)
-    assert broken(worked_system(), broken_degree) == (
-        scale_polyhedron(true_h, 2)
-        if closure_ok
-        else newton_hform(MI(2, [(1, 5), (6, 0)]))
-    )
+    broken = asymptotic_newton(worked_system(), broken_degree)
+    assert broken == scale_polyhedron(true_h, 2)
     rep = verify_closure_identity(worked_system(), power_bound=3)
     assert not rep.verified and rep.exponent == 1
     failing = [t for c in rep.cones for t in c.checks if not t.chain_ok]
@@ -705,19 +689,51 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
     assert t.closure_ok is closure_ok
     w = _note_weight(t.chain_note, note)
     # the named weight separates the broken polyhedron from the product's
-    broken_value = minimize_linear(broken(worked_system(), broken_degree), vec(w))
+    broken_value = minimize_linear(broken, vec(w))
     cone = next(c for c in rep.cones if t in c.checks)
     product = sum(
         pi * _valuation_at(worked_system(), w, e, 1)
         for pi, e in zip(t.powers, cone.rays)
     )
     assert broken_value.value != product
-    if not closure_ok:
-        # the inclusion fails where the degree ideal's value exceeds the
-        # product's; the closure witness is the first weight that differs
-        assert (w, broken_value.value, product) == ((1, 1), 6, 3)
-        assert t.witness_weight == (1, 0)
-        assert (t.left_value, t.right_value) == (1, 2)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        # no point: the zero ideal
+        ((), "the ideal in degree (2, 1) is zero under a nonzero product"),
+        # (x y^5, x^6) misses the product (x^2 y, x^3) of the ray ideals
+        (
+            ((1, 5), (6, 0)),
+            "the product of the ray ideals is not inside the ideal in degree",
+        ),
+        # (x) holds that product but leaves P(2, 1) = NP(x^2 y, x^3)
+        (
+            ((1, 0),),
+            "the Newton polyhedron in degree (2, 1) is not inside 1 times the "
+            "limit polyhedron of (2, 1)",
+        ),
+    ],
+    ids=["zero-ideal", "inclusion", "sandwich"],
+)
+def test_broken_theorem_link_is_an_internal_error(monkeypatch, points, message):
+    # a_{d e_1}^{p_1} ... a_{d e_k}^{p_k} lies in a_{d m}, and NP(a_{d m})
+    # in d P(m), whatever the system: degree points that break either are
+    # a bug, never a falsified tuple.  The worked system's cone (1, 0),
+    # (1, 1) is additive, so the sandwich is checked there
+    import conefan.graded as graded
+    from conefan.errors import InternalError
+
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
+    real = graded._degree_points
+
+    def broken_points(system, m):
+        return points if tuple(m) == (2, 1) else real(system, m)
+
+    monkeypatch.setattr(graded, "_degree_points", broken_points)
+    with pytest.raises(InternalError, match=re.escape(message)):
+        verify_closure_identity(worked_system(), power_bound=3)
 
 
 def test_unstable_ray_certificate_is_an_internal_error(monkeypatch):
@@ -961,8 +977,8 @@ def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
 
 def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
     # a passing run decides every equality from points against the limit
-    # hulls; the H-forms of degree ideals and of products only explain a
-    # failure
+    # hulls; the H-forms of degree ideals and of products are built only by
+    # the tuple check, for a cone that is not certified
     import conefan.graded as graded
 
     def refuse(*args):
@@ -975,7 +991,7 @@ def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
 
     monkeypatch.setattr(graded, "_RunPolyhedra", PointsOnly)
     monkeypatch.setattr(graded, "_degree_newton_hform", refuse)
-    monkeypatch.setattr(graded, "_weighted_minkowski_hform", refuse)
+    monkeypatch.setattr(graded, "_check_tuple", refuse)
     rep = verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
     assert rep.verified
 
@@ -1331,9 +1347,9 @@ def test_certified_cones_check_only_the_zero_face(monkeypatch, make):
     faces = []
     check = graded._check_tuple
 
-    def record(forms, d, face, limit_h):
+    def record(forms, d, face):
         faces.append(face)
-        return check(forms, d, face, limit_h)
+        return check(forms, d, face)
 
     monkeypatch.setattr(graded, "_check_tuple", record)
     rep = verify_closure_identity(make(), power_bound=2, power_checks=1)
@@ -1433,7 +1449,7 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
 def test_limit_support_read_from_facet_rows(make):
     # the LP anchor reads P(e)'s support at a facet weight from the facet
     # row; it must be the minimum over P(e)'s vertices
-    from conefan.graded import _h_weights, _support
+    from conefan.graded import _h_weights
 
     system = make()
     for e in linearity_fan(system.degrees).rays():
@@ -1448,7 +1464,7 @@ def test_limit_support_read_from_facet_rows(make):
         for w, (a, b) in zip(weights, rows, strict=True):
             g = -sum(a) // sum(w)
             assert tuple(-x for x in a) == tuple(g * x for x in w)
-            assert Fraction(-b, g) == _support(limit_h, w)
+            assert Fraction(-b, g) == minimize_linear(limit_h, w).value
 
 
 @pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])
