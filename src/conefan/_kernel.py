@@ -1,19 +1,19 @@
 """The exact kernels under linalg, _simplex and _dd.
 
   rref_frac(rows)                     reduced row echelon form over Fraction
-  simplex_rows(nums, dens, basis, k)  Bland-rule pivoting on integer rows
+  simplex_rows(rows, den, basis, k)   Bland-rule pivoting on integer rows
   dd_step(rays, zsets, vals, bit, min_common)
                                       one double-description halfspace step
 
-Rational rows are worked on fraction-free (Bareiss, Math. Comp. 22, 1968):
-each row is a list of integers over one positive common denominator, an
-elimination cross-multiplies two integer rows, and the result is divided
-by its content once, instead of normalising a Fraction at every addition
-and product.  rref_frac takes and returns Fractions; as Fractions are
-canonical, its results equal those of Gauss-Jordan elimination on
-Fractions exactly.  simplex_rows works on rows already in the
-(numerators, denominators) form of _to_int_rows, so a caller that builds
-its tableau that way never round-trips through Fraction.
+Rational rows are worked on fraction-free, over one positive denominator
+for the whole tableau (Edmonds, J. Res. NBS 71B, 1967; the integer
+pivoting of Avis's lrs).  A tableau starts as an integer matrix over
+denominator 1, and _pivot returns the new denominator.  After any pivots
+every numerator is a minor of the starting matrix and the denominator is
+|det| of the current pivot block, so each elimination divides exactly
+and no row is divided by its gcd.  rref_frac takes and returns
+Fractions, equal to those of Gauss-Jordan elimination on Fractions, as
+Fractions are canonical; simplex_rows works on integer rows throughout.
 """
 
 from __future__ import annotations
@@ -41,54 +41,48 @@ def _to_int_rows(rows):
 _ZERO = Fraction(0)
 
 
-def _to_frac_rows(nums, dens):
+def _to_frac_rows(rows, den):
     # Fractions are immutable, so every zero entry can share one object
-    return [
-        [Fraction(x) if x else _ZERO for x in row]
-        if den == 1
-        else [Fraction(x, den) if x else _ZERO for x in row]
-        for row, den in zip(nums, dens)
-    ]
+    return [[Fraction(x, den) if x else _ZERO for x in row] for row in rows]
 
 
-def _reduce_row(row, den):
-    """Divide row and den by their content in place; returns the new den."""
-    g = gcd(den, *row)
-    if g > 1:
-        row[:] = [x // g for x in row]
-        den //= g
-    return den
+def _pivot(rows, den, prow, pcol):
+    """Pivot the tableau rows / den on (prow, pcol); returns the new den.
 
-
-def _pivot(nums, dens, prow, pcol):
-    """Scale row prow to a unit pivot in pcol and clear pcol elsewhere.
-
-    After the scaling the pivot row's entry in pcol equals its denominator,
-    so eliminating it from row i is the cross-multiplication
-    row_i * P - row_i[pcol] * prow over the denominator den_i * P.
+    The pivot row keeps its numerators over the new denominator p, its
+    entry in pcol, which makes its pivot entry 1; every other row becomes
+    (row * p - row[pcol] * prow) / den over p, an exact division.  A
+    negative p would leave a negative denominator, so the pivot row is
+    negated first and p = |p|: the same as negating every row over -p,
+    which keeps signs readable off the numerators.
     """
-    row = nums[prow]
-    P = row[pcol]
-    if P < 0:
-        P = -P
-        row[:] = [-x for x in row]
-    P = dens[prow] = _reduce_row(row, P)
-    for i, irow in enumerate(nums):
-        F = irow[pcol]
-        if F == 0 or i == prow:
+    row = rows[prow]
+    p = row[pcol]
+    if p < 0:
+        p = -p
+        row = rows[prow] = [-x for x in row]
+    for i, irow in enumerate(rows):
+        if i == prow:
             continue
-        irow[:] = [x * P - F * y for x, y in zip(irow, row)]
-        dens[i] = _reduce_row(irow, dens[i] * P)
+        f = irow[pcol]
+        if f:
+            rows[i] = [(x * p - f * y) // den for x, y in zip(irow, row)]
+        elif p != den:
+            rows[i] = [x * p // den for x in irow]
+    return p
 
 
 def rref_frac(rows):
     """Reduced row echelon form of a rational matrix.
 
-    Returns (new_rows, pivot_columns); the input is not modified.
+    Returns (new_rows, pivot_columns); the input is not modified.  Each
+    row is scaled to integers by its own denominator first, which leaves
+    the reduced echelon form as it is.
     """
-    nums, dens = _to_int_rows(rows)
+    nums = _to_int_rows(rows)[0]
     nrows = len(nums)
     ncols = len(nums[0]) if nrows else 0
+    den = 1
     pivots = []
     row = 0
     for col in range(ncols):
@@ -98,42 +92,42 @@ def rref_frac(rows):
         if pr is None:
             continue
         nums[row], nums[pr] = nums[pr], nums[row]
-        dens[row], dens[pr] = dens[pr], dens[row]
-        _pivot(nums, dens, row, col)
+        den = _pivot(nums, den, row, col)
         pivots.append(col)
         row += 1
-    return _to_frac_rows(nums, dens), pivots
+    return _to_frac_rows(nums, den), pivots
 
 
-def simplex_rows(nums, dens, basis, allowed_cols):
+def simplex_rows(rows, den, basis, allowed_cols):
     """Run Bland-rule simplex pivoting to optimality or unboundedness.
 
-    nums, dens: an (m+1)-row tableau in the form of _to_int_rows, row i
-    equal to nums[i] / dens[i]; the last row holds the reduced costs, the
-    last column the right-hand side.  basis: length-m list of basic column
-    indices.  Only columns < allowed_cols may enter.  nums, dens and basis
-    are updated in place.
+    rows / den: a tableau of integer rows over one positive denominator,
+    whose first len(basis) rows are the constraints and whose last row
+    holds the reduced costs; the last column is the right-hand side, and
+    any rows in between are carried through the pivots.  basis: the basic
+    column of each constraint row.  Only columns < allowed_cols may enter.
+    rows and basis are updated in place.
 
-    Returns (status, entering_col): ("optimal", -1), or ("unbounded", the
-    improving column).
+    Returns (status, entering_col, den): ("optimal", -1, den), or
+    ("unbounded", the improving column, den).
     """
-    m = len(nums) - 1
-    rhs_col = len(nums[0]) - 1
-    obj = nums[m]
+    m = len(basis)
+    rhs_col = len(rows[0]) - 1
     while True:
-        # denominators are positive, so signs can be read off numerators
+        # den > 0, so signs can be read off numerators
+        obj = rows[-1]
         enter = next((j for j in range(allowed_cols) if obj[j] < 0), -1)
         if enter < 0:
-            return "optimal", -1
+            return "optimal", -1, den
         # Bland's ratio test.  Row i's ratio rhs_i / a_i is rn / a on its
-        # integer numerators, because the row's common denominator cancels;
-        # with a > 0 and bd > 0, rn / a < bn / bd iff rn * bd - bn * a < 0.
+        # integer numerators, because the common denominator cancels; with
+        # a > 0 and bd > 0, rn / a < bn / bd iff rn * bd - bn * a < 0.
         leave = -1
         bn = bd = 0
         for i in range(m):
-            a = nums[i][enter]
+            a = rows[i][enter]
             if a > 0:
-                rn = nums[i][rhs_col]
+                rn = rows[i][rhs_col]
                 if leave < 0:
                     bn, bd, leave = rn, a, i
                 else:
@@ -141,8 +135,8 @@ def simplex_rows(nums, dens, basis, allowed_cols):
                     if cmp < 0 or (cmp == 0 and basis[i] < basis[leave]):
                         bn, bd, leave = rn, a, i
         if leave < 0:
-            return "unbounded", enter
-        _pivot(nums, dens, leave, enter)
+            return "unbounded", enter, den
+        den = _pivot(rows, den, leave, enter)
         basis[leave] = enter
 
 

@@ -6,12 +6,15 @@ is added per row; their tableau columns double as the basis inverse, from
 which duals and Farkas certificates are read and then re-verified before
 being returned.
 
-The LP is converted once to integer rows over per-row denominators (the
-form of _kernel._to_int_rows; int inputs enter as they are, over
-denominator 1), and everything after that runs on
-integers: the tableau, both objective rows, the pivots and the
-certificate checks, which compare cross-multiplied integer sums.  Only
-the returned vectors are made Fractions again.
+The LP is converted once to integer rows over per-row denominators
+(_int_lp), and everything after that runs on integers.  Each row is
+multiplied through by its denominator and its artificial scaled by the
+same factor, so the first tableau is an integer matrix with unit
+artificial columns, pivoted over one common denominator (_kernel._pivot).
+Its last two rows are the phase-2 cost row, carried through phase 1, and
+the phase-1 row.  The scaling leaves every ratio and the reduced cost of
+every original column as it was, so every Bland choice is too.  Only the
+returned vectors are made Fractions again.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ class StandardResult(Frozen):
 def _int_lp(c, A, b):
     """(rows, dens, cost, cden): row i of [A | b] equals rows[i] / dens[i]
     and c equals cost / cden, in integers over positive denominators."""
-    rows, dens = _kernel._to_int_rows([a + [v] for a, v in zip(A, b)])
+    rows, dens = _kernel._to_int_rows([list(a) + [v] for a, v in zip(A, b)])
     (cost,), (cden,) = _kernel._to_int_rows([c])
     return rows, dens, cost, cden
 
@@ -48,91 +51,84 @@ def _fracs(nums, den):
 
 def solve_standard(c: Sequence, A: Sequence[Sequence], b: Sequence) -> StandardResult:
     # ints stay ints: _to_int_rows reads numerator and denominator of both
-    c = list(qvec(c))
-    rows = [list(qvec(row)) for row in A]
-    rhs = list(qvec(b))
-    m = len(rows)
-    n = len(c)
-    if len(rhs) != m or any(len(r) != n for r in rows):
+    c = qvec(c)
+    rows = [qvec(row) for row in A]
+    rhs = qvec(b)
+    if len(rhs) != len(rows) or any(len(r) != len(c) for r in rows):
         raise InputError("inconsistent LP dimensions")
-    lp = _int_lp(c, rows, rhs)
+    return solve_int(_int_lp(c, rows, rhs))
+
+
+def solve_int(lp) -> StandardResult:
+    """solve_standard on an LP already in the integer form of _int_lp."""
     lp_rows, lp_dens, cost, cden = lp
+    m = len(lp_rows)
+    n = len(cost)
 
     # tableau columns: n original, m artificial, then rhs; rows with a
-    # negative rhs are negated so the artificial basis starts feasible
+    # negative rhs are negated so the artificial basis starts feasible.
+    # Phase 1 minimizes the unscaled artificials' sum (costs 1 / dens[i]
+    # once scaled); its row is minus the input rows' sum times lcm(dens).
+    L = lcm(*lp_dens)
     signs = []
     tab = []
-    for i, row in enumerate(lp_rows):
+    obj = [0] * (n + 1)
+    for i, (row, d) in enumerate(zip(lp_rows, lp_dens)):
         sign = -1 if row[n] < 0 else 1
-        t = [sign * v for v in row[:n]] + [0] * m + [sign * row[n]]
-        t[n + i] = lp_dens[i]
+        t = [sign * v for v in row] if sign < 0 else list(row)
+        f = L // d
+        obj = [o - f * v for o, v in zip(obj, t)]
+        t[n:n] = [0] * m
+        t[n + i] = 1
         signs.append(sign)
         tab.append(t)
-    dens = list(lp_dens)
-    basis = list(range(n, n + m))
-
-    # phase 1: minimize the sum of artificials; the objective row is minus
-    # the row sum outside the artificial columns
-    den = lcm(*dens)
-    scaled = [(den // d, t) for d, t in zip(dens, tab)]
-    obj = [-sum(f * t[j] for f, t in scaled) for j in range(n)]
-    obj += [0] * m + [-sum(f * t[n + m] for f, t in scaled)]
+    obj[n:n] = [0] * m
+    tab.append(list(cost) + [0] * (m + 1))
     tab.append(obj)
-    dens.append(_kernel._reduce_row(obj, den))
-    status, _ = _kernel.simplex_rows(tab, dens, basis, n)
+    basis = list(range(n, n + m))
+    status, _, den = _kernel.simplex_rows(tab, 1, basis, n)
     if status != "optimal":
         raise InternalError("phase 1 cannot be unbounded")
     obj = tab.pop()
-    den = dens.pop()
     if obj[n + m] < 0:
-        # y_i = 1 - (reduced cost of artificial i), back in the input signs
-        y = [s * (den - obj[n + i]) for i, s in enumerate(signs)]
+        # y_i = 1 - (reduced cost of artificial i), back in the input signs;
+        # unscaled, that cost is dens[i] times the row's, over L * den
+        y = [s * (L * den - d * r) for s, d, r in zip(signs, lp_dens, obj[n:])]
         _check_farkas(y, lp)
-        return StandardResult(status="infeasible", y=_fracs(y, den))
+        return StandardResult(status="infeasible", y=_fracs(y, L * den))
 
     # drive artificial variables out of the basis where possible
     for i in range(m):
         if basis[i] >= n:
             piv = next((j for j in range(n) if tab[i][j] != 0), None)
             if piv is not None:
-                _kernel._pivot(tab, dens, i, piv)
+                den = _kernel._pivot(tab, den, i, piv)
                 basis[i] = piv
 
-    # phase 2 objective: reduced costs of c for the current basis; the rhs
-    # cell ends up holding minus the objective value
-    basic = [
-        (cost[k], d, t) for k, d, t in zip(basis, dens, tab) if k < n and cost[k]
-    ]
-    den = lcm(*[d for _, d, _ in basic])
-    obj = [v * den for v in cost] + [0] * (m + 1)
-    for ck, d, t in basic:
-        f = ck * (den // d)
-        obj = [o - f * v for o, v in zip(obj, t)]
-    tab.append(obj)
-    dens.append(_kernel._reduce_row(obj, cden * den))
-    status, enter = _kernel.simplex_rows(tab, dens, basis, n)
+    # phase 2 on the carried cost row, whose rhs cell ends up holding
+    # minus the objective value
+    status, enter, den = _kernel.simplex_rows(tab, den, basis, n)
 
-    # every returned vector is put over the common denominator of the rows
-    den = lcm(*dens[:m])
     if status == "unbounded":
         ray = [0] * n
         ray[enter] = den
         for i in range(m):
             if basis[i] < n:
-                ray[basis[i]] = -tab[i][enter] * (den // dens[i])
+                ray[basis[i]] = -tab[i][enter]
         _check_ray(ray, lp)
         return StandardResult(status="unbounded", ray=_fracs(ray, den))
 
     x = [0] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = tab[i][n + m] * (den // dens[i])
-    # the final objective row holds -c_B B^-1 in the artificial columns:
-    # minus the duals of the sign-adjusted rows
-    y = [-s * tab[m][n + i] for i, s in enumerate(signs)]
-    value = _check_optimal(x, den, y, dens[m], lp)
+            x[basis[i]] = tab[i][n + m]
+    # the cost row holds -c_B B^-1 in the artificial columns, over cden *
+    # den: minus the duals of the sign-adjusted rows, each divided by its
+    # row's denominator, since the artificials are scaled
+    y = [-s * d * r for s, d, r in zip(signs, lp_dens, tab[m][n:])]
+    value = _check_optimal(x, den, y, cden * den, lp)
     return StandardResult(
-        status="optimal", x=_fracs(x, den), y=_fracs(y, dens[m]), value=value
+        status="optimal", x=_fracs(x, den), y=_fracs(y, cden * den), value=value
     )
 
 

@@ -63,7 +63,6 @@ from .rational import (
     is_finite,
     ivec,
     primitive_int_vector,
-    vec,
 )
 
 EXPAND_NODE_BUDGET = 10**6
@@ -581,9 +580,10 @@ def asymptotic_valuation(
     degrees, ideals = sys.nonzero_part()
     if not degrees:
         return PLUS_INFINITY
-    costs = vec([weight_valuation(w, I) for I in ideals])
+    # weight_valuation's minima, left as ints for the integer LP
+    costs = [min(idot(w, g) for g in I.gens) for I in ideals]
     try:
-        return representation_cost(degrees, costs, vec(m)).value
+        return representation_cost(degrees, costs, m).value
     except NotInConeError:
         return PLUS_INFINITY
 
@@ -815,6 +815,10 @@ def _stabilize(
 ) -> ExponentCertificate:
     """stabilizing_exponent on the polyhedra of one run.
 
+    Only multiples of q, the lcm of the denominators of P(e)'s vertices,
+    are tried: NP(a_{d e}) = d P(e) has integer vertices, so q | d and the
+    first stable d is unchanged.  A q above the cap fails at once, naming q.
+
     Each equality NP(a_{d e}) = d P(e) is decided from the degree's points
     against the one hull of P(e) (_RunPolyhedra.stable); no degree ideal
     is hulled.  It implies NP(a_{d l e}) = d l P(e) for every l >= 1, so
@@ -831,7 +835,7 @@ def _stabilize(
             raise InputError(f"fan ray {ray} lies outside the degree cone")
         # P(e) first: a ray whose ideals are all zero has none
         try:
-            forms.limit_hull(ray)
+            _, vertices, s = forms.limit_hull(ray)
         except NotInConeError as exc:
             raise StabilizationError(
                 ray,
@@ -839,7 +843,17 @@ def _stabilize(
                 f"fan ray {ray} lies outside the cone of the degrees "
                 "with a nonzero ideal, so its ideals are all zero",
             ) from exc
-        found = next((d for d in range(1, cap + 1) if forms.stable(ray, d)), None)
+        # q: the lcm of the denominators of P(e)'s vertices s * v
+        den = s.denominator
+        q = lcm(*(den // gcd(den, x) for v in vertices for x in v))
+        if q > cap:
+            raise StabilizationError(
+                ray,
+                cap,
+                f"no stabilizing exponent <= {cap} found for ray {ray}: "
+                f"the vertex denominators of its limit polyhedron have lcm {q}",
+            )
+        found = next((d for d in range(q, cap + 1, q) if forms.stable(ray, d)), None)
         if found is None:
             raise StabilizationError(ray, cap)
         per_ray.append((ray, found))
@@ -999,20 +1013,21 @@ def _separating_weight(a: HPolyhedron, b: HPolyhedron) -> IntVec:
     raise InternalError("differing Newton polyhedra without a separating facet")
 
 
-def _check_limit_polyhedra(sys: GradedSystem, limits: dict) -> None:
-    """Anchor the limit polyhedra to the certified LP: at every facet
-    weight w of P(e) = asymptotic_newton(sys, e), given as limits[e], the
-    asymptotic valuation at e must be P(e)'s support value.  A facet row
-    (a | b) of P(e) with a <= 0 is tight on P(e), so with g the gcd of a
-    and w = -a / g that value is min <w, x> = -b / g.  A mismatch is an
-    internal failure."""
-    for e, limit_h in limits.items():
-        for normal, offset in limit_h.inequalities:
+def _check_limit_polyhedra(forms: _RunPolyhedra, rays) -> None:
+    """Anchor the limit polyhedra of the rays to the certified LP: at every
+    facet weight w of P(e) = s * h, with h the run's hull of e
+    (_RunPolyhedra.limit_hull), the asymptotic valuation at e must be
+    P(e)'s support value.  A facet row (a | b) of h with a <= 0 is tight on
+    h, so with g the gcd of a and w = -a / g that value is s * min <w, x>
+    over h = -s * b / g.  A mismatch is an internal failure."""
+    for e in rays:
+        h, _, s = forms.limit_hull(e)
+        for normal, offset in h.inequalities:
             if any(x > 0 for x in normal) or not any(normal):
                 continue
             g = gcd(*normal)
             w = tuple(-x // g for x in normal)
-            if asymptotic_valuation(sys, w, e) != Fraction(-offset, g):
+            if asymptotic_valuation(forms.sys, w, e) != Fraction(-offset, g) * s:
                 raise InternalError(
                     f"limit polyhedron of ray {e} disagrees with the "
                     f"asymptotic valuation at weight {w}"
@@ -1100,8 +1115,7 @@ def verify_closure_identity(
     d = cert.value
     for ray, doc in cert.ideal_level:
         notes.append(f"ray {ray}: {doc}")
-    limits = {e: forms.limit(e) for e in fan.rays()}
-    _check_limit_polyhedra(sys, limits)
+    _check_limit_polyhedra(forms, fan.rays())
     # the certificate's own claim, NP(a_{d_e e}) = d_e P(e), asked again
     # at the points _stabilize has already made; by its inclusion argument
     # it holds at every multiple of d_e, d among them, so NP(a_{d e}) is

@@ -124,17 +124,19 @@ def int_adjugate(
     adj(M) M = M adj(M) = det(M) I, so for invertible M the solution of
     M x = b is adj(M) b / det(M) with no division until the end.
 
-    One fraction-free Gauss-Jordan pass on [M | I] (Bareiss's exact
-    divisions, row swaps only below the pivot) ends as [d I | E] with
-    E M = d I; the swaps make d = +-det(M) and E = +-adj(M) with the same
-    sign.  A singular M has no pivot in some column; its adjugate need
-    not vanish, but every caller skips a zero determinant, so none is
-    formed.
+    One fraction-free Gauss-Jordan pass on [M | I] (_kernel._pivot, row
+    swaps only below the pivot) ends as [d I | E] over the denominator d
+    = |det(M)|, with E = d M^-1.  det(M) has the sign of the row swaps
+    times the signs of the pivot entries as they are met (each negative
+    one flips the running minor that the denominator keeps positive), and
+    adj(M) = det(M) M^-1 = +-E with that sign.  A singular M has no pivot
+    in some column; its adjugate need not vanish, but every caller skips
+    a zero determinant, so none is formed.
     """
     n = len(rows)
     work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     sign = 1
-    prev = 1
+    den = 1
     for k in range(n):
         p = next((i for i in range(k, n) if work[i][k] != 0), None)
         if p is None:
@@ -142,14 +144,10 @@ def int_adjugate(
         if p != k:
             work[k], work[p] = work[p], work[k]
             sign = -sign
-        pivot_row = work[k]
-        pivot = pivot_row[k]
-        for i, row in enumerate(work):
-            if i != k:
-                f = row[k]
-                work[i] = [(x * pivot - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pivot
-    return [[sign * x for x in row[n:]] for row in work], sign * prev
+        if work[k][k] < 0:
+            sign = -sign
+        den = _kernel._pivot(work, den, k, k)
+    return [[sign * x for x in row[n:]] for row in work], sign * den
 
 
 def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:

@@ -9,12 +9,12 @@ dual polyhedron of price vectors, whose linear maximum must agree with the
 primal value; duality_check computes both sides through independent code
 paths (simplex vs. vertex enumeration) and compares them bit-exactly.
 
-representation_cost hands its inputs to the simplex as they came: int
-entries stay int (the simplex reads them as integer rows over
-denominator 1), other rationals stay Fractions, and only the returned
-value and witness are Fractions.  It keeps no memo: every call validates
-its arguments and solves one LP, because no workload asks for the same
-representation cost twice.
+representation_cost validates its inputs once and hands them to the
+simplex core (_simplex.solve_int) as integer rows: int entries stay int
+(a row of ints enters over denominator 1), other rationals are cleared
+row by row, and only the returned value and witness are Fractions.  It
+keeps no memo: every call validates its arguments and solves one LP,
+because no workload asks for the same representation cost twice.
 """
 
 from __future__ import annotations
@@ -76,12 +76,6 @@ class CostOptimum(Frozen):
     witness: Vec  # nonnegative coefficients reproducing the target
 
 
-def _columns_matrix(generators: Sequence[Vec], dim: int) -> Mat:
-    return tuple(
-        tuple(g[i] for g in generators) for i in range(dim)
-    )
-
-
 def representation_cost(
     generators: Sequence[Sequence], costs: Sequence, target: Sequence
 ) -> CostOptimum:
@@ -94,7 +88,7 @@ def representation_cost(
     coerced by frac, and bools and floats raise InputError before any LP
     is solved.
     """
-    gens = tuple(qvec(g) for g in generators)
+    gens = [qvec(g) for g in generators]
     costs = qvec(costs)
     target = qvec(target)
     if len(costs) != len(gens):
@@ -108,7 +102,8 @@ def representation_cost(
         if all(x == 0 for x in target):
             return CostOptimum(Fraction(0), ())
         raise NotInConeError("target is nonzero but there are no generators")
-    res = _simplex.solve_standard(costs, _columns_matrix(gens, len(target)), target)
+    # row i of A is coordinate i of every generator
+    res = _simplex.solve_int(_simplex._int_lp(costs, zip(*gens), target))
     if res.status == "infeasible":
         raise NotInConeError(
             "target admits no nonnegative representation in the generators"

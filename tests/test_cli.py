@@ -328,6 +328,33 @@ def test_verify_d_cap_exhausted_is_budget_error(tmp_path, capsys):
     assert "no stabilizing exponent" in err
 
 
+# the limit polyhedron of the ray (1, 2, 1) has vertex denominators with
+# lcm 105, so no exponent up to 64 can stabilize that ray, and 210 does
+DENOMINATOR = {
+    "ambient_dim": 3,
+    "grading_rank": 3,
+    "generators": [
+        {"degree": [0, 3, 0], "ideal": [[0, 2, 2], [2, 3, 0]]},
+        {"degree": [1, 3, 1], "ideal": [[1, 2, 2]]},
+        {"degree": [1, 2, 3], "ideal": [[1, 2, 1], [3, 0, 1]]},
+        {"degree": [2, 3, 1], "ideal": [[2, 2, 3]]},
+    ],
+}
+
+
+def test_verify_names_the_vertex_denominator_lcm(tmp_path, capsys):
+    path = tmp_path / "denominator.json"
+    path.write_text(json.dumps(DENOMINATOR))
+    assert main(["verify", str(path), "--d-cap", "64"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no stabilizing exponent <= 64 found for ray (1, 2, 1): the "
+        "vertex denominators of its limit polyhedron have lcm 105\n"
+    )
+    flags = ["--d-cap", "210", "--p-bound", "2", "--L", "1"]
+    assert main(["verify", str(path), *flags]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "VERIFIED (d = 210, 31 cones)"
+
+
 def test_verify_caps_from_file(tmp_path, capsys):
     data = dict(HALFSTEP)
     data["caps"] = {"p_bound": 2, "d_cap": 8, "L": 4, "seed": 1}
@@ -454,7 +481,7 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
     halfstep.write_text(json.dumps(HALFSTEP))
     cases = [
         (
-            "_kernel.simplex_rows = lambda nums, dens, basis, k: ('unbounded', 0)\n"
+            "_kernel.simplex_rows = lambda rows, den, basis, k: ('unbounded', 0, den)\n"
             "sys.exit(cli.main(['phi', '--generators', '[[1,0],[0,1],[1,1]]',\n"
             "    '--alpha', '[1,1,1]', '--v', '[1,1]']))\n",
             "phase 1 cannot be unbounded",

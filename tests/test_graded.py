@@ -998,8 +998,8 @@ def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
 
 def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
     # the tuple degrees of a verify of the bench system at p-bound 3, L 1
-    # (the benchmark's verify-chain input), with the ray multiples its
-    # exponent search tries, need 316 nodes; a search bounded only by the
+    # (the benchmark's verify-chain input), with every ray multiple up to
+    # its exponent, need 316 nodes; a search bounded only by the
     # theta-weight visits 233,585
     import conefan.graded as graded
 
@@ -1032,9 +1032,12 @@ def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
     assert total <= 10_000
     reps = [graded._representations(system, m) for m in sorted(degrees)]
     assert sum(map(len, reps)) == 90
-    # certified cones search only the ray multiples up to each ray's
-    # exponent; the zero tuple passes with no search
-    assert seen <= degrees and len(seen) == 35
+    # certified cones search no tuple degree, and the exponent search
+    # tries only the multiples of each ray's vertex-denominator lcm, which
+    # here is the ray's exponent itself; the zero tuple passes with no
+    # search
+    assert seen == {tuple(top * x for x in e) for e, top in rep.per_ray}
+    assert seen <= degrees and len(seen) == 9
 
 
 @st.composite
@@ -1443,6 +1446,28 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
     # pass and fall back
     assert verdicts == ({True} if refine else {True, False})
     assert all(outcomes) if refine else set(outcomes) == {True, False}
+
+
+@pytest.mark.parametrize("refine", [True, False])
+def test_corpus_slice_exponents_match_a_search_over_every_d(refine):
+    # the exponent search tries only multiples of the lcm of P(e)'s vertex
+    # denominators; it must find the first stable d of every d up to the cap
+    from conefan.graded import _RunPolyhedra
+
+    for seed in CORPUS_SLICE:
+        system = random_graded_system(random.Random(seed), allow_zero=seed % 3 == 0)
+        if refine:
+            fan = linearity_fan(system.degrees)
+        else:
+            fan = Fan.make([system.degree_cone()], system.grading_rank)
+        fan = smooth_refine(fan)
+        cert = stabilizing_exponent(system, fan, cap=64, power_checks=1)
+        forms = _RunPolyhedra(system)
+        brute = tuple(
+            (e, next(d for d in range(1, 65) if forms.stable(e, d)))
+            for e in fan.rays()
+        )
+        assert cert.per_ray == brute, seed
 
 
 @pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])

@@ -1,6 +1,6 @@
 """The fraction-free kernels against plain Fraction references.
 
-rref_frac, simplex_rows and solve_standard must return exactly what
+rref_frac, _pivot, simplex_rows and solve_standard must return exactly what
 Gauss-Jordan elimination and Bland's rule on Fractions return
 (tests/helpers.py), on every shape the callers produce: empty, 1x1, zero
 rows and columns, rank-deficient matrices, mixed denominators, and LPs
@@ -141,10 +141,14 @@ _TIE = (
 def test_simplex_rows_matches_reference(lp):
     c, A, b = lp
     tab, basis = _phase1_tableau(A, b)
-    nums, dens = _kernel._to_int_rows(tab)
+    # lps() draws integer entries, so the tableau is an integer matrix,
+    # which the kernel starts on over denominator 1
+    assert all(x.denominator == 1 for r in tab for x in r)
+    rows = [[x.numerator for x in r] for r in tab]
     got_basis = list(basis)
-    status, enter = _kernel.simplex_rows(nums, dens, got_basis, len(c))
-    got = (status, enter, _kernel._to_frac_rows(nums, dens), got_basis)
+    status, enter, den = _kernel.simplex_rows(rows, 1, got_basis, len(c))
+    assert den > 0
+    got = (status, enter, _kernel._to_frac_rows(rows, den), got_basis)
     assert got == simplex_core_reference(tab, basis, len(c))
 
 
@@ -209,18 +213,80 @@ def test_solve_standard_battery_reaches_every_outcome():
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.lists(_entries, min_size=3, max_size=3), min_size=1, max_size=4),
-    st.integers(0, 3),
-    st.integers(0, 2),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=4),
 )
-def test_pivot_matches_reference(rows, prow, pcol):
+def test_pivot_matches_reference(rows, pivots):
+    # the kernel pivots the integer matrix of the rows, each cleared of its
+    # denominators; after every pivot of a sequence, the rows over the one
+    # denominator must equal the Fraction pivots of that matrix
+    prow, pcol = pivots[0]
     prow %= len(rows)
     if rows[prow][pcol] == 0:
         rows[prow][pcol] = F(5, 3)
-    nums, dens = _kernel._to_int_rows(rows)
-    _kernel._pivot(nums, dens, prow, pcol)
-    ref = _copy(rows)
-    pivot_reference(ref, prow, pcol)
-    assert _kernel._to_frac_rows(nums, dens) == ref
+    nums = _kernel._to_int_rows(rows)[0]
+    ref = [[F(x) for x in r] for r in nums]
+    den = 1
+    for prow, pcol in pivots:
+        prow %= len(nums)
+        if nums[prow][pcol] == 0:
+            continue
+        den = _kernel._pivot(nums, den, prow, pcol)
+        pivot_reference(ref, prow, pcol)
+        assert den > 0
+        assert _kernel._to_frac_rows(nums, den) == ref
+
+
+def _det(matrix):
+    """Determinant by Gaussian elimination on Fractions."""
+    m = [[F(x) for x in r] for r in matrix]
+    det = F(1)
+    for k in range(len(m)):
+        p = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if p is None:
+            return F(0)
+        if p != k:
+            m[k], m[p] = m[p], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda m: st.tuples(
+            st.lists(
+                st.lists(st.integers(-5, 5), min_size=5, max_size=5),
+                min_size=m,
+                max_size=m,
+            ),
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 8)), max_size=8),
+        )
+    )
+)
+@example(([[2, 3], [4, 5]], [(0, 0), (1, 1), (0, 2), (1, 3)]))
+def test_pivot_denominator_is_the_basis_determinant(case):
+    # on [A | I], whose identity block is the first basis, the common
+    # denominator after every pivot is |det| of the starting matrix's
+    # current basis columns; every numerator is then a minor of that
+    # matrix, which is what makes the kernel's divisions exact
+    A, pivots = case
+    m, n = len(A), len(A[0])
+    start = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(A)]
+    rows = [list(r) for r in start]
+    basis = list(range(n, n + m))
+    den = 1
+    for prow, pcol in pivots:
+        prow %= m
+        pcol %= n + m
+        if rows[prow][pcol] == 0:
+            continue
+        den = _kernel._pivot(rows, den, prow, pcol)
+        basis[prow] = pcol
+        assert den == abs(_det([[r[j] for j in basis] for r in start]))
 
 
 def _dd_step_reference(rays, zsets, vals, bit):

@@ -432,12 +432,12 @@ def test_lp_path_checks_survive_python_O():
         "if __debug__:\n"
         "    sys.exit('not running under -O')\n"
         "from conefan import _kernel, _simplex, lp\n"
-        "_kernel.simplex_rows = lambda nums, dens, basis, k: ('unbounded', 0)\n"
+        "_kernel.simplex_rows = lambda rows, den, basis, k: ('unbounded', 0, den)\n"
         "try:\n"
         "    _simplex.solve_standard([1], [[1]], [1])\n"
         "except AssertionError as exc:\n"
         "    print(exc)\n"
-        "_simplex.solve_standard = lambda c, A, b: _simplex.StandardResult(\n"
+        "_simplex.solve_int = lambda lp: _simplex.StandardResult(\n"
         "    'unbounded', ray=(1,))\n"
         "try:\n"
         "    lp.representation_cost([(1,)], [1], (1,))\n"
