@@ -9,10 +9,10 @@ Exit codes: 0 success/verified, 1 domain failure (target outside the cone,
 falsified identity, failed linearity check), 2 usage, validation, or
 budget errors and MemoryError, 3 internal error (a failed consistency
 check or any other unexpected exception, never a verdict).  fan --check
-is exact, so fan --seed decides nothing.
-verify checks the valuation chain for every weight w >= 0 at once, so
-its --seed is recorded in the report but decides no verdict.  JSON
-reports are byte-identical for identical inputs and seeds.
+is exact and takes no seed.  verify checks the valuation chain for every
+weight w >= 0 at once, so its --seed is recorded in the report but
+decides no verdict.  JSON reports are byte-identical for identical
+inputs and seeds.
 """
 
 from __future__ import annotations
@@ -279,7 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exact test that every cost is linear on each maximal cone (each "
         "basis cone contains it or meets it in lower dimension)",
     )
-    p_fan.add_argument("--seed", type=int, default=0, help="decides nothing")
 
     p_ver = sub.add_parser("verify", help="verify the closure identity of a system")
     p_ver.add_argument("system", help="system JSON file, or - for stdin")

@@ -388,6 +388,27 @@ def independent_subsets(generators: Sequence[Sequence]) -> tuple[tuple[int, ...]
     return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
+def _cut_frame(generators: Sequence[IntVec]) -> tuple:
+    """Integer echelon rows E and pivot coordinates S of span(generators),
+    and the cuts: the sorted primitive, sign-normal normals, on S, of the
+    hyperplanes spanned by |S| - 1 of the integer generators."""
+    echelon, frame = int_echelon(generators)
+    d = len(frame)
+    coord_gens = [tuple(g[i] for i in frame) for g in generators]
+    cuts = set()
+    for rows in combinations(coord_gens, d - 1):
+        # the signed (d-1)-minors of the d-1 integer rows span their
+        # kernel in Z^d, the cut hyperplane's normal, and all vanish
+        # exactly when the rows have rank below d - 1
+        u = [
+            (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
+            for j in range(d)
+        ]
+        if any(u):
+            cuts.add(sign_normal(primitive_int_vector(u)))
+    return echelon, frame, tuple(sorted(cuts))
+
+
 def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     """Fan with support cone(generators) on which every nonnegative-cost
     representation function is linear.
@@ -401,7 +422,7 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     both sides of the hyperplane; any other chamber is kept whole, without
     a double description, as its other half is a lower-dimensional face.
     The chambers are built on the frame S of span(generators), the pivot
-    coordinates of the support's integer echelon E, where a point x of
+    coordinates of its integer echelon E (_cut_frame), where a point x of
     the span has x = x_S adj(E_S) E / det(E_S).  det(E_S) is the product of
     E's positive pivots, so the rays go back to ambient coordinates as the
     integer points x_S adj(E_S) E.  For a full-dimensional support S holds
@@ -421,22 +442,9 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
         raise CapExceededError(
             f"linearity fan capped at {INDEPENDENT_SUBSET_CAP} generators"
         )
-    echelon, frame = support._echelon
-    coord_gens = [tuple(g[i] for i in frame) for g in gens]
-    cuts = set()
-    for subset in combinations(range(len(coord_gens)), d - 1):
-        rows = [coord_gens[i] for i in subset]
-        # the signed (d-1)-minors of the d-1 integer rows span their
-        # kernel in Z^d, the cut hyperplane's normal, and all vanish
-        # exactly when the rows have rank below d - 1
-        u = [
-            (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
-            for j in range(d)
-        ]
-        if any(u):
-            cuts.add(sign_normal(primitive_int_vector(u)))
-    chambers = [cone_from_generators(coord_gens)]
-    for u in sorted(cuts):
+    echelon, frame, cuts = _cut_frame(gens)
+    chambers = [cone_from_generators([tuple(g[i] for i in frame) for g in gens])]
+    for u in cuts:
         mu = tuple(-x for x in u)
         nxt = set()
         for sigma in chambers:

@@ -37,8 +37,8 @@ from .errors import (
 from .fans import (
     Cone,
     Fan,
+    _cut_frame,
     cone_from_generators,
-    every_cost_linear_on,
     linearity_fan,
     origin_cone,
     smooth_refine,
@@ -1054,35 +1054,28 @@ def verify_closure_identity(
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
     the p_i; (e) the valuation chain for every weight w >= 0 at once, as
     comparisons of Newton polyhedra (see _check_tuple).  The exponent
-    certificate is trusted in one place: right after (c) every ray is
-    asked once more whether NP(a_{d_e e}) = d_e P(e) at its own exponent
-    d_e, and a ray that is not is an InternalError (exit 3 on the command
-    line), never a falsified tuple; every later step may take NP(a_{d e})
-    = d P(e).  A cone on which every nonnegative cost of the live degrees
-    is linear passes (d) and (e) for every p at once (_cone_certified),
-    so its nonzero tuples are recorded as passing with no check.  The
-    all-zero tuple passes in every cone: its degree ideal a_0 is the unit
-    ideal, since the degree cone is pointed, and so is the empty product.
-    Every other tuple is checked on one route (_check_tuple), which hulls
-    both sides and names a falsifying tuple and its witness; in practice
-    only a run with refine=False reaches it.  Of the chain's links only
-    additivity, P(m) = sum p_i P(e_i), can fail: the other links are
-    theorems, and a broken one is an InternalError there, never a
-    falsified tuple.  Steps (d) and (e) depend only on the face spanned by
-    the rays with p_i > 0 and on those powers, so each such face tuple is
-    checked once, and every cone containing the face reports that check
-    under its own powers; a face of a certified cone is certified in every
-    cone that shares it.
-    A run whose cones are all certified hulls only the limit polyhedra
-    P(m): the stability of each ray is decided from exponent points
-    against one of those hulls (_RunPolyhedra.stable).  The
-    seed is recorded in the report but decides no verdict.  A falsified
+    certificate is trusted in one place: right after (c) every ray is asked
+    once more whether NP(a_{d_e e}) = d_e P(e) at its own exponent d_e, and
+    a ray that is not is an InternalError (exit 3 on the command line),
+    never a falsified tuple; later steps may take NP(a_{d e}) = d P(e).  A
+    cone certified by its sign vector (_cone_certified) passes (d) and (e)
+    for every p at once, with no check; every cone of a refined run is, so
+    only refine=False leaves tuples to the one tuple route (_check_tuple),
+    which names a falsifying tuple and its witness.  The all-zero tuple
+    passes in every cone: its degree ideal a_0 is the unit ideal, since the
+    degree cone is pointed, and so is the empty product.  A tuple depends
+    only on the face spanned by the rays with p_i > 0 and on those powers,
+    so each face tuple is checked once, and every cone containing the face
+    reports that check under its own powers; a face of a certified cone is
+    certified in every cone that shares it.  A run whose cones are all
+    certified hulls only the limit polyhedra P(m) (_RunPolyhedra.stable).
+    The seed is recorded in the report but decides no verdict.  A falsified
     identity is reported as a value, never an exception; a witness weight
     is a facet normal at which the two closures' valuations differ.  The
     four integer parameters must be ints (not bools or floats), and a
-    power_bound or exponent_cap below 1, or a negative power_checks,
-    raises InputError: power_bound 0 would check no nonzero tuple,
-    exponent_cap 0 no exponent.
+    power_bound or exponent_cap below 1, or a negative power_checks, raises
+    InputError: power_bound 0 would check no nonzero tuple, exponent_cap 0
+    no exponent.
     """
     for name, value, least in (
         ("power_bound", power_bound, 1),
@@ -1126,13 +1119,13 @@ def verify_closure_identity(
                 f"fan ray {e} is not stable at its exponent {de}, "
                 "which the exponent certificate claims"
             )
-    live = sys.nonzero_part()[0]
+    _, frame, cuts = _cut_frame(sys.nonzero_part()[0])
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
     checked: dict[tuple, TupleCheck] = {}
     cone_checks = []
     for cone in fan.maximal_cones:
-        certified = _cone_certified(live, cone)
+        certified = _cone_certified(sys._suffix_normals[0], frame, cuts, cone)
         checks = []
         for p in _power_tuples(len(cone.rays), power_bound):
             face = tuple((e, pi) for e, pi in zip(cone.rays, p) if pi)
@@ -1156,33 +1149,34 @@ def verify_closure_identity(
     )
 
 
-def _cone_certified(live, cone: Cone) -> bool:
+def _cone_certified(live_normals, frame, cuts, cone: Cone) -> bool:
     """Whether the closure identity and the valuation chain hold on the
-    cone for every exponent tuple p, not only up to a power bound: every
-    nonnegative cost on the live degrees is linear on the cone.  Every ray
-    e_i is stable at the run's d, which verify_closure_identity has
-    checked.
+    cone for every exponent tuple p, by its sign vector: the cone lies in
+    the live cone (live_normals; the degrees with a nonzero ideal span
+    it), its dimension is the live rank k = |frame|, and no cut has rays
+    of it strictly on both sides; (frame, cuts) is _cut_frame(live).
 
-    For m = sum p_i e_i the product a_{d e_1}^{p_1} ... a_{d e_k}^{p_k}
-    lies in a_{d m}, and every finite level lies in its limit (the LP
-    relaxation), so sum p_i NP(a_{d e_i}) lies in NP(a_{d m}), which lies
-    in d P(m).  The support function of P(m) at w >= 0 is the least cost
-    of m under the costs alpha(w)_i = v_w(I_i) of the live degrees; if
-    each such cost is linear on the cone, P(m) = sum p_i P(e_i), and with
-    NP(a_{d e_i}) = d P(e_i) both inclusions are equalities for every p
-    at once (the sandwich of _check_tuple, whose one falsifiable link,
-    additivity, linear costs settle).  Such a tuple therefore passes
-    exactly as _check_tuple passes it, with no witness.  A cone
-    outside the live cone (NotInConeError) or a chamber check over too
-    many live degrees (CapExceededError) is not certified, and its tuples
-    go through _check_tuple; a run reaches neither, since _stabilize
-    refuses a ray outside the live cone and the representation polytopes
-    cap the live degrees at DEFAULT_DIM_CAP.
+    Sound: each facet of cone(B), B a basis of live degrees, lies on a
+    cut, so the cone lies in cone(B) or meets it in lower dimension, which
+    is every_cost_linear_on's criterion.  So the costs v_w(I_i) of the
+    live degrees, whose least cost of m is P(m)'s support function at
+    w >= 0, are linear on the cone, which gives additivity, P(m) = sum
+    p_i P(e_i): the one falsifiable link of _check_tuple's sandwich.  With
+    every ray stable at d, each tuple passes as _check_tuple passes it,
+    with no witness.  The frame forgets directions off the live span, so
+    the live-cone guard is needed on its own.
+
+    Complete in refined runs: when the spans agree, the cuts of
+    linearity_fan(sys.degrees) include the live cuts, and smooth_refine
+    only subdivides; _stabilize refuses a ray outside the live cone
+    first.  So only refine=False leaves tuples to _check_tuple.
     """
-    try:
-        return every_cost_linear_on(live, cone)
-    except (NotInConeError, CapExceededError):
+    inside = all(idot(u, r) >= 0 for u in live_normals for r in cone.rays)
+    if not inside or cone.dim != len(frame):
         return False
+    coords = [tuple(r[i] for i in frame) for r in cone.rays]
+    sides = ([idot(u, x) for x in coords] for u in cuts)
+    return not any(min(t) < 0 < max(t) for t in sides)
 
 
 def _face_degree(face, grading_rank: int) -> IntVec:
@@ -1194,16 +1188,15 @@ def _check_tuple(forms, d, face) -> TupleCheck:
     """Closure equality and valuation chain for one nonzero exponent
     tuple, given as its (ray, power) pairs with nonzero power, on the
     polyhedra of the run (a _RunPolyhedra); the returned powers are those
-    pairs' powers, for the caller to replace with the full tuple.
+    pairs' powers, for the caller to replace with the full tuple.  Only a
+    cone that _cone_certified refuses, and so by its completeness only a
+    run with refine=False, has tuples here.
 
-    Only a tuple on a cone that _cone_certified does not certify comes
-    here; a refined run's cones are chambers of the linearity fan, so in
-    practice only a run with refine=False reaches it.  With m = sum p_i e_i
-    it hulls three polyhedra: NP(a_{d m}) from the run's points of d m,
-    the product's from the weighted Minkowski sum of the integer vertices
-    of the d P(e_i) = NP(a_{d e_i}) that the run already holds (every ray
-    is stable at d), and d P(m).  The valuation chain for every weight
-    w >= 0 at once is the sandwich
+    With m = sum p_i e_i it hulls three polyhedra: NP(a_{d m}) from the
+    run's points of d m, the product's from the weighted Minkowski sum of
+    the integer vertices of the d P(e_i) = NP(a_{d e_i}) that the run
+    already holds (every ray is stable at d), and d P(m).  The valuation
+    chain for every weight w >= 0 at once is the sandwich
         sum p_i d P(e_i) within NP(a_{d m}) within d P(m)
     (the product of the ray ideals lies in a_{d m}, and every finite level
     lies in its limit).  Both inclusions are theorems, and so is the

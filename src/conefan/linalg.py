@@ -14,9 +14,9 @@ from .rational import (
     IntVec,
     Mat,
     Vec,
-    frac,
     ivec,
     primitive_int_vector,
+    qvec,
     sign_normal,
     vzero,
 )
@@ -26,7 +26,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns)."""
     if not rows:
         return [], []
-    return _kernel.rref_frac([[frac(x) for x in r] for r in rows])
+    return _kernel.rref_frac([qvec(r) for r in rows])
 
 
 def rank(rows: Sequence[Sequence]) -> int:

@@ -247,8 +247,9 @@ def frame_reference(vectors) -> tuple:
 
 
 def rref_reference(rows):
-    """Gauss-Jordan elimination on Fractions; (rows, pivot columns)."""
-    m = [list(r) for r in rows]
+    """Gauss-Jordan elimination on Fractions; (rows, pivot columns).
+    Integer entries, which linalg.rref passes as they are, become Fractions."""
+    m = [[Fraction(x) for x in r] for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots = []
@@ -421,6 +422,11 @@ def random_h_polyhedron(rng: random.Random, dim: int, nonempty=True) -> HPolyhed
             offset = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
         rows.append((tuple(normal), offset))
     return HPolyhedron.from_rows(rows, (), dim)
+
+
+# five generators in rank 3 whose linearity fan has a chamber that a
+# basis cone meets only in a ray, though no facet normal separates them
+STRADDLE_GENS = [(0, 0, 1), (4, 0, 1), (2, 3, 1), (-3, 3, 1), (2, -4, 1)]
 
 
 def random_generators(rng: random.Random, r: int, n: int, lo=0, hi=5):

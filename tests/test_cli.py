@@ -437,13 +437,11 @@ def test_fan_check_exit_codes_survive_python_O():
         assert f"linearity check: {verdict}" in proc.stdout
 
 
-def test_fan_check_seed_decides_nothing(capsys):
-    outs = []
-    for seed in ("0", "5"):
-        args = ["fan", "--generators", "[[1,0],[0,1],[1,1],[1,2]]", "--check"]
-        assert main(args + ["--seed", seed]) == 1
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+def test_fan_takes_no_seed(capsys):
+    # --check is exact, so fan has no --seed: passing one is a usage error
+    args = ["fan", "--generators", "[[1,0],[0,1],[1,1],[1,2]]", "--check"]
+    assert main(args + ["--seed", "0"]) == 2
+    assert "unrecognized arguments: --seed 0" in capsys.readouterr().err
 
 
 def test_fan_check_caps_generator_count(capsys):

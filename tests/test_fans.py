@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    STRADDLE_GENS,
     cone_from_primitive_rays_reference,
     is_cost_linear_on_sampled,
     linearity_fan_reference,
@@ -625,9 +626,6 @@ def test_is_cost_linear_on_matches_sampled_oracle(case):
     assert exact == is_cost_linear_on_sampled(gens, costs, cone, seed=seed)
     if every_cost_linear_on(gens, cone):
         assert exact
-
-
-STRADDLE_GENS = [(0, 0, 1), (4, 0, 1), (2, 3, 1), (-3, 3, 1), (2, -4, 1)]
 
 
 def test_straddling_chamber_passes():

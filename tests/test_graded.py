@@ -8,6 +8,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    STRADDLE_GENS,
     cone_checks_reference,
     expand_degree_reference,
     minimalize_reference,
@@ -19,7 +20,14 @@ from helpers import (
 )
 
 from conefan.errors import InputError, NotInConeError, NotPointedError
-from conefan.fans import Fan, linearity_fan, smooth_refine
+from conefan.fans import (
+    Fan,
+    _cut_frame,
+    cone_from_generators,
+    every_cost_linear_on,
+    linearity_fan,
+    smooth_refine,
+)
 from conefan.graded import (
     GradedSystem,
     MonomialIdeal,
@@ -1306,6 +1314,44 @@ def five_degree_system():
     )
 
 
+def _system(rank, n, gens):
+    return GradedSystem.create(
+        rank, n, [g for g, _ in gens], [MI(n, ideal) for _, ideal in gens]
+    )
+
+
+def seed61_system():
+    # corpus seed 61 of the CI smoke test: d = 312, 156 cones
+    return _system(3, 2, [
+        ((1, 2, 2), [(0, 1), (2, 0)]),
+        ((2, 0, 3), [(3, 2)]),
+        ((2, 2, 0), [(2, 2)]),
+        ((3, 3, 2), [(1, 1)]),
+        ((1, 2, 0), [(0, 2)]),
+    ])
+
+
+def rank3_system():
+    # the random rank-3 system of the CI smoke test: d = 168, 14 cones
+    return _system(3, 3, [
+        ((0, 2, 0), [(1, 3, 3), (3, 1, 0)]),
+        ((3, 2, 3), [(0, 1, 3)]),
+        ((1, 1, 1), [(2, 3, 1)]),
+        ((3, 3, 2), [(1, 0, 2)]),
+        ((1, 2, 2), [(1, 3, 2), (2, 0, 3), (3, 2, 2)]),
+    ])
+
+
+def denominator_system():
+    # the CI system whose ray (1, 2, 1) needs q = 105, above the default cap
+    return _system(3, 3, [
+        ((0, 3, 0), [(0, 2, 2), (2, 3, 0)]),
+        ((1, 3, 1), [(1, 2, 2)]),
+        ((1, 2, 3), [(1, 2, 1), (3, 0, 1)]),
+        ((2, 3, 1), [(2, 2, 3)]),
+    ])
+
+
 SHARED_FACE_CASES = {
     "worked": (worked_system, {"power_bound": 4}),
     "bench": (bench_system, {"power_bound": 3, "power_checks": 1}),
@@ -1339,25 +1385,37 @@ def test_face_checks_match_per_cone_reference(case):
         assert rep.verified
 
 
-@pytest.mark.parametrize("make", [worked_system, bench_system, five_degree_system])
+def _refuse_tuple_route(forms, d, face):
+    raise AssertionError(f"tuple route taken for {face}")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        worked_system,
+        zerogen_system,
+        flat_system,
+        bench_system,
+        five_degree_system,
+        seed61_system,
+        rank3_system,
+        denominator_system,
+    ],
+)
 def test_certified_cones_check_only_the_zero_face(monkeypatch, make):
-    # every cone of these verified runs has every cost linear on it, so
-    # each passes all its tuples at once; the all-zero tuple, which every
-    # cone shares, passes as the unit ideal on both sides, so no tuple goes
-    # through the tuple check
+    # every cone of a refined run is certified by its sign vector, so each
+    # passes all its tuples at once; the all-zero tuple, which every cone
+    # shares, passes as the unit ideal on both sides, so no tuple goes
+    # through the tuple check, smoothed or not (the CI systems; the
+    # denominator system needs q = 105, above the default cap)
     import conefan.graded as graded
 
-    faces = []
-    check = graded._check_tuple
-
-    def record(forms, d, face):
-        faces.append(face)
-        return check(forms, d, face)
-
-    monkeypatch.setattr(graded, "_check_tuple", record)
-    rep = verify_closure_identity(make(), power_bound=2, power_checks=1)
-    assert rep.verified
-    assert faces == []
+    monkeypatch.setattr(graded, "_check_tuple", _refuse_tuple_route)
+    for smooth in (True, False):
+        rep = verify_closure_identity(
+            make(), power_bound=2, exponent_cap=210, power_checks=1, smooth=smooth
+        )
+        assert rep.verified
 
 
 def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
@@ -1375,24 +1433,41 @@ def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
     assert rep.to_dict() != rep._replace(cones=ref).to_dict()
 
 
-def test_cone_certificate_needs_linear_costs_inside_the_live_cone():
-    from conefan.fans import cone_from_generators
+def _sign_certified(live, cone):
+    """_cone_certified on plain live degrees."""
     from conefan.graded import _cone_certified
 
+    _, frame, cuts = _cut_frame(live)
+    return _cone_certified(cone_from_generators(live).normals, frame, cuts, cone)
+
+
+def test_cone_certificate_needs_linear_costs_inside_the_live_cone():
     # the two chambers of the worked degrees are certified, the quadrant
     # they split is not
     worked = [(1, 0), (0, 1), (1, 1)]
     quadrant = cone_from_generators([(1, 0), (0, 1)])
-    assert _cone_certified(worked, cone_from_generators([(1, 0), (1, 1)]))
-    assert not _cone_certified(worked, quadrant)
-    assert _cone_certified([(1, 0), (0, 1)], quadrant)
-    # live degrees whose cone misses the ray (0, 1) (NotInConeError); a run
-    # never gets here, since the exponent search refuses such a ray first
-    assert not _cone_certified([(1, 0), (1, 1)], quadrant)
-    # a chamber check over 13 live degrees (CapExceededError); a run never
-    # gets here either, since its representation polytopes are capped at 8
+    assert _sign_certified(worked, cone_from_generators([(1, 0), (1, 1)]))
+    assert not _sign_certified(worked, quadrant)
+    assert _sign_certified([(1, 0), (0, 1)], quadrant)
+    # a ray has dimension 1, below the live rank: not certified, although
+    # every cost is linear on it (the test is sufficient, not necessary)
+    assert every_cost_linear_on(worked, cone_from_generators([(1, 1)]))
+    assert not _sign_certified(worked, cone_from_generators([(1, 1)]))
+    # live degrees whose cone misses the ray (0, 1); a run never gets
+    # here, since the exponent search refuses such a ray first.  The cut
+    # through (1, 1) crosses the quadrant, but no cut crosses the cone of
+    # (1, 1) and (0, 1): only the live-cone guard refuses it
+    assert not _sign_certified([(1, 0), (1, 1)], quadrant)
+    assert not _sign_certified([(1, 0), (1, 1)], cone_from_generators([(1, 1), (0, 1)]))
+    # a ray off the live plane, which the frame's coordinates forget
+    plane = [(1, 0, 0), (0, 1, 0)]
+    assert not _sign_certified(plane, cone_from_generators([(1, 0, 0), (1, 0, 1)]))
+    assert _sign_certified(plane, cone_from_generators([(1, 0, 0), (1, 1, 0)]))
+    # 13 live degrees: the cuts through (1, k) cross the quadrant, so its
+    # signs refuse it; no cap is involved
     many = [(1, 0), (0, 1)] + [(1, k) for k in range(1, 12)]
-    assert not _cone_certified(many, quadrant)
+    assert not _sign_certified(many, quadrant)
+    assert _sign_certified(many, cone_from_generators([(1, 0), (11, 1)]))
 
 
 def test_zero_ideal_systems_keep_their_verdicts():
@@ -1428,11 +1503,14 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
     certify = graded._cone_certified
     outcomes = []
 
-    def record(live, cone):
-        outcomes.append(certify(live, cone))
+    def record(*args):
+        outcomes.append(certify(*args))
         return outcomes[-1]
 
     monkeypatch.setattr(graded, "_cone_certified", record)
+    if refine:
+        # a refined run's cones are all certified: no tuple route
+        monkeypatch.setattr(graded, "_check_tuple", _refuse_tuple_route)
     verdicts = set()
     for seed in CORPUS_SLICE:
         system = random_graded_system(random.Random(seed), allow_zero=seed % 3 == 0)
@@ -1443,9 +1521,38 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
         assert rep.to_dict() == rep._replace(cones=ref).to_dict(), seed
         verdicts.add(rep.verified)
     # the linearity fan's cones are all certified; the single cones both
-    # pass and fall back
+    # pass and go to the tuple route
     assert verdicts == ({True} if refine else {True, False})
     assert all(outcomes) if refine else set(outcomes) == {True, False}
+
+
+def test_sign_certified_cones_pass_the_chamber_test():
+    # every cone the sign vector certifies, the chamber test certifies
+    # too; and a refined fan's cones inside the live cone are all certified.
+    # The fans are those of the corpus slice's runs, refined and single-cone,
+    # each with and without the smooth refinement, and STRADDLE_GENS's
+    cases = []
+    for seed in CORPUS_SLICE:
+        system = random_graded_system(random.Random(seed), allow_zero=seed % 3 == 0)
+        live = system.nonzero_part()[0]
+        single = Fan.make([system.degree_cone()], system.grading_rank)
+        for fan, refined in ((linearity_fan(system.degrees), True), (single, False)):
+            cases += [(live, f, refined) for f in (fan, smooth_refine(fan))]
+    straddle = linearity_fan(STRADDLE_GENS)
+    cases += [(STRADDLE_GENS, f, True) for f in (straddle, smooth_refine(straddle))]
+    whole = Fan.make([cone_from_generators(STRADDLE_GENS)], 3)
+    cases += [(STRADDLE_GENS, f, False) for f in (whole, smooth_refine(whole))]
+    certified = refused = 0
+    for live, fan, refined in cases:
+        live_cone = cone_from_generators(live)
+        for cone in fan.maximal_cones:
+            if _sign_certified(live, cone):
+                certified += 1
+                assert every_cost_linear_on(live, cone), (live, cone.rays)
+            else:
+                refused += 1
+                assert not (refined and live_cone.contains_cone(cone)), (live, cone.rays)
+    assert certified > 200 and refused > 20
 
 
 @pytest.mark.parametrize("refine", [True, False])

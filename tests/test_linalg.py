@@ -21,6 +21,7 @@ from conefan.linalg import (
     linear_solve,
     primitive,
     rank,
+    rref,
 )
 from conefan.rational import (
     PLUS_INFINITY,
@@ -197,6 +198,43 @@ def test_int_adjugate_matches_cofactor_reference(m):
         assert int_adjugate(m) == (adj, det)
     else:
         assert int_adjugate(m) == (None, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+            min_size=1,
+            max_size=5,
+        )
+    )
+)
+@example([[0, 0], [0, 0]])
+@example([[1, 2, 3], [2, 4, 6]])
+def test_rref_of_int_rows_matches_fraction_rows(rows):
+    # int rows reach the kernel as ints; the reduced form and its pivots
+    # are those of the same rows as Fractions, entries all Fractions
+    red, pivots = rref(rows)
+    assert (red, pivots) == rref([[Fraction(x) for x in r] for r in rows])
+    assert all(type(x) is Fraction for r in red for x in r)
+    assert rank(rows) == len(pivots)
+
+
+def test_rref_hands_int_rows_to_the_kernel(monkeypatch):
+    from conefan import _kernel
+
+    seen = []
+    real = _kernel.rref_frac
+
+    def record(rows):
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(_kernel, "rref_frac", record)
+    assert rank([[1, 2], [3, 4]]) == 2
+    assert seen == [[(1, 2), (3, 4)]]
+    assert all(type(x) is int for r in seen[0] for x in r)
 
 
 def test_primitive():
