@@ -32,7 +32,7 @@ from .errors import (
     NotPointedSupportError,
 )
 from .linalg import (
-    _int_det,
+    _basis_table,
     echelon_lattice_det,
     int_adjugate,
     int_echelon,
@@ -388,24 +388,16 @@ def independent_subsets(generators: Sequence[Sequence]) -> tuple[tuple[int, ...]
     return tuple(sorted(out, key=lambda t: (len(t), t)))
 
 
-def _cut_frame(generators: Sequence[IntVec]) -> tuple:
-    """Integer echelon rows E and pivot coordinates S of span(generators),
-    and the cuts: the sorted primitive, sign-normal normals, on S, of the
-    hyperplanes spanned by |S| - 1 of the integer generators."""
-    echelon, frame = int_echelon(generators)
-    d = len(frame)
-    coord_gens = [tuple(g[i] for i in frame) for g in generators]
-    cuts = set()
-    for rows in combinations(coord_gens, d - 1):
-        # the signed (d-1)-minors of the d-1 integer rows span their
-        # kernel in Z^d, the cut hyperplane's normal, and all vanish
-        # exactly when the rows have rank below d - 1
-        u = [
-            (-1) ** j * _int_det([r[:j] + r[j + 1 :] for r in rows])
-            for j in range(d)
-        ]
-        if any(u):
-            cuts.add(sign_normal(primitive_int_vector(u)))
+def _cut_frame(table: tuple) -> tuple:
+    """(E, S, cuts) from table = linalg._basis_table(generators): the
+    echelon rows E and pivot coordinates S of span(generators), and the
+    sorted primitive, sign-normal normals, on S, of the hyperplanes that
+    |S| - 1 generators span.  Row j of adj(D_SB) vanishes on B without
+    its j-th member, and every independent (|S| - 1)-set extends to a
+    basis, so the cuts are the rows of the bases' adjugates."""
+    echelon, frame, bases = table
+    rows = (row for _, adj, _ in bases for row in adj)
+    cuts = {sign_normal(primitive_int_vector(row)) for row in rows}
     return echelon, frame, tuple(sorted(cuts))
 
 
@@ -419,8 +411,9 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     an independent subset is a union of chambers, which forces linearity.
 
     A cut splits only the chambers it crosses, those with rays strictly on
-    both sides of the hyperplane; any other chamber is kept whole, without
-    a double description, as its other half is a lower-dimensional face.
+    both sides of the hyperplane, whose halves both keep interior points;
+    any other chamber is kept whole, without a double description, as its
+    other half is a lower-dimensional face.
     The chambers are built on the frame S of span(generators), the pivot
     coordinates of its integer echelon E (_cut_frame), where a point x of
     the span has x = x_S adj(E_S) E / det(E_S).  det(E_S) is the product of
@@ -435,14 +428,14 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
         raise InputError("linearity fan needs at least one generator")
     n = len(gens[0])
     support = cone_from_generators(gens)
-    d = support.dim
-    if d <= 1:
+    # a pointed cone has dimension at most 1 exactly when it has at most one ray
+    if len(support.rays) <= 1:
         return Fan.make([support], n)
     if len(gens) > INDEPENDENT_SUBSET_CAP:
         raise CapExceededError(
             f"linearity fan capped at {INDEPENDENT_SUBSET_CAP} generators"
         )
-    echelon, frame, cuts = _cut_frame(gens)
+    echelon, frame, cuts = _cut_frame(_basis_table(gens))
     chambers = [cone_from_generators([tuple(g[i] for i in frame) for g in gens])]
     for u in cuts:
         mu = tuple(-x for x in u)
@@ -450,16 +443,12 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
         for sigma in chambers:
             sides = [idot(u, r) for r in sigma.rays]
             if min(sides) >= 0 or max(sides) <= 0:
-                # an uncrossed sigma is its own half; the other half is a
-                # face, of dimension < d, which the dim test would drop
                 nxt.add(sigma)
                 continue
             for half in (u, mu):
-                piece = cone_from_normals(sigma.normals + (half,))
-                if piece.dim == d:
-                    nxt.add(piece)
+                nxt.add(cone_from_normals(sigma.normals + (half,)))
         chambers = sorted(nxt)
-    if d == n:
+    if len(frame) == n:
         return Fan.make(chambers, n)
     adj, _ = int_adjugate([[row[i] for i in frame] for row in echelon])
     # lift[t] is column t of adj(E_S) E, so x_t = <x_S, lift[t]>

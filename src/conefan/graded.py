@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from functools import cache
-from itertools import combinations
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import le, mul
 
@@ -43,7 +42,7 @@ from .fans import (
     origin_cone,
     smooth_refine,
 )
-from .linalg import int_adjugate, int_echelon
+from .linalg import _basis_table
 from .lp import representation_cost
 from .polyhedra import (
     DEFAULT_DIM_CAP,
@@ -308,7 +307,10 @@ class GradedSystem(Frozen):
     degrees[i] is the grading degree of generator i and ideals[i] its
     ideal; the ideal in any other degree is derived by expand_degree.  The
     degrees must span a strongly convex cone, which makes the number of
-    representations of every degree finite.
+    representations of every degree finite.  Every ideal must be as
+    MonomialIdeal.from_exponents makes it.  The live degrees' table of
+    bases (_live_table), read by every P(e) and by verify's cuts, is built
+    once, on first use, never by create.
     """
 
     grading_rank: int
@@ -349,9 +351,13 @@ class GradedSystem(Frozen):
                 raise InputError("degree length must match the grading rank")
             if all(x == 0 for x in d):
                 raise InputError("generator degrees must be nonzero")
-        for I in ids:
+        for i, I in enumerate(ids):
             if I.ambient != ambient:
                 raise InputError("ideal ambient mismatch")
+            # a directly built ideal skips from_exponents' checks
+            canon = MonomialIdeal.from_exponents(ambient, I.gens)
+            if I != canon:
+                raise InputError(f"ideal {i} is not its minimal generators {canon.gens}")
         cone = cone_from_generators(degs)  # raises NotPointedError if not pointed
         theta = _positive_functional(cone, degs)
         suffix_normals = tuple(
@@ -379,6 +385,11 @@ class GradedSystem(Frozen):
             slopes,
             vertex_lists,
         )
+
+    @cached_property
+    def _live_table(self) -> tuple:
+        """_basis_table of the live degrees; a run reads it after DEFAULT_DIM_CAP."""
+        return _basis_table(self.nonzero_part()[0])
 
     def degree_cone(self) -> Cone:
         return self._cone
@@ -658,7 +669,7 @@ def _limit_points(sys: GradedSystem, m: Sequence[int]) -> tuple[tuple[IntVec, ..
             f"representation polytope capped at dimension {DEFAULT_DIM_CAP}, "
             f"got {len(degrees)}"
         )
-    vertices = _basic_solutions(degrees, m)
+    vertices = _basic_solutions(sys, m)
     if not vertices:
         raise NotInConeError(
             f"degree {m} admits no representation with nonzero ideals"
@@ -675,32 +686,24 @@ def _limit_points(sys: GradedSystem, m: Sequence[int]) -> tuple[tuple[IntVec, ..
     return _minimalize(points), den
 
 
-def _basic_solutions(degrees: tuple[IntVec, ...], m: IntVec) -> set[IntVec]:
-    """Vertices of the representation polytope {l >= 0 : sum l_i d_i = m},
-    each as the reduced integer row (q l | q) of its least denominator q.
+def _basic_solutions(sys: GradedSystem, m: IntVec) -> set[IntVec]:
+    """Vertices of the representation polytope {l >= 0 : sum l_i d_i = m}
+    over the live degrees d_i, each as the reduced integer row (q l | q)
+    of its least denominator q.
 
     A positive functional on the degrees bounds the polytope, so its
     vertices are its basic feasible solutions (Schrijver, Theory of Linear
-    and Integer Programming, 1986, 8.5): the nonnegative solutions
-    supported on k degrees B that are independent, with k the rank of all
-    the degrees.  The first coordinate set S on which that rank-k span
-    projects isomorphically, the pivot coordinates of an echelon form of
-    the degrees, frames every such B: D_SB (the S-coordinates of B as
-    columns) is invertible exactly when B is independent, and then
-    l_B = adj(D_SB) m_S / det(D_SB).  It solves the whole system iff the
-    other coordinates agree too, which they do not for m outside the span.
+    and Integer Programming, 1986, 8.5): l_B = adj(D_SB) m_S / det(D_SB)
+    over the bases B of the degrees' span in sys._live_table, where it is
+    nonnegative and solves the coordinates off the frame S too, which it
+    does not for m outside the span.
     """
+    degrees = sys.nonzero_part()[0]
     coord_rows = tuple(zip(*degrees))
-    frame = int_echelon(degrees)[1]
-    k = len(frame)
+    _, frame, bases = sys._live_table
     m_frame = [m[i] for i in frame]
     out = set()
-    for basis in combinations(range(len(degrees)), k):
-        adj, det = int_adjugate([[coord_rows[i][j] for j in basis] for i in frame])
-        if det < 0:
-            adj, det = [[-x for x in row] for row in adj], -det
-        elif det == 0:
-            continue
+    for basis, adj, det in bases:
         nums = [idot(row, m_frame) for row in adj]
         if any(x < 0 for x in nums) or any(
             idot(nums, [row[j] for j in basis]) != det * mi
@@ -1119,7 +1122,7 @@ def verify_closure_identity(
                 f"fan ray {e} is not stable at its exponent {de}, "
                 "which the exponent certificate claims"
             )
-    _, frame, cuts = _cut_frame(sys.nonzero_part()[0])
+    _, frame, cuts = _cut_frame(sys._live_table)
     # a tuple's check depends only on its rays with nonzero power, a face
     # that cones sharing it list in the same (sorted) order
     checked: dict[tuple, TupleCheck] = {}
@@ -1154,11 +1157,13 @@ def _cone_certified(live_normals, frame, cuts, cone: Cone) -> bool:
     cone for every exponent tuple p, by its sign vector: the cone lies in
     the live cone (live_normals; the degrees with a nonzero ideal span
     it), its dimension is the live rank k = |frame|, and no cut has rays
-    of it strictly on both sides; (frame, cuts) is _cut_frame(live).
+    of it strictly on both sides; (frame, cuts) is
+    _cut_frame(sys._live_table).
 
-    Sound: each facet of cone(B), B a basis of live degrees, lies on a
-    cut, so the cone lies in cone(B) or meets it in lower dimension, which
-    is every_cost_linear_on's criterion.  So the costs v_w(I_i) of the
+    Sound: on the frame, the facet normals of cone(B), B a basis of live
+    degrees, are the rows of adj(D_SB), which are cuts, so the cone lies
+    in cone(B) or meets it in lower dimension, which is
+    every_cost_linear_on's criterion.  So the costs v_w(I_i) of the
     live degrees, whose least cost of m is P(m)'s support function at
     w >= 0, are linear on the cone, which gives additivity, P(m) = sum
     p_i P(e_i): the one falsifiable link of _check_tuple's sandwich.  With

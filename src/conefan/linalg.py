@@ -1,4 +1,4 @@
-"""Exact linear algebra: solving, ranks, kernels, and lattice determinants."""
+"""Exact linear algebra: solving, ranks, kernels, adjugates and lattices."""
 
 from __future__ import annotations
 
@@ -92,27 +92,27 @@ def linear_solve(A: Mat, b: Vec) -> LinearSolution | None:
     return LinearSolution(tuple(x), _kernel_from_rref(red, pivots, ncols))
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
+def _pivot_det(work: list[list[int]]) -> int:
+    """Determinant of the leading n x n block of the n integer rows of
+    work, which one fraction-free Gauss-Jordan pass (_kernel._pivot, row
+    swaps only below the pivot) reduces in place to d I over d = |det|; 0
+    at the first column with no pivot.  det has the sign of the swaps
+    times the signs of the pivot entries as they are met (each negative
+    one flips the running minor that the denominator keeps positive)."""
+    n = len(work)
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
+    den = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            work[k], work[p] = work[p], work[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        if work[k][k] < 0:
+            sign = -sign
+        den = _kernel._pivot(work, den, k, k)
+    return sign * den
 
 
 def int_adjugate(
@@ -122,32 +122,18 @@ def int_adjugate(
     a singular one.
 
     adj(M) M = M adj(M) = det(M) I, so for invertible M the solution of
-    M x = b is adj(M) b / det(M) with no division until the end.
-
-    One fraction-free Gauss-Jordan pass on [M | I] (_kernel._pivot, row
-    swaps only below the pivot) ends as [d I | E] over the denominator d
-    = |det(M)|, with E = d M^-1.  det(M) has the sign of the row swaps
-    times the signs of the pivot entries as they are met (each negative
-    one flips the running minor that the denominator keeps positive), and
-    adj(M) = det(M) M^-1 = +-E with that sign.  A singular M has no pivot
-    in some column; its adjugate need not vanish, but every caller skips
-    a zero determinant, so none is formed.
+    M x = b is adj(M) b / det(M) with no division until the end, and row j
+    of adj(M) vanishes on every column of M but the j-th.  _pivot_det
+    takes [M | I] to [d I | E] over d = |det(M)|, and adj(M) = +-E with
+    det's sign.  A singular M's adjugate need not vanish, but every caller
+    skips a zero determinant, so none is formed.
     """
     n = len(rows)
     work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    sign = 1
-    den = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if p is None:
-            return None, 0
-        if p != k:
-            work[k], work[p] = work[p], work[k]
-            sign = -sign
-        if work[k][k] < 0:
-            sign = -sign
-        den = _kernel._pivot(work, den, k, k)
-    return [[sign * x for x in row[n:]] for row in work], sign * den
+    det = _pivot_det(work)
+    if not det:
+        return None, 0
+    return [[x if det > 0 else -x for x in row[n:]] for row in work], det
 
 
 def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -201,7 +187,7 @@ def echelon_lattice_det(rows: Sequence[Sequence[int]]) -> int:
         return 1
     g = 0
     for cols in combinations(range(len(rows[0])), len(rows)):
-        g = gcd(g, _int_det([[row[c] for c in cols] for row in rows]))
+        g = gcd(g, _pivot_det([[row[c] for c in cols] for row in rows]))
         if g == 1:
             break
     return g
@@ -217,6 +203,26 @@ def hermite_basis_det(vectors: Sequence[Sequence]) -> tuple[int, int]:
     """
     rows, pivots = int_echelon(vectors)
     return len(pivots), echelon_lattice_det(rows)
+
+
+def _basis_table(vectors: Sequence[IntVec]) -> tuple:
+    """(E, S, bases): E and S = int_echelon(vectors), and (B, adj(D_SB),
+    det(D_SB)) with det > 0 for every basis B of span(vectors) among them,
+    an index set in lexicographic order; D_SB is B's S-coordinates as
+    columns, invertible exactly when B is independent, as the span
+    projects isomorphically onto S.  The package's one enumeration of
+    bases: fans._cut_frame reads its cuts off the adjugates' rows, and
+    graded._basic_solutions its vertices as adj(D_SB) m_S / det(D_SB)."""
+    echelon, frame = int_echelon(vectors)
+    coords = [[v[i] for v in vectors] for i in frame]
+    bases = []
+    for basis in combinations(range(len(vectors)), len(frame)):
+        adj, det = int_adjugate([[row[j] for j in basis] for row in coords])
+        if det < 0:
+            adj, det = [[-x for x in row] for row in adj], -det
+        if det:
+            bases.append((basis, adj, det))
+    return echelon, frame, tuple(bases)
 
 
 def primitive(v: Sequence) -> IntVec:

@@ -8,11 +8,11 @@ divisibility, row reduction and simplex pivoting by plain Fraction
 arithmetic, parallelepiped points by a bounding-box scan, representations
 of a degree by a search bounded only by the theta-weight, projection by
 Fourier-Motzkin elimination with LP redundancy removal, the linearity fan
-by cutting every chamber with every hyperplane, stellar scores by building
-the trial subdivision, simplicial cones by double description, the
-verifier's cone checks with nothing shared between cones, the ideal of a
-degree with a fresh power for every factor, and the value classes as the
-frozen dataclasses they stand for.
+by cutting every chamber with every hyperplane, its cut normals by
+minors, stellar scores by building the trial subdivision, simplicial
+cones by double description, the verifier's cone checks with nothing
+shared between cones, the ideal of a degree with a fresh power for every
+factor, and the value classes as the frozen dataclasses they stand for.
 """
 
 from __future__ import annotations
@@ -244,6 +244,27 @@ def frame_reference(vectors) -> tuple:
         for coords in combinations(range(len(vectors[0])), k)
         if rank([[v[i] for i in coords] for v in vectors]) == k
     )
+
+
+def cut_normals_reference(generators) -> tuple:
+    """The sorted primitive, sign-normal cut normals of integer generators
+    on their frame (frame_reference): for every (k - 1)-set of the
+    generators' frame coordinates, the signed (k - 1)-minors of its rows,
+    which span their kernel and all vanish exactly when the rows have rank
+    below k - 1.  This is the minor loop fans._cut_frame ran before it read
+    its cuts off the bases' adjugates."""
+    frame = frame_reference(generators)
+    k = len(frame)
+    coord_gens = [[g[i] for i in frame] for g in generators]
+    cuts = set()
+    for rows in combinations(coord_gens, k - 1) if k else ():
+        u = [
+            (-1) ** j * _det_reference([r[:j] + r[j + 1 :] for r in rows])
+            for j in range(k)
+        ]
+        if any(u):
+            cuts.add(sign_normal_reference(primitive_reference(u)))
+    return tuple(sorted(cuts))
 
 
 def rref_reference(rows):

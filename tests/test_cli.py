@@ -244,6 +244,21 @@ def test_verify_merges_duplicate_degrees(tmp_path, capsys):
     assert "VERIFIED" in capsys.readouterr().out
 
 
+def test_verify_minimalizes_the_ideals_of_a_file(tmp_path, capsys):
+    # the command line builds each ideal with from_exponents, so redundant
+    # and unsorted exponents are accepted and give the minimal ideal's report
+    padded = json.loads(json.dumps(WORKED))
+    padded["generators"][2]["ideal"] = [[2, 1], [2, 0], [3, 3], [1, 1]]
+    reports = []
+    for name, system in (("worked", WORKED), ("padded", padded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(system))
+        assert main(["verify", str(path), "--json", str(tmp_path / f"{name}_report.json")]) == 0
+        reports.append(json.loads((tmp_path / f"{name}_report.json").read_text())["report"])
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "system, caps",
     [(WORKED, []), (BENCH, ["--p-bound", "3", "--L", "1"])],

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from helpers import (
     STRADDLE_GENS,
     cone_from_primitive_rays_reference,
+    cut_normals_reference,
+    frame_reference,
     is_cost_linear_on_sampled,
     linearity_fan_reference,
     parallelepiped_lattice_points_reference,
@@ -45,7 +47,7 @@ from conefan.fans import (
     refines,
     smooth_refine,
 )
-from conefan.linalg import int_adjugate, linear_solve, rank
+from conefan.linalg import _basis_table, int_adjugate, int_echelon, linear_solve, rank
 from conefan.lp import price_polyhedron, representation_cost
 from conefan.polyhedra import HPolyhedron
 from conefan.rational import dot, primitive_int_vector, vec
@@ -562,6 +564,16 @@ def test_linearity_fan_lower_dimensional_support():
     assert every_cost_linear_on(gens, cone_from_generators([(1, 1, 2)]))
 
 
+def test_linearity_fan_of_a_ray_comes_before_the_generator_cap():
+    # a support of dimension 1 is its own fan, returned before the cap on
+    # generators is checked, so 13 collinear generators pass; 14 that span
+    # a plane are refused before any basis is enumerated
+    collinear = [(k, 2 * k, 0) for k in range(1, 14)]
+    assert linearity_fan(collinear) == Fan.make([cone_from_generators([(1, 2, 0)])], 3)
+    with pytest.raises(CapExceededError, match="capped at 12 generators"):
+        linearity_fan(collinear + [(1, 0, 0)])
+
+
 def test_common_refinement_three_fans_preserves_support():
     fans = [
         linearity_fan([(1, 0), (0, 1), (1, 1)]),
@@ -774,6 +786,32 @@ def test_linearity_fan_matches_reference():
     assert split >= 20
     assert len(linearity_fan(SIX_GENS).maximal_cones) == 34
     assert len(linearity_fan(PLANAR_GENS).maximal_cones) == 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=7
+        )
+    )
+)
+@example([(1, 0), (0, 1), (1, 1)])
+@example([(2, 0, 0), (0, 3, 0), (1, 1, 0)])  # a plane in 3-space
+@example([(0, 0), (0, 0)])
+@example([(4, 2)])
+def test_cut_frame_matches_the_minor_loop(gens):
+    # each cut read off a basis adjugate's rows is the primitive normal of
+    # a hyperplane spanned by k - 1 generators, and every such hyperplane
+    # is read: the same cuts as the signed (k - 1)-minors give, on the
+    # same frame, for any integer generators
+    echelon, frame = int_echelon(gens)
+    assert tuple(frame) == frame_reference(gens)
+    assert fans._cut_frame(_basis_table(gens)) == (
+        echelon,
+        frame,
+        cut_normals_reference(gens),
+    )
 
 
 def test_stellar_score_matches_trial_fans(monkeypatch):

@@ -46,6 +46,7 @@ from conefan.graded import (
     weight_valuation,
     weight_vector,
 )
+from conefan.linalg import _basis_table
 from conefan.polyhedra import (
     UNBOUNDED,
     minimize_linear,
@@ -167,6 +168,22 @@ def test_bool_weights_and_exponents_rejected():
         weight_valuation((0, True), MI(2, [(1, 0)]))
     with pytest.raises(InputError):
         MI(2, [(False, 1)])
+
+
+def test_create_refuses_ideals_off_their_canonical_form():
+    # an ideal built directly skips from_exponents, and no later step
+    # checks it: a redundant or unsorted generator tuple, or a negative
+    # exponent (which made verify fail deep in the LP on a negative cost),
+    # is an input error when the system is made
+    create = lambda ideal: GradedSystem.create(1, 2, [(1,)], [ideal])  # noqa: E731
+    with pytest.raises(InputError, match=r"not its minimal generators \(\(1, 0\),\)"):
+        create(MonomialIdeal(2, ((1, 1), (1, 0))))
+    with pytest.raises(InputError, match=r"minimal generators \(\(0, 1\), \(1, 0\)\)"):
+        create(MonomialIdeal(2, ((1, 0), (0, 1))))
+    with pytest.raises(InputError, match="nonnegative"):
+        create(MonomialIdeal(2, ((-1, 2),)))
+    for ideal in (MI(2, [(1, 0), (0, 1)]), MonomialIdeal.zero(2), MonomialIdeal.unit(2)):
+        assert create(ideal).ideals == (ideal,)
 
 
 def test_newton_polyhedron():
@@ -1223,7 +1240,7 @@ def test_basic_solutions_match_double_description(case):
             expected = set()
         got = {
             tuple(Fraction(x, lam[-1]) for x in lam[:-1])
-            for lam in _basic_solutions(live, m)
+            for lam in _basic_solutions(system, m)
         }
         assert got == expected
     try:
@@ -1437,7 +1454,7 @@ def _sign_certified(live, cone):
     """_cone_certified on plain live degrees."""
     from conefan.graded import _cone_certified
 
-    _, frame, cuts = _cut_frame(live)
+    _, frame, cuts = _cut_frame(_basis_table(live))
     return _cone_certified(cone_from_generators(live).normals, frame, cuts, cone)
 
 

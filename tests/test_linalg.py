@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _det_reference,
     adjugate_reference,
     frame_reference,
     primitive_reference,
@@ -14,6 +16,8 @@ from helpers import (
 
 from conefan.errors import InputError
 from conefan.linalg import (
+    _basis_table,
+    _pivot_det,
     hermite_basis_det,
     int_adjugate,
     int_echelon,
@@ -198,6 +202,46 @@ def test_int_adjugate_matches_cofactor_reference(m):
         assert int_adjugate(m) == (adj, det)
     else:
         assert int_adjugate(m) == (None, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(square_matrices())
+@example([])
+@example([[0, 1], [1, 0]])
+@example([[-2, 1], [1, 3]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+def test_pivot_det_matches_laplace_reference(m):
+    # the minors of echelon_lattice_det come from the pass int_adjugate
+    # runs, with its sign bookkeeping, and a singular block gives 0
+    assert _pivot_det([list(r) for r in m]) == _det_reference(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=6
+        )
+    )
+)
+@example([(1, 0, 1), (0, 1, 1), (1, 1, 2)])
+@example([(0, 0), (2, 4)])
+def test_basis_table_lists_every_basis_with_its_adjugate(vectors):
+    # the table holds the echelon, and every independent k-set of the
+    # vectors, in order, with the adjugate and determinant of its frame
+    # coordinates, made positive
+    echelon, frame, bases = _basis_table(vectors)
+    assert (echelon, frame) == int_echelon(vectors)
+    k = len(frame)
+    assert [b for b, _, _ in bases] == [
+        b
+        for b in combinations(range(len(vectors)), k)
+        if rank([vectors[j] for j in b]) == k
+    ]
+    for b, adj, det in bases:
+        ref_adj, ref_det = adjugate_reference([[vectors[j][i] for j in b] for i in frame])
+        sign = 1 if ref_det > 0 else -1
+        assert (adj, det) == ([[sign * x for x in row] for row in ref_adj], sign * ref_det)
 
 
 @settings(max_examples=300, deadline=None)

@@ -77,13 +77,15 @@ def test_limit_newton_runs_no_double_description():
 
 def test_frames_come_from_the_integer_echelon():
     # a coordinate frame is the pivot list of linalg.int_echelon, with no
-    # search over coordinate combinations and no Fraction rref;
-    # _basic_solutions still runs combinations over the degrees, for its
-    # candidate bases
+    # search over coordinate combinations and no Fraction rref.
+    # linalg._basis_table runs combinations over the vectors, for the
+    # bases it tabulates; _basic_solutions reads the system's table, with
+    # no echelon or adjugate of its own
     banned = {"combinations", "rref", "hermite_basis_det"}
     checked = {
         ("fans.py", "_ray_frame"): banned,
-        ("graded.py", "_basic_solutions"): banned - {"combinations"},
+        ("linalg.py", "_basis_table"): banned - {"combinations"},
+        ("graded.py", "_basic_solutions"): banned | {"int_echelon", "int_adjugate"},
     }
     found = {}
     for (module, name), names in checked.items():
@@ -97,6 +99,28 @@ def test_frames_come_from_the_integer_echelon():
                 }
                 found[module, name] = sorted(used & names)
     assert found == {key: [] for key in checked}
+
+
+def test_bases_are_enumerated_in_one_routine():
+    # linalg._basis_table is the one enumeration of the bases of a span,
+    # which the cuts and the representation polytope's vertices both read;
+    # every_cost_linear_on keeps its own as the exact chamber test, and the
+    # other combinations are pairs of cones and the columns of a minor
+    expected = {
+        ("fans.py", "check_valid"),
+        ("fans.py", "every_cost_linear_on"),
+        ("linalg.py", "echelon_lattice_det"),
+        ("linalg.py", "_basis_table"),
+    }
+    found = set()
+    for path in sorted(Path(conefan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == "combinations"
+                for n in ast.walk(node)
+            ):
+                found.add((path.name, node.name))
+    assert found == expected
 
 
 # Every HPolyhedron row is an int row, so "/" between two of its entries
