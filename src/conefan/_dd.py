@@ -5,23 +5,22 @@ given by homogeneous inequalities with integer normals.  Constraints are
 processed one at a time; while the lineality space is nontrivial the
 dimension-drop rule applies, afterwards each halfspace step combines
 adjacent positive/negative ray pairs (the hot loop, in
-conefan._kernel.dd_step).
+conefan._kernel.dd_step).  Canonical bases of a span are the primitive
+rows of the integer echelon form that _kernel.gauss_jordan leaves.
 """
 
 from __future__ import annotations
 
 from . import _kernel
-from .linalg import rref
 from .rational import IntVec, idot, primitive_direction, primitive_int_vector
 
 
 def _canonical_basis(vectors: list) -> tuple[IntVec, ...]:
-    """Canonical primitive basis of the span of rational vectors."""
-    if not vectors:
-        return ()
-    red, pivots = rref(vectors)
-    rows = [tuple(r) for r in red[: len(pivots)]]
-    return tuple(primitive_direction(r) for r in rows)
+    """Canonical primitive basis of the span of rational vectors: the
+    primitive rows of its reduced echelon form."""
+    rows = [primitive_direction(v) for v in vectors]
+    pivots = _kernel.gauss_jordan(rows)[1]
+    return tuple(primitive_int_vector(r) for r in rows[: len(pivots)])
 
 
 def cone_generators(

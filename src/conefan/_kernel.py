@@ -1,5 +1,6 @@
-"""The exact kernels under linalg, _simplex and _dd.
+"""The exact kernels under linalg, _simplex, _dd and polyhedra.
 
+  gauss_jordan(rows)                  integer reduced echelon form, in place
   rref_frac(rows)                     reduced row echelon form over Fraction
   simplex_rows(rows, den, basis, k)   Bland-rule pivoting on integer rows
   dd_step(rays, zsets, vals, bit, min_common)
@@ -11,9 +12,10 @@ pivoting of Avis's lrs).  A tableau starts as an integer matrix over
 denominator 1, and _pivot returns the new denominator.  After any pivots
 every numerator is a minor of the starting matrix and the denominator is
 |det| of the current pivot block, so each elimination divides exactly
-and no row is divided by its gcd.  rref_frac takes and returns
-Fractions, equal to those of Gauss-Jordan elimination on Fractions, as
-Fractions are canonical; simplex_rows works on integer rows throughout.
+and no row is divided by its gcd.  gauss_jordan is the package's one
+Gauss-Jordan elimination, behind ranks, adjugates and canonical bases;
+rref_frac reads Fractions off it, equal to those of elimination on
+Fractions, as Fractions are canonical.
 """
 
 from __future__ import annotations
@@ -72,6 +74,38 @@ def _pivot(rows, den, prow, pcol):
     return p
 
 
+def gauss_jordan(rows):
+    """Reduce integer rows in place; returns (den, pivots, sign).
+
+    Each pivot row is the first with a nonzero entry at or below the
+    current row.  rows[i] / den is then row i of the reduced echelon
+    form, and den is |det| of the pivot block (the pivot columns of the
+    input rows now on top), whose sign is that of the row swaps times
+    that of each pivot entry as it is met: a square matrix of full rank
+    has determinant sign * den.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    den = 1
+    sign = 1
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pr = next((i for i in range(row, nrows) if rows[i][col] != 0), None)
+        if pr is None:
+            continue
+        if pr != row:
+            rows[row], rows[pr] = rows[pr], rows[row]
+            sign = -sign
+        if rows[row][col] < 0:
+            sign = -sign
+        den = _pivot(rows, den, row, col)
+        pivots.append(col)
+    return den, pivots, sign
+
+
 def rref_frac(rows):
     """Reduced row echelon form of a rational matrix.
 
@@ -80,21 +114,7 @@ def rref_frac(rows):
     the reduced echelon form as it is.
     """
     nums = _to_int_rows(rows)[0]
-    nrows = len(nums)
-    ncols = len(nums[0]) if nrows else 0
-    den = 1
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        pr = next((i for i in range(row, nrows) if nums[i][col] != 0), None)
-        if pr is None:
-            continue
-        nums[row], nums[pr] = nums[pr], nums[row]
-        den = _pivot(nums, den, row, col)
-        pivots.append(col)
-        row += 1
+    den, pivots, _ = gauss_jordan(nums)
     return _to_frac_rows(nums, den), pivots
 
 

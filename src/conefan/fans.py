@@ -206,6 +206,8 @@ def cone_from_normals(normals: Sequence[Sequence]) -> Cone:
     if not ns:
         raise InputError("cone_from_normals needs at least one normal")
     n = len(ns[0])
+    if any(len(u) != n for u in ns):
+        raise InputError("normal dimension mismatch")
     rows = tuple(sorted({p for p in map(primitive_direction, ns) if any(p)}))
     lin, extreme = cone_generators(rows, n)
     if lin:

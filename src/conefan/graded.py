@@ -124,6 +124,8 @@ class MonomialIdeal(Frozen):
 
     def contains_exponent(self, e: Sequence[int]) -> bool:
         """Monomial membership: some generator divides x^e."""
+        if len(e) != self.ambient:
+            raise InputError("exponent length must match the ambient")
         return any(all(g[i] <= e[i] for i in range(self.ambient)) for g in self.gens)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
@@ -292,12 +294,13 @@ def weight_vector(w: Sequence) -> IntVec:
 
 
 def weight_valuation(w: Sequence[int], I: MonomialIdeal) -> Valuation:
-    """min over generators of <w, exponent>; PlusInfinity on the zero ideal."""
-    if I.is_zero:
-        return PLUS_INFINITY
-    wv = ivec(w)
+    """min over generators of <w, exponent>; PlusInfinity on the zero ideal.
+    w is checked as asymptotic_valuation checks it."""
+    wv = _nonnegative_weight(w)
     if len(wv) != I.ambient:
         raise InputError("weight length must match the ambient")
+    if I.is_zero:
+        return PLUS_INFINITY
     return Fraction(min(idot(wv, g) for g in I.gens))
 
 

@@ -1,11 +1,16 @@
-"""Exact linear algebra: solving, ranks, kernels, adjugates and lattices."""
+"""Exact linear algebra: solving, ranks, kernels, adjugates and lattices.
+
+Reduced echelon forms, ranks and adjugates come off _kernel.gauss_jordan;
+frames, bases and lattice determinants off int_echelon, the one
+elimination that keeps the lattice the rows span.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import prod
 
 from . import _kernel
 from ._value import Frozen
@@ -15,6 +20,7 @@ from .rational import (
     Mat,
     Vec,
     ivec,
+    primitive_direction,
     primitive_int_vector,
     qvec,
     sign_normal,
@@ -24,13 +30,12 @@ from .rational import (
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return [], []
     return _kernel.rref_frac([qvec(r) for r in rows])
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    """Rank, off the pivots of the rows' primitive integer forms."""
+    return len(_kernel.gauss_jordan([primitive_direction(r) for r in rows])[1])
 
 
 class LinearSolution(Frozen):
@@ -82,6 +87,8 @@ def linear_solve(A: Mat, b: Vec) -> LinearSolution | None:
     if not A:
         return LinearSolution((), ())
     ncols = len(A[0])
+    if any(len(row) != ncols for row in A):
+        raise InputError("matrix rows have differing lengths")
     aug = [list(row) + [bi] for row, bi in zip(A, b)]
     red, pivots = rref(aug)
     if pivots and pivots[-1] == ncols:
@@ -92,29 +99,6 @@ def linear_solve(A: Mat, b: Vec) -> LinearSolution | None:
     return LinearSolution(tuple(x), _kernel_from_rref(red, pivots, ncols))
 
 
-def _pivot_det(work: list[list[int]]) -> int:
-    """Determinant of the leading n x n block of the n integer rows of
-    work, which one fraction-free Gauss-Jordan pass (_kernel._pivot, row
-    swaps only below the pivot) reduces in place to d I over d = |det|; 0
-    at the first column with no pivot.  det has the sign of the swaps
-    times the signs of the pivot entries as they are met (each negative
-    one flips the running minor that the denominator keeps positive)."""
-    n = len(work)
-    sign = 1
-    den = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if work[i][k] != 0), None)
-        if p is None:
-            return 0
-        if p != k:
-            work[k], work[p] = work[p], work[k]
-            sign = -sign
-        if work[k][k] < 0:
-            sign = -sign
-        den = _kernel._pivot(work, den, k, k)
-    return sign * den
-
-
 def int_adjugate(
     rows: Sequence[Sequence[int]],
 ) -> tuple[list[list[int]] | None, int]:
@@ -123,17 +107,18 @@ def int_adjugate(
 
     adj(M) M = M adj(M) = det(M) I, so for invertible M the solution of
     M x = b is adj(M) b / det(M) with no division until the end, and row j
-    of adj(M) vanishes on every column of M but the j-th.  _pivot_det
-    takes [M | I] to [d I | E] over d = |det(M)|, and adj(M) = +-E with
-    det's sign.  A singular M's adjugate need not vanish, but every caller
+    of adj(M) vanishes on every column of M but the j-th.  gauss_jordan
+    takes [M | I] to [d I | E] over d = |det(M)|, with pivots on M's
+    columns exactly when M is invertible, and adj(M) = +-E with det's
+    sign.  A singular M's adjugate need not vanish, but every caller
     skips a zero determinant, so none is formed.
     """
     n = len(rows)
     work = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    det = _pivot_det(work)
-    if not det:
+    den, pivots, sign = _kernel.gauss_jordan(work)
+    if pivots and pivots[-1] >= n:
         return None, 0
-    return [[x if det > 0 else -x for x in row[n:]] for row in work], det
+    return [[x if sign > 0 else -x for x in row[n:]] for row in work], sign * den
 
 
 def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
@@ -182,15 +167,10 @@ def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
 
 def echelon_lattice_det(rows: Sequence[Sequence[int]]) -> int:
     """gcd of the maximal minors of the rows of an integer echelon form (1
-    for no rows): the lattice determinant of the vectors it came from."""
-    if not rows:
-        return 1
-    g = 0
-    for cols in combinations(range(len(rows[0])), len(rows)):
-        g = gcd(g, _pivot_det([[row[c] for c in cols] for row in rows]))
-        if g == 1:
-            break
-    return g
+    for no rows): the lattice determinant of the vectors it came from.
+    It is the index in Z^k of the lattice of the k rows' columns, the
+    product of the pivots of their echelon (Schrijver 1986, ch. 4)."""
+    return prod(row[p] for row, p in zip(*int_echelon(list(zip(*rows)))))
 
 
 def hermite_basis_det(vectors: Sequence[Sequence]) -> tuple[int, int]:

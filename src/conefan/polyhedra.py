@@ -11,10 +11,11 @@ construction accepts nothing else.  HPolyhedron.from_rows is the one
 rational entry point: it scales each row by a positive factor to its
 primitive integer row, which leaves the point set unchanged, and every
 HPolyhedron the module returns has primitive rows.  Canonical forms make
-equality of point sets a structural comparison: inequalities are reduced
-modulo the equality space and sorted, equalities are brought to a
-sign-normal echelon basis; vertex and ray lists are sorted with primitive
-integer rays.
+equality of point sets a structural comparison: equalities are the
+primitive rows of their reduced echelon form, inequalities are reduced
+modulo the equality space in integers (both off the integer rows of
+_kernel.gauss_jordan) and sorted; vertex and ray lists are sorted with
+primitive integer rays.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cached_property
 
+from . import _kernel
 from ._dd import cone_generators, _canonical_basis
 from ._value import Frozen
 from .errors import (
@@ -218,26 +220,6 @@ def dual_description(P: HPolyhedron) -> VRepresentation:
     return P._vrep
 
 
-def _reduce_mod_equalities(
-    rows: list[tuple[Vec, Fraction]], eq_red: list[list[Fraction]], eq_pivots: list[int]
-) -> list[tuple[Vec, Fraction]]:
-    out = []
-    for normal, offset in rows:
-        aug = list(normal) + [offset]
-        for i, p in enumerate(eq_pivots):
-            if aug[p] != 0:
-                f = aug[p]
-                aug = [a - f * b for a, b in zip(aug, eq_red[i])]
-        normal2 = tuple(aug[:-1])
-        offset2 = aug[-1]
-        if is_zero_vec(normal2):
-            if offset2 < 0:
-                raise InternalError("facet reduced to an absurd row")
-            continue
-        out.append((normal2, offset2))
-    return out
-
-
 def _lift_point(v: Sequence) -> IntVec:
     """The homogenized integer point (v | 1), a primitive integer row; a
     point with an entry that is not an int is an internal failure."""
@@ -267,8 +249,9 @@ def _hform_from_dd(
     A ray (a | c) is the inequality <-a, x> <= c, a lineality vector the
     equality <a, x> = -c.  Without lineality the rays are distinct primitive
     integer rows, which are the canonical inequalities as they stand.
-    Otherwise the equalities are brought to a reduced echelon basis and the
-    inequality normals reduced modulo the equality space.
+    Otherwise the equalities are the primitive rows of gauss_jordan's
+    rows E over den, and an inequality row r is reduced modulo them as
+    den * r minus r's entry at each pivot times that pivot's row of E.
     """
     ineqs = []
     for r in rays:
@@ -284,16 +267,23 @@ def _hform_from_dd(
         if not any(l[:n]):
             raise InternalError("affine hull gave an absurd equality")
         eqs.append(list(l[:n]) + [-l[n]])
-    from .linalg import rref
-
-    red, pivots = rref(eqs)
-    if pivots and pivots[-1] == n:
+    den, pivots, _ = _kernel.gauss_jordan(eqs)
+    if pivots[-1] == n:
         raise InternalError("inconsistent affine hull")
-    eq_red = red[: len(pivots)]
-    reduced = _reduce_mod_equalities([(r[:n], r[n]) for r in ineqs], eq_red, pivots)
-    ineq_rows = sorted({primitive_direction((*a, c)) for a, c in reduced})
-    eq_rows = sorted({sign_normal(primitive_direction(r)) for r in eq_red})
-    return _h_from_int_rows(ineq_rows, eq_rows, n)
+    eqs = eqs[: len(pivots)]
+    ineq_rows = set()
+    for r in ineqs:
+        red = [den * x for x in r]
+        for e, p in zip(eqs, pivots):
+            if r[p]:
+                red = [x - r[p] * y for x, y in zip(red, e)]
+        if not any(red[:n]):
+            if red[n] < 0:
+                raise InternalError("facet reduced to an absurd row")
+            continue
+        ineq_rows.add(primitive_int_vector(red))
+    eq_rows = sorted(map(primitive_int_vector, eqs))
+    return _h_from_int_rows(sorted(ineq_rows), eq_rows, n)
 
 
 def vrep_to_h(V: VRepresentation) -> HPolyhedron:

@@ -5,8 +5,10 @@ paths they validate: vertices by enumerating constraint subsets, recession
 rays from the homogeneous system, Newton-polyhedron membership by direct
 inequality evaluation on integer points, minimal generators by pairwise
 divisibility, row reduction and simplex pivoting by plain Fraction
-arithmetic, parallelepiped points by a bounding-box scan, representations
-of a degree by a search bounded only by the theta-weight, projection by
+arithmetic, lattice determinants by one elimination pass per minor,
+canonical bases and H-forms by Fraction row reduction, parallelepiped
+points by a bounding-box scan, representations of a degree by a search
+bounded only by the theta-weight, projection by
 Fourier-Motzkin elimination with LP redundancy removal, the linearity fan
 by cutting every chamber with every hyperplane, its cut normals by
 minors, stellar scores by building the trial subdivision, simplicial
@@ -24,7 +26,7 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence
 
-from conefan import fans
+from conefan import _kernel, fans
 from conefan._simplex import StandardResult, solve_standard
 from conefan.errors import (
     BudgetExceededError,
@@ -298,6 +300,135 @@ def pivot_reference(tab, prow, pcol):
         if i != prow and tab[i][pcol] != 0:
             f = tab[i][pcol]
             tab[i] = [a - f * b for a, b in zip(tab[i], prow_vals)]
+
+
+def gauss_jordan_reference(rows):
+    """Gauss-Jordan elimination on Fractions, with _kernel.gauss_jordan's
+    return value (den, pivots, sign): den is the absolute value of the
+    product of the pivot entries as they are met, sign that product's sign
+    times the sign of the row swaps, and each row is replaced in place by
+    its reduced row times den, which must be an integer row."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    det = Fraction(1)
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pr = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        if pr is None:
+            continue
+        if pr != row:
+            m[row], m[pr] = m[pr], m[row]
+            det = -det
+        det *= m[row][col]
+        pivot_reference(m, row, col)
+        pivots.append(col)
+    den = abs(det)
+    for i, r in enumerate(m):
+        scaled = [x * den for x in r]
+        if any(x.denominator != 1 for x in scaled):
+            raise AssertionError(f"row {i} times {den} is not integral")
+        rows[i] = [int(x) for x in scaled]
+    return int(den), pivots, 1 if det > 0 else -1
+
+
+def pivot_det_reference(work) -> int:
+    """Determinant of the leading n x n block of the n integer rows of
+    work, reduced in place by one fraction-free Gauss-Jordan pass of its
+    own (_kernel._pivot, row swaps only below the pivot), stopping at the
+    first column with no pivot: the pass linalg.int_adjugate and
+    echelon_lattice_det ran before both read conefan._kernel.gauss_jordan."""
+    n = len(work)
+    sign = 1
+    den = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if work[i][k] != 0), None)
+        if p is None:
+            return 0
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            sign = -sign
+        if work[k][k] < 0:
+            sign = -sign
+        den = _kernel._pivot(work, den, k, k)
+    return sign * den
+
+
+def lattice_det_reference(rows) -> int:
+    """gcd of the maximal minors of integer rows (1 for no rows), one
+    determinant pass per minor: the loop linalg.echelon_lattice_det ran
+    before it read the pivots of the transpose's echelon."""
+    if not rows:
+        return 1
+    g = 0
+    for cols in combinations(range(len(rows[0])), len(rows)):
+        g = gcd(g, pivot_det_reference([[row[c] for c in cols] for row in rows]))
+        if g == 1:
+            break
+    return g
+
+
+def canonical_basis_reference(vectors) -> tuple:
+    """Primitive rows of the Fraction reduced echelon form of rational
+    vectors: the route _dd._canonical_basis took before it read
+    gauss_jordan's integer rows."""
+    if not vectors:
+        return ()
+    red, pivots = rref_reference(vectors)
+    return tuple(primitive_direction(tuple(r)) for r in red[: len(pivots)])
+
+
+def reduce_mod_equalities_reference(rows, eq_red, eq_pivots) -> list:
+    """Reduce each (normal, offset) row modulo the Fraction reduced rows
+    eq_red of the equalities, one pivot at a time; a row whose normal
+    vanishes is dropped, or is an absurd row when its offset is negative."""
+    out = []
+    for normal, offset in rows:
+        aug = list(normal) + [offset]
+        for i, p in enumerate(eq_pivots):
+            if aug[p] != 0:
+                f = aug[p]
+                aug = [a - f * b for a, b in zip(aug, eq_red[i])]
+        normal2 = tuple(aug[:-1])
+        offset2 = aug[-1]
+        if all(x == 0 for x in normal2):
+            if offset2 < 0:
+                raise InternalError("facet reduced to an absurd row")
+            continue
+        out.append((normal2, offset2))
+    return out
+
+
+def hform_from_dd_reference(lin, rays, n: int) -> HPolyhedron:
+    """polyhedra._hform_from_dd on Fractions: the equalities' reduced
+    echelon form by rref_reference, each inequality reduced modulo it by
+    reduce_mod_equalities_reference, every row then made primitive, and
+    the equality rows sign-normal."""
+    ineqs = []
+    for r in rays:
+        if not any(r[:n]):
+            if r[n] < 0:
+                raise InternalError("homogenized hull gave an absurd row")
+            continue
+        ineqs.append(tuple(-x for x in r[:n]) + (r[n],))
+    eqs = [list(l[:n]) + [-l[n]] for l in lin]
+    red, pivots = rref_reference(eqs)
+    if pivots and pivots[-1] == n:
+        raise InternalError("inconsistent affine hull")
+    eq_red = red[: len(pivots)]
+    reduced = reduce_mod_equalities_reference(
+        [(r[:n], r[n]) for r in ineqs], eq_red, pivots
+    )
+    ineq_rows = sorted({primitive_direction((*a, c)) for a, c in reduced})
+    eq_rows = sorted({sign_normal(primitive_direction(r)) for r in eq_red})
+    return HPolyhedron(
+        tuple((r[:-1], r[-1]) for r in ineq_rows),
+        tuple((r[:-1], r[-1]) for r in eq_rows),
+        n,
+    )
 
 
 def simplex_core_reference(tableau, basis, allowed_cols):

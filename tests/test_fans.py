@@ -83,6 +83,16 @@ def test_cone_from_generators_scalar_routes():
             cone_from_generators(bad)
 
 
+@pytest.mark.parametrize(
+    "normals", [[[1, 0], [0, 1], [1]], [[1, 0, 0], [0, 1]], [[1], [0, 1]]]
+)
+def test_cone_from_normals_rejects_ragged_normals(normals):
+    # as cone_from_generators does: ragged normals used to give the
+    # quadrant, or a NotPointedError, or a cone of the first length
+    with pytest.raises(InputError):
+        cone_from_normals(normals)
+
+
 def test_cone_from_normals_scalar_routes():
     # integer normals skip the Fraction route; Fraction and string normals
     # in the same directions give the same cone, zero normals are ignored,
@@ -741,6 +751,9 @@ def test_every_cost_linear_on_edge_cases():
         every_cost_linear_on(V3, cone_from_generators([(1, -1)]))
     with pytest.raises(CapExceededError):
         every_cost_linear_on([(1, k) for k in range(13)], quadrant())
+    # the cap itself, 12 generators, is allowed
+    chamber = cone_from_generators([(1, 0), (1, 1)])
+    assert every_cost_linear_on([(1, k) for k in range(12)], chamber)
     assert not every_cost_linear_on(V3, quadrant())
 
 

@@ -397,6 +397,22 @@ def test_weight_valuation():
         weight_vector((0, 0))
     with pytest.raises(InputError):
         weight_vector((-1, 2))
+    # the weight is validated as asymptotic_valuation's is, also on the
+    # zero ideal: a negative weight used to give the value -1
+    for w in ((-1, 0), (0, 0), (1, 1, 1)):
+        for ideal in (I, MonomialIdeal.zero(2)):
+            with pytest.raises(InputError):
+                weight_valuation(w, ideal)
+
+
+def test_contains_exponent_checks_its_length():
+    # a short exponent used to raise a bare IndexError, a long one to be
+    # read on its first coordinates
+    I = MI(2, [(1, 1), (2, 0)])
+    assert I.contains_exponent((2, 1)) and not I.contains_exponent((1, 0))
+    for e in ((2,), (2, 1, 0)):
+        with pytest.raises(InputError):
+            I.contains_exponent(e)
 
 
 def test_asymptotic_valuation():
@@ -807,6 +823,14 @@ def test_limit_polyhedra_anchored_to_lp(monkeypatch):
     )
     with pytest.raises(AssertionError, match="disagrees with the asymptotic"):
         verify_closure_identity(worked_system(), power_bound=1)
+    # every facet row is checked, also one whose weight has a zero entry
+    monkeypatch.setattr(
+        graded,
+        "asymptotic_valuation",
+        lambda system, w, m: real(system, w, m) + (0 in w),
+    )
+    with pytest.raises(AssertionError, match="disagrees with the asymptotic"):
+        verify_closure_identity(worked_system(), power_bound=1)
 
 
 def test_verify_halfstep_system():
@@ -1108,6 +1132,26 @@ def test_stabilizing_exponent_cap_reported():
         stabilizing_exponent(sys_h, fan, cap=1)
     assert err.value.ray == (1,)
     assert err.value.cap == 1
+
+
+def test_exponent_search_reaches_the_cap_and_stops_there():
+    # d runs through the multiples of q up to and including the cap: the
+    # worked system's rays stabilize at d = q = 1, which cap 1 allows; the
+    # ray (1, 1) here has q = 1 but stabilizes first at d = 2, above cap 1
+    from conefan.errors import StabilizationError
+
+    rep = verify_closure_identity(
+        worked_system(), power_bound=1, exponent_cap=1, power_checks=1
+    )
+    assert rep.verified and rep.exponent == 1
+    system = GradedSystem.create(
+        2, 2, [(2, 1), (2, 2)], [MI(2, [(1, 0)]), MonomialIdeal.unit(2)]
+    )
+    rep = verify_closure_identity(system, power_bound=1, exponent_cap=2, power_checks=1)
+    assert rep.per_ray == (((1, 1), 2), ((2, 1), 1))
+    with pytest.raises(StabilizationError) as err:
+        verify_closure_identity(system, power_bound=1, exponent_cap=1, power_checks=1)
+    assert str(err.value) == "no stabilizing exponent <= 1 found for ray (1, 1)"
 
 
 def test_ray_with_only_zero_ideals_is_not_a_cap_failure():

@@ -1,11 +1,11 @@
 """The fraction-free kernels against plain Fraction references.
 
-rref_frac, _pivot, simplex_rows and solve_standard must return exactly what
-Gauss-Jordan elimination and Bland's rule on Fractions return
-(tests/helpers.py), on every shape the callers produce: empty, 1x1, zero
-rows and columns, rank-deficient matrices, mixed denominators, and LPs
-that end optimal, infeasible or unbounded, including degenerate ratio
-ties.
+gauss_jordan, rref_frac, _pivot, simplex_rows and solve_standard must
+return exactly what Gauss-Jordan elimination and Bland's rule on
+Fractions return (tests/helpers.py), on every shape the callers produce:
+empty, 1x1, zero rows and columns, rank-deficient matrices, mixed
+denominators, and LPs that end optimal, infeasible or unbounded,
+including degenerate ratio ties.
 """
 
 import os
@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    gauss_jordan_reference,
     pivot_reference,
     rref_reference,
     simplex_core_reference,
@@ -79,6 +80,42 @@ def test_rref_matches_reference(rows):
     assert pivots == ref_pivots
     assert red == ref_red
     assert all(type(x) is Fraction for r in red for x in r)
+
+
+@st.composite
+def int_matrices(draw):
+    """The shapes of matrices(), with integer entries."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 7))
+    rows = [[draw(_int_entries) for _ in range(ncols)] for _ in range(nrows)]
+    if rows and ncols and draw(st.booleans()):
+        col = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[col] = 0
+    if rows and draw(st.booleans()):
+        i = draw(st.integers(0, nrows - 1))
+        j = draw(st.integers(0, nrows - 1))
+        k = draw(st.integers(-3, 3))
+        rows.append([a * k + b for a, b in zip(rows[i], rows[j])])
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices())
+@example([])
+@example([[]])
+@example([[0]])
+@example([[-3]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0], [0, -2], [0, 4]])
+@example([[2, 4, 6], [1, 2, 3], [-1, 5, 0]])
+def test_gauss_jordan_matches_reference(rows):
+    # the one loop leaves the reduced form times den in place, with the
+    # pivots and the pivot block's |det| and sign of Fraction elimination
+    got = _copy(rows)
+    ref = _copy(rows)
+    assert _kernel.gauss_jordan(got) == gauss_jordan_reference(ref)
+    assert got == ref
 
 
 # Non-integer entries with denominators 1..6, so that one LP mixes rows
@@ -383,14 +420,20 @@ def test_backend_name_reported():
 
 def test_full_pipeline_matches_reference_kernel():
     # A fresh interpreter per kernel, so no memo cache carries results over.
+    # The reference run swaps the one Gauss-Jordan loop and rref_frac for
+    # Fraction elimination, the lattice determinants for the minor loop,
+    # and the LP for Bland's rule on Fractions.
     script = (
         "import json, sys\n"
         "sys.path.insert(0, {tests!r})\n"
         "from conefan import _kernel\n"
         "if sys.argv[1] == 'reference':\n"
         "    import helpers\n"
-        "    from conefan import _simplex\n"
+        "    from conefan import _simplex, fans, linalg\n"
+        "    _kernel.gauss_jordan = helpers.gauss_jordan_reference\n"
         "    _kernel.rref_frac = helpers.rref_reference\n"
+        "    linalg.echelon_lattice_det = helpers.lattice_det_reference\n"
+        "    fans.echelon_lattice_det = helpers.lattice_det_reference\n"
         "    _simplex.solve_standard = lambda c, A, b: _simplex.StandardResult(\n"
         "        *helpers.solve_standard_reference(c, A, b))\n"
         "from conefan.graded import GradedSystem, MonomialIdeal, "

@@ -10,14 +10,19 @@ from helpers import (
     _det_reference,
     adjugate_reference,
     frame_reference,
+    lattice_det_reference,
+    pivot_det_reference,
     primitive_reference,
+    rref_reference,
     sign_normal_reference,
 )
+
+from conefan import _kernel
 
 from conefan.errors import InputError
 from conefan.linalg import (
     _basis_table,
-    _pivot_det,
+    echelon_lattice_det,
     hermite_basis_det,
     int_adjugate,
     int_echelon,
@@ -53,6 +58,13 @@ def test_linear_solve_underdetermined():
 
 def test_linear_solve_inconsistent():
     assert linear_solve(mat([[1], [1]]), vec([1, 2])) is None
+
+
+def test_linear_solve_rejects_ragged_rows():
+    # a short row used to raise a bare IndexError from the elimination
+    for A in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(InputError):
+            linear_solve(A, [1, 2])
 
 
 def test_linear_solve_roundtrip_random():
@@ -211,9 +223,14 @@ def test_int_adjugate_matches_cofactor_reference(m):
 @example([[-2, 1], [1, 3]])
 @example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
 def test_pivot_det_matches_laplace_reference(m):
-    # the minors of echelon_lattice_det come from the pass int_adjugate
-    # runs, with its sign bookkeeping, and a singular block gives 0
-    assert _pivot_det([list(r) for r in m]) == _det_reference(m)
+    # the determinant the one Gauss-Jordan loop leaves, sign * den at full
+    # rank and 0 below it, is the Laplace expansion's and the one the
+    # removed _pivot_det pass gave; int_adjugate reads the same
+    work = [list(r) for r in m]
+    den, pivots, sign = _kernel.gauss_jordan(work)
+    det = sign * den if len(pivots) == len(m) else 0
+    assert det == _det_reference(m) == pivot_det_reference([list(r) for r in m])
+    assert int_adjugate(m)[1] == det
 
 
 @settings(max_examples=200, deadline=None)
@@ -266,8 +283,9 @@ def test_rref_of_int_rows_matches_fraction_rows(rows):
 
 
 def test_rref_hands_int_rows_to_the_kernel(monkeypatch):
-    from conefan import _kernel
-
+    # rref hands int rows to rref_frac as ints; rank hands the loop int
+    # rows, Fraction rows scaled to primitive ones, and reads its pivots
+    # with no Fraction rows made
     seen = []
     real = _kernel.rref_frac
 
@@ -276,9 +294,49 @@ def test_rref_hands_int_rows_to_the_kernel(monkeypatch):
         return real(rows)
 
     monkeypatch.setattr(_kernel, "rref_frac", record)
-    assert rank([[1, 2], [3, 4]]) == 2
+    assert rref([[1, 2], [3, 4]])[1] == [0, 1]
     assert seen == [[(1, 2), (3, 4)]]
     assert all(type(x) is int for r in seen[0] for x in r)
+
+    looped = []
+    loop = _kernel.gauss_jordan
+
+    def record_loop(rows):
+        looped.append([list(r) for r in rows])
+        return loop(rows)
+
+    def no_fractions(rows, den):
+        raise AssertionError("rank built Fraction rows")
+
+    monkeypatch.setattr(_kernel, "gauss_jordan", record_loop)
+    monkeypatch.setattr(_kernel, "_to_frac_rows", no_fractions)
+    assert rank([[1, 2], [3, 4]]) == 2
+    assert rank([[Fraction(1, 2), Fraction(3, 4)], [1, Fraction(3, 2)]]) == 1
+    assert looped == [[[1, 2], [3, 4]], [[2, 3], [2, 3]]]
+    assert seen == [[(1, 2), (3, 4)]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(
+                st.one_of(
+                    st.integers(-4, 4),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                ),
+                min_size=n,
+                max_size=n,
+            ),
+            min_size=0,
+            max_size=5,
+        )
+    )
+)
+@example([[0, 0], [0, 0]])
+@example([[Fraction(1, 2), 1], [1, 2]])
+def test_rank_matches_fraction_reference(rows):
+    assert rank(rows) == len(rref_reference(rows)[1])
 
 
 def test_primitive():
@@ -352,6 +410,21 @@ def test_echelon_pivots_are_the_first_full_rank_frame(rows):
     assert tuple(pivots) == frame_reference(rows)
     assert len(echelon) == len(pivots) == rank(rows)
     assert all(r[p] > 0 and not any(r[:p]) for r, p in zip(echelon, pivots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame_matrices())
+@example([[0, 1, 0], [0, 2, 5]])
+@example([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
+@example([[2, 4, 6]])
+@example([[0, 0, 0]])
+def test_echelon_lattice_det_matches_minor_loop(rows):
+    # the product of the pivots of the transpose's echelon is the gcd of
+    # the k x k minors of the k echelon rows, also for k < n, and for the
+    # vectors the echelon came from
+    echelon, _ = int_echelon(rows)
+    assert echelon_lattice_det(echelon) == lattice_det_reference(echelon)
+    assert hermite_basis_det(rows) == (len(echelon), lattice_det_reference(echelon))
 
 
 def test_exact_arithmetic_roundtrips():

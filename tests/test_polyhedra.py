@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,13 +9,22 @@ from hypothesis import strategies as st
 from helpers import (
     brute_recession_rays,
     brute_vertices,
+    canonical_basis_reference,
+    hform_from_dd_reference,
     homogeneous_rows_reference,
     project_fm_reference,
     random_h_polyhedron,
     scale_polyhedron_reference,
 )
 
-from conefan.errors import CapExceededError, EmptyPolyhedronError, InputError
+from conefan import polyhedra
+from conefan._dd import _canonical_basis
+from conefan.errors import (
+    CapExceededError,
+    EmptyPolyhedronError,
+    InputError,
+    InternalError,
+)
 from conefan.graded import (
     GradedSystem,
     MonomialIdeal,
@@ -370,6 +380,89 @@ def test_project_matches_fourier_motzkin(case):
         for normal, offset in Q.inequalities + Q.equalities
         for x in normal + (offset,)
     )
+
+
+_rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.one_of(st.just(0), _rationals)] * n), max_size=5
+        )
+    )
+)
+@example([])
+@example([(0, 0)])
+@example([(2, 4, 6), (1, 2, 3)])
+@example([(Fraction(1, 2), 0), (0, Fraction(-2, 3)), (1, 1)])
+def test_canonical_basis_matches_fraction_reference(vectors):
+    # the primitive rows of the loop's integer echelon are those of the
+    # Fraction reduced echelon form
+    assert _canonical_basis(vectors) == canonical_basis_reference(vectors)
+
+
+@st.composite
+def flat_vreps(draw):
+    """(V, keep): V's points lie on an affine subspace through a rational
+    point, spanned by at most n integer directions, which also give its
+    rays and lineality, so its hull has equalities, lineality or both;
+    keep is a coordinate set to project on."""
+    n = draw(st.integers(1, 4))
+    direction = st.tuples(*[st.integers(-3, 3)] * n)
+    dirs = draw(st.lists(direction, min_size=1, max_size=n))
+    base = draw(st.tuples(*[_rationals] * n))
+    coef = st.lists(st.integers(-2, 2), min_size=len(dirs), max_size=len(dirs))
+
+    def in_span(c):
+        return tuple(sum(ci * d[j] for ci, d in zip(c, dirs)) for j in range(n))
+
+    vertices = [
+        tuple(b + x for b, x in zip(base, in_span(c)))
+        for c in draw(st.lists(coef, min_size=1, max_size=4))
+    ]
+    rays = [in_span(c) for c in draw(st.lists(coef, max_size=2))]
+    lineality = [in_span(c) for c in draw(st.lists(coef, max_size=2))]
+    keep = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return VRepresentation.make(vertices, rays, lineality, n), keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_vreps())
+# a segment in the plane x + y = 1: one equality, no lineality
+@example((VRepresentation.make([(0, 1), (1, 0)]), [0]))
+# a line through (1/2, 0, 0) along (1, 1, 0): equalities and lineality
+@example((VRepresentation.make([(Fraction(1, 2), 0, 0)], (), [(1, 1, 0)]), [1, 2]))
+# a half-plane in the plane z = 2 of 3-space, with a line in it
+@example((VRepresentation.make([(0, 0, 2)], [(1, 0, 0)], [(0, 1, 0)]), [0, 2]))
+def test_hform_matches_fraction_reference(case):
+    # vrep_to_h and project reduce the inequalities modulo the equalities
+    # in integers, to the canonical form of the Fraction route
+    V, keep = case
+    H = vrep_to_h(V)
+    got = (H, project(H, keep))
+    with mock.patch.object(polyhedra, "_hform_from_dd", hform_from_dd_reference):
+        H_ref = vrep_to_h(V)
+        assert (H_ref, project(H_ref, keep)) == got
+
+
+@pytest.mark.parametrize(
+    "lin, rays",
+    [
+        # a ray (0 | c) with c < 0 is the absurd row 0 <= c
+        ((), [(0, 0, -1)]),
+        # x = 0 and x = 1: an inconsistent affine hull
+        ([(1, 0, 0), (1, 0, 1)], [(0, 1, 0)]),
+        # -x <= -1 reduces modulo x = 0 to the absurd row 0 <= -1
+        ([(1, 0, 0)], [(1, 0, -1)]),
+    ],
+)
+def test_hform_from_dd_refuses_an_absurd_double_description(lin, rays):
+    # the double description of a nonempty hull gives none of these, so
+    # each is an internal failure, never a polyhedron
+    with pytest.raises(InternalError):
+        polyhedra._hform_from_dd(lin, rays, 2)
 
 
 def test_project_above_dim_cap_raises():

@@ -105,11 +105,10 @@ def test_bases_are_enumerated_in_one_routine():
     # linalg._basis_table is the one enumeration of the bases of a span,
     # which the cuts and the representation polytope's vertices both read;
     # every_cost_linear_on keeps its own as the exact chamber test, and the
-    # other combinations are pairs of cones and the columns of a minor
+    # other combinations are pairs of cones
     expected = {
         ("fans.py", "check_valid"),
         ("fans.py", "every_cost_linear_on"),
-        ("linalg.py", "echelon_lattice_det"),
         ("linalg.py", "_basis_table"),
     }
     found = set()
@@ -121,6 +120,55 @@ def test_bases_are_enumerated_in_one_routine():
             ):
                 found.add((path.name, node.name))
     assert found == expected
+
+
+def _functions_using(names):
+    """{(module, function or <module>): sorted names of `names` it uses},
+    from every Name, Attribute, import alias and definition in the
+    package, for the functions that use any."""
+    found = {}
+
+    def walk(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if child.name in names:
+                    found.setdefault((path.name, scope), set()).add(child.name)
+                walk(child, path, child.name)
+                continue
+            if isinstance(child, ast.Name):
+                used = {child.id}
+            elif isinstance(child, ast.Attribute):
+                used = {child.attr}
+            elif isinstance(child, ast.alias):
+                used = {child.name, child.asname}
+            else:
+                used = set()
+            if used & names:
+                found.setdefault((path.name, scope), set()).update(used & names)
+            walk(child, path, scope)
+
+    for path in sorted(Path(conefan.__file__).parent.glob("*.py")):
+        walk(ast.parse(path.read_text(), str(path)), path, "<module>")
+    return {key: sorted(val) for key, val in found.items()}
+
+
+def test_one_gauss_jordan_loop():
+    # _kernel.gauss_jordan is the package's one Gauss-Jordan elimination:
+    # the fraction-free pivot is reached only through it and the simplex,
+    # the determinant pass, the Fraction reduction modulo equalities and
+    # the minor loop are gone, rank reads pivots with no Fraction, and _dd
+    # and polyhedra canonicalize with no rref
+    pivot_users = {module for module, _ in _functions_using({"_pivot"})}
+    assert pivot_users == {"_kernel.py", "_simplex.py"}
+    assert _functions_using({"_pivot_det", "_reduce_mod_equalities"}) == {}
+    banned = {
+        ("linalg.py", "echelon_lattice_det"): {"combinations", "gcd", "int_adjugate"},
+        ("linalg.py", "rank"): {"rref", "rref_frac", "Fraction", "frac", "qvec"},
+    }
+    for key, names in banned.items():
+        assert key not in _functions_using(names), key
+    for module in ("_dd.py", "polyhedra.py"):
+        assert not [key for key in _functions_using({"rref", "rref_frac"}) if key[0] == module]
 
 
 # Every HPolyhedron row is an int row, so "/" between two of its entries
