@@ -44,6 +44,7 @@ from .polyhedra import HPolyhedron, dual_description
 from .rational import (
     IntVec,
     Vec,
+    _check_lengths,
     dot,
     idot,
     primitive_direction,
@@ -114,10 +115,8 @@ class Cone(Frozen):
 
     def face(self, tight: Iterable[IntVec]) -> "Cone":
         """Intersection with the hyperplanes of the given normals."""
-        extra = []
-        for u in tight:
-            extra.append(tuple(-x for x in u))
-        return cone_from_normals(self.normals + tuple(extra))
+        negated = tuple(tuple(-x for x in u) for u in tight)
+        return cone_from_normals(self.normals + negated)
 
     @cached_property
     def _ray_frame(self) -> tuple[list[int], list[list[int]], int]:
@@ -184,11 +183,10 @@ def cone_from_generators(generators: Sequence[Sequence]) -> Cone:
     gens = [tuple(g) for g in generators]
     if not gens:
         raise InputError("cone needs generators or an ambient dimension")
+    _check_lengths(gens, "generator dimension mismatch")
     n = len(gens[0])
     prim = set()
     for g in gens:
-        if len(g) != n:
-            raise InputError("generator dimension mismatch")
         p = primitive_direction(g)
         if not any(p):
             raise InputError("zero vector is not a valid cone generator")
@@ -205,9 +203,8 @@ def cone_from_normals(normals: Sequence[Sequence]) -> Cone:
     ns = [tuple(u) for u in normals]
     if not ns:
         raise InputError("cone_from_normals needs at least one normal")
+    _check_lengths(ns, "normal dimension mismatch")
     n = len(ns[0])
-    if any(len(u) != n for u in ns):
-        raise InputError("normal dimension mismatch")
     rows = tuple(sorted({p for p in map(primitive_direction, ns) if any(p)}))
     lin, extreme = cone_generators(rows, n)
     if lin:
@@ -331,6 +328,7 @@ def caratheodory_reduce(
     lam = list(vec(lam))
     if not (len(gens) == len(costs) == len(lam)):
         raise InputError("generators, costs, and coefficients must align")
+    _check_lengths(gens, "generator dimension mismatch")
     if any(c < 0 for c in costs):
         raise InputError("costs must be nonnegative")
     if any(x < 0 for x in lam):
@@ -372,6 +370,7 @@ def independent_subsets(generators: Sequence[Sequence]) -> tuple[tuple[int, ...]
     """All index sets whose generators are linearly independent (incl. the
     empty set), for at most INDEPENDENT_SUBSET_CAP generators."""
     gens = [vec(g) for g in generators]
+    _check_lengths(gens, "generator dimension mismatch")
     if len(gens) > INDEPENDENT_SUBSET_CAP:
         raise CapExceededError(
             "independent-subset enumeration capped at "

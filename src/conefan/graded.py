@@ -51,7 +51,6 @@ from .polyhedra import (
     _hform_from_dd,
     _lift_point,
     dual_description,
-    minimize_linear,
     scale_polyhedron,
 )
 from .rational import (
@@ -147,13 +146,21 @@ def ideal_product(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ambient, _minimalize(sums))
 
 
+def _check_ints(*params) -> None:
+    """InputError unless each (name, value, least) holds an int of at
+    least least (None: no bound); True would run as 1 but be reported as
+    true, and 2.5 would fail deep inside with a bare TypeError."""
+    for name, value, least in params:
+        if type(value) is not int:
+            raise InputError(f"{name} must be an int, got {value!r}")
+        if least is not None and value < least:
+            raise InputError(f"{name} must be at least {least}, got {value}")
+
+
 def ideal_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
     """I^k for an int k >= 0 (not a bool or a float), by repeated
     squaring."""
-    if type(k) is not int:
-        raise InputError(f"ideal powers need an int exponent, got {k!r}")
-    if k < 0:
-        raise InputError("ideal powers need k >= 0")
+    _check_ints(("k", k, 0))
     if k == 0:
         return MonomialIdeal.unit(I.ambient)
     half = ideal_power(I, k // 2)
@@ -278,6 +285,23 @@ def closure_equal(I: MonomialIdeal, J: MonomialIdeal) -> bool:
     return newton_hform(I) == newton_hform(J)
 
 
+def _facets(h: HPolyhedron):
+    """(w, v) for each facet row (a | b) of an orthant hull h, conv(points)
+    + orthant or a positive multiple of one: the facet weight w = -a / g
+    and v = -b / g, the least <w, x> over h, with g the gcd of a.  h is
+    closed upward, so every normal a is nonzero and <= 0, and every row is
+    tight on h."""
+    for a, b in h.inequalities:
+        g = gcd(*a)
+        yield tuple(-x // g for x in a), Fraction(-b, g)
+
+
+def _least(points, w: Sequence[int]) -> int:
+    """min <w, p> over integer points: for w >= 0, the least <w, x> over
+    their orthant hull, which is v_w of an ideal with these exponents."""
+    return min(sum(map(mul, w, p)) for p in points)
+
+
 def _nonnegative_weight(w: Sequence) -> IntVec:
     """A weight as an integer vector: nonnegative, not all zero."""
     wv = ivec(w)
@@ -301,7 +325,7 @@ def weight_valuation(w: Sequence[int], I: MonomialIdeal) -> Valuation:
         raise InputError("weight length must match the ambient")
     if I.is_zero:
         return PLUS_INFINITY
-    return Fraction(min(idot(wv, g) for g in I.gens))
+    return Fraction(_least(I.gens, wv))
 
 
 class GradedSystem(Frozen):
@@ -595,7 +619,7 @@ def asymptotic_valuation(
     if not degrees:
         return PLUS_INFINITY
     # weight_valuation's minima, left as ints for the integer LP
-    costs = [min(idot(w, g) for g in I.gens) for I in ideals]
+    costs = [_least(I.gens, w) for I in ideals]
     try:
         return representation_cost(degrees, costs, m).value
     except NotInConeError:
@@ -615,9 +639,9 @@ def asymptotic_limit_check(
 
     Every finite term v_w(a_{l m})/l must dominate the LP value, and the
     minimum over l <= L must attain it whenever any a_{l m} is nonzero.
+    The horizon L must be an int of at least 1.
     """
-    w = ivec(w)
-    m = ivec(m)
+    _check_ints(("L", L, 1))
     lp_value = asymptotic_valuation(sys, w, m)
     seq: list[Valuation] = []
     for l in range(1, L + 1):
@@ -625,12 +649,10 @@ def asymptotic_limit_check(
         val = weight_valuation(w, I)
         seq.append(val / l if is_finite(val) else PLUS_INFINITY)
     finite = [t for t in seq if is_finite(t)]
-    if not is_finite(lp_value):
-        consistent = not finite
-    elif finite:
-        consistent = all(t >= lp_value for t in finite) and min(finite) == lp_value
+    if is_finite(lp_value):
+        consistent = not finite or min(finite) == lp_value
     else:
-        consistent = True  # nothing nonzero below the horizon to compare
+        consistent = not finite
     return LimitCheck(lp_value, tuple(seq), consistent)
 
 
@@ -811,8 +833,10 @@ def stabilizing_exponent(
     scale; its outcome up to power_checks is recorded per ray in
     ideal_level without gating the exponent.  A ray outside the cone of
     the degrees with a nonzero ideal, where every a_m is zero, raises
-    StabilizationError saying so.
+    StabilizationError saying so.  cap (at least 1) and power_checks (at
+    least 0) are checked as verify_closure_identity checks them.
     """
+    _check_ints(("cap", cap, 1), ("power_checks", power_checks, 0))
     return _stabilize(_RunPolyhedra(sys), fan, cap, power_checks)
 
 
@@ -864,9 +888,7 @@ def _stabilize(
             raise StabilizationError(ray, cap)
         per_ray.append((ray, found))
         ideal_level.append((ray, _ideal_power_documentation(sys, ray, found, power_checks)))
-    value = 1
-    for _, d in per_ray:
-        value = lcm(value, d)
+    value = lcm(*(d for _, d in per_ray))
     return ExponentCertificate(value, tuple(per_ray), tuple(ideal_level))
 
 
@@ -946,21 +968,12 @@ class VerificationReport(Frozen):
 
     def to_dict(self) -> dict:
         return {
-            "config": {
-                "power_bound": self.config.power_bound,
-                "exponent_cap": self.config.exponent_cap,
-                "power_checks": self.config.power_checks,
-                "smooth": self.config.smooth,
-                "refine": self.config.refine,
-                "seed": self.config.seed,
-            },
+            "config": {n: getattr(self.config, n) for n in self.config._fields},
             "fan": [
                 {"rays": [list(r) for r in c.rays]} for c in self.fan.maximal_cones
             ],
             "exponent": self.exponent,
-            "per_ray": [
-                {"ray": list(r), "exponent": d} for r, d in self.per_ray
-            ],
+            "per_ray": [{"ray": list(r), "exponent": d} for r, d in self.per_ray],
             "cones": [
                 {
                     "rays": [list(r) for r in c.rays],
@@ -989,51 +1002,35 @@ class VerificationReport(Frozen):
 
 
 def _fmt_val(v) -> str | None:
-    if v is None:
-        return None
-    return str(v)
+    return None if v is None else str(v)
 
 
-def _h_weights(h: HPolyhedron) -> list[IntVec]:
-    """Primitive weight vectors normal to the facets of a Newton polyhedron."""
-    out = []
-    for normal, _ in h.inequalities:
-        w = tuple(-x for x in normal)
-        if any(x < 0 for x in w) or all(x == 0 for x in w):
-            continue
-        out.append(primitive_int_vector(w))
-    return out
-
-
-def _separating_weight(a: HPolyhedron, b: HPolyhedron) -> IntVec:
-    """First facet weight of a or b at which their support values differ.
+def _separating_weight(a, b) -> IntVec:
+    """First of the sorted facet weights of a and b at which their support
+    values differ.  Each side is (h, points, s), the polyhedron s * h for h
+    the orthant hull of the integer points, whose support value at w >= 0
+    is s * _least(points, w); no V-representation is built.
 
     Orthant-closed polyhedra are determined by their support values at
     nonnegative weights, and a vertex of one outside the other violates a
     facet of the other, so two different Newton polyhedra always differ at
     one of these normals.
     """
-    for w in sorted(set(_h_weights(a) + _h_weights(b))):
-        if minimize_linear(a, w).value != minimize_linear(b, w).value:
+    for w in sorted({w for h, _, _ in (a, b) for w, _ in _facets(h)}):
+        if a[2] * _least(a[1], w) != b[2] * _least(b[1], w):
             return w
     raise InternalError("differing Newton polyhedra without a separating facet")
 
 
 def _check_limit_polyhedra(forms: _RunPolyhedra, rays) -> None:
     """Anchor the limit polyhedra of the rays to the certified LP: at every
-    facet weight w of P(e) = s * h, with h the run's hull of e
-    (_RunPolyhedra.limit_hull), the asymptotic valuation at e must be
-    P(e)'s support value.  A facet row (a | b) of h with a <= 0 is tight on
-    h, so with g the gcd of a and w = -a / g that value is s * min <w, x>
-    over h = -s * b / g.  A mismatch is an internal failure."""
+    facet (w, v) of h (_facets), with P(e) = s * h and h the run's hull of
+    e (_RunPolyhedra.limit_hull), the asymptotic valuation at e must be
+    P(e)'s support value s * v.  A mismatch is an internal failure."""
     for e in rays:
         h, _, s = forms.limit_hull(e)
-        for normal, offset in h.inequalities:
-            if any(x > 0 for x in normal) or not any(normal):
-                continue
-            g = gcd(*normal)
-            w = tuple(-x // g for x in normal)
-            if asymptotic_valuation(forms.sys, w, e) != Fraction(-offset, g) * s:
+        for w, v in _facets(h):
+            if asymptotic_valuation(forms.sys, w, e) != v * s:
                 raise InternalError(
                     f"limit polyhedron of ray {e} disagrees with the "
                     f"asymptotic valuation at weight {w}"
@@ -1083,18 +1080,12 @@ def verify_closure_identity(
     InputError: power_bound 0 would check no nonzero tuple, exponent_cap 0
     no exponent.
     """
-    for name, value, least in (
+    _check_ints(
         ("power_bound", power_bound, 1),
         ("exponent_cap", exponent_cap, 1),
         ("power_checks", power_checks, 0),
         ("seed", seed, None),
-    ):
-        # True would run as 1 but be reported as true, and 2.5 would fail
-        # deep inside with a bare TypeError
-        if type(value) is not int:
-            raise InputError(f"{name} must be an int, got {value!r}")
-        if least is not None and value < least:
-            raise InputError(f"{name} must be at least {least}, got {value}")
+    )
     config = VerificationConfig(
         power_bound, exponent_cap, power_checks, smooth, refine, seed
     )
@@ -1213,14 +1204,17 @@ def _check_tuple(forms, d, face) -> TupleCheck:
     = sum p_i d P(e_i), named at the first facet weight separating the
     two; when it holds, the inner inclusion is an equality exactly when
     the closures agree.  The closure witness is the first facet weight at
-    which NP(a_{d m}) and the product differ.
+    which NP(a_{d m}) and the product differ.  _separating_weight reads
+    the support values off the points of d m, the product's points and
+    the vertices of d P(m)'s hull (_RunPolyhedra.limit_hull).
     """
     sys = forms.sys
     n = sys.ambient
     p = tuple(pi for _, pi in face)
     m = _face_degree(face, sys.grading_rank)
     dm = _scaled_degree(m, d)
-    if not forms.points(dm):
+    points = forms.points(dm)
+    if not points:
         raise InternalError(f"the ideal in degree {dm} is zero under a nonzero product")
     left_h = forms.newton(dm)
     parts = [(forms.lattice_vertices(_scaled_degree(e, d)), pi) for e, pi in face]
@@ -1230,8 +1224,7 @@ def _check_tuple(forms, d, face) -> TupleCheck:
             f"the product of the ray ideals is not inside the ideal in degree {dm}"
         )
     right_h = _orthant_hull(product, n)
-    asym_h = forms.limit(dm)
-    chain_ok = asym_h == right_h
+    chain_ok = forms.limit(dm) == right_h
     ok = left_h == right_h
     if chain_ok and not ok:
         raise InternalError(
@@ -1240,11 +1233,11 @@ def _check_tuple(forms, d, face) -> TupleCheck:
         )
     witness = lval = rval = note = None
     if not ok:
-        witness = _separating_weight(left_h, right_h)
-        lval = minimize_linear(left_h, witness).value
-        rval = minimize_linear(right_h, witness).value
+        witness = _separating_weight((left_h, points, 1), (right_h, product, 1))
+        lval = Fraction(_least(points, witness))
+        rval = Fraction(_least(product, witness))
     if not chain_ok:
-        w = _separating_weight(asym_h, right_h)
+        w = _separating_weight(forms.limit_hull(dm), (right_h, product, 1))
         note = f"additivity failed on the cone at weight {w}"
     return TupleCheck(
         powers=p,

@@ -19,6 +19,7 @@ from .rational import (
     IntVec,
     Mat,
     Vec,
+    _check_lengths,
     ivec,
     primitive_direction,
     primitive_int_vector,
@@ -30,12 +31,16 @@ from .rational import (
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot columns)."""
-    return _kernel.rref_frac([qvec(r) for r in rows])
+    rows = [qvec(r) for r in rows]
+    _check_lengths(rows, "matrix rows have differing lengths")
+    return _kernel.rref_frac(rows)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
     """Rank, off the pivots of the rows' primitive integer forms."""
-    return len(_kernel.gauss_jordan([primitive_direction(r) for r in rows])[1])
+    rows = [primitive_direction(r) for r in rows]
+    _check_lengths(rows, "matrix rows have differing lengths")
+    return len(_kernel.gauss_jordan(rows)[1])
 
 
 class LinearSolution(Frozen):
@@ -87,8 +92,6 @@ def linear_solve(A: Mat, b: Vec) -> LinearSolution | None:
     if not A:
         return LinearSolution((), ())
     ncols = len(A[0])
-    if any(len(row) != ncols for row in A):
-        raise InputError("matrix rows have differing lengths")
     aug = [list(row) + [bi] for row, bi in zip(A, b)]
     red, pivots = rref(aug)
     if pivots and pivots[-1] == ncols:
@@ -134,9 +137,8 @@ def int_echelon(vectors: Sequence[Sequence[int]]) -> tuple[list[list[int]], list
     if not vectors:
         return [], []
     work = [list(ivec(v)) for v in vectors]
+    _check_lengths(work, "vectors have differing lengths")
     n = len(work[0])
-    if any(len(r) != n for r in work):
-        raise InputError("vectors have differing lengths")
     m = len(work)
     pivots = []
     for col in range(n):

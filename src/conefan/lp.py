@@ -26,7 +26,7 @@ from . import _simplex
 from ._value import Frozen
 from .errors import InputError, InternalError, NotInConeError
 from .polyhedra import HPolyhedron, minimize_linear, UNBOUNDED
-from .rational import Mat, Vec, mat, qvec, vec, vneg
+from .rational import Mat, Vec, _check_lengths, mat, qvec, vec, vneg
 
 
 class LpInstance(Frozen):
@@ -95,9 +95,7 @@ def representation_cost(
         raise InputError("need one cost per generator")
     if any(c < 0 for c in costs):
         raise InputError("costs must be nonnegative")
-    for g in gens:
-        if len(g) != len(target):
-            raise InputError("generator dimension mismatch")
+    _check_lengths([target, *gens], "generator dimension mismatch")
     if not gens:
         if all(x == 0 for x in target):
             return CostOptimum(Fraction(0), ())
@@ -128,6 +126,7 @@ def price_polyhedron(
     costs = vec(costs)
     if len(costs) != len(gens):
         raise InputError("need one cost per generator")
+    _check_lengths(gens, "generator dimension mismatch")
     if not gens:
         if ambient_dim is None:
             raise InputError("ambient dimension required without generators")

@@ -59,10 +59,15 @@ def qvec(entries: Iterable[Scalar]) -> tuple:
     return tuple(x if type(x) is int else frac(x) for x in entries)
 
 
+def _check_lengths(rows: Sequence[Sequence], message: str) -> None:
+    """InputError(message) unless the rows all have one length."""
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise InputError(message)
+
+
 def mat(rows: Iterable[Iterable[Scalar]]) -> Mat:
     out = tuple(vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise InputError("matrix rows have differing lengths")
+    _check_lengths(out, "matrix rows have differing lengths")
     return out
 
 

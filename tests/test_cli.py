@@ -159,6 +159,16 @@ def test_fan_normal_fan(capsys):
     assert "maximal cones (2)" in out
 
 
+def test_fan_normal_fan_rejects_ragged_generators(capsys):
+    # the short generator used to be dropped, and a fan of one cone was
+    # printed with exit 0
+    args = ["fan", "--generators", "[[1,0],[0]]", "--normal-fan-alpha", "[1,1]"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "generator dimension mismatch" in _one_error_line(captured.err)
+
+
 def test_fan_check(capsys):
     code = main(
         [

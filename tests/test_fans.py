@@ -193,6 +193,20 @@ def test_caratheodory_reduce_pivot():
     assert caratheodory_reduce(V3, (1, 1, 1), (0, 0, 0)) == vec([0, 0, 0])
 
 
+def test_caratheodory_reduce_rejects_ragged_generators():
+    # a short generator used to raise a bare IndexError
+    with pytest.raises(InputError, match="generator dimension mismatch"):
+        caratheodory_reduce([[1, 0], [0]], (1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("gens", [[[1, 0], [0]], [[0], [1, 0]]])
+def test_independent_subsets_rejects_ragged_generators(gens):
+    # [[1, 0], [0]] used to raise a bare IndexError, and [[0], [1, 0]]
+    # gave ((), (1,)), since the zero generator is dependent on its own
+    with pytest.raises(InputError, match="generator dimension mismatch"):
+        independent_subsets(gens)
+
+
 def test_caratheodory_random_battery():
     rng = random.Random(77)
     matched = 0

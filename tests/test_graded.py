@@ -2,6 +2,7 @@ import random
 import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -877,6 +878,36 @@ def test_verify_rejects_caps_out_of_range(caps):
         verify_closure_identity(worked_system(), **caps)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"cap": True}, "cap must be an int"),
+        ({"cap": 2.5}, "cap must be an int"),
+        ({"cap": 0}, "cap must be at least 1"),
+        ({"power_checks": 2.5}, "power_checks must be an int"),
+        ({"power_checks": -1}, "power_checks must be at least 0"),
+    ],
+)
+def test_stabilizing_exponent_rejects_bad_int_parameters(kwargs, message):
+    # as verify_closure_identity checks them: cap=True ran as 1,
+    # power_checks=-1 gave the note "holds up to exponent -1", and a float
+    # raised a bare TypeError
+    system = worked_system()
+    with pytest.raises(InputError, match=message):
+        stabilizing_exponent(system, linearity_fan(system.degrees), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "L, message",
+    [(0, "at least 1"), (-1, "at least 1"), (True, "an int"), (2.5, "an int")],
+)
+def test_asymptotic_limit_check_rejects_bad_horizons(L, message):
+    # L = 0 or -1 compared no term and passed vacuously, True ran as 1,
+    # and 2.5 raised a bare TypeError
+    with pytest.raises(InputError, match=f"L must be {message}"):
+        asymptotic_limit_check(worked_system(), (1, 1), (1, 1), L)
+
+
 @pytest.mark.parametrize("power_checks", [0, 1])
 def test_ideal_power_note_expands_nothing_below_two_checks(
     monkeypatch, power_checks
@@ -1494,6 +1525,29 @@ def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
     assert rep.to_dict() != rep._replace(cones=ref).to_dict()
 
 
+@pytest.mark.parametrize("make", [worked_system, five_degree_system])
+def test_single_cone_verify_builds_no_v_representation(monkeypatch, make):
+    # every tuple of a refine=False run takes the tuple route, whose
+    # witnesses, values and additivity weights are read off integer points
+    # and facet rows, so no H-form gets a double description; the
+    # reference, which takes them off V-representations, runs unpatched
+    import conefan.polyhedra as polyhedra
+
+    def refuse(*args):
+        raise AssertionError("a V-representation was built")
+
+    system = make()
+    with monkeypatch.context() as patch:
+        patch.setattr(polyhedra, "cone_generators", refuse)
+        rep = verify_closure_identity(
+            system, power_bound=2, power_checks=1, refine=False
+        )
+    ref = cone_checks_reference(system, rep.fan, rep.exponent, 2)
+    assert not rep.verified
+    assert any(t.witness_weight for c in rep.cones for t in c.checks)
+    assert rep.to_dict() == rep._replace(cones=ref).to_dict()
+
+
 def _sign_certified(live, cone):
     """_cone_certified on plain live degrees."""
     from conefan.graded import _cone_certified
@@ -1638,26 +1692,48 @@ def test_corpus_slice_exponents_match_a_search_over_every_d(refine):
         assert cert.per_ray == brute, seed
 
 
+def test_separating_weight_reads_both_sides_and_their_scales():
+    # the orthant hull of the origin has only the coordinate facets, where
+    # both sides have support value 0, so the two differ only at the other
+    # side's facet weight (1, 1); and a side (h, points, s) is s * h, so
+    # the hull of 2 * b at scale 1/2 is b's hull, and nothing separates
+    from conefan.errors import InternalError
+    from conefan.graded import _orthant_hull, _separating_weight
+
+    origin, b = ((0, 0),), ((1, 0), (0, 1))
+    sides = [(_orthant_hull(pts, 2), pts, 1) for pts in (origin, b)]
+    assert _separating_weight(*sides) == (1, 1)
+    assert _separating_weight(*sides[::-1]) == (1, 1)
+    double = ((2, 0), (0, 2))
+    half = (_orthant_hull(double, 2), double, Fraction(1, 2))
+    with pytest.raises(InternalError, match="without a separating facet"):
+        _separating_weight(half, sides[1])
+    assert _separating_weight(half[:2] + (1,), sides[1]) == (1, 1)
+
+
 @pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])
 def test_limit_support_read_from_facet_rows(make):
-    # the LP anchor reads P(e)'s support at a facet weight from the facet
-    # row; it must be the minimum over P(e)'s vertices
-    from conefan.graded import _h_weights
+    # the LP anchor reads P(e)'s support at a facet weight off the facet
+    # row (_facets), with no skipped row; it must be the minimum over
+    # P(e), and s times the least value over the vertices of the run's
+    # integer hull h, P(e) = s * h
+    from conefan.graded import _RunPolyhedra, _facets, _least
 
     system = make()
+    forms = _RunPolyhedra(system)
     for e in linearity_fan(system.degrees).rays():
         limit_h = asymptotic_newton(system, e)
-        weights = _h_weights(limit_h)
-        assert weights
-        rows = [
-            (a, b)
-            for a, b in limit_h.inequalities
-            if all(x <= 0 for x in a) and any(a)
-        ]
-        for w, (a, b) in zip(weights, rows, strict=True):
+        h, vertices, s = forms.limit_hull(e)
+        rows = limit_h.inequalities
+        assert rows and all(all(x <= 0 for x in a) and any(a) for a, _ in rows)
+        for (w, v), (a, b) in zip(_facets(limit_h), rows, strict=True):
             g = -sum(a) // sum(w)
+            assert gcd(*w) == 1
             assert tuple(-x for x in a) == tuple(g * x for x in w)
-            assert Fraction(-b, g) == minimize_linear(limit_h, w).value
+            assert v == Fraction(-b, g) == minimize_linear(limit_h, w).value
+            assert v == s * _least(vertices, w)
+        weights = sorted(w for w, _ in _facets(limit_h))
+        assert sorted(w for w, _ in _facets(h)) == weights
 
 
 @pytest.mark.parametrize("make", [worked_system, halfstep_system, bench_system])

@@ -67,6 +67,28 @@ def test_linear_solve_rejects_ragged_rows():
             linear_solve(A, [1, 2])
 
 
+def test_rank_rejects_ragged_rows():
+    # a short row used to raise a bare IndexError from the elimination
+    for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(InputError, match="differing lengths"):
+            rank(rows)
+
+
+def test_kernel_basis_rejects_ragged_rows():
+    # the kernel's width is read off the first row, and a short row used
+    # to raise a bare IndexError
+    for rows in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(InputError, match="differing lengths"):
+            kernel_basis(rows)
+
+
+def test_rref_rejects_ragged_rows():
+    # [[1], [2, 3]] used to reduce to the wrong form ([[1], [0]], [0])
+    for rows in ([[1], [2, 3]], [[1, 2], [3]]):
+        with pytest.raises(InputError, match="differing lengths"):
+            rref(rows)
+
+
 def test_linear_solve_roundtrip_random():
     rng = random.Random(7)
     for _ in range(150):

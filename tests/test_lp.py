@@ -299,6 +299,16 @@ def test_value_equals_vertex_minimum_formula():
             assert representation_cost(gens, costs, target).value == expect
 
 
+def test_price_polyhedron_rejects_ragged_generators():
+    # the zero generator [0] gives a row with zero normal, which used to be
+    # dropped without a word, as representation_cost refuses it
+    for gens in ([[1, 0], [0]], [[1, 0], [0, 1, 1]]):
+        with pytest.raises(InputError, match="generator dimension mismatch"):
+            price_polyhedron(gens, [1, 1])
+        with pytest.raises(InputError, match="generator dimension mismatch"):
+            representation_cost(gens, [1, 1], (1, 0))
+
+
 def test_price_polyhedron_no_generators_is_whole_space():
     Q = price_polyhedron([], [], ambient_dim=2)
     assert not Q.inequalities and not Q.equalities and not Q.empty

@@ -58,6 +58,9 @@ TARGETS = {
     ("graded.py", "_is_dilate"): _VERDICT,
     ("graded.py", "_stabilize"): _VERDICT,
     ("graded.py", "_check_limit_polyhedra"): _VERDICT,
+    ("graded.py", "_facets"): _VERDICT,
+    ("graded.py", "_least"): _VERDICT,
+    ("graded.py", "_separating_weight"): _VERDICT,
     ("_simplex.py", "_check_optimal"): ["test_lp.py", "test_kernel.py"],
     ("_simplex.py", "_check_farkas"): ["test_lp.py", "test_kernel.py"],
     ("_simplex.py", "_check_ray"): ["test_lp.py", "test_kernel.py"],
