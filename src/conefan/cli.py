@@ -129,8 +129,12 @@ def load_system(data: dict) -> GradedSystem:
     merged: dict[tuple, MonomialIdeal] = {}
     for entry in raw_gens:
         try:
-            degree = ivec(entry["degree"])
-            ideal = MonomialIdeal.from_exponents(n, entry["ideal"])
+            degree, exponents = entry["degree"], entry["ideal"]
+            # a string would be read as a list of digits, "10" as (1, 0)
+            if not all(isinstance(x, list) for x in (degree, exponents, *exponents)):
+                raise TypeError("degree, ideal and exponents must be JSON arrays")
+            degree = ivec(degree)
+            ideal = MonomialIdeal.from_exponents(n, exponents)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed generator entry: {exc}") from exc
         if degree in merged:

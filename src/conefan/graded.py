@@ -585,12 +585,13 @@ def _degree_points(sys: GradedSystem, m: Sequence[int]) -> tuple[IntVec, ...]:
 
 def _degree_newton_hform(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron | None:
     """Newton polyhedron of the degree-m ideal: the orthant hull of its
-    _degree_points, as a run hulls it (_RunPolyhedra.newton).  Agrees
-    exactly with newton_hform(expand_degree(sys, m)); None encodes the zero
-    ideal.  A verify run hulls a degree ideal only for a tuple that no cone
-    certifies.
+    _degree_points.  Agrees exactly with newton_hform(expand_degree(sys,
+    m)); None encodes the zero ideal.  The test suite's reference: a
+    verify run hulls a degree ideal only to explain a failing tuple
+    (_check_tuple).
     """
-    return _RunPolyhedra(sys).newton(_grading_degree(sys, m))
+    points = _degree_points(sys, m)
+    return _orthant_hull(points, sys.ambient) if points else None
 
 
 def asymptotic_valuation(
@@ -664,11 +665,12 @@ def asymptotic_newton(sys: GradedSystem, m: Sequence[int]) -> HPolyhedron:
     space of the lift {(l, u, x) : l >= 0, sum l_i m_i = m, u a convex
     splitting of each l_i over the Newton polyhedron vertices of ideal i,
     x >= sum u_ij V_ij}.  It is (conv(C) + orthant) / L for the integer
-    points C and the integer L of _limit_points, so the integer hull is
-    scaled once, as a run does it (_RunPolyhedra.limit); this call keeps
+    points C and the integer L of _limit_points, so the integer hull that
+    a run keeps (_RunPolyhedra.limit_hull) is scaled once; this call keeps
     nothing.
     """
-    return _RunPolyhedra(sys).limit(_grading_degree(sys, m))
+    h, _, s = _RunPolyhedra(sys).limit_hull(_grading_degree(sys, m))
+    return scale_polyhedron(h, s)
 
 
 def _limit_points(sys: GradedSystem, m: Sequence[int]) -> tuple[tuple[IntVec, ...], int]:
@@ -750,30 +752,23 @@ class _RunPolyhedra:
     - the limit polyhedron P(e), as its integer orthant hull h, the 1/L
       that scales h to P(e) and the vertices of h (_orthant_vertices), per
       primitive direction e; P(t e) = t P(e) exactly, since the
-      representation polytope scales by t;
-    - newton(m): the H-form of NP(a_m), hulled from points(m) (None for
-      the zero ideal), which a run builds only for a tuple that no cone
-      certifies.
+      representation polytope scales by t.
 
     stable(m, k) decides NP(a_{k m}) = k P(m) from points(k m) against the
-    one hull of P(m) (_is_dilate); no degree ideal is hulled for it.
+    one hull of P(m) (_is_dilate); no degree ideal is hulled for it, and
+    the tuple check decides a passing tuple the same way.
     lattice_vertices(m) gives the vertices of P(m) as integer points where
     P(m) = NP(a_m), which is how the tuple check builds a product from
     the rays' vertices with no double description per factor.  The keys
-    are the integer degrees the run derives itself.  asymptotic_newton and
-    _degree_newton_hform build one of these for a single call, so each
-    Newton form is assembled in one place.
+    are the integer degrees the run derives itself.  asymptotic_newton
+    builds one of these for a single call, so each limit polyhedron is
+    assembled in one place.
     """
 
     def __init__(self, sys: GradedSystem):
         self.sys = sys
         # the module functions are looked up at call time
         self.points = cache(lambda m: _degree_points(sys, m))
-        self.newton = cache(
-            lambda m: _orthant_hull(self.points(m), sys.ambient)
-            if self.points(m)
-            else None
-        )
         self._limits = cache(self._primitive_limit)
 
     def _primitive_limit(self, e: IntVec):
@@ -787,11 +782,6 @@ class _RunPolyhedra:
         t = next((x // y for x, y in zip(m, e) if y), 1)
         h, vertices, s = self._limits(e)
         return h, vertices, t * s
-
-    def limit(self, m: IntVec) -> HPolyhedron:
-        """The H-form of P(m), equal to asymptotic_newton(sys, m)."""
-        h, _, s = self.limit_hull(m)
-        return scale_polyhedron(h, s)
 
     def lattice_vertices(self, m: IntVec) -> list[IntVec]:
         """The vertices of P(m) as integer points, for an m with P(m) =
@@ -1056,7 +1046,7 @@ def verify_closure_identity(
     tuple p with sum(p) <= power_bound, closure equality of the degree
     d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
     the p_i; (e) the valuation chain for every weight w >= 0 at once, as
-    comparisons of Newton polyhedra (see _check_tuple).  The exponent
+    a sandwich of Newton polyhedra (see _check_tuple).  The exponent
     certificate is trusted in one place: right after (c) every ray is asked
     once more whether NP(a_{d_e e}) = d_e P(e) at its own exponent d_e, and
     a ray that is not is an InternalError (exit 3 on the command line),
@@ -1070,15 +1060,16 @@ def verify_closure_identity(
     only on the face spanned by the rays with p_i > 0 and on those powers,
     so each face tuple is checked once, and every cone containing the face
     reports that check under its own powers; a face of a certified cone is
-    certified in every cone that shares it.  A run whose cones are all
-    certified hulls only the limit polyhedra P(m) (_RunPolyhedra.stable).
-    The seed is recorded in the report but decides no verdict.  A falsified
-    identity is reported as a value, never an exception; a witness weight
-    is a facet normal at which the two closures' valuations differ.  The
-    four integer parameters must be ints (not bools or floats), and a
-    power_bound or exponent_cap below 1, or a negative power_checks, raises
-    InputError: power_bound 0 would check no nonzero tuple, exponent_cap 0
-    no exponent.
+    certified in every cone that shares it.  A run whose tuples all pass
+    hulls only the generator ideals and the limit polyhedra P(m) (each
+    equality is decided by _is_dilate); only a failing tuple hulls its
+    degree ideal and its product.  The seed is recorded in the report
+    but decides no verdict.  A falsified identity is reported as a value,
+    never an exception; a witness weight is a facet normal at which the
+    two closures' valuations differ.  The four integer parameters must be
+    ints (not bools or floats), and a power_bound or exponent_cap below 1,
+    or a negative power_checks, raises InputError: power_bound 0 would
+    check no nonzero tuple, exponent_cap 0 no exponent.
     """
     _check_ints(
         ("power_bound", power_bound, 1),
@@ -1191,61 +1182,57 @@ def _check_tuple(forms, d, face) -> TupleCheck:
     cone that _cone_certified refuses, and so by its completeness only a
     run with refine=False, has tuples here.
 
-    With m = sum p_i e_i it hulls three polyhedra: NP(a_{d m}) from the
-    run's points of d m, the product's from the weighted Minkowski sum of
-    the integer vertices of the d P(e_i) = NP(a_{d e_i}) that the run
-    already holds (every ray is stable at d), and d P(m).  The valuation
-    chain for every weight w >= 0 at once is the sandwich
+    With m = sum p_i e_i, the product's points are the weighted Minkowski
+    sum of the integer vertices of the d P(e_i) = NP(a_{d e_i}) that the
+    run already holds (every ray is stable at d).  The valuation chain for
+    every weight w >= 0 at once is the sandwich
         sum p_i d P(e_i) within NP(a_{d m}) within d P(m)
     (the product of the ray ideals lies in a_{d m}, and every finite level
-    lies in its limit).  Both inclusions are theorems, and so is the
-    nonzero a_{d m} under the nonzero product, so a failure of any of them
-    is an InternalError.  The one link that can fail is additivity, d P(m)
-    = sum p_i d P(e_i), named at the first facet weight separating the
-    two; when it holds, the inner inclusion is an equality exactly when
-    the closures agree.  The closure witness is the first facet weight at
-    which NP(a_{d m}) and the product differ.  _separating_weight reads
-    the support values off the points of d m, the product's points and
-    the vertices of d P(m)'s hull (_RunPolyhedra.limit_hull).
+    lies in its limit).  The tuple passes, with no H-form built, when the
+    product's points are a dilate of d P(m)'s hull (_is_dilate) and a_{d m}
+    is stable at d: then all three polyhedra are equal.
+
+    Only a failing tuple hulls the points of d m and the product's, to
+    explain itself.  The inclusions are theorems, and so is the nonzero
+    a_{d m} under the nonzero product, so a failure of any of them is an
+    InternalError; had additivity, d P(m) = sum p_i d P(e_i), held, the
+    tuple would have passed, so it fails here and is named at the first
+    facet weight separating the two.  The closure witness is the first
+    facet weight at which NP(a_{d m}) and the product differ.
+    _separating_weight reads the support values off the points of d m,
+    the product's points and the vertices of d P(m)'s hull.
     """
     sys = forms.sys
     n = sys.ambient
     p = tuple(pi for _, pi in face)
     m = _face_degree(face, sys.grading_rank)
     dm = _scaled_degree(m, d)
+    parts = [(forms.lattice_vertices(_scaled_degree(e, d)), pi) for e, pi in face]
+    product = _minimalize(_minkowski_points(parts, n))
+    limit = forms.limit_hull(dm)
+    chain_ok = _is_dilate(product, *limit)
+    if chain_ok and forms.stable(m, d):
+        return TupleCheck(p, m, True, None, None, None, True, None)
     points = forms.points(dm)
     if not points:
         raise InternalError(f"the ideal in degree {dm} is zero under a nonzero product")
-    left_h = forms.newton(dm)
-    parts = [(forms.lattice_vertices(_scaled_degree(e, d)), pi) for e, pi in face]
-    product = _minimalize(_minkowski_points(parts, n))
+    left_h = _orthant_hull(points, n)
     if any(idot(w, a) > b for w, b in left_h.inequalities for a in product):
         raise InternalError(
             f"the product of the ray ideals is not inside the ideal in degree {dm}"
         )
-    right_h = _orthant_hull(product, n)
-    chain_ok = forms.limit(dm) == right_h
-    ok = left_h == right_h
-    if chain_ok and not ok:
+    if chain_ok:
         raise InternalError(
             f"the Newton polyhedron in degree {dm} is not inside {d} times "
             f"the limit polyhedron of {m}"
         )
-    witness = lval = rval = note = None
+    right_h = _orthant_hull(product, n)
+    ok = left_h == right_h
+    witness = lval = rval = None
     if not ok:
         witness = _separating_weight((left_h, points, 1), (right_h, product, 1))
         lval = Fraction(_least(points, witness))
         rval = Fraction(_least(product, witness))
-    if not chain_ok:
-        w = _separating_weight(forms.limit_hull(dm), (right_h, product, 1))
-        note = f"additivity failed on the cone at weight {w}"
-    return TupleCheck(
-        powers=p,
-        degree=m,
-        closure_ok=ok,
-        witness_weight=witness,
-        left_value=lval,
-        right_value=rval,
-        chain_ok=chain_ok,
-        chain_note=note,
-    )
+    w = _separating_weight(limit, (right_h, product, 1))
+    note = f"additivity failed on the cone at weight {w}"
+    return TupleCheck(p, m, ok, witness, lval, rval, False, note)

@@ -120,7 +120,8 @@ def price_polyhedron(
     representation_cost(generators, costs, target) for every target in the
     cone of the generators.  There is one row per nonzero generator, scaled
     to primitive integers by HPolyhedron.from_rows; with no generators the
-    region is the whole space (ambient_dim required then).
+    region is the whole space (ambient_dim required then).  A given
+    ambient_dim must be the generators' length.
     """
     gens = tuple(vec(g) for g in generators)
     costs = vec(costs)
@@ -131,6 +132,10 @@ def price_polyhedron(
         if ambient_dim is None:
             raise InputError("ambient dimension required without generators")
         return HPolyhedron((), (), ambient_dim)
+    if ambient_dim not in (None, len(gens[0])):
+        raise InputError(
+            f"ambient_dim {ambient_dim} differs from the generators' length {len(gens[0])}"
+        )
     return HPolyhedron.from_rows(zip(gens, costs), (), len(gens[0]))
 
 

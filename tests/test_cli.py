@@ -319,6 +319,41 @@ def test_verify_rejects_bool_entries(tmp_path, capsys, index, key, value):
     assert main(["fan", "--generators", "[[true,0],[0,1]]"]) == 2
 
 
+# a JSON string is not an array: iterated, "10" would be the digits (1, 0),
+# and {"degree": "10", "ideal": ["10"]} would verify as degree (1, 0) with
+# ideal (x)
+STRING_ARRAYS = [
+    {"degree": "10", "ideal": ["10"]},
+    {"degree": "10", "ideal": [[1, 0]]},
+    {"degree": [1, 0], "ideal": "10"},
+    {"degree": [1, 0], "ideal": ["10"]},
+    {"degree": [1, 0], "ideal": [[1, 0], "01"]},
+]
+
+
+def _string_array_file(tmp_path, k, entry) -> str:
+    path = tmp_path / f"strings{k}.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "grading_rank": 2, "generators": [entry]}))
+    return str(path)
+
+
+def test_verify_rejects_strings_for_arrays(tmp_path, capsys):
+    for k, entry in enumerate(STRING_ARRAYS):
+        path = _string_array_file(tmp_path, k, entry)
+        assert main(["verify", path]) == 2, entry
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be JSON arrays" in _one_error_line(captured.err)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "conefan.cli", "verify", path],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, (entry, proc.stderr)
+        assert proc.stdout == ""
+        assert "must be JSON arrays" in _one_error_line(proc.stderr)
+
+
 def test_verify_deterministic_reports(worked_file, tmp_path):
     p1 = str(tmp_path / "r1.json")
     p2 = str(tmp_path / "r2.json")

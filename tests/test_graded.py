@@ -1058,22 +1058,56 @@ def test_verify_repeats_its_hulls_in_every_run(monkeypatch):
 def test_verified_run_builds_no_degree_newton_hform(monkeypatch):
     # a passing run decides every equality from points against the limit
     # hulls; the H-forms of degree ideals and of products are built only by
-    # the tuple check, for a cone that is not certified
+    # the tuple check, to explain a failing tuple
     import conefan.graded as graded
 
     def refuse(*args):
         raise AssertionError(f"H-form built for {args[-1]}")
 
-    class PointsOnly(graded._RunPolyhedra):
-        def __init__(self, sys):
-            super().__init__(sys)
-            self.newton = refuse
-
-    monkeypatch.setattr(graded, "_RunPolyhedra", PointsOnly)
     monkeypatch.setattr(graded, "_degree_newton_hform", refuse)
     monkeypatch.setattr(graded, "_check_tuple", refuse)
     rep = verify_closure_identity(bench_system(), power_bound=3, power_checks=1)
     assert rep.verified
+
+
+def test_passing_tuples_hull_no_degree_points_and_no_product(monkeypatch):
+    # with the cone certificate off, a refined run sends every tuple to
+    # the tuple check, and every one passes: it is decided from points
+    # against the one hull of d P(m), so the run hulls the generator ideals
+    # and the point sets of _limit_points, never a degree ideal's points or
+    # a product's
+    import conefan.graded as graded
+
+    system = bench_system()
+    allowed = {I.gens for I in system.ideals}
+    hulled = []
+    passed = []
+    limit_points = graded._limit_points
+    hull = graded._orthant_hull
+    check = graded._check_tuple
+
+    def recorded_limit(sys_, m):
+        points, den = limit_points(sys_, m)
+        allowed.add(points)
+        return points, den
+
+    def recorded_hull(points, n):
+        hulled.append(tuple(points))
+        return hull(points, n)
+
+    def recorded_check(*args):
+        t = check(*args)
+        passed.append(t.closure_ok and t.chain_ok)
+        return t
+
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
+    monkeypatch.setattr(graded, "_limit_points", recorded_limit)
+    monkeypatch.setattr(graded, "_orthant_hull", recorded_hull)
+    monkeypatch.setattr(graded, "_check_tuple", recorded_check)
+    rep = verify_closure_identity(system, power_bound=2, power_checks=1)
+    assert rep.verified
+    assert len(passed) > 20 and all(passed)
+    assert set(hulled) <= allowed
 
 
 def test_representation_search_nodes_on_bench_chain_degrees(monkeypatch):
@@ -1749,7 +1783,8 @@ def test_limit_polyhedron_scales_with_its_degree(make):
         for t in (2, 3):
             m = tuple(t * x for x in e)
             assert asymptotic_newton(system, m) == scale_polyhedron(limit, t)
-            assert forms.limit(m) == asymptotic_newton(system, m)
+            h, _, s = forms.limit_hull(m)
+            assert scale_polyhedron(h, s) == asymptotic_newton(system, m)
 
 
 @st.composite

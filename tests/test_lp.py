@@ -164,6 +164,17 @@ def test_price_polyhedron():
     assert set(V.rays) == {(-1, 0), (0, -1)}
 
 
+def test_price_polyhedron_checks_a_given_ambient_dim():
+    # with generators, a given ambient_dim must be their length; it is
+    # never silently replaced by it
+    Q = price_polyhedron([[1, 0]], [1])
+    assert Q.ambient_dim == 2
+    assert price_polyhedron([[1, 0]], [1], ambient_dim=2) == Q
+    for dim in (1, 3):
+        with pytest.raises(InputError, match=f"ambient_dim {dim} differs"):
+            price_polyhedron([[1, 0]], [1], ambient_dim=dim)
+
+
 def test_duality_check_examples():
     d = duality_check(V3, (1, 1, 1), (1, 1))
     assert d.primal_value == d.dual_value == 1 and d.gap_zero
