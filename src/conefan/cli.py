@@ -133,6 +133,9 @@ def load_system(data: dict) -> GradedSystem:
             # a string would be read as a list of digits, "10" as (1, 0)
             if not all(isinstance(x, list) for x in (degree, exponents, *exponents)):
                 raise TypeError("degree, ideal and exponents must be JSON arrays")
+            # ivec would read "1" as 1; it refuses every other non-integer
+            if any(isinstance(x, str) for row in (degree, *exponents) for x in row):
+                raise TypeError("degree and exponent entries must be JSON integers")
             degree = ivec(degree)
             ideal = MonomialIdeal.from_exponents(n, exponents)
         except (KeyError, TypeError) as exc:

@@ -21,7 +21,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import le, mul
+from operator import mul
 
 from ._dd import cone_generators
 from ._value import Frozen
@@ -239,31 +239,31 @@ def _orthant_vertices(h: HPolyhedron, points) -> tuple[IntVec, ...]:
     )
 
 
-def _is_dilate(points, h: HPolyhedron, vertices, t: Fraction) -> bool:
-    """conv(points) + orthant == t * h, for integer points (False for
-    none), an orthant hull h with its integer vertices and t = p/q > 0, in
-    integer arithmetic.
-
-    (i) Every point satisfies every facet row (w | b) of t * h, q <w, a> <=
-    p b: the left side lies in t * h.  (ii) Every vertex t v of t * h
-    dominates a point, q a <= p v: t * h lies in the left side.
-    Conversely, under equality each vertex of t * h is a vertex of the
-    left side, which is one of the points (McConnell, Mehlhorn, Naeher and
-    Schweitzer, Certifying algorithms, 2011, for certificates of this
-    kind).
-    """
+def _check_inside(points, h: HPolyhedron, t: Fraction, what: str) -> None:
+    """InternalError (what, then the point and the row it breaks) unless
+    every integer point a meets each facet row (w | b) of t * h, q <w, a>
+    <= p b for t = p/q.  Every caller's containment is a theorem."""
     p, q = t.numerator, t.denominator
     # the hottest loop of a passing verify: the points are scaled once, and
-    # map keeps the dot products and comparisons in C
+    # map keeps the dot products in C
     scaled = [[q * x for x in a] for a in points]
     for w, b in h.inequalities:
         bound = p * b
-        if any(sum(map(mul, w, a)) > bound for a in scaled):
-            return False
-    return all(
-        any(all(map(le, a, pv)) for a in scaled)
-        for pv in ([p * y for y in v] for v in vertices)
-    )
+        for a, qa in zip(points, scaled):
+            if sum(map(mul, w, qa)) > bound:
+                raise InternalError(f"{what}: its point {a} breaks <{w}, x> <= {t * b}")
+
+
+def _missing_vertex(points, vertices, t: Fraction):
+    """The first vertex t v of t * h, over h's sorted vertices v, that is
+    none of the integer points, as Fractions; else None.  For points in
+    t * h, None means conv(points) + orthant == t * h: a point a <= t v,
+    a != t v, in t * h makes t v the midpoint of a and 2 t v - a, no vertex
+    (McConnell, Mehlhorn, Naeher and Schweitzer, Certifying algorithms, 2011)."""
+    p, q = t.numerator, t.denominator
+    have = {tuple(q * x for x in a) for a in points}
+    missing = (v for v in vertices if tuple(p * x for x in v) not in have)
+    return next((tuple(t * x for x in v) for v in missing), None)
 
 
 def newton_polyhedron(I: MonomialIdeal) -> VRepresentation:
@@ -754,9 +754,9 @@ class _RunPolyhedra:
       primitive direction e; P(t e) = t P(e) exactly, since the
       representation polytope scales by t.
 
-    stable(m, k) decides NP(a_{k m}) = k P(m) from points(k m) against the
-    one hull of P(m) (_is_dilate); no degree ideal is hulled for it, and
-    the tuple check decides a passing tuple the same way.
+    missing_vertex(m, k) decides NP(a_{k m}) = k P(m) from points(k m),
+    checked inside the one hull of P(m) first; no degree ideal is hulled
+    for it, and the tuple check decides a passing tuple the same way.
     lattice_vertices(m) gives the vertices of P(m) as integer points where
     P(m) = NP(a_m), which is how the tuple check builds a product from
     the rays' vertices with no double description per factor.  The keys
@@ -795,10 +795,13 @@ class _RunPolyhedra:
             )
         return [tuple(p * x // q for x in v) for v in vertices]
 
-    def stable(self, m: IntVec, k: int) -> bool:
-        """NP(a_{k m}) == k * P(m); False when a_{k m} is zero."""
+    def missing_vertex(self, m: IntVec, k: int):
+        """_missing_vertex of a_{k m}'s points in k P(m), after _check_inside."""
         h, vertices, s = self.limit_hull(m)
-        return _is_dilate(self.points(_scaled_degree(m, k)), h, vertices, k * s)
+        km = _scaled_degree(m, k)
+        what = f"the Newton polyhedron in degree {km} is not inside {k} times"
+        _check_inside(self.points(km), h, k * s, f"{what} the limit polyhedron of {m}")
+        return _missing_vertex(self.points(km), vertices, k * s)
 
 
 class ExponentCertificate(Frozen):
@@ -840,11 +843,12 @@ def _stabilize(
     first stable d is unchanged.  A q above the cap fails at once, naming q.
 
     Each equality NP(a_{d e}) = d P(e) is decided from the degree's points
-    against the one hull of P(e) (_RunPolyhedra.stable); no degree ideal
-    is hulled.  It implies NP(a_{d l e}) = d l P(e) for every l >= 1, so
-    no multiple is checked: a_{d e}^l lies in a_{d l e}, which gives
+    against the one hull of P(e) (_RunPolyhedra.missing_vertex); no degree
+    ideal is hulled.  It implies NP(a_{d l e}) = d l P(e) for every l >= 1,
+    so no multiple is checked: a_{d e}^l lies in a_{d l e}, which gives
     l NP(a_{d e}) within NP(a_{d l e}), and every finite level lies in its
-    limit, NP(a_{d l e}) within d l P(e) = l NP(a_{d e}).
+    limit, NP(a_{d l e}) within d l P(e) = l NP(a_{d e}).  A ray with no
+    stable d names a vertex of d P(e) missing at the last d tried.
     """
     sys = forms.sys
     cone = sys.degree_cone()
@@ -873,11 +877,21 @@ def _stabilize(
                 f"no stabilizing exponent <= {cap} found for ray {ray}: "
                 f"the vertex denominators of its limit polyhedron have lcm {q}",
             )
-        found = next((d for d in range(q, cap + 1, q) if forms.stable(ray, d)), None)
-        if found is None:
-            raise StabilizationError(ray, cap)
-        per_ray.append((ray, found))
-        ideal_level.append((ray, _ideal_power_documentation(sys, ray, found, power_checks)))
+        for d in range(q, cap + 1, q):
+            missing = forms.missing_vertex(ray, d)
+            if missing is None:
+                break
+        else:
+            # q divides d, so the vertices of d P(e) are integer points
+            raise StabilizationError(
+                ray,
+                cap,
+                f"no stabilizing exponent <= {cap} found for ray {ray}: at d = {d} "
+                f"the ideal in degree {_scaled_degree(ray, d)} misses the vertex "
+                f"{tuple(map(int, missing))} of d times its limit polyhedron",
+            )
+        per_ray.append((ray, d))
+        ideal_level.append((ray, _ideal_power_documentation(sys, ray, d, power_checks)))
     value = lcm(*(d for _, d in per_ray))
     return ExponentCertificate(value, tuple(per_ray), tuple(ideal_level))
 
@@ -1062,7 +1076,8 @@ def verify_closure_identity(
     reports that check under its own powers; a face of a certified cone is
     certified in every cone that shares it.  A run whose tuples all pass
     hulls only the generator ideals and the limit polyhedra P(m) (each
-    equality is decided by _is_dilate); only a failing tuple hulls its
+    equality is decided by _RunPolyhedra.missing_vertex, and a point
+    outside d P(m) is an InternalError); only a failing tuple hulls its
     degree ideal and its product.  The seed is recorded in the report
     but decides no verdict.  A falsified identity is reported as a value,
     never an exception; a witness weight is a facet normal at which the
@@ -1102,7 +1117,7 @@ def verify_closure_identity(
     # it holds at every multiple of d_e, d among them, so NP(a_{d e}) is
     # d P(e) on every ray
     for e, de in cert.per_ray:
-        if not forms.stable(e, de):
+        if forms.missing_vertex(e, de) is not None:
             raise InternalError(
                 f"fan ray {e} is not stable at its exponent {de}, "
                 "which the exponent certificate claims"
@@ -1188,19 +1203,19 @@ def _check_tuple(forms, d, face) -> TupleCheck:
     every weight w >= 0 at once is the sandwich
         sum p_i d P(e_i) within NP(a_{d m}) within d P(m)
     (the product of the ray ideals lies in a_{d m}, and every finite level
-    lies in its limit).  The tuple passes, with no H-form built, when the
-    product's points are a dilate of d P(m)'s hull (_is_dilate) and a_{d m}
-    is stable at d: then all three polyhedra are equal.
+    lies in its limit).  Both ends are checked inside d P(m), the product
+    first, and the tuple passes, with no H-form built, when every vertex
+    of d P(m) is a point of both: then all three polyhedra are equal.
 
     Only a failing tuple hulls the points of d m and the product's, to
     explain itself.  The inclusions are theorems, and so is the nonzero
     a_{d m} under the nonzero product, so a failure of any of them is an
-    InternalError; had additivity, d P(m) = sum p_i d P(e_i), held, the
-    tuple would have passed, so it fails here and is named at the first
-    facet weight separating the two.  The closure witness is the first
-    facet weight at which NP(a_{d m}) and the product differ.
-    _separating_weight reads the support values off the points of d m,
-    the product's points and the vertices of d P(m)'s hull.
+    InternalError.  A product realizing d P(m) when a_{d m} does not lies
+    outside NP(a_{d m}), so a tuple past these fails additivity, d P(m) =
+    sum p_i d P(e_i), named at the first facet weight separating the two.
+    The closure witness is the first facet weight at which NP(a_{d m}) and
+    the product differ.  _separating_weight reads the support values off
+    the points of d m, the product's and the vertices of d P(m)'s hull.
     """
     sys = forms.sys
     n = sys.ambient
@@ -1209,23 +1224,18 @@ def _check_tuple(forms, d, face) -> TupleCheck:
     dm = _scaled_degree(m, d)
     parts = [(forms.lattice_vertices(_scaled_degree(e, d)), pi) for e, pi in face]
     product = _minimalize(_minkowski_points(parts, n))
-    limit = forms.limit_hull(dm)
-    chain_ok = _is_dilate(product, *limit)
-    if chain_ok and forms.stable(m, d):
+    h, vertices, t = limit = forms.limit_hull(dm)
+    what = f"the product of the ray ideals in degree {dm} is not inside {d} times"
+    _check_inside(product, h, t, f"{what} the limit polyhedron of {m}")
+    stable = forms.missing_vertex(m, d) is None
+    if stable and _missing_vertex(product, vertices, t) is None:
         return TupleCheck(p, m, True, None, None, None, True, None)
     points = forms.points(dm)
     if not points:
         raise InternalError(f"the ideal in degree {dm} is zero under a nonzero product")
     left_h = _orthant_hull(points, n)
-    if any(idot(w, a) > b for w, b in left_h.inequalities for a in product):
-        raise InternalError(
-            f"the product of the ray ideals is not inside the ideal in degree {dm}"
-        )
-    if chain_ok:
-        raise InternalError(
-            f"the Newton polyhedron in degree {dm} is not inside {d} times "
-            f"the limit polyhedron of {m}"
-        )
+    what = f"the product of the ray ideals is not inside the ideal in degree {dm}"
+    _check_inside(product, left_h, Fraction(1), what)
     right_h = _orthant_hull(product, n)
     ok = left_h == right_h
     witness = lval = rval = None

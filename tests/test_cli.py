@@ -354,6 +354,36 @@ def test_verify_rejects_strings_for_arrays(tmp_path, capsys):
         assert "must be JSON arrays" in _one_error_line(proc.stderr)
 
 
+# the worked system's first generator with numeric strings for entries:
+# ivec would read them as integers, and the system would verify (exit 0);
+# a float or a bool entry is refused by ivec itself (exit 2, as above)
+NUMERIC_STRING_ENTRIES = [
+    {"degree": ["1", "0"], "ideal": [["1", "0"]]},
+    {"degree": ["1", 0], "ideal": [[1, 0]]},
+    {"degree": [1, 0], "ideal": [[1, "0"]]},
+]
+
+
+def test_verify_rejects_numeric_strings_for_integers(tmp_path, capsys):
+    for k, entry in enumerate(NUMERIC_STRING_ENTRIES):
+        data = json.loads(json.dumps(WORKED))
+        data["generators"][0] = entry
+        path = tmp_path / f"entries{k}.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path)]) == 2, entry
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be JSON integers" in _one_error_line(captured.err)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "conefan.cli", "verify", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, (entry, proc.stderr)
+        assert proc.stdout == ""
+        assert "must be JSON integers" in _one_error_line(proc.stderr)
+
+
 def test_verify_deterministic_reports(worked_file, tmp_path):
     p1 = str(tmp_path / "r1.json")
     p2 = str(tmp_path / "r2.json")
@@ -559,19 +589,25 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
             "fan ray (1,) is not stable at its exponent 1",
         ),
     ]
-    # degree points at (2, 1) that break each theorem link of the valuation
-    # chain on the worked system, with the cone certificate off so that
-    # the tuple check runs: no point, points missing the product of the
-    # ray ideals, and points outside P((2, 1))
-    for points, message in [
-        ((), "is zero under a nonzero product"),
-        (((1, 5), (6, 0)), "product of the ray ideals is not inside"),
-        (((1, 0),), "is not inside 1 times the limit polyhedron"),
+    # points at (2, 1) that break each theorem link of the valuation chain
+    # on the worked system, with the cone certificate off so that the tuple
+    # check runs: no degree point, degree points missing the product of
+    # the ray ideals, degree points outside P((2, 1)), and doubled limit
+    # points, which shrink P((2, 1)) below the product
+    for name, broken, message in [
+        ("_degree_points", "()", "is zero under a nonzero product"),
+        ("_degree_points", "((2, 2), (4, 0))", "product of the ray ideals is not inside"),
+        ("_degree_points", "((1, 0),)", "is not inside 1 times the limit polyhedron"),
+        (
+            "_limit_points",
+            "(tuple(tuple(2 * x for x in c) for c in real(s, m)[0]), real(s, m)[1])",
+            "product of the ray ideals in degree (2, 1) is not inside 1 times",
+        ),
     ]:
         body = (
             "graded._cone_certified = lambda *args: False\n"
-            "real = graded._degree_points\n"
-            f"graded._degree_points = lambda s, m: {points!r} "
+            f"real = graded.{name}\n"
+            f"graded.{name} = lambda s, m: {broken} "
             "if tuple(m) == (2, 1) else real(s, m)\n"
             f"sys.exit(cli.main(['verify', {worked_file!r}, '--p-bound', '3', "
             f"'--json', {str(report)!r}]))\n"
@@ -579,6 +615,38 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
         cases.append((body, message))
     for body, message in cases:
         _assert_internal_error_under_O(body, message)
+    assert not report.exists()
+
+
+def test_degree_point_outside_its_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # the origin added to every nonzero degree of the bench system breaks
+    # NP(a_{k e}) within k P(e) on the first ray tried: an internal error,
+    # plain and under -O, never "no stabilizing exponent" (exit 2)
+    import conefan.graded as graded
+
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(BENCH))
+    report = tmp_path / "report.json"
+    message = "the Newton polyhedron in degree (4, 4, 4) is not inside 4 times"
+    patch = (
+        "real = graded._degree_points\n"
+        "graded._degree_points = lambda s, m: "
+        "tuple(sorted({*real(s, m), (0,) * s.ambient})) if any(m) else real(s, m)\n"
+    )
+    run = f"sys.exit(cli.main(['verify', {str(path)!r}, '--json', {str(report)!r}]))\n"
+    _assert_internal_error_under_O(patch + run, message)
+    real = graded._degree_points
+    monkeypatch.setattr(
+        graded,
+        "_degree_points",
+        lambda s, m: tuple(sorted({*real(s, m), (0,) * s.ambient})) if any(m) else real(s, m),
+    )
+    assert main(["verify", str(path), "--json", str(report)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ")
+    assert message in lines[0]
     assert not report.exists()
 
 

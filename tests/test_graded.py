@@ -50,6 +50,7 @@ from conefan.graded import (
 from conefan.linalg import _basis_table
 from conefan.polyhedra import (
     UNBOUNDED,
+    contains,
     minimize_linear,
     minkowski_sum,
     same_point_set,
@@ -695,8 +696,8 @@ def _note_weight(note, prefix):
 @pytest.mark.parametrize(
     "name, note, closure_ok",
     [
-        # a wrong limit polyhedron (twice the true one) breaks additivity;
-        # the closures agree
+        # a wrong limit polyhedron (half the true one, so larger) breaks
+        # additivity; the closures agree
         ("_limit_points", "additivity failed on the cone", True),
     ],
 )
@@ -705,7 +706,10 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
     # from the rays, so the exponent certificate holds; the cone
     # certificate reads no points (every cost is linear on its cones), so
     # it is switched off to run the tuple checks.  Additivity is the one
-    # link of the chain that can fail, so this is a verdict, not a bug
+    # link of the chain that can fail, so this is a verdict, not a bug.
+    # Halving P(2, 1) by doubling its L keeps both ends of the sandwich
+    # inside it; doubling its points instead shrinks it below the product,
+    # a broken theorem (test_broken_theorem_link_is_an_internal_error)
     import conefan.graded as graded
 
     monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
@@ -717,12 +721,12 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
         points, den = real(system, m)
         if tuple(m) != broken_degree:
             return points, den
-        return tuple(tuple(2 * x for x in c) for c in points), den
+        return points, 2 * den
 
     true_h = asymptotic_newton(worked_system(), broken_degree)
     monkeypatch.setattr(graded, name, broken_points)
     broken = asymptotic_newton(worked_system(), broken_degree)
-    assert broken == scale_polyhedron(true_h, 2)
+    assert broken == scale_polyhedron(true_h, Fraction(1, 2))
     rep = verify_closure_identity(worked_system(), power_bound=3)
     assert not rep.verified and rep.exponent == 1
     failing = [t for c in rep.cones for t in c.checks if not t.chain_ok]
@@ -740,42 +744,90 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
     assert broken_value.value != product
 
 
+def _double_points(limit):
+    points, den = limit
+    return tuple(tuple(2 * x for x in c) for c in points), den
+
+
 @pytest.mark.parametrize(
-    "points, message",
+    "name, broken, message",
     [
         # no point: the zero ideal
-        ((), "the ideal in degree (2, 1) is zero under a nonzero product"),
-        # (x y^5, x^6) misses the product (x^2 y, x^3) of the ray ideals
         (
-            ((1, 5), (6, 0)),
-            "the product of the ray ideals is not inside the ideal in degree",
+            "_degree_points",
+            lambda points: (),
+            "the ideal in degree (2, 1) is zero under a nonzero product",
         ),
-        # (x) holds that product but leaves P(2, 1) = NP(x^2 y, x^3)
+        # (x^2 y^2, x^4) lies in P(2, 1) = NP(x^2 y, x^3) but misses the
+        # product (x^2 y, x^3) of the ray ideals
         (
-            ((1, 0),),
+            "_degree_points",
+            lambda points: ((2, 2), (4, 0)),
+            "the product of the ray ideals is not inside the ideal in degree "
+            "(2, 1): its point (2, 1) breaks <(-1, -1), x> <= -4",
+        ),
+        # (x) holds that product but leaves P(2, 1)
+        (
+            "_degree_points",
+            lambda points: ((1, 0),),
             "the Newton polyhedron in degree (2, 1) is not inside 1 times the "
-            "limit polyhedron of (2, 1)",
+            "limit polyhedron of (2, 1): its point (1, 0) breaks "
+            "<(-1, -1), x> <= -3",
+        ),
+        # doubled limit points shrink P(2, 1) to 2 P(2, 1), below
+        # P(1, 0) + P(1, 1), which the product of the ray ideals realizes
+        (
+            "_limit_points",
+            _double_points,
+            "the product of the ray ideals in degree (2, 1) is not inside 1 "
+            "times the limit polyhedron of (2, 1): its point (2, 1) breaks "
+            "<(-1, -1), x> <= -6",
         ),
     ],
-    ids=["zero-ideal", "inclusion", "sandwich"],
+    ids=["zero-ideal", "inclusion", "sandwich", "superadditivity"],
 )
-def test_broken_theorem_link_is_an_internal_error(monkeypatch, points, message):
-    # a_{d e_1}^{p_1} ... a_{d e_k}^{p_k} lies in a_{d m}, and NP(a_{d m})
-    # in d P(m), whatever the system: degree points that break either are
-    # a bug, never a falsified tuple.  The worked system's cone (1, 0),
-    # (1, 1) is additive, so the sandwich is checked there
+def test_broken_theorem_link_is_an_internal_error(monkeypatch, name, broken, message):
+    # a_{d e_1}^{p_1} ... a_{d e_k}^{p_k} lies in a_{d m}, NP(a_{d m}) in
+    # d P(m), and sum p_i d P(e_i) in d P(m), whatever the system: points
+    # at (2, 1) that break any of these are a bug, never a falsified
+    # tuple.  The worked system's cone (1, 0), (1, 1) is additive, so the
+    # sandwich is checked there
     import conefan.graded as graded
     from conefan.errors import InternalError
 
     monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
-    real = graded._degree_points
+    real = getattr(graded, name)
 
     def broken_points(system, m):
-        return points if tuple(m) == (2, 1) else real(system, m)
+        value = real(system, m)
+        return broken(value) if tuple(m) == (2, 1) else value
 
-    monkeypatch.setattr(graded, "_degree_points", broken_points)
+    monkeypatch.setattr(graded, name, broken_points)
     with pytest.raises(InternalError, match=re.escape(message)):
         verify_closure_identity(worked_system(), power_bound=3)
+
+
+def test_degree_point_outside_its_limit_is_an_internal_error(monkeypatch):
+    # every finite level lies in its limit, NP(a_{k e}) within k P(e): the
+    # origin added to every nonzero degree breaks that on the first ray
+    # tried, and must not read as a ray with no stable exponent
+    import conefan.graded as graded
+    from conefan.errors import InternalError
+
+    real = graded._degree_points
+
+    def with_origin(system, m):
+        points = real(system, m)
+        return tuple(sorted({*points, (0,) * system.ambient})) if any(m) else points
+
+    monkeypatch.setattr(graded, "_degree_points", with_origin)
+    message = (
+        "the Newton polyhedron in degree (4, 4, 4) is not inside 4 times the "
+        "limit polyhedron of (1, 1, 1): its point (0, 0, 0) breaks "
+        "<(-5, -3, -2), x> <= -32"
+    )
+    with pytest.raises(InternalError, match=re.escape(message)):
+        verify_closure_identity(bench_system())
 
 
 def test_unstable_ray_certificate_is_an_internal_error(monkeypatch):
@@ -1216,7 +1268,11 @@ def test_exponent_search_reaches_the_cap_and_stops_there():
     assert rep.per_ray == (((1, 1), 2), ((2, 1), 1))
     with pytest.raises(StabilizationError) as err:
         verify_closure_identity(system, power_bound=1, exponent_cap=1, power_checks=1)
-    assert str(err.value) == "no stabilizing exponent <= 1 found for ray (1, 1)"
+    # a_{(1, 1)} is zero, so it misses P(1, 1)'s one vertex, the origin
+    assert str(err.value) == (
+        "no stabilizing exponent <= 1 found for ray (1, 1): at d = 1 the ideal "
+        "in degree (1, 1) misses the vertex (0, 0) of d times its limit polyhedron"
+    )
 
 
 def test_ray_with_only_zero_ideals_is_not_a_cap_failure():
@@ -1720,7 +1776,7 @@ def test_corpus_slice_exponents_match_a_search_over_every_d(refine):
         cert = stabilizing_exponent(system, fan, cap=64, power_checks=1)
         forms = _RunPolyhedra(system)
         brute = tuple(
-            (e, next(d for d in range(1, 65) if forms.stable(e, d)))
+            (e, next(d for d in range(1, 65) if forms.missing_vertex(e, d) is None))
             for e in fan.rays()
         )
         assert cert.per_ray == brute, seed
@@ -1811,6 +1867,19 @@ def dilate_cases(draw):
     return hull, den, k, points
 
 
+def _dilate_case(case):
+    """(h, its vertices, t, t h, the points inside t h, those outside)."""
+    from conefan.graded import _orthant_hull, _orthant_vertices
+
+    hull, den, k, points = case
+    h = _orthant_hull(hull, len(hull[0]))
+    t = Fraction(k, den)
+    dilate = scale_polyhedron(h, t)
+    inside = [a for a in points if contains(dilate, a)]
+    outside = [a for a in points if not contains(dilate, a)]
+    return h, _orthant_vertices(h, hull), t, dilate, inside, outside
+
+
 @settings(max_examples=400, deadline=None)
 @given(dilate_cases())
 # equal: a non-vertex dropped, and a point inside 2 h added
@@ -1821,17 +1890,45 @@ def dilate_cases(draw):
 @example(([(0, 4), (4, 0)], 1, 1, [(0, 4), (4, 0), (1, 1)]))
 @example(([(1, 2)], 2, 1, [(1, 1)]))
 def test_point_certificate_decides_dilate_equality(case):
-    from conefan.graded import _is_dilate, _orthant_hull, _orthant_vertices
+    # for points inside t h, the vertex lookup decides conv(points) +
+    # orthant == t h; the points outside are dropped, and with none left
+    # (a zero ideal) some vertex is missing
+    from conefan.graded import _missing_vertex, _orthant_hull
 
-    hull, den, k, points = case
-    n = len(hull[0])
-    h = _orthant_hull(hull, n)
-    t = Fraction(k, den)
-    expected = _orthant_hull(points, n) == scale_polyhedron(h, t)
+    h, vertices, t, dilate, inside, _ = _dilate_case(case)
+    missing = _missing_vertex(inside, vertices, t)
+    if not inside:
+        assert missing is not None
+        return
+    expected = _orthant_hull(inside, h.ambient_dim) == dilate
     event(f"equal: {expected}")
-    assert _is_dilate(points, h, _orthant_vertices(h, hull), t) is expected
-    # a zero ideal has no points and equals no polyhedron
-    assert not _is_dilate((), h, _orthant_vertices(h, hull), t)
+    assert (missing is None) is expected
+    if missing is not None:
+        # the named vertex is a vertex of t h that no point is
+        assert missing in [tuple(t * x for x in v) for v in vertices]
+        assert missing not in inside
+
+
+@settings(max_examples=400, deadline=None)
+@given(dilate_cases())
+@example(([(0, 4), (4, 0)], 1, 1, [(0, 4), (4, 0), (1, 1)]))
+@example(([(1, 2)], 2, 1, [(1, 1)]))
+def test_point_outside_the_dilate_is_an_internal_error(case):
+    # the containment check raises, naming a point outside t h, exactly
+    # when there is one
+    from conefan.errors import InternalError
+    from conefan.graded import _check_inside
+
+    h, _, t, _, _, outside = _dilate_case(case)
+    _, _, _, points = case
+    event(f"outside: {bool(outside)}")
+    if not outside:
+        _check_inside(points, h, t, "inside")
+        return
+    with pytest.raises(InternalError) as err:
+        _check_inside(points, h, t, "outside")
+    named = re.fullmatch(r"outside: its point \((.*)\) breaks .*", str(err.value))
+    assert named and tuple(int(x) for x in named.group(1).split(",") if x) in outside
 
 
 @settings(max_examples=400, deadline=None)

@@ -51,8 +51,8 @@ def test_limit_newton_runs_no_double_description():
     # the representation polytope's vertices are its basic solutions; its
     # double description lives on only as the test oracle in
     # tests/helpers.py:representation_vertices_reference.  The limit hull's
-    # vertices come from facet incidences, and the point certificate
-    # against it runs no double description either
+    # vertices come from facet incidences, and the containment check and
+    # the vertex lookup against it run no double description either
     path = Path(conefan.__file__).parent / "graded.py"
     tree = ast.parse(path.read_text(), str(path))
     banned = {"dual_description", "from_rows"}
@@ -61,7 +61,8 @@ def test_limit_newton_runs_no_double_description():
         "_limit_points",
         "_basic_solutions",
         "_orthant_vertices",
-        "_is_dilate",
+        "_check_inside",
+        "_missing_vertex",
     }
     found = {}
     for node in ast.walk(tree):

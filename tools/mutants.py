@@ -55,7 +55,8 @@ TARGETS = {
     ("polyhedra.py", "_hform_from_dd"): ["test_polyhedra.py", "test_kernel.py"],
     ("graded.py", "_cone_certified"): _VERDICT,
     ("graded.py", "_check_tuple"): _VERDICT,
-    ("graded.py", "_is_dilate"): _VERDICT,
+    ("graded.py", "_check_inside"): _VERDICT,
+    ("graded.py", "_missing_vertex"): _VERDICT,
     ("graded.py", "_stabilize"): _VERDICT,
     ("graded.py", "_check_limit_polyhedra"): _VERDICT,
     ("graded.py", "_facets"): _VERDICT,
