@@ -289,7 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="verify the closure identity of a system")
     p_ver.add_argument("system", help="system JSON file, or - for stdin")
-    p_ver.add_argument("--p-bound", dest="p_bound", type=int, default=None)
+    p_ver.add_argument(
+        "--p-bound",
+        dest="p_bound",
+        type=int,
+        default=None,
+        help="caps the tuple route, which only --no-refine reaches: a cone "
+        "certified by its sign vector passes every exponent tuple at once",
+    )
     p_ver.add_argument("--d-cap", dest="d_cap", type=int, default=None)
     p_ver.add_argument("--L", dest="L", type=int, default=None)
     p_ver.add_argument(

@@ -619,12 +619,20 @@ def asymptotic_valuation(
     degrees, ideals = sys.nonzero_part()
     if not degrees:
         return PLUS_INFINITY
-    # weight_valuation's minima, left as ints for the integer LP
-    costs = [_least(I.gens, w) for I in ideals]
     try:
-        return representation_cost(degrees, costs, m).value
+        return _live_valuation(degrees, ideals, w, m)
     except NotInConeError:
         return PLUS_INFINITY
+
+
+def _live_valuation(degrees, ideals, w: IntVec, m: IntVec) -> Fraction:
+    """asymptotic_valuation's LP on the live part (degrees, ideals) of a
+    system, with nothing checked: the least sum l_i v_w(ideals_i) over
+    rational l >= 0 with sum l_i degrees_i = m.  Raises NotInConeError when
+    m lies outside the cone of these degrees."""
+    # weight_valuation's minima, left as ints for the integer LP
+    costs = [_least(I.gens, w) for I in ideals]
+    return representation_cost(degrees, costs, m).value
 
 
 class LimitCheck(Frozen):
@@ -944,11 +952,20 @@ class TupleCheck(Frozen):
 
 
 class ConeCheck(Frozen):
+    """One maximal cone's outcome.  A cone that _cone_certified certifies
+    carries its certificate, its sign vector sides over the run's cuts,
+    and no checks: it passes for every exponent tuple at once.  Any other
+    cone has sides None and one check per tuple p with sum(p) <=
+    power_bound, and passes when every check does."""
+
     rays: tuple[IntVec, ...]
     checks: tuple[TupleCheck, ...]
+    sides: IntVec | None = None
 
     @property
     def passed(self) -> bool:
+        if self.sides is not None:
+            return True
         return all(c.closure_ok and c.chain_ok for c in self.checks)
 
 
@@ -966,11 +983,15 @@ class VerificationReport(Frozen):
     fan: Fan
     exponent: int
     per_ray: tuple[tuple[IntVec, int], ...]
+    # (frame, normals) of _cut_frame(sys._live_table): each certified
+    # cone's sides are signs over these normals, on the frame coordinates
+    cuts: tuple[IntVec, tuple[IntVec, ...]]
     cones: tuple[ConeCheck, ...]
     verified: bool
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
+        frame, normals = self.cuts
         return {
             "config": {n: getattr(self.config, n) for n in self.config._fields},
             "fan": [
@@ -978,31 +999,33 @@ class VerificationReport(Frozen):
             ],
             "exponent": self.exponent,
             "per_ray": [{"ray": list(r), "exponent": d} for r, d in self.per_ray],
-            "cones": [
-                {
-                    "rays": [list(r) for r in c.rays],
-                    "passed": c.passed,
-                    "checks": [
-                        {
-                            "powers": list(t.powers),
-                            "degree": list(t.degree),
-                            "closure_ok": t.closure_ok,
-                            "witness_weight": (
-                                list(t.witness_weight) if t.witness_weight else None
-                            ),
-                            "left_value": _fmt_val(t.left_value),
-                            "right_value": _fmt_val(t.right_value),
-                            "chain_ok": t.chain_ok,
-                            "chain_note": t.chain_note,
-                        }
-                        for t in c.checks
-                    ],
-                }
-                for c in self.cones
-            ],
+            "cuts": {"frame": list(frame), "normals": [list(u) for u in normals]},
+            "cones": [_cone_dict(c) for c in self.cones],
             "verified": self.verified,
             "notes": list(self.notes),
         }
+
+
+def _cone_dict(c: ConeCheck) -> dict:
+    """A cone's report entry: its sides if certified, else its checks."""
+    out = {"rays": [list(r) for r in c.rays], "passed": c.passed}
+    if c.sides is not None:
+        out["sides"] = list(c.sides)
+        return out
+    out["checks"] = [
+        {
+            "powers": list(t.powers),
+            "degree": list(t.degree),
+            "closure_ok": t.closure_ok,
+            "witness_weight": list(t.witness_weight) if t.witness_weight else None,
+            "left_value": _fmt_val(t.left_value),
+            "right_value": _fmt_val(t.right_value),
+            "chain_ok": t.chain_ok,
+            "chain_note": t.chain_note,
+        }
+        for t in c.checks
+    ]
+    return out
 
 
 def _fmt_val(v) -> str | None:
@@ -1030,11 +1053,21 @@ def _check_limit_polyhedra(forms: _RunPolyhedra, rays) -> None:
     """Anchor the limit polyhedra of the rays to the certified LP: at every
     facet (w, v) of h (_facets), with P(e) = s * h and h the run's hull of
     e (_RunPolyhedra.limit_hull), the asymptotic valuation at e must be
-    P(e)'s support value s * v.  A mismatch is an internal failure."""
+    P(e)'s support value s * v.  The LP runs on the live part, read once
+    (_live_valuation): each facet weight is a nonnegative nonzero integer
+    row, and each ray, which has a limit polyhedron, lies in the live cone.
+    A mismatch, or an infeasible LP, is an internal failure."""
+    degrees, ideals = forms.sys.nonzero_part()
     for e in rays:
         h, _, s = forms.limit_hull(e)
         for w, v in _facets(h):
-            if asymptotic_valuation(forms.sys, w, e) != v * s:
+            try:
+                value = _live_valuation(degrees, ideals, w, e)
+            except NotInConeError as exc:
+                raise InternalError(
+                    f"ray {e} has a limit polyhedron but its LP is infeasible"
+                ) from exc
+            if value != v * s:
                 raise InternalError(
                     f"limit polyhedron of ray {e} disagrees with the "
                     f"asymptotic valuation at weight {w}"
@@ -1056,35 +1089,37 @@ def verify_closure_identity(
     degree cone when refine=False, a debugging mode expected to falsify
     systems whose asymptotic valuations bend inside the cone); (b) optional
     smooth refinement; (c) per-ray stabilizing exponents, combined by lcm
-    into d; (d) for every maximal cone with rays e_i and every exponent
-    tuple p with sum(p) <= power_bound, closure equality of the degree
-    d*sum(p_i e_i) ideal against the product of the d*e_i ideals raised to
-    the p_i; (e) the valuation chain for every weight w >= 0 at once, as
-    a sandwich of Newton polyhedra (see _check_tuple).  The exponent
-    certificate is trusted in one place: right after (c) every ray is asked
-    once more whether NP(a_{d_e e}) = d_e P(e) at its own exponent d_e, and
-    a ray that is not is an InternalError (exit 3 on the command line),
-    never a falsified tuple; later steps may take NP(a_{d e}) = d P(e).  A
-    cone certified by its sign vector (_cone_certified) passes (d) and (e)
-    for every p at once, with no check; every cone of a refined run is, so
-    only refine=False leaves tuples to the one tuple route (_check_tuple),
-    which names a falsifying tuple and its witness.  The all-zero tuple
-    passes in every cone: its degree ideal a_0 is the unit ideal, since the
-    degree cone is pointed, and so is the empty product.  A tuple depends
-    only on the face spanned by the rays with p_i > 0 and on those powers,
-    so each face tuple is checked once, and every cone containing the face
-    reports that check under its own powers; a face of a certified cone is
-    certified in every cone that shares it.  A run whose tuples all pass
-    hulls only the generator ideals and the limit polyhedra P(m) (each
-    equality is decided by _RunPolyhedra.missing_vertex, and a point
-    outside d P(m) is an InternalError); only a failing tuple hulls its
-    degree ideal and its product.  The seed is recorded in the report
-    but decides no verdict.  A falsified identity is reported as a value,
-    never an exception; a witness weight is a facet normal at which the
-    two closures' valuations differ.  The four integer parameters must be
-    ints (not bools or floats), and a power_bound or exponent_cap below 1,
-    or a negative power_checks, raises InputError: power_bound 0 would
-    check no nonzero tuple, exponent_cap 0 no exponent.
+    into d; (d) on every maximal cone with rays e_i, closure equality of
+    the degree d*sum(p_i e_i) ideal against the product of the d*e_i
+    ideals raised to the p_i; (e) the valuation chain for every weight
+    w >= 0 at once, as a sandwich of Newton polyhedra (see _check_tuple).
+    The exponent certificate is trusted in one place: right after (c)
+    every ray is asked once more whether NP(a_{d_e e}) = d_e P(e) at its
+    own exponent d_e, and a ray that is not is an InternalError (exit 3 on
+    the command line), never a falsified tuple; later steps may take
+    NP(a_{d e}) = d P(e).  A cone certified by its sign vector
+    (_cone_certified) passes (d) and (e) for every p at once: its
+    ConeCheck carries that sign vector over the report's cuts and no tuple
+    check.  Every cone of a refined run is certified, so only refine=False
+    leaves cones to the one tuple route (_check_tuple), which checks each
+    tuple p with sum(p) <= power_bound and names a falsifying tuple and
+    its witness; power_bound caps that route alone.  The all-zero tuple
+    passes in every such cone: its degree ideal a_0 is the unit ideal,
+    since the degree cone is pointed, and so is the empty product.  A
+    tuple depends only on the face spanned by the rays with p_i > 0 and
+    on those powers, so each face tuple is checked once, and every
+    uncertified cone containing the face reports that check under its own
+    powers.  A run whose tuples all pass hulls only the generator ideals
+    and the limit polyhedra P(m) (each equality is decided by
+    _RunPolyhedra.missing_vertex, and a point outside d P(m) is an
+    InternalError); only a failing tuple hulls its degree ideal and its
+    product.  The seed is recorded in the report but decides no verdict.
+    A falsified identity is reported as a value, never an exception; a
+    witness weight is a facet normal at which the two closures' valuations
+    differ.  The four integer parameters must be ints (not bools or
+    floats), and a power_bound or exponent_cap below 1, or a negative
+    power_checks, raises InputError: power_bound 0 would check no nonzero
+    tuple, exponent_cap 0 no exponent.
     """
     _check_ints(
         ("power_bound", power_bound, 1),
@@ -1128,37 +1163,43 @@ def verify_closure_identity(
     checked: dict[tuple, TupleCheck] = {}
     cone_checks = []
     for cone in fan.maximal_cones:
-        certified = _cone_certified(sys._suffix_normals[0], frame, cuts, cone)
+        sides = _cone_certified(sys._suffix_normals[0], frame, cuts, cone)
         checks = []
-        for p in _power_tuples(len(cone.rays), power_bound):
+        # a certified cone passes every tuple at once: it has none to check
+        tuples = () if sides is not None else _power_tuples(len(cone.rays), power_bound)
+        for p in tuples:
             face = tuple((e, pi) for e, pi in zip(cone.rays, p) if pi)
             if face not in checked:
-                if certified or not face:
-                    m = _face_degree(face, sys.grading_rank)
+                if not face:
+                    m = (0,) * sys.grading_rank
                     checked[face] = TupleCheck(p, m, True, None, None, None, True, None)
                 else:
                     checked[face] = _check_tuple(forms, d, face)
             checks.append(checked[face]._replace(powers=p))
-        cone_checks.append(ConeCheck(rays=cone.rays, checks=tuple(checks)))
+        cone_checks.append(ConeCheck(cone.rays, tuple(checks), sides))
     verified = all(c.passed for c in cone_checks)
     return VerificationReport(
         config=config,
         fan=fan,
         exponent=d,
         per_ray=cert.per_ray,
+        cuts=(frame, cuts),
         cones=tuple(cone_checks),
         verified=verified,
         notes=tuple(notes),
     )
 
 
-def _cone_certified(live_normals, frame, cuts, cone: Cone) -> bool:
-    """Whether the closure identity and the valuation chain hold on the
-    cone for every exponent tuple p, by its sign vector: the cone lies in
-    the live cone (live_normals; the degrees with a nonzero ideal span
-    it), its dimension is the live rank k = |frame|, and no cut has rays
-    of it strictly on both sides; (frame, cuts) is
-    _cut_frame(sys._live_table).
+def _cone_certified(live_normals, frame, cuts, cone: Cone) -> IntVec | None:
+    """The cone's sign vector over the cuts when it certifies that the
+    closure identity and the valuation chain hold on the cone for every
+    exponent tuple p, else None.  It does when the cone lies in the live
+    cone (live_normals; the degrees with a nonzero ideal span it), its
+    dimension is the live rank k = |frame|, and no cut has rays of it
+    strictly on both sides; (frame, cuts) is _cut_frame(sys._live_table).
+    Entry j is the side of cut j that the cone's rays lie on: +1 or -1,
+    or 0 if they all lie on the cut, which a cone of dimension k never
+    does.
 
     Sound: on the frame, the facet normals of cone(B), B a basis of live
     degrees, are the rows of adj(D_SB), which are cuts, so the cone lies
@@ -1178,10 +1219,16 @@ def _cone_certified(live_normals, frame, cuts, cone: Cone) -> bool:
     """
     inside = all(idot(u, r) >= 0 for u in live_normals for r in cone.rays)
     if not inside or cone.dim != len(frame):
-        return False
+        return None
     coords = [tuple(r[i] for i in frame) for r in cone.rays]
-    sides = ([idot(u, x) for x in coords] for u in cuts)
-    return not any(min(t) < 0 < max(t) for t in sides)
+    sides = []
+    for u in cuts:
+        t = [idot(u, x) for x in coords]
+        low, high = min(t), max(t)
+        if low < 0 < high:
+            return None
+        sides.append((high > 0) - (low < 0))
+    return tuple(sides)
 
 
 def _face_degree(face, grading_rank: int) -> IntVec:

@@ -575,8 +575,8 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
             "phase 1 cannot be unbounded",
         ),
         (
-            "real = graded.asymptotic_valuation\n"
-            "graded.asymptotic_valuation = lambda s, w, m: real(s, w, m) + 1\n"
+            "real = graded._live_valuation\n"
+            "graded._live_valuation = lambda d, i, w, m: real(d, i, w, m) + 1\n"
             f"sys.exit(cli.main(['verify', {worked_file!r}, '--json', {str(report)!r}]))\n",
             "disagrees with the asymptotic",
         ),
@@ -605,7 +605,7 @@ def test_internal_error_exits_3_under_python_O(worked_file, tmp_path):
         ),
     ]:
         body = (
-            "graded._cone_certified = lambda *args: False\n"
+            "graded._cone_certified = lambda *args: None\n"
             f"real = graded.{name}\n"
             f"graded.{name} = lambda s, m: {broken} "
             "if tuple(m) == (2, 1) else real(s, m)\n"

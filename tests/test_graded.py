@@ -1,8 +1,8 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import gcd
+from itertools import combinations, combinations_with_replacement, permutations
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -712,7 +712,7 @@ def test_valuation_chain_catches_broken_link(monkeypatch, name, note, closure_ok
     # a broken theorem (test_broken_theorem_link_is_an_internal_error)
     import conefan.graded as graded
 
-    monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: None)
 
     real = getattr(graded, name)
     broken_degree = (2, 1)  # inside the fan cone spanned by (1, 0), (1, 1)
@@ -795,7 +795,7 @@ def test_broken_theorem_link_is_an_internal_error(monkeypatch, name, broken, mes
     import conefan.graded as graded
     from conefan.errors import InternalError
 
-    monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: None)
     real = getattr(graded, name)
 
     def broken_points(system, m):
@@ -870,17 +870,17 @@ def test_limit_polyhedra_anchored_to_lp(monkeypatch):
     # limit polyhedron and the asymptotic valuation into an internal error
     import conefan.graded as graded
 
-    real = graded.asymptotic_valuation
+    real = graded._live_valuation
     monkeypatch.setattr(
-        graded, "asymptotic_valuation", lambda system, w, m: real(system, w, m) + 1
+        graded, "_live_valuation", lambda d, ideals, w, m: real(d, ideals, w, m) + 1
     )
     with pytest.raises(AssertionError, match="disagrees with the asymptotic"):
         verify_closure_identity(worked_system(), power_bound=1)
     # every facet row is checked, also one whose weight has a zero entry
     monkeypatch.setattr(
         graded,
-        "asymptotic_valuation",
-        lambda system, w, m: real(system, w, m) + (0 in w),
+        "_live_valuation",
+        lambda d, ideals, w, m: real(d, ideals, w, m) + (0 in w),
     )
     with pytest.raises(AssertionError, match="disagrees with the asymptotic"):
         verify_closure_identity(worked_system(), power_bound=1)
@@ -1152,7 +1152,7 @@ def test_passing_tuples_hull_no_degree_points_and_no_product(monkeypatch):
         passed.append(t.closure_ok and t.chain_ok)
         return t
 
-    monkeypatch.setattr(graded, "_cone_certified", lambda *args: False)
+    monkeypatch.setattr(graded, "_cone_certified", lambda *args: None)
     monkeypatch.setattr(graded, "_limit_points", recorded_limit)
     monkeypatch.setattr(graded, "_orthant_hull", recorded_hull)
     monkeypatch.setattr(graded, "_check_tuple", recorded_check)
@@ -1549,6 +1549,19 @@ SHARED_FACE_CASES = {
 }
 
 
+def _matches_reference(rep, ref) -> bool:
+    """Whether a run's cones agree with cone_checks_reference's, which
+    checks every tuple of every cone itself: a cone certified by its sign
+    vector reports no check, and the reference must pass each of its
+    tuples; any other cone must report the reference's checks."""
+    if [c.rays for c in rep.cones] != [r.rays for r in ref]:
+        return False
+    return all(
+        c.checks == () and r.passed if c.sides is not None else c.checks == r.checks
+        for c, r in zip(rep.cones, ref)
+    )
+
+
 @pytest.mark.parametrize("case", SHARED_FACE_CASES, ids=SHARED_FACE_CASES)
 def test_face_checks_match_per_cone_reference(case):
     make, kwargs = SHARED_FACE_CASES[case]
@@ -1557,7 +1570,7 @@ def test_face_checks_match_per_cone_reference(case):
     ref = cone_checks_reference(
         system, rep.fan, rep.exponent, kwargs["power_bound"]
     )
-    assert rep.to_dict() == rep._replace(cones=ref).to_dict()
+    assert _matches_reference(rep, ref)
     if case.endswith("single-cone"):
         assert not rep.verified
         failing = [t for t in rep.cones[0].checks if not t.chain_ok]
@@ -1606,13 +1619,16 @@ def test_per_cone_reference_catches_an_unsound_certificate(monkeypatch):
     # must tell the two reports apart
     import conefan.graded as graded
 
-    monkeypatch.setattr(graded, "_cone_certified", lambda *args: True)
+    monkeypatch.setattr(
+        graded, "_cone_certified", lambda live, frame, cuts, cone: (1,) * len(cuts)
+    )
     make, kwargs = SHARED_FACE_CASES["five-degree-single-cone"]
     system = make()
     rep = verify_closure_identity(system, **kwargs)
     ref = cone_checks_reference(system, rep.fan, rep.exponent, kwargs["power_bound"])
     assert rep.verified
-    assert rep.to_dict() != rep._replace(cones=ref).to_dict()
+    assert all(c.sides is not None for c in rep.cones)
+    assert not _matches_reference(rep, ref)
 
 
 @pytest.mark.parametrize("make", [worked_system, five_degree_system])
@@ -1635,15 +1651,16 @@ def test_single_cone_verify_builds_no_v_representation(monkeypatch, make):
     ref = cone_checks_reference(system, rep.fan, rep.exponent, 2)
     assert not rep.verified
     assert any(t.witness_weight for c in rep.cones for t in c.checks)
-    assert rep.to_dict() == rep._replace(cones=ref).to_dict()
+    assert _matches_reference(rep, ref)
 
 
 def _sign_certified(live, cone):
-    """_cone_certified on plain live degrees."""
+    """Whether _cone_certified certifies the cone on plain live degrees."""
     from conefan.graded import _cone_certified
 
     _, frame, cuts = _cut_frame(_basis_table(live))
-    return _cone_certified(cone_from_generators(live).normals, frame, cuts, cone)
+    live_normals = cone_from_generators(live).normals
+    return _cone_certified(live_normals, frame, cuts, cone) is not None
 
 
 def test_cone_certificate_needs_linear_costs_inside_the_live_cone():
@@ -1690,7 +1707,7 @@ def test_zero_ideal_systems_keep_their_verdicts():
         rep = verify_closure_identity(zerogen_system(), power_bound=3, refine=refine)
         ref = cone_checks_reference(zerogen_system(), rep.fan, rep.exponent, 3)
         assert rep.verified
-        assert rep.to_dict() == rep._replace(cones=ref).to_dict()
+        assert _matches_reference(rep, ref)
 
 
 # seeds of random_graded_system (one zero ideal allowed at multiples of 3)
@@ -1723,12 +1740,13 @@ def test_corpus_slice_matches_per_cone_reference(monkeypatch, refine):
             system, power_bound=2, power_checks=1, refine=refine
         )
         ref = cone_checks_reference(system, rep.fan, rep.exponent, 2)
-        assert rep.to_dict() == rep._replace(cones=ref).to_dict(), seed
+        assert _matches_reference(rep, ref), seed
         verdicts.add(rep.verified)
     # the linearity fan's cones are all certified; the single cones both
     # pass and go to the tuple route
     assert verdicts == ({True} if refine else {True, False})
-    assert all(outcomes) if refine else set(outcomes) == {True, False}
+    certified = {sides is not None for sides in outcomes}
+    assert certified == ({True} if refine else {True, False})
 
 
 def test_sign_certified_cones_pass_the_chamber_test():
@@ -1758,6 +1776,145 @@ def test_sign_certified_cones_pass_the_chamber_test():
                 refused += 1
                 assert not (refined and live_cone.contains_cone(cone)), (live, cone.rays)
     assert certified > 200 and refused > 20
+
+
+# the verified systems of the CI smoke test, with the half-step system
+# (rank 1) and a zero ideal; exponent_cap 210 lets the denominator system,
+# which needs q = 105, verify too
+CI_SYSTEMS = [
+    worked_system,
+    halfstep_system,
+    zerogen_system,
+    flat_system,
+    bench_system,
+    five_degree_system,
+    seed61_system,
+    rank3_system,
+    denominator_system,
+]
+
+
+@pytest.mark.parametrize("make", [bench_system, five_degree_system])
+def test_refined_report_does_not_grow_with_the_power_bound(make):
+    # every cone of a refined run is certified and reports its sign vector,
+    # not its tuples, so power_bound, which caps the tuple route alone,
+    # changes nothing but the config entry
+    def report(power_bound):
+        rep = verify_closure_identity(make(), power_bound=power_bound, power_checks=1)
+        assert rep.verified
+        assert all(c.sides is not None and c.checks == () for c in rep.cones)
+        out = rep.to_dict()
+        assert out["config"].pop("power_bound") == power_bound
+        assert all("checks" not in c for c in out["cones"])
+        return out
+
+    assert report(1) == report(6)
+
+
+def _leibniz_det(rows) -> int:
+    """Determinant of a square integer matrix as the sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+def _cuts_by_brute_force(live, rank):
+    """(frame, sorted cut normals) of the live degrees from determinants
+    alone: the frame is the first coordinate set, in lexicographic order,
+    on which some live degrees have a nonzero minor of the largest size k;
+    each independent (k - 1)-set T of live degrees spans the cut whose
+    normal u has <u, x> = det(T | x) on the frame, made primitive with a
+    positive first nonzero entry."""
+    def minor(vectors, coords):
+        return _leibniz_det([[v[i] for i in coords] for v in vectors])
+
+    k = next(
+        size
+        for size in range(min(len(live), rank), 0, -1)
+        if any(
+            minor(vs, cs)
+            for vs in combinations(live, size)
+            for cs in combinations(range(rank), size)
+        )
+    )
+    frame = next(
+        cs
+        for cs in combinations(range(rank), k)
+        if any(minor(vs, cs) for vs in combinations(live, k))
+    )
+    unit = [[int(i == j) for i in range(k)] for j in range(k)]
+    normals = set()
+    for subset in combinations(live, k - 1):
+        rows = [[v[i] for i in frame] for v in subset]
+        u = [_leibniz_det(rows + [e]) for e in unit]
+        if any(u):
+            g = gcd(*u)
+            first = next(x for x in u if x)
+            normals.add(tuple(x // g if first > 0 else -x // g for x in u))
+    return frame, sorted(normals)
+
+
+@pytest.mark.parametrize("make", CI_SYSTEMS)
+def test_certified_sides_rederived_from_the_live_degrees(make):
+    # the report's cuts and each certified cone's sides follow from the
+    # system's live degrees alone, with no table of bases: on every cut the
+    # cone's rays lie on one side, never strictly on both
+    system = make()
+    for refine in (True, False):
+        rep = verify_closure_identity(
+            system, power_bound=1, exponent_cap=210, power_checks=1, refine=refine
+        )
+        frame, normals = _cuts_by_brute_force(system.nonzero_part()[0], system.grading_rank)
+        assert rep.to_dict()["cuts"] == {
+            "frame": list(frame),
+            "normals": [list(u) for u in normals],
+        }
+        certified = [c for c in rep.cones if c.sides is not None]
+        assert len(certified) == len(rep.cones) or not refine
+        for c in certified:
+            sides = []
+            for u in normals:
+                values = [sum(a * r[i] for a, i in zip(u, frame)) for r in c.rays]
+                assert not (min(values) < 0 < max(values)), (c.rays, u)
+                sides.append(1 if max(values) > 0 else -1 if min(values) < 0 else 0)
+            assert c.sides == tuple(sides), c.rays
+            assert c.passed and c.checks == ()
+
+
+@pytest.mark.parametrize("make", CI_SYSTEMS)
+def test_anchor_lp_matches_the_asymptotic_valuation(make):
+    # the anchor solves asymptotic_valuation's LP on the live part with no
+    # checks; at every facet of every ray's limit polyhedron both give the
+    # support value that the limit polyhedron has there
+    import conefan.graded as graded
+
+    system = make()
+    degrees, ideals = system.nonzero_part()
+    forms = graded._RunPolyhedra(system)
+    facets = 0
+    for e in smooth_refine(linearity_fan(system.degrees)).rays():
+        h, _, s = forms.limit_hull(e)
+        for w, v in graded._facets(h):
+            value = graded._live_valuation(degrees, ideals, w, e)
+            assert value == asymptotic_valuation(system, w, e) == v * s, (e, w)
+            facets += 1
+    assert facets >= len(system.degrees)
+
+
+def test_infeasible_anchor_lp_is_an_internal_error(monkeypatch):
+    # the anchor's rays have limit polyhedra, so an infeasible LP there is
+    # a bug (exit 3), never NotInConeError (exit 1, the FALSIFIED code)
+    import conefan.graded as graded
+    from conefan.errors import InternalError
+
+    def infeasible(degrees, ideals, w, m):
+        raise NotInConeError("no representation")
+
+    monkeypatch.setattr(graded, "_live_valuation", infeasible)
+    with pytest.raises(InternalError, match="its LP is infeasible"):
+        verify_closure_identity(worked_system(), power_bound=1)
 
 
 @pytest.mark.parametrize("refine", [True, False])

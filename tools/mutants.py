@@ -2,7 +2,7 @@
 
 Usage: python tools/mutants.py [--budget SECONDS] [--only NAME ...]
 
-For each function in TARGETS, every single-node mutation below is made in
+For each function in TARGETS (a method as Class.method), every single-node mutation below is made in
 turn in a copy of src/ in a temporary directory, and pytest runs the test
 files that cover the function against that copy, with -x and a fixed
 Hypothesis seed.  A mutant is killed when the tests fail or run past
@@ -59,6 +59,8 @@ TARGETS = {
     ("graded.py", "_missing_vertex"): _VERDICT,
     ("graded.py", "_stabilize"): _VERDICT,
     ("graded.py", "_check_limit_polyhedra"): _VERDICT,
+    ("graded.py", "_live_valuation"): _VERDICT,
+    ("graded.py", "ConeCheck.passed"): _VERDICT,
     ("graded.py", "_facets"): _VERDICT,
     ("graded.py", "_least"): _VERDICT,
     ("graded.py", "_separating_weight"): _VERDICT,
@@ -142,10 +144,20 @@ def _mutations(node):
 
 
 def _function(tree, name):
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == name:
-            return node
-    raise SystemExit(f"no function {name}")
+    """The function named name, or the method Class.method."""
+    for part in name.split("."):
+        tree = next(
+            (
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == part
+            ),
+            None,
+        )
+        if tree is None:
+            raise SystemExit(f"no function {name}")
+    return tree
 
 
 def mutants(source: str, name: str):
