@@ -172,7 +172,8 @@ def dd_step(rays, zsets, vals, bit, min_common):
     rank d - l - 2 (Fukuda and Prodon, 1996), which bounds their number
     from below; 0 keeps every pair.
 
-    Returns (new_rays, new_zsets).
+    Returns (new_rays, new_zsets): the rays with a positive value, then
+    those with a zero value, each in input order, then the new rays.
     """
     pos, zer, neg = [], [], []
     for i, v in enumerate(vals):

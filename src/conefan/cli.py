@@ -214,8 +214,7 @@ def _cmd_verify(args) -> int:
             "exit_code": 0 if report.verified else 1,
         }
         with open(args.json, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0 if report.verified else 1
 
 

@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import combinations
 
 from ._dd import cone_generators
+from ._kernel import dd_step
 from ._value import Frozen
 from .errors import (
     BudgetExceededError,
@@ -63,11 +64,21 @@ SMOOTH_REFINE_MULTIPLICITY_CAP = 4096
 
 
 class Cone(Frozen):
-    """Strongly convex rational cone with canonical dual descriptions."""
+    """Strongly convex rational cone with canonical dual descriptions.
+
+    _frame is derived, and takes no part in equality, hashing or repr: a
+    full-dimensional simplicial cone built from its rays (_simplicial_cone)
+    keeps (adj(R), det(R)) of its rays as the columns R, which its facet
+    normals are read off, and None is stored for any other cone, such as
+    a half that _split cuts.  dim, lattice_det (so multiplicity and
+    is_smooth) and _ray_frame read it when it is there, and otherwise
+    eliminate the rays.
+    """
 
     rays: tuple[IntVec, ...]
     normals: tuple[IntVec, ...]
     ambient_dim: int
+    _frame: tuple[list[list[int]], int] | None = None
 
     @cached_property
     def _echelon(self) -> tuple[list[list[int]], list[int]]:
@@ -76,11 +87,15 @@ class Cone(Frozen):
 
     @property
     def dim(self) -> int:
+        if self._frame is not None:
+            return self.ambient_dim
         return len(self._echelon[1])
 
     @cached_property
     def lattice_det(self) -> int:
         """Index of the rays' integer span in its saturated lattice."""
+        if self._frame is not None:
+            return abs(self._frame[1])
         return echelon_lattice_det(self._echelon[0])
 
     @property
@@ -125,8 +140,12 @@ class Cone(Frozen):
         S is the pivot coordinates of the cone's echelon, the first
         coordinate set, in lexicographic order, whose square submatrix R_S
         (the rays' S-coordinates as columns) is invertible; a point x of
-        the rays' span has ray-coordinates adj(R_S) x_S / det(R_S).
+        the rays' span has ray-coordinates adj(R_S) x_S / det(R_S).  A
+        stored _frame is that of S = every coordinate.
         """
+        if self._frame is not None:
+            adj, det = self._frame
+            return list(range(self.ambient_dim)), adj, det
         coords = self._echelon[1]
         if len(coords) != len(self.rays):
             raise InternalError("simplicial cone with dependent rays")
@@ -155,23 +174,33 @@ def _hull(
     return (normals,) + cone_generators(normals, dim)
 
 
+def _simplicial_cone(
+    rays: tuple[IntVec, ...], adj: list[list[int]], det: int
+) -> Cone:
+    """The cone of dim independent sorted primitive rays in Z^dim, from
+    adj(R) and det(R) != 0 of the rays as the columns R.
+
+    adj(R) R = det(R) I, so row i of adj(R), times the sign of det(R), is
+    a normal positive on ray i and zero on the others, and the primitive
+    such rows are the facet normals.  The cone keeps adj(R) and det(R) as
+    its _frame.
+    """
+    sign = 1 if det > 0 else -1
+    normals = sorted(primitive_int_vector([sign * a for a in row]) for row in adj)
+    return Cone(rays, tuple(normals), len(rays), (adj, det))
+
+
 def _cone_from_primitive_rays(rays: tuple[IntVec, ...], dim: int) -> Cone:
     """Canonical cone of sorted, distinct primitive rays.
 
     dim independent rays in Z^dim span a simplicial cone, built in closed
-    form: with R the rays as columns, adj(R) R = det(R) I, so row i of
-    adj(R), times the sign of det(R), is a normal positive on ray i and
-    zero on the others, and the primitive such rows are the facet normals.
-    Any other ray set goes through the double descriptions of _hull.
+    form from one integer adjugate (_simplicial_cone).  Any other ray set
+    goes through the double descriptions of _hull.
     """
     if rays and len(rays) == dim:
         adj, det = int_adjugate([[r[i] for r in rays] for i in range(dim)])
         if det:
-            sign = 1 if det > 0 else -1
-            normals = sorted(
-                primitive_int_vector([sign * a for a in row]) for row in adj
-            )
-            return Cone(rays, tuple(normals), dim)
+            return _simplicial_cone(rays, adj, det)
     normals, lin, extreme = _hull(rays, dim)
     if lin:
         raise NotPointedError(lin[0])
@@ -402,6 +431,44 @@ def _cut_frame(table: tuple) -> tuple:
     return echelon, frame, tuple(sorted(cuts))
 
 
+def _split(sigma: Cone, u: IntVec, sides: list[int]) -> tuple[Cone, Cone]:
+    """The halves sigma with <u, x> >= 0 and with <u, x> <= 0 of a
+    full-dimensional cone that the hyperplane of u crosses, where sides[i]
+    is <u, ray i> and takes both signs.
+
+    One double-description step on sigma's own rays and facets (Fukuda
+    and Prodon, 1996): each half keeps the rays on its side or on the
+    hyperplane, and gains the primitive ray (u.p) q - (u.q) p for each
+    adjacent pair of a ray p with u.p > 0 and a ray q with u.q < 0.  Two
+    rays are adjacent when no third ray is tight on every facet that both
+    are tight on, the combinatorial test of _kernel.dd_step, which lists
+    the rays it keeps before the rays it makes.  A facet of sigma meets a
+    half in a facet of it exactly when the facet holds a ray strictly on
+    that side, so each half keeps those facet normals of sigma and adds u
+    or -u; neither is a normal of sigma, which u crosses.
+    """
+    n = sigma.ambient_dim
+    zsets = [
+        sum(1 << j for j, a in enumerate(sigma.normals) if idot(a, r) == 0)
+        for r in sigma.rays
+    ]
+    kept = sum(s >= 0 for s in sides)
+    new = dd_step(sigma.rays, zsets, sides, 0, n - 2)[0][kept:]
+    mu = tuple(-x for x in u)
+    halves = []
+    for values, cut in ((sides, u), ([-s for s in sides], mu)):
+        tight = 0
+        for z, s in zip(zsets, values):
+            if s > 0:
+                tight |= z
+        rays = [r for r, s in zip(sigma.rays, values) if s >= 0]
+        normals = [a for j, a in enumerate(sigma.normals) if tight >> j & 1]
+        halves.append(
+            Cone(tuple(sorted(rays + new)), tuple(sorted(normals + [cut])), n)
+        )
+    return halves[0], halves[1]
+
+
 def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     """Fan with support cone(generators) on which every nonnegative-cost
     representation function is linear.
@@ -413,11 +480,14 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
 
     A cut splits only the chambers it crosses, those with rays strictly on
     both sides of the hyperplane, whose halves both keep interior points;
-    any other chamber is kept whole, without a double description, as its
-    other half is a lower-dimensional face.
+    any other chamber is kept whole, as its other half is a
+    lower-dimensional face.  A crossed chamber is split by one
+    double-description step on its own rays and facets (_split), with no
+    hull of either half.
     The chambers are built on the frame S of span(generators), the pivot
     coordinates of its integer echelon E (_cut_frame), where a point x of
-    the span has x = x_S adj(E_S) E / det(E_S).  det(E_S) is the product of
+    the span has x = x_S adj(E_S) E / det(E_S), so every chamber is
+    full-dimensional there.  det(E_S) is the product of
     E's positive pivots, so the rays go back to ambient coordinates as the
     integer points x_S adj(E_S) E.  For a full-dimensional support S holds
     every coordinate, and the chambers are returned as they are.  Positive
@@ -439,15 +509,13 @@ def linearity_fan(generators: Sequence[Sequence]) -> Fan:
     echelon, frame, cuts = _cut_frame(_basis_table(gens))
     chambers = [cone_from_generators([tuple(g[i] for i in frame) for g in gens])]
     for u in cuts:
-        mu = tuple(-x for x in u)
         nxt = set()
         for sigma in chambers:
             sides = [idot(u, r) for r in sigma.rays]
             if min(sides) >= 0 or max(sides) <= 0:
                 nxt.add(sigma)
-                continue
-            for half in (u, mu):
-                nxt.add(cone_from_normals(sigma.normals + (half,)))
+            else:
+                nxt.update(_split(sigma, u, sides))
         chambers = sorted(nxt)
     if len(frame) == n:
         return Fan.make(chambers, n)
@@ -629,34 +697,86 @@ def _stellar_weights(c: Cone, x: IntVec) -> list[int]:
     return lam
 
 
-def _stellar_score(fan: Fan, x: IntVec) -> int:
-    """Largest multiplicity among the cones that a stellar subdivision of
-    the fan at x creates, with no fan built.
+def _support_face(target: Cone, x: IntVec) -> set[IntVec]:
+    """Rays of the face of a simplicial cone that holds a point x of it in
+    its relative interior: those with a nonzero _stellar_weights entry.
 
-    In a cone c containing x, the piece that replaces ray i by x has the
-    rays' determinant scaled by x's i-th ray-coordinate lam_i / det(R_S)
-    (Cramer's rule), so its multiplicity is mult(c) |lam_i| / |det R_S|.
+    A cone of a simplicial fan meets target in a face of both, so it
+    contains x exactly when it holds every one of these rays; that makes
+    the star of x a ray-set lookup, with no contains_point.
     """
+    return {r for r, t in zip(target.rays, _stellar_weights(target, x)) if t}
+
+
+def _stellar_score(fan: Fan, x: IntVec, target: Cone) -> int:
+    """Largest multiplicity among the cones that a stellar subdivision of
+    the fan at a point x of its cone target creates, with no fan built.
+
+    The subdivision replaces the cones of the star of x, those holding
+    x's support face in target (_support_face).  In such a cone c, the
+    piece that replaces ray i by x has the rays' determinant scaled by
+    x's i-th ray-coordinate lam_i / det(R_S) (Cramer's rule), so its
+    multiplicity is mult(c) |lam_i| / |det R_S|.
+    """
+    face = _support_face(target, x)
     worst = 1
     for c in fan.maximal_cones:
-        if c.contains_point(x):
+        if face.issubset(c.rays):
             mult, det = c.multiplicity(), abs(c._ray_frame[2])
             for t in _stellar_weights(c, x):
                 worst = max(worst, mult * abs(t) // det)
     return worst
 
 
-def _stellar_subdivide(fan: Fan, x: IntVec) -> Fan:
-    """Stellar subdivision of a simplicial fan at a primitive lattice point."""
+def _replace_ray(c: Cone, i: int, x: IntVec, lam: list[int]) -> Cone:
+    """The cone of a simplicial cone c's rays with ray i replaced by x,
+    where lam = _stellar_weights(c, x) and lam[i] != 0.
+
+    A full-dimensional c is updated from its _frame, with no elimination.
+    With R the rays as columns and R' = R with column i replaced by x,
+    det(R') = lam_i by Cramer's rule; row i of adj(R') is row i of adj(R),
+    and row j != i is (lam_i adj_j - lam_j adj_i) / det(R), an exact
+    division, as these rows times R' give lam_i I (the Sherman-Morrison
+    update of a column replacement).  Sorting the rays moves x from place
+    i to place p, which permutes the rows alike and, for odd p - i,
+    negates the adjugate and the determinant.  A c with no _frame, one
+    that is lower-dimensional or that _split cut, has its piece built by
+    _cone_from_primitive_rays.
+    """
+    rays = list(c.rays)
+    rays[i] = x
+    order = sorted(range(len(rays)), key=rays.__getitem__)
+    rays = tuple(rays[k] for k in order)
+    if c._frame is None:
+        return _cone_from_primitive_rays(rays, c.ambient_dim)
+    adj, det = c._frame
+    t = lam[i]
+    rows = [
+        row if j == i else [(t * a - lam[j] * b) // det for a, b in zip(row, adj[i])]
+        for j, row in enumerate(adj)
+    ]
+    rows = [rows[k] for k in order]
+    if (order.index(i) - i) % 2:
+        rows = [[-a for a in row] for row in rows]
+        t = -t
+    return _simplicial_cone(rays, rows, t)
+
+
+def _stellar_subdivide(fan: Fan, x: IntVec, target: Cone) -> Fan:
+    """Stellar subdivision of a simplicial fan at a primitive lattice point
+    x of its cone target: each cone of the star of x is replaced by the
+    pieces that put x in place of one ray with nonzero weight
+    (_replace_ray)."""
+    face = _support_face(target, x)
     out = []
     for c in fan.maximal_cones:
-        if not c.contains_point(x):
+        if not face.issubset(c.rays):
             out.append(c)
             continue
-        for i, t in enumerate(_stellar_weights(c, x)):
+        lam = _stellar_weights(c, x)
+        for i, t in enumerate(lam):
             if t != 0:
-                rest = tuple(r for k, r in enumerate(c.rays) if k != i)
-                out.append(cone_from_generators(rest + (x,)))
+                out.append(_replace_ray(c, i, x, lam))
     return Fan.make(out, fan.ambient_dim)
 
 
@@ -670,13 +790,16 @@ def smooth_refine(f: Fan) -> Fan:
     cones are smooth.  A candidate point is scored without building its
     subdivision: each cone containing it splits into pieces whose
     multiplicities follow from the point's ray-coordinates in that cone
-    (_stellar_score), and only the winning point is subdivided.  Fans above
-    SMOOTH_REFINE_DIM_CAP dimensions, and cones whose multiplicity exceeds
-    SMOOTH_REFINE_MULTIPLICITY_CAP, raise CapExceededError.  Scoring a
-    candidate visits every cone of the fan, and a round whose scoring
-    would take the visits past SMOOTH_REFINE_BUDGET raises
-    BudgetExceededError before it starts; every round visits at least one
-    cone, so this also bounds the subdivisions.
+    (_stellar_score), and only the winning point is subdivided.  The cones
+    containing a candidate are those that hold every ray of its support
+    face in the target cone (_support_face), a ray-set lookup with no
+    point test.  Fans above SMOOTH_REFINE_DIM_CAP dimensions, and cones
+    whose multiplicity exceeds SMOOTH_REFINE_MULTIPLICITY_CAP, raise
+    CapExceededError.  Scoring a candidate visits every cone of the fan,
+    to look up its rays, and a round whose scoring would take the visits
+    past SMOOTH_REFINE_BUDGET raises BudgetExceededError before it starts;
+    every round visits at least one cone, so this also bounds the
+    subdivisions.
     """
     if f.ambient_dim > SMOOTH_REFINE_DIM_CAP:
         raise CapExceededError(
@@ -700,10 +823,12 @@ def smooth_refine(f: Fan) -> Fan:
                 f"cones in scoring; {len(fan.maximal_cones)} cones, worst "
                 f"multiplicity {target.multiplicity()}"
             )
-        best = min(((_stellar_score(fan, x), x) for x in points), default=None)
+        best = min(
+            ((_stellar_score(fan, x, target), x) for x in points), default=None
+        )
         if best is None:
             raise InternalError("non-smooth cone without subdivision points")
-        fan = _stellar_subdivide(fan, best[1])
+        fan = _stellar_subdivide(fan, best[1], target)
 
 
 def is_cost_linear_on(

@@ -12,7 +12,9 @@ paths (simplex vs. vertex enumeration) and compares them bit-exactly.
 representation_cost validates its inputs once and hands them to the
 simplex core (_simplex.solve_int) as integer rows: int entries stay int
 (a row of ints enters over denominator 1), other rationals are cleared
-row by row, and only the returned value and witness are Fractions.  It
+row by row, and only the returned value and witness are Fractions.  The
+check that finds every entry a plain int also decides that the rows need
+no clearing, so an all-int LP is built by one transposition.  It
 keeps no memo: every call validates its arguments and solves one LP,
 because no workload asks for the same representation cost twice.
 """
@@ -71,6 +73,17 @@ def simplex_solve(inst: LpInstance) -> LpOutcome:
     return LpOutcome("unbounded", primal=res.ray)
 
 
+def _checked(v) -> tuple[tuple, bool]:
+    """(v as a tuple, whether every entry is a plain int); a vector with
+    any other entry goes through qvec, which keeps its ints and coerces
+    the rest by frac, so bools, floats and bad strings raise InputError."""
+    v = tuple(v)
+    for x in v:
+        if type(x) is not int:
+            return qvec(v), False
+    return v, True
+
+
 class CostOptimum(Frozen):
     value: Fraction
     witness: Vec  # nonnegative coefficients reproducing the target
@@ -88,20 +101,35 @@ def representation_cost(
     coerced by frac, and bools and floats raise InputError before any LP
     is solved.
     """
-    gens = [qvec(g) for g in generators]
-    costs = qvec(costs)
-    target = qvec(target)
+    gens = []
+    exact = True  # every entry a plain int
+    for g in generators:
+        g, ints = _checked(g)
+        gens.append(g)
+        exact = exact and ints
+    costs, ints = _checked(costs)
+    exact = exact and ints
+    target, ints = _checked(target)
+    exact = exact and ints
     if len(costs) != len(gens):
         raise InputError("need one cost per generator")
     if any(c < 0 for c in costs):
         raise InputError("costs must be nonnegative")
-    _check_lengths([target, *gens], "generator dimension mismatch")
+    n = len(target)
+    if any(len(g) != n for g in gens):
+        raise InputError("generator dimension mismatch")
     if not gens:
         if all(x == 0 for x in target):
             return CostOptimum(Fraction(0), ())
         raise NotInConeError("target is nonzero but there are no generators")
-    # row i of A is coordinate i of every generator
-    res = _simplex.solve_int(_simplex._int_lp(costs, zip(*gens), target))
+    # row i of A is coordinate i of every generator; rows of plain ints
+    # are already the integer form of _simplex._int_lp, over denominator 1
+    if exact:
+        rows = [[*col, t] for col, t in zip(zip(*gens), target)]
+        lp = (rows, [1] * n, list(costs), 1)
+    else:
+        lp = _simplex._int_lp(costs, zip(*gens), target)
+    res = _simplex.solve_int(lp)
     if res.status == "infeasible":
         raise NotInConeError(
             "target admits no nonnegative representation in the generators"

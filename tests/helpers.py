@@ -1070,11 +1070,21 @@ def linearity_fan_reference(generators):
 def stellar_score_reference(fan, x) -> int:
     """fans._stellar_score by building the trial subdivision at x: the
     largest multiplicity among its cones that the fan did not have, as
-    smooth_refine scored its candidates before the closed form."""
+    smooth_refine scored its candidates before the closed form.  The
+    trial replaces every cone that contains_point says holds x, with no
+    support-face lookup."""
     current = set(fan.maximal_cones)
-    trial = fans._stellar_subdivide(fan, x)
+    trial = []
+    for c in fan.maximal_cones:
+        if not c.contains_point(x):
+            trial.append(c)
+            continue
+        for i, t in enumerate(fans._stellar_weights(c, x)):
+            if t != 0:
+                rest = tuple(r for k, r in enumerate(c.rays) if k != i)
+                trial.append(fans.cone_from_generators(rest + (x,)))
     return max(
-        (c.multiplicity() for c in trial.maximal_cones if c not in current),
+        (c.multiplicity() for c in trial if c not in current),
         default=1,
     )
 

@@ -12,6 +12,7 @@ from helpers import (
     cut_normals_reference,
     frame_reference,
     is_cost_linear_on_sampled,
+    lattice_det_reference,
     linearity_fan_reference,
     parallelepiped_lattice_points_reference,
     parallelepiped_points_reference,
@@ -47,10 +48,17 @@ from conefan.fans import (
     refines,
     smooth_refine,
 )
-from conefan.linalg import _basis_table, int_adjugate, int_echelon, linear_solve, rank
+from conefan.linalg import (
+    _basis_table,
+    int_adjugate,
+    int_echelon,
+    kernel_basis,
+    linear_solve,
+    rank,
+)
 from conefan.lp import price_polyhedron, representation_cost
 from conefan.polyhedra import HPolyhedron
-from conefan.rational import dot, primitive_int_vector, vec
+from conefan.rational import dot, idot, primitive_direction, primitive_int_vector, vec
 
 V3 = [(1, 0), (0, 1), (1, 1)]
 
@@ -67,6 +75,10 @@ def test_cone_from_generators():
     with pytest.raises(NotPointedError) as err:
         cone_from_generators([(1, 0), (-1, 0)])
     assert err.value.line in ((1, 0), (-1, 0))
+    # a plane of lines is named by the first vector of its canonical basis
+    with pytest.raises(NotPointedError) as err:
+        cone_from_generators([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)])
+    assert err.value.line == (1, 0, 0)
 
 
 def test_cone_from_generators_scalar_routes():
@@ -815,6 +827,58 @@ def test_linearity_fan_matches_reference():
     assert len(linearity_fan(PLANAR_GENS).maximal_cones) == 4
 
 
+@st.composite
+def _crossed_chambers(draw):
+    """A full-dimensional cone in 2-4 dimensions and a primitive cut that
+    crosses it.  The first coordinate of every generator is positive, so
+    the cone is pointed; the cut is normal to n - 1 vectors, the first
+    `on` of them rays of the cone, which then lie on the cut."""
+    n = draw(st.integers(2, 4))
+    vectors = st.tuples(st.integers(1, 3), *[st.integers(-3, 3)] * (n - 1))
+    gens = draw(st.lists(vectors, min_size=n, max_size=n + 3))
+    assume(rank(gens) == n)
+    sigma = cone_from_generators(gens)
+    on = draw(st.integers(0, min(n - 2, len(sigma.rays))))
+    picked = draw(st.permutations(sigma.rays))[:on]
+    rest = draw(
+        st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=n - 1 - on, max_size=n - 1 - on)
+    )
+    rows = list(picked) + rest
+    assume(rank(rows) == n - 1)
+    u = primitive_direction(kernel_basis(rows)[0])
+    sides = [idot(u, r) for r in sigma.rays]
+    assume(min(sides) < 0 < max(sides))
+    return sigma, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(_crossed_chambers())
+# a square cone cut through two opposite rays, and between them
+@example((cone_from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]), (1, 0, 0)))
+@example((cone_from_generators([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]), (1, 1, 0)))
+# a simplex in 4-space cut through two of its rays
+@example((cone_from_generators([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]), (0, 0, 1, -1)))
+# a cube's cone in 4-space, whose rays are not in general position
+@example(
+    (
+        cone_from_generators(
+            [(1, a, b, c) for a in (-1, 1) for b in (-1, 1) for c in (-1, 1)]
+        ),
+        (0, 1, 1, 0),
+    )
+)
+def test_split_matches_the_double_descriptions_of_both_halves(case):
+    # one double-description step on the chamber's own rays and facets
+    # gives each half exactly as a double description of its normals does
+    sigma, u = case
+    sides = [idot(u, r) for r in sigma.rays]
+    mu = tuple(-x for x in u)
+    plus, minus = fans._split(sigma, u, sides)
+    assert plus == cone_from_normals(sigma.normals + (u,))
+    assert minus == cone_from_normals(sigma.normals + (mu,))
+    assert plus.dim == minus.dim == sigma.ambient_dim
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(1, 4).flatmap(
@@ -847,10 +911,10 @@ def test_stellar_score_matches_trial_fans(monkeypatch):
     real = fans._stellar_score
     scored = 0
 
-    def checked(fan, x):
+    def checked(fan, x, target):
         nonlocal scored
         scored += 1
-        got = real(fan, x)
+        got = real(fan, x, target)
         assert got == stellar_score_reference(fan, x), (fan.maximal_cones, x)
         return got
 
@@ -892,7 +956,55 @@ def test_stellar_score_matches_trial_fans_on_random_fans(fan):
         if is_smooth(c):
             continue
         for x in fans._parallelepiped_points(c):
-            assert fans._stellar_score(fan, x) == stellar_score_reference(fan, x)
+            assert fans._stellar_score(fan, x, c) == stellar_score_reference(fan, x)
+
+
+def _star_is_contains_point(fan, x, target):
+    """Whether x's support face in target picks out exactly the cones of
+    the fan that contain x."""
+    face = fans._support_face(target, x)
+    return [face.issubset(c.rays) for c in fan.maximal_cones] == [
+        c.contains_point(x) for c in fan.maximal_cones
+    ]
+
+
+def test_star_lookup_matches_contains_point(monkeypatch):
+    # every candidate smooth_refine scores, in every round, on the smooth
+    # refinement families: the cones holding its support face in the
+    # target are the cones that contain it
+    real = fans._stellar_score
+    scored = 0
+
+    def checked(fan, x, target):
+        nonlocal scored
+        scored += 1
+        assert _star_is_contains_point(fan, x, target), (fan.maximal_cones, x)
+        return real(fan, x, target)
+
+    monkeypatch.setattr(fans, "_stellar_score", checked)
+    for gens in SMOOTH_PARITY_CONES:
+        base = cone_from_generators(gens)
+        smooth_refine(Fan.make([base], base.ambient_dim))
+    assert scored >= 300
+
+
+@settings(max_examples=40, deadline=None)
+@given(simplicial_fans())
+@example(
+    Fan.make(
+        [
+            cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 0, 1)]),
+            cone_from_generators([(1, 0, 0), (1, 2, 0), (0, 0, -1)]),
+        ],
+        3,
+    )
+)
+def test_star_lookup_matches_contains_point_on_random_fans(fan):
+    for c in fan.maximal_cones:
+        if is_smooth(c):
+            continue
+        for x in fans._parallelepiped_points(c):
+            assert _star_is_contains_point(fan, x, c), (c.rays, x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -915,6 +1027,81 @@ def test_closed_form_simplicial_cone_matches_double_description(vectors):
     got = fans._cone_from_primitive_rays(rays, d)
     assert got == cone_from_primitive_rays_reference(rays, d)
     assert got.rays == rays and len(got.normals) == d
+    # the cone keeps the adjugate and determinant of its rays, and reads
+    # off them what a cone with no stored frame finds by eliminating
+    assert got._frame == int_adjugate([list(col) for col in zip(*rays)])
+    assert got.lattice_det == lattice_det_reference(rays)
+    bare = fans.Cone(got.rays, got.normals, d)
+    assert bare == got and hash(bare) == hash(got) and repr(bare) == repr(got)
+    assert bare._frame is None
+    assert (got.dim, got.lattice_det, got.multiplicity(), is_smooth(got)) == (
+        bare.dim,
+        bare.lattice_det,
+        bare.multiplicity(),
+        is_smooth(bare),
+    )
+    assert got._ray_frame == bare._ray_frame
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.tuples(
+            st.lists(st.tuples(*[st.integers(-5, 5)] * d), min_size=d, max_size=d),
+            st.tuples(*[st.integers(-5, 5)] * d),
+        )
+    )
+)
+@example(([(1, 0, 0), (0, 1, 0), (3, 5, 17)], (1, 2, 6)))
+@example(([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 9)], (1, 1, 1, 2)))
+# x sorts to the far end, past an odd number of rays
+@example(([(0, 0, 1), (0, 1, 0), (1, 0, 0)], (-1, 2, 3)))
+def test_replaced_ray_updates_the_stored_frame(case):
+    # putting x in place of a ray with nonzero weight gives the cone and
+    # the adjugate that the new rays give from scratch, whatever the
+    # sorted place of x
+    vectors, x = case
+    d = len(vectors)
+    assume(int_adjugate([list(col) for col in zip(*vectors)])[1] != 0)
+    assume(any(x))
+    x = primitive_int_vector(x)
+    c = fans._cone_from_primitive_rays(
+        tuple(sorted({primitive_int_vector(v) for v in vectors})), d
+    )
+    assume(x not in c.rays)
+    lam = fans._stellar_weights(c, x)
+    for i, t in enumerate(lam):
+        if t == 0:
+            continue
+        rest = c.rays[:i] + c.rays[i + 1 :]
+        got = fans._replace_ray(c, i, x, lam)
+        want = fans._cone_from_primitive_rays(tuple(sorted(rest + (x,))), d)
+        assert got == want
+        assert got._frame == want._frame == int_adjugate(
+            [list(col) for col in zip(*got.rays)]
+        )
+
+
+def test_smoothed_cones_keep_the_adjugate_of_their_rays():
+    # every cone of every smooth refinement family that stores a frame
+    # stores the adjugate and determinant of its rays
+    stored = 0
+    for gens in SMOOTH_PARITY_CONES:
+        base = cone_from_generators(gens)
+        for c in smooth_refine(Fan.make([base], base.ambient_dim)).maximal_cones:
+            if c._frame is not None:
+                stored += 1
+                assert c._frame == int_adjugate([list(col) for col in zip(*c.rays)])
+    assert stored >= 200
+
+
+def test_lower_dimensional_simplicial_cone_stores_no_frame():
+    # its frame is the coordinates (1, 2), which only the echelon finds
+    cone = cone_from_generators([(0, 1, 0), (0, 2, 5)])
+    assert cone._frame is None
+    assert cone.dim == 2 and cone.is_simplicial
+    assert cone.multiplicity() == lattice_det_reference(cone.rays) == 5
+    assert cone._ray_frame[0] == [1, 2]
 
 
 def test_smooth_refine_caps_multiplicity():
